@@ -15,7 +15,6 @@ from .algebra import (
     apply_series,
     ideal_reduce,
     pontryagin_all,
-    qs_arith,
     to_pontryagin,
 )
 from .bundles import (
@@ -54,7 +53,7 @@ __all__ = [
     "UsageError", "apply_series", "basis_series", "ch_spinor_pow",
     "ch_theta_bundle", "decompose", "default_grid", "extract_br_betar",
     "genus_form", "ideal_reduce", "jacobi_identity_check", "modular_form",
-    "p1_combo", "pontryagin_all", "q_form", "qs_arith", "run_suite",
+    "p1_combo", "pontryagin_all", "q_form", "run_suite",
     "theta_eval", "theta_logderiv_ratio", "theta_ratio", "to_pontryagin",
     "transformation_residuals", "verify_case",
 ]

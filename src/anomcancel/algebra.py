@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import InvertError, SymmetryError, UsageError
 
@@ -342,36 +342,7 @@ class GradedPoly:
             acc = acc + term
         return acc * (1 / c)
 
-    # -- substitutions -----------------------------------------------------
-
-    def scale_gens(self, scales: Mapping[str, Fraction | int]) -> "GradedPoly":
-        """Substitute g -> c_g * g for each named generator."""
-        idx = {self.spec.index(name): Fraction(c) for name, c in scales.items()}
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in self.iter_terms():
-            for i, c in idx.items():
-                coeff = coeff * c ** exps[i]
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
-        return GradedPoly.from_terms(self.spec, terms)
-
-    def permute_gens(self, mapping: Mapping[str, str]) -> "GradedPoly":
-        """Substitute generators along a name -> name bijection."""
-        perm = {self.spec.index(src): self.spec.index(dst) for src, dst in mapping.items()}
-        n = len(self.spec.gens)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in self.iter_terms():
-            new = [0] * n
-            for i, e in enumerate(exps):
-                new[perm.get(i, i)] += e
-            key = tuple(new)
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-        return GradedPoly.from_terms(self.spec, terms)
-
-    def set_gens_zero(self, names: Iterable[str]) -> "GradedPoly":
-        drop = {self.spec.index(name) for name in names}
-        terms = {exps: coeff for exps, coeff in self.iter_terms()
-                 if all(exps[i] == 0 for i in drop)}
-        return GradedPoly.from_terms(self.spec, terms)
+    # -- calculus ----------------------------------------------------------
 
     def derivative(self, name: str) -> "GradedPoly":
         """Formal partial derivative with respect to one generator."""
@@ -384,10 +355,6 @@ class GradedPoly:
             new = exps[:i] + (e - 1,) + exps[i + 1:]
             terms[new] = terms.get(new, Fraction(0)) + coeff * e
         return GradedPoly.from_terms(self.spec, terms)
-
-    def eval_scalars(self) -> Fraction:
-        """Value with every generator set to zero."""
-        return self.constant_term()
 
 
 def apply_series(coeffs: Sequence[Fraction], x: GradedPoly) -> GradedPoly:
@@ -417,6 +384,13 @@ def apply_series(coeffs: Sequence[Fraction], x: GradedPoly) -> GradedPoly:
 
 def taylor_exp(nterms: int) -> list[Fraction]:
     return [Fraction(1, math.factorial(n)) for n in range(nterms)]
+
+
+@lru_cache(maxsize=None)
+def exp_generator(spec: RingSpec, name: str, sign: int) -> GradedPoly:
+    """exp(+g) or exp(-g) for one degree-2 generator g, cached per ring."""
+    w = GradedPoly.generator(spec, name)
+    return apply_series(taylor_exp(spec.cap // 2 + 1), w if sign > 0 else -w)
 
 
 def taylor_cosh_half(nterms: int) -> list[Fraction]:
@@ -511,6 +485,15 @@ class QSeries:
     @classmethod
     def zero_series(cls, order: int, ring: RingSpec | None = None) -> "QSeries":
         return cls([], order, ring)
+
+    @classmethod
+    def binomial(cls, c, half_exp: int, order: int) -> "QSeries":
+        """1 + c * q^(half_exp/2), for a rational or ring-element c and half_exp >= 1."""
+        ring = c.spec if isinstance(c, GradedPoly) else None
+        coeffs = list(cls.one(order, ring).coeffs)
+        if half_exp <= 2 * order:
+            coeffs[half_exp] = c if ring is not None else Fraction(c)
+        return cls(coeffs, order, ring)
 
     @classmethod
     def from_poly(cls, poly: GradedPoly, order: int) -> "QSeries":
@@ -682,33 +665,6 @@ class QSeries:
                 raise UsageError("negative shift would drop nonzero terms")
             out = list(self.coeffs[cut:]) + [zero] * cut
         return QSeries(out, self.order, self.ring)
-
-
-def qs_arith(op: str, s1: QSeries, s2: QSeries | int | None = None) -> QSeries:
-    """Uniform dispatch over the basic q-series operations.
-
-    op is one of 'add', 'mul', 'inv', 'powi', 'shift'; 'powi' and 'shift'
-    take an integer second argument, 'inv' takes none.
-    """
-    if op == "add":
-        if not isinstance(s2, QSeries):
-            raise UsageError("add needs a second series")
-        return s1 + s2
-    if op == "mul":
-        if not isinstance(s2, QSeries):
-            raise UsageError("mul needs a second series")
-        return s1 * s2
-    if op == "inv":
-        return s1.inv()
-    if op == "powi":
-        if not isinstance(s2, int):
-            raise UsageError("powi needs an integer exponent")
-        return s1.powi(s2)
-    if op == "shift":
-        if not isinstance(s2, int):
-            raise UsageError("shift needs an integer half-step count")
-        return s1.shift(s2)
-    raise UsageError(f"unknown q-series operation {op!r}")
 
 
 # ---------------------------------------------------------------------------

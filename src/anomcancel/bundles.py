@@ -26,8 +26,8 @@ from .algebra import (
     QSeries,
     RingSpec,
     apply_series,
+    exp_generator,
     taylor_cosh_half,
-    taylor_exp,
     taylor_expm1_over,
     taylor_sinh_half_over_half,
 )
@@ -63,11 +63,41 @@ class Route(Enum):
     THETA = "theta"
 
 
-_FORM_FAMILY = {
-    QFormId.Q1: Family.AB, QFormId.Q2: Family.AB, QFormId.Q2BAR: Family.AB,
-    QFormId.Q1_XI: Family.AB_XI, QFormId.Q2_XI: Family.AB_XI, QFormId.Q3_XI: Family.AB_XI,
-    QFormId.P1: Family.TWO_LINE, QFormId.P2: Family.TWO_LINE, QFormId.P3: Family.TWO_LINE,
+class BrBetarKind(Enum):
+    B_R = "br"
+    BETA_R = "betar"
+    B_TILDE_R = "br_tilde"
+    BETA_TILDE_R = "betar_tilde"
+    B_BAR_R = "br_bar"
+    BETA_BAR_R = "betar_bar"
+
+
+@dataclass(frozen=True)
+class FamilyForms:
+    """The assembled forms of one family and the kinds of their decomposition coefficients."""
+
+    lead: QFormId            # E2-prefixed character of the first bundle
+    main: QFormId            # character of the second bundle
+    correction: QFormId      # E2 correction of the second bundle
+    b_kind: BrBetarKind      # virtual-bundle coefficients of `main`
+    beta_kind: BrBetarKind   # form coefficients of `correction`
+
+
+FAMILY_FORMS = {
+    Family.AB: FamilyForms(QFormId.Q1, QFormId.Q2, QFormId.Q2BAR,
+                           BrBetarKind.B_R, BrBetarKind.BETA_R),
+    Family.AB_XI: FamilyForms(QFormId.Q1_XI, QFormId.Q2_XI, QFormId.Q3_XI,
+                              BrBetarKind.B_TILDE_R, BrBetarKind.BETA_TILDE_R),
+    Family.TWO_LINE: FamilyForms(QFormId.P1, QFormId.P2, QFormId.P3,
+                                 BrBetarKind.B_BAR_R, BrBetarKind.BETA_BAR_R),
 }
+
+
+def family_of(member: QFormId | BrBetarKind) -> Family:
+    """The family whose FAMILY_FORMS row names this form or coefficient kind."""
+    return next(fam for fam, row in FAMILY_FORMS.items()
+                if member in (row.lead, row.main, row.correction, row.b_kind, row.beta_kind))
+
 
 # THETA route exists only for the combinations with a theta-quotient formula:
 # the Gamma0(2) side (Q1 / P1) and the joint Gamma^0(2) side reached via the
@@ -181,15 +211,30 @@ def cosh_half_euler(spec: GeometrySpec, which: str = "u") -> GradedPoly:
     return apply_series(taylor_cosh_half(ring.cap // 2 + 1), w)
 
 
+def lead_weight(spec: GeometrySpec) -> tuple[GradedPoly, GradedPoly]:
+    """Genus-times-spinor forms multiplying the family's first (lead) and second
+    (weight) twisted bundle.
+
+    The xi families divide the lead by cosh(u/2)^2; the weight carries
+    cosh(u/2), or cosh(u'/2) in the two-line family, where b = 0.
+    """
+    ahat = genus_form(GenusKind.A_HAT, spec)
+    lead = ahat * ch_spinor_pow(spec, spec.a)
+    weight = ahat * ch_spinor_pow(spec, spec.b)
+    if spec.has_xi:
+        cosh_u = cosh_half_euler(spec, "u")
+        lead = lead * (cosh_u * cosh_u).inv()
+        weight = weight * cosh_half_euler(spec, "u'" if spec.has_xi_prime else "u")
+    return lead, weight
+
+
 def ch_tilde_roots(spec: GeometrySpec, roots: tuple[str, ...], rank: int) -> GradedPoly:
     """ch of (complexified bundle minus its rank): sum over +-roots of e^root, minus rank."""
     ring = spec.ring()
-    nterms = ring.cap // 2 + 1
     out = GradedPoly.constant(ring, -rank)
     for name in roots:
-        w = GradedPoly.generator(ring, name)
-        out = out + apply_series(taylor_exp(nterms), w)
-        out = out + apply_series(taylor_exp(nterms), -w)
+        out = out + exp_generator(ring, name, +1)
+        out = out + exp_generator(ring, name, -1)
     return out
 
 
@@ -205,6 +250,19 @@ def ch_xi_prime_tilde(spec: GeometrySpec) -> GradedPoly:
     return ch_tilde_roots(spec, ("u'",), 2)
 
 
+def _square_sums(ring: RingSpec, plus: tuple[str, ...], minus: tuple[str, ...],
+                 coef: int) -> GradedPoly:
+    """sum of g^2 over the `plus` roots minus coef times the sum over `minus`."""
+    out = GradedPoly.zero(ring)
+    for name in plus:
+        w = GradedPoly.generator(ring, name)
+        out = out + w * w
+    for name in minus:
+        v = GradedPoly.generator(ring, name)
+        out = out - v * v * coef
+    return out
+
+
 def p1_combo(spec: GeometrySpec) -> GradedPoly:
     """The degree-4 class multiplying the E2 correction.
 
@@ -212,46 +270,18 @@ def p1_combo(spec: GeometrySpec) -> GradedPoly:
     p1(xi) - p1(xi'), i.e. u^2 - u'^2 since the first Pontryagin class of a
     rank-two oriented bundle is the square of its Euler class.
     """
-    ring = spec.ring()
     if spec.family is Family.TWO_LINE:
-        u = GradedPoly.generator(ring, "u")
-        up = GradedPoly.generator(ring, "u'")
-        return u * u - up * up
-    out = GradedPoly.zero(ring)
-    for name in spec.tm_roots:
-        w = GradedPoly.generator(ring, name)
-        out = out + w * w
-    coef = spec.a + 2 * spec.b
-    for name in spec.v_roots:
-        v = GradedPoly.generator(ring, name)
-        out = out - v * v * coef
-    return out
+        return _square_sums(spec.ring(), ("u",), ("u'",), 1)
+    return _square_sums(spec.ring(), spec.tm_roots, spec.v_roots, spec.a + 2 * spec.b)
+
+
+def p1_relation(spec: GeometrySpec) -> GradedPoly:
+    """p1(TM) - p1(V), the relation the two-line identities are reduced modulo."""
+    return _square_sums(spec.ring(), spec.tm_roots, spec.v_roots, 1)
 
 
 # ---------------------------------------------------------------------------
 # Generating-function blocks (BUNDLE route)
-
-
-def _rational_binom(half_exp: int, value: int, order: int) -> QSeries:
-    coeffs = [Fraction(0)] * (2 * order + 1)
-    coeffs[0] = Fraction(1)
-    if half_exp <= 2 * order:
-        coeffs[half_exp] = Fraction(value)
-    return QSeries(coeffs, order)
-
-
-def _poly_binom(spec: RingSpec, poly: GradedPoly, half_exp: int, sign: int, order: int) -> QSeries:
-    coeffs = [GradedPoly.zero(spec)] * (2 * order + 1)
-    coeffs[0] = GradedPoly.one(spec)
-    if half_exp <= 2 * order:
-        coeffs[half_exp] = poly if sign > 0 else -poly
-    return QSeries(coeffs, order, spec)
-
-
-@lru_cache(maxsize=None)
-def _exp_root(spec: RingSpec, name: str, sign: int) -> GradedPoly:
-    w = GradedPoly.generator(spec, name)
-    return apply_series(taylor_exp(spec.cap // 2 + 1), w if sign > 0 else -w)
 
 
 @lru_cache(maxsize=None)
@@ -260,11 +290,11 @@ def _symmetric_block(spec: RingSpec, roots: tuple[str, ...], order: int) -> QSer
     res = QSeries.one(order, spec)
     for n in range(1, order + 1):
         h = 2 * n
-        num = _rational_binom(h, -1, order).powi(2 * len(roots))
+        num = QSeries.binomial(-1, h, order).powi(2 * len(roots))
         res = res * num
         for name in roots:
-            res = res * _poly_binom(spec, _exp_root(spec, name, +1), h, -1, order).inv()
-            res = res * _poly_binom(spec, _exp_root(spec, name, -1), h, -1, order).inv()
+            res = res * QSeries.binomial(-exp_generator(spec, name, +1), h, order).inv()
+            res = res * QSeries.binomial(-exp_generator(spec, name, -1), h, order).inv()
     return res
 
 
@@ -284,9 +314,9 @@ def _exterior_block(spec: RingSpec, roots: tuple[str, ...], rank: int,
         if h > 2 * order:
             break
         for name in roots:
-            res = res * _poly_binom(spec, _exp_root(spec, name, +1), h, sign, order)
-            res = res * _poly_binom(spec, _exp_root(spec, name, -1), h, sign, order)
-        res = res * _rational_binom(h, sign, order).powi(-rank)
+            for e in (exp_generator(spec, name, +1), exp_generator(spec, name, -1)):
+                res = res * QSeries.binomial(e if sign > 0 else -e, h, order)
+        res = res * QSeries.binomial(sign, h, order).powi(-rank)
         m += 1
     return res
 
@@ -361,29 +391,18 @@ def _e2_coefficient(spec: GeometrySpec) -> Fraction:
 
 @lru_cache(maxsize=None)
 def e2_exponential(spec: GeometrySpec, order: int) -> QSeries:
-    """exp(c * E2(tau) * z) with z the family's degree-4 combination.
-
-    c is 1/24 for the AB families and 1/12 for the two-line family; the sum
-    over powers of the nilpotent z terminates at the degree cap.
-    """
-    ring = spec.ring()
-    z = p1_combo(spec)
-    scaled = modular_form(ModularFormId.E2, order).scale(_e2_coefficient(spec))
-    result = QSeries.one(order, ring)
-    zpow = GradedPoly.one(ring)
-    ppow = QSeries.one(order)
-    for n in range(1, ring.cap // 4 + 1):
-        zpow = zpow * z * Fraction(1, n)
-        if zpow.is_zero:
-            break
-        ppow = ppow * scaled
-        result = result + QSeries([zpow * c for c in ppow.coeffs], order, ring)
-    return result
+    """exp(c * E2(tau) * z) = 1 + z * e2_expm1_over_z."""
+    return e2_expm1_over_z(spec, order) * p1_combo(spec) + QSeries.one(order, spec.ring())
 
 
 @lru_cache(maxsize=None)
 def e2_expm1_over_z(spec: GeometrySpec, order: int) -> QSeries:
-    """(exp(c * E2 * z) - 1) / z, a well-defined series in the nilpotent z."""
+    """(exp(c * E2 * z) - 1) / z, a well-defined series in the nilpotent z.
+
+    z is the family's degree-4 combination and c is 1/24 for the AB families
+    and 1/12 for the two-line family; the sum over powers of z terminates at
+    the degree cap.
+    """
     ring = spec.ring()
     z = p1_combo(spec)
     scaled = modular_form(ModularFormId.E2, order).scale(_e2_coefficient(spec))
@@ -418,8 +437,9 @@ def q_form(form: QFormId, route: Route, spec: GeometrySpec, order: int) -> QSeri
     THETA route the identifiers Q2 and P2 denote the modular combinations
     'Q2 + z * Q2bar' and 'P2 + z * P3' that the theta quotients express.
     """
-    if _FORM_FAMILY[form] is not spec.family:
-        raise UsageError(f"form {form.name} needs family {_FORM_FAMILY[form].value}")
+    family = family_of(form)
+    if family is not spec.family:
+        raise UsageError(f"form {form.name} needs family {family.value}")
     if route is Route.THETA:
         if form not in _THETA_ROUTE_IDS:
             raise UsageError(f"no theta-quotient expression for {form.name}")
@@ -429,37 +449,12 @@ def q_form(form: QFormId, route: Route, spec: GeometrySpec, order: int) -> QSeri
 
 @lru_cache(maxsize=None)
 def _q_form_bundle(form: QFormId, spec: GeometrySpec, order: int) -> QSeries:
-    ahat = genus_form(GenusKind.A_HAT, spec)
-    if form in (QFormId.Q1, QFormId.Q2, QFormId.Q2BAR):
-        th = ch_theta_bundle(1 if form is QFormId.Q1 else 2, spec, order)
-        if form is QFormId.Q1:
-            return e2_exponential(spec, order) * (ahat * ch_spinor_pow(spec, spec.a)) * th
-        base = (ahat * ch_spinor_pow(spec, spec.b)) * th
-        if form is QFormId.Q2:
-            return base
-        return e2_expm1_over_z(spec, order) * base
-
-    if form in (QFormId.Q1_XI, QFormId.Q2_XI, QFormId.Q3_XI):
-        cosh_u = cosh_half_euler(spec, "u")
-        if form is QFormId.Q1_XI:
-            th = ch_theta_bundle(1, spec, order)
-            poly = ahat * ch_spinor_pow(spec, spec.a) * (cosh_u * cosh_u).inv()
-            return e2_exponential(spec, order) * poly * th
-        th = ch_theta_bundle(2, spec, order)
-        base = (ahat * cosh_u * ch_spinor_pow(spec, spec.b)) * th
-        if form is QFormId.Q2_XI:
-            return base
-        return e2_expm1_over_z(spec, order) * base
-
-    # two-line family
-    if form is QFormId.P1:
-        th = ch_theta_bundle(1, spec, order)
-        cosh_u = cosh_half_euler(spec, "u")
-        poly = ahat * ch_spinor_pow(spec, 1) * (cosh_u * cosh_u).inv()
-        return e2_exponential(spec, order) * poly * th
-    th = ch_theta_bundle(2, spec, order)
-    base = (ahat * cosh_half_euler(spec, "u'")) * th
-    if form is QFormId.P2:
+    row = FAMILY_FORMS[spec.family]
+    lead, weight = lead_weight(spec)
+    if form is row.lead:
+        return e2_exponential(spec, order) * lead * ch_theta_bundle(1, spec, order)
+    base = weight * ch_theta_bundle(2, spec, order)
+    if form is row.main:
         return base
     return e2_expm1_over_z(spec, order) * base
 

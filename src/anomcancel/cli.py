@@ -12,22 +12,14 @@ import sys
 from fractions import Fraction
 
 from .algebra import half_q_label, pontryagin_all
-from .bundles import Family, GeometrySpec, ch_theta_bundle
-from .decomp import BrBetarKind, extract_br_betar
+from .bundles import FAMILY_FORMS, Family, GeometrySpec, ch_theta_bundle
+from .decomp import extract_br_betar
 from .errors import UsageError
 from .theta import ModularFormId, modular_form
-from .verifier import CaseId, CaseRequest, Report, default_grid, run_suite, verify_case
+from .verifier import CASES, CaseId, CaseRequest, Report, default_grid, run_suite, verify_case
 
 _FAMILY_NAMES = {"ab": Family.AB, "ab-xi": Family.AB_XI, "two-line": Family.TWO_LINE}
 _FAMILY_LABELS = {v: k for k, v in _FAMILY_NAMES.items()}
-
-_CASE_DEFAULT_FAMILY = {
-    CaseId.THM31: "ab", CaseId.COR32: "ab", CaseId.COR33: "ab",
-    CaseId.EQ318_TRANSFER: "ab", CaseId.HLZ_SPECIAL: "ab",
-    CaseId.THM34: "ab-xi",
-    CaseId.THM41: "two-line", CaseId.COR42: "two-line", CaseId.COR43: "two-line",
-    CaseId.DOUBLE_ROUTE: "ab", CaseId.BR_BETAR_CLOSED_FORMS: "ab",
-}
 
 _MODULAR_OBJECTS = {
     "delta1": ModularFormId.DELTA1, "eps1": ModularFormId.EPS1,
@@ -35,11 +27,13 @@ _MODULAR_OBJECTS = {
     "e2": ModularFormId.E2,
 }
 
-_BR_KIND_BY_FAMILY = {
-    Family.AB: (BrBetarKind.B_R, BrBetarKind.BETA_R),
-    Family.AB_XI: (BrBetarKind.B_TILDE_R, BrBetarKind.BETA_TILDE_R),
-    Family.TWO_LINE: (BrBetarKind.B_BAR_R, BrBetarKind.BETA_BAR_R),
-}
+# Suite-file keys and the JSON type each must have.
+_TYPE_NAMES = {list: "an array", str: "a string", int: "an integer",
+               bool: "true or false", (int, float): "a number"}
+_SUITE_KEYS = {"cases": list, "format": str, "tolerance": (int, float)}
+_ENTRY_KEYS = {"case": str, "family": str, "k": int, "l": int, "a": int, "b": int,
+               "qOrder": int, "perturb": bool}
+_GEOMETRY_KEYS = {"family", "k", "l", "a", "b"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -152,11 +146,25 @@ def _request_from_args(args: argparse.Namespace) -> CaseRequest:
     except ValueError:
         raise UsageError(f"unknown case {args.case!r}; choose from "
                          + ", ".join(c.value for c in CaseId))
-    if case in (CaseId.NUMERIC_MODULARITY, CaseId.JACOBI_QSERIES):
-        return CaseRequest(case, None, args.q_order, tolerance=args.tolerance)
-    family_name = args.family or _CASE_DEFAULT_FAMILY[case]
-    spec = _spec_from_args(_FAMILY_NAMES[family_name], args.k, args.l, args.a, args.b)
+    row = CASES[case]
+    spec = None
+    if row.needs_geometry:
+        family = _FAMILY_NAMES[args.family] if args.family else row.default_family
+        spec = _spec_from_args(family, args.k, args.l, args.a, args.b)
     return CaseRequest(case, spec, args.q_order, tolerance=args.tolerance)
+
+
+def _check_object(obj, types: dict, where: str) -> None:
+    """Reject anything but a JSON object whose keys and value types `types` allows."""
+    if not isinstance(obj, dict):
+        raise UsageError(f"{where} must be a JSON object")
+    for key, value in obj.items():
+        if key not in types:
+            raise UsageError(f"{where}: unknown key {key!r}")
+        want = types[key]
+        # JSON true/false arrive as bool, which Python counts as an int
+        if not isinstance(value, want) or isinstance(value, bool) is not (want is bool):
+            raise UsageError(f"{where}: {key!r} must be {_TYPE_NAMES[want]}")
 
 
 def _requests_from_suite_file(path: str) -> tuple[list[CaseRequest], str | None]:
@@ -165,26 +173,33 @@ def _requests_from_suite_file(path: str) -> tuple[list[CaseRequest], str | None]
             config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read suite config {path!r}: {exc}")
-    if not isinstance(config, dict) or "cases" not in config:
+    _check_object(config, _SUITE_KEYS, "suite config")
+    if "cases" not in config:
         raise UsageError("suite config must be an object with a 'cases' array")
-    tolerance = config.get("tolerance")
+    if config.get("format", "text") not in ("text", "json"):
+        raise UsageError("suite config: 'format' must be \"text\" or \"json\"")
     requests = []
-    for entry in config["cases"]:
+    for n, entry in enumerate(config["cases"]):
+        where = f"suite entry {n}"
+        _check_object(entry, _ENTRY_KEYS, where)
         try:
             case = CaseId(entry["case"])
         except (KeyError, ValueError):
             raise UsageError(f"suite entry with unknown case: {entry!r}")
+        row = CASES[case]
         spec = None
-        if case not in (CaseId.NUMERIC_MODULARITY, CaseId.JACOBI_QSERIES):
-            family_name = entry.get("family", _CASE_DEFAULT_FAMILY[case])
+        if row.needs_geometry:
+            family_name = entry.get("family", _FAMILY_LABELS[row.default_family])
             if family_name not in _FAMILY_NAMES:
                 raise UsageError(f"unknown family {family_name!r}")
             spec = _spec_from_args(_FAMILY_NAMES[family_name],
                                    entry.get("k", 1), entry.get("l", 1),
                                    entry.get("a", 1), entry.get("b", 0))
+        elif _GEOMETRY_KEYS & entry.keys():
+            raise UsageError(f"{where}: {case.value} takes no geometry")
         requests.append(CaseRequest(case, spec, entry.get("qOrder"),
-                                    perturb=bool(entry.get("perturb", False)),
-                                    tolerance=tolerance))
+                                    perturb=entry.get("perturb", False),
+                                    tolerance=config.get("tolerance")))
     return requests, config.get("format")
 
 
@@ -192,7 +207,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     out_format = args.format
     if args.suite:
         requests, fmt = _requests_from_suite_file(args.suite)
-        if fmt in ("text", "json"):
+        if fmt is not None:
             out_format = fmt
         reports = run_suite(requests)
     elif args.all:
@@ -233,8 +248,8 @@ def _expand_rows(args: argparse.Namespace) -> list[tuple[str, str]]:
             rows.append((half_q_label(i), str(pontryagin_all(c, spec.root_families()))))
         return rows
 
-    b_kind, beta_kind = _BR_KIND_BY_FAMILY[family]
-    kind = b_kind if args.object == "br" else beta_kind
+    row = FAMILY_FORMS[family]
+    kind = row.b_kind if args.object == "br" else row.beta_kind
     result, checks = extract_br_betar(spec, kind, max(n, spec.k + 2))
     rows = []
     prefix = "b" if args.object == "br" else "beta"

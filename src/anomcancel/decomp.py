@@ -23,18 +23,17 @@ from functools import lru_cache
 
 from .algebra import GradedPoly, QSeries
 from .bundles import (
+    FAMILY_FORMS,
+    BrBetarKind,
     Family,
-    GenusKind,
     GeometrySpec,
-    QFormId,
     Route,
-    ch_spinor_pow,
     ch_theta_bundle,
     ch_v_tilde,
     ch_xi_prime_tilde,
     ch_xi_tilde,
-    cosh_half_euler,
-    genus_form,
+    family_of,
+    lead_weight,
     q_form,
     static_expm1_over_z,
 )
@@ -45,22 +44,6 @@ from .theta import ModularFormId, modular_form
 class Group(Enum):
     GAMMA0 = "gamma0"
     GAMMA_UPPER0 = "gamma_upper0"
-
-
-class BrBetarKind(Enum):
-    B_R = "br"
-    BETA_R = "betar"
-    B_TILDE_R = "br_tilde"
-    BETA_TILDE_R = "betar_tilde"
-    B_BAR_R = "br_bar"
-    BETA_BAR_R = "betar_bar"
-
-
-_KIND_FAMILY = {
-    BrBetarKind.B_R: Family.AB, BrBetarKind.BETA_R: Family.AB,
-    BrBetarKind.B_TILDE_R: Family.AB_XI, BrBetarKind.BETA_TILDE_R: Family.AB_XI,
-    BrBetarKind.B_BAR_R: Family.TWO_LINE, BrBetarKind.BETA_BAR_R: Family.TWO_LINE,
-}
 
 
 @dataclass(frozen=True)
@@ -147,12 +130,6 @@ class ClosedFormCheck:
         return self.expected in self.matches
 
 
-def _beta_source(spec: GeometrySpec, order: int) -> QSeries:
-    form = {Family.AB: QFormId.Q2BAR, Family.AB_XI: QFormId.Q3_XI,
-            Family.TWO_LINE: QFormId.P3}[spec.family]
-    return q_form(form, Route.BUNDLE, spec, order).degree_slice(4 * spec.k - 4)
-
-
 def _b_closed_forms(spec: GeometrySpec, ring_one: GradedPoly) -> list[ClosedFormCheck]:
     """Candidate closed forms for the r = 0, 1 virtual-bundle coefficients."""
     k = spec.k
@@ -186,15 +163,7 @@ def _beta_closed_forms(spec: GeometrySpec) -> list[ClosedFormCheck]:
     k = spec.k
     deg = 4 * k - 4
     sign = Fraction(-1) ** k
-    pref = static_expm1_over_z(spec)
-    ahat = genus_form(GenusKind.A_HAT, spec)
-    if spec.family is Family.AB:
-        weight = ahat * ch_spinor_pow(spec, spec.b)
-    elif spec.family is Family.AB_XI:
-        weight = ahat * ch_spinor_pow(spec, spec.b) * cosh_half_euler(spec, "u")
-    else:
-        weight = ahat * cosh_half_euler(spec, "u'")
-    base = pref * weight
+    base = static_expm1_over_z(spec) * lead_weight(spec)[1]
     checks = []
     checks.append(("beta0", (("printed", base.degree_part(deg) * sign),), "printed"))
     if k >= 2:
@@ -222,14 +191,14 @@ def extract_br_betar(spec: GeometrySpec, which: BrBetarKind,
     b-type decomposes the full bundle character (all cohomological degrees);
     beta-type decomposes the degree-(4k-4) slice of the E2-corrected form.
     """
-    if _KIND_FAMILY[which] is not spec.family:
-        raise UsageError(f"{which.name} needs family {_KIND_FAMILY[which].value}")
-    is_b_type = which in (BrBetarKind.B_R, BrBetarKind.B_TILDE_R, BrBetarKind.B_BAR_R)
-    if is_b_type:
+    row = FAMILY_FORMS[spec.family]
+    if which not in (row.b_kind, row.beta_kind):
+        raise UsageError(f"{which.name} needs family {family_of(which).value}")
+    if which is row.b_kind:
         series = ch_theta_bundle(2, spec, order)
         templates = _b_closed_forms(spec, GradedPoly.one(spec.ring()))
     else:
-        series = _beta_source(spec, order)
+        series = q_form(row.correction, Route.BUNDLE, spec, order).degree_slice(4 * spec.k - 4)
         templates = _beta_closed_forms(spec)
     result = decompose(series, spec.k, order)
     checks = []

@@ -26,8 +26,8 @@ from .algebra import (
     QSeries,
     RingSpec,
     apply_series,
+    exp_generator,
     taylor_cosh_half,
-    taylor_exp,
     taylor_sinh_half_over_half,
 )
 from .errors import DomainError, UsageError
@@ -95,44 +95,18 @@ def _geometric_inverse(poly: GradedPoly, half_exp: int, sign: int, order: int) -
     return QSeries(coeffs, order, spec)
 
 
-def _binomial_factor(poly: GradedPoly, half_exp: int, sign: int, order: int) -> QSeries:
-    """1 + sign * poly * q^(half_exp/2) as a series."""
-    spec = poly.spec
-    width = 2 * order + 1
-    coeffs = [GradedPoly.zero(spec)] * width
-    coeffs[0] = GradedPoly.one(spec)
-    if half_exp < width:
-        coeffs[half_exp] = poly if sign > 0 else -poly
-    return QSeries(coeffs, order, spec)
-
-
-def _rational_binomial(half_exp: int, value: Fraction | int, order: int) -> QSeries:
-    width = 2 * order + 1
-    coeffs = [Fraction(0)] * width
-    coeffs[0] = Fraction(1)
-    if half_exp < width:
-        coeffs[half_exp] = Fraction(value)
-    return QSeries(coeffs, order)
-
-
-@lru_cache(maxsize=None)
-def _exp_gen(spec: RingSpec, name: str, sign: int) -> GradedPoly:
-    w = GradedPoly.generator(spec, name)
-    return apply_series(taylor_exp(spec.cap // 2 + 1), w if sign > 0 else -w)
-
-
 @lru_cache(maxsize=None)
 def _theta_ratio_cached(kind: ThetaKind, spec: RingSpec, name: str, order: int) -> QSeries:
     nterms = spec.cap // 2 + 1
     w = GradedPoly.generator(spec, name)
-    ew = _exp_gen(spec, name, +1)
-    ewi = _exp_gen(spec, name, -1)
+    ew = exp_generator(spec, name, +1)
+    ewi = exp_generator(spec, name, -1)
 
     if kind is ThetaKind.THETA:
         # (w/2)/sinh(w/2) * prod (1-q^j)^2 / ((1-e^w q^j)(1-e^-w q^j))
         res = QSeries.from_poly(apply_series(taylor_sinh_half_over_half(nterms), w).inv(), order)
         for j in range(1, order + 1):
-            res = res * _rational_binomial(2 * j, -1, order).powi(2)
+            res = res * QSeries.binomial(-1, 2 * j, order).powi(2)
             res = res * _geometric_inverse(ew, 2 * j, +1, order)
             res = res * _geometric_inverse(ewi, 2 * j, +1, order)
         return res
@@ -141,20 +115,21 @@ def _theta_ratio_cached(kind: ThetaKind, spec: RingSpec, name: str, order: int) 
         # cosh(w/2) * prod (1+e^w q^j)(1+e^-w q^j) / (1+q^j)^2
         res = QSeries.from_poly(apply_series(taylor_cosh_half(nterms), w), order)
         for j in range(1, order + 1):
-            res = res * _binomial_factor(ew, 2 * j, +1, order)
-            res = res * _binomial_factor(ewi, 2 * j, +1, order)
-            res = res * _rational_binomial(2 * j, 1, order).powi(-2)
+            res = res * QSeries.binomial(ew, 2 * j, order)
+            res = res * QSeries.binomial(ewi, 2 * j, order)
+            res = res * QSeries.binomial(1, 2 * j, order).powi(-2)
         return res
 
     if kind in (ThetaKind.THETA2, ThetaKind.THETA3):
         sign = -1 if kind is ThetaKind.THETA2 else +1
+        c, ci = (ew, ewi) if sign > 0 else (-ew, -ewi)
         res = QSeries.one(order, spec)
         j = 1
         while 2 * j - 1 <= 2 * order:
             h = 2 * j - 1
-            res = res * _binomial_factor(ew, h, sign, order)
-            res = res * _binomial_factor(ewi, h, sign, order)
-            res = res * _rational_binomial(h, sign, order).powi(-2)
+            res = res * QSeries.binomial(c, h, order)
+            res = res * QSeries.binomial(ci, h, order)
+            res = res * QSeries.binomial(sign, h, order).powi(-2)
             j += 1
         return res
 
@@ -197,8 +172,8 @@ def _euler_block(sign: int, order: int) -> QSeries:
     """prod_j (1 - q^j)(1 + sign q^j) ... building block on the integer grid."""
     res = QSeries.one(order)
     for j in range(1, order + 2):
-        res = res * _rational_binomial(2 * j, -1, order)
-        res = res * _rational_binomial(2 * j, sign, order).powi(2)
+        res = res * QSeries.binomial(-1, 2 * j, order)
+        res = res * QSeries.binomial(sign, 2 * j, order).powi(2)
     return res
 
 
@@ -206,8 +181,8 @@ def _half_block(sign: int, order: int) -> QSeries:
     """prod_j (1 - q^j)(1 + sign q^(j-1/2))^2 on the half grid."""
     res = QSeries.one(order)
     for j in range(1, order + 2):
-        res = res * _rational_binomial(2 * j, -1, order)
-        res = res * _rational_binomial(2 * j - 1, sign, order).powi(2)
+        res = res * QSeries.binomial(-1, 2 * j, order)
+        res = res * QSeries.binomial(sign, 2 * j - 1, order).powi(2)
     return res
 
 
@@ -251,15 +226,17 @@ def modular_form(form: ModularFormId, order: int) -> QSeries:
     raise UsageError(f"unknown modular form {form!r}")
 
 
-def jacobi_identity_check(order: int) -> QSeries:
+def jacobi_identity_check(order: int, perturb: bool = False) -> QSeries:
     """Difference of both sides of the Jacobi derivative identity.
 
     Both sides are divided by the common 2 pi q^(1/8); the result must be the
-    zero series at every truncation order.
+    zero series at every truncation order.  `perturb` is a negative control:
+    it squares the left-hand product instead of cubing it, which must leave a
+    nonzero residual.
     """
     lhs = QSeries.one(order)
     for j in range(1, order + 2):
-        lhs = lhs * _rational_binomial(2 * j, -1, order).powi(3)
+        lhs = lhs * QSeries.binomial(-1, 2 * j, order).powi(2 if perturb else 3)
     rhs = _euler_block(+1, order) * _half_block(-1, order) * _half_block(+1, order)
     return lhs - rhs
 

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .algebra import (
     GradedPoly,
@@ -26,18 +26,19 @@ from .algebra import (
     taylor_exp,
 )
 from .bundles import (
+    FAMILY_FORMS,
     Family,
     GenusKind,
     GeometrySpec,
     QFormId,
     Route,
-    ch_spinor_pow,
     ch_v_tilde,
     ch_xi_prime_tilde,
     ch_xi_tilde,
-    cosh_half_euler,
     genus_form,
+    lead_weight,
     p1_combo,
+    p1_relation,
     q_form,
     static_expm1_over_z,
 )
@@ -61,18 +62,6 @@ class CaseId(Enum):
     NUMERIC_MODULARITY = "NUMERIC_MODULARITY"
     JACOBI_QSERIES = "JACOBI_QSERIES"
 
-
-_CASE_FAMILY = {
-    CaseId.THM31: Family.AB,
-    CaseId.COR32: Family.AB,
-    CaseId.COR33: Family.AB,
-    CaseId.THM34: Family.AB_XI,
-    CaseId.THM41: Family.TWO_LINE,
-    CaseId.COR42: Family.TWO_LINE,
-    CaseId.COR43: Family.TWO_LINE,
-    CaseId.EQ318_TRANSFER: Family.AB,
-    CaseId.HLZ_SPECIAL: Family.AB,
-}
 
 NUMERIC_TAU = 0.25 + 1.1j
 NUMERIC_V = 0.13 + 0.07j
@@ -108,11 +97,13 @@ class CaseRequest:
     tolerance: float | None = None
 
 
+# What a case handler returns: verdict, (residual half-index, residual
+# degree), reported quantities, notes.
+Outcome = tuple[bool, tuple, tuple, tuple]
+
+
 def _pontryagin_str(poly: GradedPoly, spec: GeometrySpec) -> str:
-    try:
-        return str(pontryagin_all(poly, spec.root_families()))
-    except Exception:
-        return str(poly)
+    return str(pontryagin_all(poly, spec.root_families()))
 
 
 def _series_residual(series: QSeries) -> tuple[int | None, int | None]:
@@ -134,31 +125,13 @@ def _two_pow(e: int) -> Fraction:
     return Fraction(2) ** e
 
 
-def _relation_p1(spec: GeometrySpec) -> GradedPoly:
-    """p1(TM) - p1(V) as the reduction relation of the two-line identities."""
-    ring = spec.ring()
-    out = GradedPoly.zero(ring)
-    for name in spec.tm_roots:
-        w = GradedPoly.generator(ring, name)
-        out = out + w * w
-    for name in spec.v_roots:
-        v = GradedPoly.generator(ring, name)
-        out = out - v * v
-    return out
-
-
 def _gamma_upper_side(spec: GeometrySpec, order: int) -> QSeries:
     """Top-degree series of the modular combination on the b-even side."""
     cap = 4 * spec.k
     z = p1_combo(spec)
-    if spec.family is Family.AB:
-        main, corr = QFormId.Q2, QFormId.Q2BAR
-    elif spec.family is Family.AB_XI:
-        main, corr = QFormId.Q2_XI, QFormId.Q3_XI
-    else:
-        main, corr = QFormId.P2, QFormId.P3
-    top = q_form(main, Route.BUNDLE, spec, order).degree_slice(cap)
-    low = q_form(corr, Route.BUNDLE, spec, order).degree_slice(cap - 4)
+    row = FAMILY_FORMS[spec.family]
+    top = q_form(row.main, Route.BUNDLE, spec, order).degree_slice(cap)
+    low = q_form(row.correction, Route.BUNDLE, spec, order).degree_slice(cap - 4)
     return top + low * z
 
 
@@ -174,34 +147,16 @@ def _theorem_sides(spec: GeometrySpec, order: int,
     b_r; the right side multiplies the degree-4 class z by the correction form
     built from the beta_r.  The two decompositions are independent.
     """
-    k, l, a, b = spec.k, spec.l, spec.a, spec.b
+    k = spec.k
     cap = 4 * k
-    ahat = genus_form(GenusKind.A_HAT, spec)
     z = p1_combo(spec)
+    lead, weight = lead_weight(spec)
+    row = FAMILY_FORMS[spec.family]
+    b_res, _ = extract_br_betar(spec, row.b_kind, order)
+    beta_res, _ = extract_br_betar(spec, row.beta_kind, order)
 
-    if spec.family is Family.AB:
-        lead = ahat * ch_spinor_pow(spec, a)
-        weight = ahat * ch_spinor_pow(spec, b)
-        pow_base = (a - b) * l
-    elif spec.family is Family.AB_XI:
-        cosh_u = cosh_half_euler(spec, "u")
-        lead = ahat * ch_spinor_pow(spec, a) * (cosh_u * cosh_u).inv()
-        weight = ahat * cosh_u * ch_spinor_pow(spec, b)
-        pow_base = (a - b) * l
-    else:
-        cosh_u = cosh_half_euler(spec, "u")
-        lead = ahat * ch_spinor_pow(spec, 1) * (cosh_u * cosh_u).inv()
-        weight = ahat * cosh_half_euler(spec, "u'")
-        pow_base = l
-
-    b_kind = {Family.AB: BrBetarKind.B_R, Family.AB_XI: BrBetarKind.B_TILDE_R,
-              Family.TWO_LINE: BrBetarKind.B_BAR_R}[spec.family]
-    beta_kind = {Family.AB: BrBetarKind.BETA_R, Family.AB_XI: BrBetarKind.BETA_TILDE_R,
-                 Family.TWO_LINE: BrBetarKind.BETA_BAR_R}[spec.family]
-    b_res, _ = extract_br_betar(spec, b_kind, order)
-    beta_res, _ = extract_br_betar(spec, beta_kind, order)
-
-    coef = [_two_pow(pow_base + k - 6 * r) for r in range(k // 2 + 1)]
+    # (a - b) l is l in the two-line family, whose twists are fixed at (1, 0)
+    coef = [_two_pow((spec.a - spec.b) * spec.l + k - 6 * r) for r in range(k // 2 + 1)]
     if perturb:
         coef[0] = coef[0] * 2
 
@@ -221,12 +176,13 @@ def _theorem_sides(spec: GeometrySpec, order: int,
     return lhs, rhs, data
 
 
-def _case_theorem(spec: GeometrySpec, order: int, perturb: bool) -> tuple[bool, tuple, tuple, tuple]:
-    lhs, rhs, data = _theorem_sides(spec, order, perturb)
+def _case_theorem(req: CaseRequest) -> Outcome:
+    spec = req.spec
+    lhs, rhs, data = _theorem_sides(spec, req.q_order, req.perturb)
     diff = lhs - rhs
     notes = []
     if spec.family is Family.TWO_LINE:
-        diff = ideal_reduce(diff, _relation_p1(spec), leading="w1")
+        diff = ideal_reduce(diff, p1_relation(spec), leading="w1")
         notes.append("difference reduced modulo p1(TM) - p1(V)")
     ok = diff.is_zero
     quantities = []
@@ -242,16 +198,15 @@ def _case_theorem(spec: GeometrySpec, order: int, perturb: bool) -> tuple[bool, 
 # Corollaries (dimension 4 and dimension 8 specializations)
 
 
-def _case_cor32(spec: GeometrySpec, perturb: bool) -> tuple[bool, tuple, tuple, tuple]:
+def _case_cor32(req: CaseRequest) -> Outcome:
+    spec = req.spec
     if spec.k != 1:
         raise UsageError("this corollary is the k = 1 specialization")
     a, b, l = spec.a, spec.b, spec.l
-    ahat = genus_form(GenusKind.A_HAT, spec)
-    da = ahat * ch_spinor_pow(spec, a)
-    db = ahat * ch_spinor_pow(spec, b)
+    da, db = lead_weight(spec)
     z = p1_combo(spec)
     const = _two_pow(a * l - 3)
-    if perturb:
+    if req.perturb:
         const = const * 2
     lhs = da.degree_part(4) + db.degree_part(4) * _two_pow((a - b) * l + 1)
     rhs = z * (-const)
@@ -268,19 +223,18 @@ def _case_cor32(spec: GeometrySpec, perturb: bool) -> tuple[bool, tuple, tuple, 
     return diff.is_zero and coherent, _poly_residual(diff), quantities, ()
 
 
-def _case_cor33(spec: GeometrySpec, perturb: bool) -> tuple[bool, tuple, tuple, tuple]:
+def _case_cor33(req: CaseRequest) -> Outcome:
+    spec = req.spec
     if spec.k != 2:
         raise UsageError("this corollary is the k = 2 specialization")
     a, b, l = spec.a, spec.b, spec.l
-    ahat = genus_form(GenusKind.A_HAT, spec)
-    da = ahat * ch_spinor_pow(spec, a)
-    db = ahat * ch_spinor_pow(spec, b)
+    da, db = lead_weight(spec)
     chv = ch_v_tilde(spec)
     z = p1_combo(spec)
     pref = static_expm1_over_z(spec)
     c0 = _two_pow((a - b) * l)
     c1 = _two_pow((a - b) * l - 4) * (b - a)
-    if perturb:
+    if req.perturb:
         c0 = c0 * 2
     lhs = da.degree_part(8) - db.degree_part(8) * c0 - (db * chv).degree_part(8) * c1
     bracket = db * c0 + (db * chv) * c1 - da
@@ -293,46 +247,42 @@ def _case_cor33(spec: GeometrySpec, perturb: bool) -> tuple[bool, tuple, tuple, 
     return diff.is_zero, _poly_residual(diff), quantities, notes
 
 
-def _case_cor42(spec: GeometrySpec, perturb: bool) -> tuple[bool, tuple, tuple, tuple]:
+def _case_cor42(req: CaseRequest) -> Outcome:
+    spec = req.spec
     if spec.k != 1:
         raise UsageError("this corollary is the k = 1 specialization")
     l = spec.l
-    ahat = genus_form(GenusKind.A_HAT, spec)
-    cosh_u = cosh_half_euler(spec, "u")
-    lead = ahat * ch_spinor_pow(spec, 1) * (cosh_u * cosh_u).inv()
-    weight = ahat * cosh_half_euler(spec, "u'")
+    lead, weight = lead_weight(spec)
     z = p1_combo(spec)
     const = _two_pow(l - 2)
-    if perturb:
+    if req.perturb:
         const = const * 2
     lhs = lead.degree_part(4) + weight.degree_part(4) * _two_pow(l + 1)
     rhs = z * (-const)
-    diff = ideal_reduce(lhs - rhs, _relation_p1(spec), leading="w1")
+    diff = ideal_reduce(lhs - rhs, p1_relation(spec), leading="w1")
     quantities = (("constant", f"-2^({l}-2) = {-const}"),
                   ("p1_combo", _pontryagin_str(z, spec)))
     notes = ("difference reduced modulo p1(TM) - p1(V)",)
     return diff.is_zero, _poly_residual(diff), quantities, notes
 
 
-def _case_cor43(spec: GeometrySpec, perturb: bool) -> tuple[bool, tuple, tuple, tuple]:
+def _case_cor43(req: CaseRequest) -> Outcome:
+    spec = req.spec
     if spec.k != 2:
         raise UsageError("this corollary is the k = 2 specialization")
     l = spec.l
-    ahat = genus_form(GenusKind.A_HAT, spec)
-    cosh_u = cosh_half_euler(spec, "u")
-    lead = ahat * ch_spinor_pow(spec, 1) * (cosh_u * cosh_u).inv()
-    weight = ahat * cosh_half_euler(spec, "u'")
+    lead, weight = lead_weight(spec)
     chw = ch_xi_tilde(spec) * 2 + ch_xi_prime_tilde(spec) - ch_v_tilde(spec)
     z = p1_combo(spec)
     pref = static_expm1_over_z(spec)
     c1 = _two_pow(l - 4)
-    if perturb:
+    if req.perturb:
         c1 = c1 * 2
     lhs = (lead.degree_part(8) - weight.degree_part(8) * _two_pow(l)
            - (weight * chw).degree_part(8) * c1)
     bracket = weight * _two_pow(l) + (weight * chw) * c1 - lead
     rhs = z * (pref * bracket).degree_part(4)
-    diff = ideal_reduce(lhs - rhs, _relation_p1(spec), leading="w1")
+    diff = ideal_reduce(lhs - rhs, p1_relation(spec), leading="w1")
     notes = ("difference reduced modulo p1(TM) - p1(V); the Euler-square of xi' is "
              "used for its first Pontryagin class; the bracket carries the "
              "ch(2xi~+xi'~-V~) term with coefficient +2^(l-4)",)
@@ -344,9 +294,10 @@ def _case_cor43(spec: GeometrySpec, perturb: bool) -> tuple[bool, tuple, tuple, 
 # Transfer, double route, closed forms, specialization
 
 
-def _case_transfer(spec: GeometrySpec, order: int, perturb: bool) -> tuple[bool, tuple, tuple, tuple]:
+def _case_transfer(req: CaseRequest) -> Outcome:
+    spec, order = req.spec, req.q_order
     k = spec.k
-    if perturb:
+    if req.perturb:
         side = q_form(QFormId.Q2, Route.BUNDLE, spec, order).degree_slice(4 * k)
     else:
         side = _gamma_upper_side(spec, order)
@@ -365,33 +316,25 @@ def _case_transfer(spec: GeometrySpec, order: int, perturb: bool) -> tuple[bool,
     return ok, _series_residual(resid), quantities, notes
 
 
-def _case_double_route(spec: GeometrySpec, order: int, perturb: bool) -> tuple[bool, tuple, tuple, tuple]:
-    z = p1_combo(spec)
-    if spec.family is Family.AB:
-        pairs = [
-            ("Q1", q_form(QFormId.Q1, Route.BUNDLE, spec, order),
-             q_form(QFormId.Q1, Route.THETA, spec, order)),
-            ("Q2_joint",
-             q_form(QFormId.Q2, Route.BUNDLE, spec, order)
-             + q_form(QFormId.Q2BAR, Route.BUNDLE, spec, order) * z,
-             q_form(QFormId.Q2, Route.THETA, spec, order)),
-        ]
-    elif spec.family is Family.TWO_LINE:
-        pairs = [
-            ("P1", q_form(QFormId.P1, Route.BUNDLE, spec, order),
-             q_form(QFormId.P1, Route.THETA, spec, order)),
-            ("P2_joint",
-             q_form(QFormId.P2, Route.BUNDLE, spec, order)
-             + q_form(QFormId.P3, Route.BUNDLE, spec, order) * z,
-             q_form(QFormId.P2, Route.THETA, spec, order)),
-        ]
-    else:
+def _case_double_route(req: CaseRequest) -> Outcome:
+    spec, order = req.spec, req.q_order
+    if spec.family is Family.AB_XI:
         raise UsageError("no theta-quotient route for the xi-twisted family")
+    z = p1_combo(spec)
+    row = FAMILY_FORMS[spec.family]
+    pairs = [
+        (row.lead.name, q_form(row.lead, Route.BUNDLE, spec, order),
+         q_form(row.lead, Route.THETA, spec, order)),
+        (f"{row.main.name}_joint",
+         q_form(row.main, Route.BUNDLE, spec, order)
+         + q_form(row.correction, Route.BUNDLE, spec, order) * z,
+         q_form(row.main, Route.THETA, spec, order)),
+    ]
     ok = True
     first = (None, None)
     quantities = []
     for name, bundle_side, theta_side in pairs:
-        if perturb:
+        if req.perturb:
             theta_side = theta_side.scale(2)
         diff = bundle_side - theta_side
         zero = diff.is_zero()
@@ -402,19 +345,16 @@ def _case_double_route(spec: GeometrySpec, order: int, perturb: bool) -> tuple[b
     return ok, first, tuple(quantities), ()
 
 
-def _case_closed_forms(spec: GeometrySpec, order: int, perturb: bool) -> tuple[bool, tuple, tuple, tuple]:
-    kinds = {
-        Family.AB: (BrBetarKind.B_R, BrBetarKind.BETA_R),
-        Family.AB_XI: (BrBetarKind.B_TILDE_R, BrBetarKind.BETA_TILDE_R),
-        Family.TWO_LINE: (BrBetarKind.B_BAR_R, BrBetarKind.BETA_BAR_R),
-    }[spec.family]
+def _case_closed_forms(req: CaseRequest) -> Outcome:
+    spec = req.spec
+    row = FAMILY_FORMS[spec.family]
     ok = True
     quantities = []
     notes = []
-    for kind in kinds:
-        _, checks = extract_br_betar(spec, kind, order)
+    for kind in (row.b_kind, row.beta_kind):
+        _, checks = extract_br_betar(spec, kind, req.q_order)
         for c in checks:
-            passed = c.passed and not perturb
+            passed = c.passed and not req.perturb
             ok = ok and passed
             quantities.append((f"{kind.value}.{c.name}", _pontryagin_str(c.computed, spec)))
             quantities.append((f"{kind.value}.{c.name}.readings", ",".join(c.matches) or "none"))
@@ -425,7 +365,8 @@ def _case_closed_forms(spec: GeometrySpec, order: int, perturb: bool) -> tuple[b
     return ok, (None, None), tuple(quantities), tuple(notes)
 
 
-def _case_hlz(spec: GeometrySpec, order: int, perturb: bool) -> tuple[bool, tuple, tuple, tuple]:
+def _case_hlz(req: CaseRequest) -> Outcome:
+    spec, order = req.spec, req.q_order
     if (spec.a, spec.b) != (1, 0):
         spec = GeometrySpec(k=spec.k, l=spec.l, a=1, b=0, family=Family.AB)
     lhs, rhs, _ = _theorem_sides(spec, order)
@@ -453,7 +394,7 @@ def _case_hlz(spec: GeometrySpec, order: int, perturb: bool) -> tuple[bool, tupl
         corr = corr + betar * _two_pow(l + k - 6 * r)
     corr = corr - (pref * ahat * spinor).degree_part(cap - 4)
     rhs_special = p1_combo(spec) * corr
-    if perturb:
+    if req.perturb:
         rhs_special = rhs_special * 2
     same = lhs == lhs_special and rhs == rhs_special
     identity = (lhs - rhs).is_zero
@@ -464,13 +405,13 @@ def _case_hlz(spec: GeometrySpec, order: int, perturb: bool) -> tuple[bool, tupl
     return ok, _poly_residual(diff), quantities, ()
 
 
-def _case_numeric(tolerance: float | None) -> tuple[bool, tuple, tuple, tuple]:
+def _case_numeric(req: CaseRequest) -> Outcome:
     res = transformation_residuals(NUMERIC_TAU, NUMERIC_V)
     ok = True
     quantities = []
     for name, value in res.items():
-        if tolerance is not None:
-            tol = tolerance
+        if req.tolerance is not None:
+            tol = req.tolerance
         elif name.startswith(("theta", "jacobi")):
             tol = THETA_LAW_TOL
         else:
@@ -483,22 +424,47 @@ def _case_numeric(tolerance: float | None) -> tuple[bool, tuple, tuple, tuple]:
     return ok, (None, None), tuple(quantities), notes
 
 
-def _case_jacobi(order: int, perturb: bool) -> tuple[bool, tuple, tuple, tuple]:
-    residual = jacobi_identity_check(order)
-    if perturb:
-        # negative control: damage one side with a wrong product exponent
-        from .theta import _euler_block, _half_block, _rational_binomial
-        lhs = QSeries.one(order)
-        for j in range(1, order + 2):
-            lhs = lhs * _rational_binomial(2 * j, -1, order).powi(2)
-        rhs = _euler_block(+1, order) * _half_block(-1, order) * _half_block(+1, order)
-        residual = lhs - rhs
+def _case_jacobi(req: CaseRequest) -> Outcome:
+    residual = jacobi_identity_check(req.q_order, req.perturb)
     ok = residual.is_zero()
-    return ok, _series_residual(residual), (("q_order", str(order)),), ()
+    return ok, _series_residual(residual), (("q_order", str(req.q_order)),), ()
 
 
 # ---------------------------------------------------------------------------
 # Dispatch
+
+
+@dataclass(frozen=True)
+class CaseRow:
+    """How verify_case runs one case and what the case needs."""
+
+    handler: Callable[[CaseRequest], Outcome]
+    family: Family | None                 # required family; None accepts any
+    default_family: Family | None         # assumed by the CLI and suite files; None: no geometry
+    default_q_order: int | None = None    # None: k + 2
+
+    @property
+    def needs_geometry(self) -> bool:
+        return self.default_family is not None
+
+
+_AB, _XI, _TWO = Family.AB, Family.AB_XI, Family.TWO_LINE
+
+CASES: dict[CaseId, CaseRow] = {
+    CaseId.THM31: CaseRow(_case_theorem, _AB, _AB),
+    CaseId.COR32: CaseRow(_case_cor32, _AB, _AB),
+    CaseId.COR33: CaseRow(_case_cor33, _AB, _AB),
+    CaseId.THM34: CaseRow(_case_theorem, _XI, _XI),
+    CaseId.THM41: CaseRow(_case_theorem, _TWO, _TWO),
+    CaseId.COR42: CaseRow(_case_cor42, _TWO, _TWO),
+    CaseId.COR43: CaseRow(_case_cor43, _TWO, _TWO),
+    CaseId.EQ318_TRANSFER: CaseRow(_case_transfer, _AB, _AB),
+    CaseId.DOUBLE_ROUTE: CaseRow(_case_double_route, None, _AB),
+    CaseId.BR_BETAR_CLOSED_FORMS: CaseRow(_case_closed_forms, None, _AB),
+    CaseId.HLZ_SPECIAL: CaseRow(_case_hlz, _AB, _AB),
+    CaseId.NUMERIC_MODULARITY: CaseRow(_case_numeric, None, None, default_q_order=0),
+    CaseId.JACOBI_QSERIES: CaseRow(_case_jacobi, None, None, default_q_order=20),
+}
 
 
 def verify_case(case: CaseId, spec: GeometrySpec | None = None,
@@ -506,52 +472,22 @@ def verify_case(case: CaseId, spec: GeometrySpec | None = None,
                 tolerance: float | None = None) -> Report:
     """Run one verification case and return its structured report."""
     start = time.perf_counter()
-    expected_family = _CASE_FAMILY.get(case)
-    if expected_family is not None:
-        if spec is None:
-            raise UsageError(f"{case.value} needs a geometry")
-        if spec.family is not expected_family:
-            raise UsageError(f"{case.value} needs family {expected_family.value}")
-    if case is CaseId.DOUBLE_ROUTE and spec is None:
-        raise UsageError("DOUBLE_ROUTE needs a geometry")
-    if case is CaseId.BR_BETAR_CLOSED_FORMS and spec is None:
-        raise UsageError("BR_BETAR_CLOSED_FORMS needs a geometry")
-
-    if spec is not None and q_order is None:
-        q_order = spec.k + 2
-    if case is CaseId.JACOBI_QSERIES and q_order is None:
-        q_order = 20
-    if q_order is None:
-        q_order = 0
-    if spec is not None and case not in (CaseId.NUMERIC_MODULARITY, CaseId.JACOBI_QSERIES):
-        if q_order < (spec.k // 2) / 2 + 2:
-            raise UsageError("q-order too small for determination plus cross-check")
-
-    if case in (CaseId.THM31, CaseId.THM34, CaseId.THM41):
-        ok, resid, quantities, notes = _case_theorem(spec, q_order, perturb)
-    elif case is CaseId.COR32:
-        ok, resid, quantities, notes = _case_cor32(spec, perturb)
-    elif case is CaseId.COR33:
-        ok, resid, quantities, notes = _case_cor33(spec, perturb)
-    elif case is CaseId.COR42:
-        ok, resid, quantities, notes = _case_cor42(spec, perturb)
-    elif case is CaseId.COR43:
-        ok, resid, quantities, notes = _case_cor43(spec, perturb)
-    elif case is CaseId.EQ318_TRANSFER:
-        ok, resid, quantities, notes = _case_transfer(spec, q_order, perturb)
-    elif case is CaseId.DOUBLE_ROUTE:
-        ok, resid, quantities, notes = _case_double_route(spec, q_order, perturb)
-    elif case is CaseId.BR_BETAR_CLOSED_FORMS:
-        ok, resid, quantities, notes = _case_closed_forms(spec, q_order, perturb)
-    elif case is CaseId.HLZ_SPECIAL:
-        ok, resid, quantities, notes = _case_hlz(spec, q_order, perturb)
-    elif case is CaseId.NUMERIC_MODULARITY:
-        ok, resid, quantities, notes = _case_numeric(tolerance)
-    elif case is CaseId.JACOBI_QSERIES:
-        ok, resid, quantities, notes = _case_jacobi(q_order, perturb)
-    else:
+    row = CASES.get(case)
+    if row is None:
         raise UsageError(f"unknown case {case!r}")
+    if row.needs_geometry and spec is None:
+        raise UsageError(f"{case.value} needs a geometry")
+    if row.family is not None and spec.family is not row.family:
+        raise UsageError(f"{case.value} needs family {row.family.value}")
+    if q_order is None:
+        q_order = spec.k + 2 if row.default_q_order is None else row.default_q_order
+    # decompose reads the h_r off half-indices 0..k//2 and needs a further
+    # two integer q-orders as cross-check
+    if row.needs_geometry and 2 * q_order < spec.k // 2 + 4:
+        raise UsageError("q-order too small for determination plus cross-check")
 
+    ok, resid, quantities, notes = row.handler(
+        CaseRequest(case, spec, q_order, perturb, tolerance))
     millis = int((time.perf_counter() - start) * 1000)
     return Report(case=case, spec=spec, q_order=q_order,
                   verdict="pass" if ok else "fail",

@@ -43,7 +43,7 @@ from anomcancel.theta import (
 )
 from anomcancel.verifier import CaseId, verify_case
 
-from conftest import random_poly, random_rational_series
+from conftest import permute_gens, random_poly, random_rational_series, scale_gens
 
 AB_PAIRS = [(a, b) for a in (-1, 0, 1, 2) for b in (0, 1, 2)]
 
@@ -330,7 +330,7 @@ def test_criterion_12_property_suites():
             mapping = dict(zip(tm, perm))
             flips = {name: -1 for name in tm + list(geom.v_roots)
                      if rng.random() < 0.5}
-            moved = base.map(lambda p: p.permute_gens(mapping).scale_gens(flips))
+            moved = base.map(lambda p: scale_gens(permute_gens(p, mapping), flips))
             if moved != base:
                 return False
 

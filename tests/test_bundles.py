@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from anomcancel import bundles, theta
 from anomcancel.algebra import GradedPoly, QSeries, pontryagin_all
 from anomcancel.bundles import (
     Family,
@@ -23,6 +24,8 @@ from anomcancel.bundles import (
 )
 from anomcancel.bundles import _symmetric_block
 from anomcancel.errors import UsageError
+
+from conftest import permute_gens, scale_gens, set_gens_zero
 
 
 AB11 = GeometrySpec(k=1, l=1, a=1, b=0, family=Family.AB)
@@ -49,7 +52,7 @@ class TestGeometrySpec:
 class TestGenusForms:
     def test_all_roots_zero_gives_one(self):
         a_hat = genus_form(GenusKind.A_HAT, AB11)
-        assert a_hat.set_gens_zero(AB11.ring().names) == GradedPoly.one(AB11.ring())
+        assert set_gens_zero(a_hat, AB11.ring().names) == GradedPoly.one(AB11.ring())
 
     def test_degree4_is_minus_p1_over_24(self):
         a_hat = genus_form(GenusKind.A_HAT, AB11)
@@ -140,7 +143,7 @@ class TestThetaBundles:
             for which in (1, 2):
                 series = ch_theta_bundle(which, spec, 3)
                 for c in series.coeffs:
-                    rank = c.set_gens_zero(names).constant_term()
+                    rank = set_gens_zero(c, names).constant_term()
                     assert rank.denominator == 1
 
     def test_symmetry_invariance(self, rng):
@@ -154,7 +157,7 @@ class TestThetaBundles:
             flips = {name: -1 for name in tm if rng.random() < 0.5}
             flips.update({name: -1 for name in spec.v_roots if rng.random() < 0.5})
             transformed = series.map(
-                lambda p: p.permute_gens(mapping).scale_gens(flips))
+                lambda p: scale_gens(permute_gens(p, mapping), flips))
             assert transformed == series
 
     def test_invalid_which(self):
@@ -237,3 +240,27 @@ class TestQForms:
         expect = (genus_form(GenusKind.A_HAT, spec) * cosh_half_euler(spec, "u")
                   * ch_spinor_pow(spec, 0)) * ch_theta_bundle(2, spec, 2)
         assert q2 == expect
+
+
+class TestRouteIndependence:
+    """DOUBLE_ROUTE compares two constructions; neither may be built from the other."""
+
+    AB = GeometrySpec(k=1, l=2, a=2, b=1, family=Family.AB)
+    TWO = GeometrySpec(k=1, l=2, a=1, b=0, family=Family.TWO_LINE)
+    CASES = [(QFormId.Q1, AB), (QFormId.Q2, AB), (QFormId.P1, TWO), (QFormId.P2, TWO)]
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("the other route was called")
+
+    @pytest.mark.parametrize("form, spec", CASES)
+    def test_bundle_route_uses_no_theta_quotient(self, form, spec, cold_caches, monkeypatch):
+        monkeypatch.setattr(theta, "theta_ratio", self.refuse)
+        monkeypatch.setattr(bundles, "theta_ratio", self.refuse)
+        assert not q_form(form, Route.BUNDLE, spec, 2).is_zero()
+
+    @pytest.mark.parametrize("form, spec", CASES)
+    def test_theta_route_uses_no_bundle_block(self, form, spec, cold_caches, monkeypatch):
+        monkeypatch.setattr(bundles, "_symmetric_block", self.refuse)
+        monkeypatch.setattr(bundles, "_exterior_block", self.refuse)
+        assert not q_form(form, Route.THETA, spec, 2).is_zero()

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from anomcancel import verifier
 from anomcancel.cli import main
+from anomcancel.errors import SymmetryError
 
 
 def run_cli(capsys, *argv):
@@ -79,11 +81,62 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "--suite", str(path))
         assert code == 2
 
+    def test_symmetry_error_is_internal_error(self, capsys, monkeypatch):
+        # a failed Pontryagin conversion is a bug, not a reason to print roots
+        def broken(*args, **kwargs):
+            raise SymmetryError("back-substitution mismatch")
+        monkeypatch.setattr(verifier, "pontryagin_all", broken)
+        code, _, err = run_cli(capsys, "verify", "--case", "THM31")
+        assert code == 3
+        assert "back-substitution mismatch" in err
+
     def test_two_line_case_via_flags(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--case", "THM41",
                                "--k", "1", "--l", "2")
         assert code == 0
         assert "family=two-line" in out
+
+
+class TestSuiteValidation:
+    def run_suite_file(self, capsys, tmp_path, config):
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps(config))
+        return run_cli(capsys, "verify", "--suite", str(path))
+
+    @pytest.mark.parametrize("config", [
+        pytest.param([{"case": "THM31"}], id="not an object"),
+        pytest.param({"cases": "THM31"}, id="cases not an array"),
+        pytest.param({"cases": [{"case": "THM31"}], "seed": 0}, id="unknown top-level key"),
+        pytest.param({"cases": [{"case": "THM31"}], "format": "xml"}, id="unknown format"),
+        pytest.param({"cases": [{"case": "THM31"}], "tolerance": "1e-8"},
+                     id="tolerance not a number"),
+        pytest.param({"cases": ["THM31"]}, id="entry not an object"),
+        pytest.param({"cases": [{"k": 1}]}, id="entry without a case"),
+        pytest.param({"cases": [{"case": "THM31", "k": "2"}]}, id="k as a string"),
+        pytest.param({"cases": [{"case": "THM31", "k": True}]}, id="k as a boolean"),
+        pytest.param({"cases": [{"case": "THM31", "qOrder": "4"}]}, id="qOrder as a string"),
+        pytest.param({"cases": [{"case": "THM31", "qOrder": 4.0}]}, id="qOrder as a float"),
+        pytest.param({"cases": [{"case": "THM31", "kk": 2}]}, id="unknown entry key"),
+        pytest.param({"cases": [{"case": "THM31", "perturb": "no"}]}, id="perturb as a string"),
+        pytest.param({"cases": [{"case": "THM31", "family": "xi"}]}, id="unknown family"),
+        pytest.param({"cases": [{"case": "JACOBI_QSERIES", "k": 2}]},
+                     id="geometry on a case without one"),
+    ])
+    def test_malformed_suite_is_usage_error(self, capsys, tmp_path, config):
+        code, out, err = self.run_suite_file(capsys, tmp_path, config)
+        assert code == 2
+        assert err.startswith("error: ") and out == ""
+
+    def test_every_key_accepted(self, capsys, tmp_path):
+        config = {"cases": [{"case": "COR32", "family": "ab", "k": 1, "l": 2, "a": 2,
+                             "b": 1, "qOrder": 3, "perturb": False},
+                            {"case": "NUMERIC_MODULARITY"}],
+                  "format": "json", "tolerance": 1e-8}
+        code, out, _ = self.run_suite_file(capsys, tmp_path, config)
+        assert code == 0
+        reports = json.loads(out)
+        assert reports[0]["spec"] == {"family": "ab", "k": 1, "l": 2, "a": 2, "b": 1}
+        assert reports[0]["qOrder"] == 3
 
 
 class TestExpandCommand:

@@ -17,6 +17,8 @@ from anomcancel.verifier import (
 )
 from anomcancel.verifier import _theorem_sides
 
+from conftest import scale_gens
+
 
 AB = lambda k, l, a, b: GeometrySpec(k=k, l=l, a=a, b=b, family=Family.AB)
 XI = lambda k, l, a, b: GeometrySpec(k=k, l=l, a=a, b=b, family=Family.AB_XI)
@@ -79,6 +81,35 @@ class TestNegativeControls:
         report = verify_case(CaseId.THM31, AB(1, 1, 1, 0), perturb=True)
         assert report.residual_degree == 4
 
+    # (residual_q, residual_degree) of each damaged identity: the ring-level
+    # identities fail in their top degree, EQ318 at the first transferred
+    # q-order, DOUBLE_ROUTE at q^0 and the Jacobi product at q^1.
+    @pytest.mark.parametrize("case, spec, q_order, where", [
+        (CaseId.THM31, AB(1, 1, 1, 0), None, (None, 4)),
+        (CaseId.THM31, AB(2, 2, 2, 1), None, (None, 8)),
+        (CaseId.THM34, XI(1, 1, 1, 0), None, (None, 4)),
+        (CaseId.THM34, XI(2, 1, 2, 1), None, (None, 8)),
+        (CaseId.THM41, TWO(1, 1), None, (None, 4)),
+        (CaseId.THM41, TWO(2, 1), None, (None, 8)),
+        (CaseId.COR32, AB(1, 1, 1, 0), None, (None, 4)),
+        (CaseId.COR33, AB(2, 1, 1, 0), None, (None, 8)),
+        (CaseId.COR33, AB(2, 3, -1, 2), None, (None, 8)),
+        (CaseId.COR42, TWO(1, 1), None, (None, 4)),
+        (CaseId.COR43, TWO(2, 1), None, (None, 8)),
+        (CaseId.EQ318_TRANSFER, AB(1, 1, 1, 0), None, (1, 4)),
+        (CaseId.EQ318_TRANSFER, AB(2, 1, -1, 2), None, (2, 8)),
+        (CaseId.DOUBLE_ROUTE, AB(1, 1, 1, 0), 3, (0, 0)),
+        (CaseId.DOUBLE_ROUTE, TWO(1, 1), 3, (0, 0)),
+        (CaseId.HLZ_SPECIAL, AB(1, 1, 1, 0), None, (None, 4)),
+        (CaseId.HLZ_SPECIAL, AB(2, 2, 1, 0), None, (None, 8)),
+        (CaseId.JACOBI_QSERIES, None, 20, (2, None)),
+        (CaseId.JACOBI_QSERIES, None, 80, (2, None)),
+    ])
+    def test_perturb_fails_at_expected_location(self, case, spec, q_order, where):
+        report = verify_case(case, spec, q_order, perturb=True)
+        assert report.verdict == "fail"
+        assert (report.residual_q, report.residual_degree) == where
+
 
 class TestValidation:
     def test_family_mismatch(self):
@@ -101,6 +132,18 @@ class TestValidation:
         with pytest.raises(UsageError):
             verify_case(CaseId.THM31, AB(2, 1, 1, 0), q_order=0)
 
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_q_order_guard_matches_half_index_bound(self, k):
+        # rejected exactly when q < (k//2)/2 + 2; COR32 refuses k != 1 only
+        # after the guard, so every k is cheap to probe
+        for q in range(6):
+            try:
+                verify_case(CaseId.COR32, AB(k, 1, 1, 0), q_order=q)
+                rejected = False
+            except UsageError as exc:
+                rejected = "q-order too small" in str(exc)
+            assert rejected == (q < (k // 2) / 2 + 2)
+
 
 class TestInvariants:
     def test_homogeneous_scaling(self):
@@ -109,8 +152,8 @@ class TestInvariants:
         lhs, rhs, _ = _theorem_sides(spec, 3)
         t = F(3)
         scales = {name: t for name in spec.ring().names}
-        lhs_scaled = lhs.scale_gens(scales)
-        rhs_scaled = rhs.scale_gens(scales)
+        lhs_scaled = scale_gens(lhs, scales)
+        rhs_scaled = scale_gens(rhs, scales)
         assert lhs_scaled == lhs * t ** (2 * spec.k)
         assert rhs_scaled == rhs * t ** (2 * spec.k)
         assert (lhs_scaled - rhs_scaled).is_zero
