@@ -19,7 +19,6 @@ from .algebra import (
 )
 from .bundles import (
     Family,
-    GenusKind,
     GeometrySpec,
     QFormId,
     Route,
@@ -47,7 +46,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BrBetarKind", "CaseId", "CaseRequest", "DecompResult", "DomainError",
-    "Family", "GenusKind", "GeometrySpec", "GradedPoly", "Group",
+    "Family", "GeometrySpec", "GradedPoly", "Group",
     "InvertError", "ModularFormId", "PontryaginPoly", "QFormId", "QSeries",
     "Rational", "Report", "RingSpec", "Route", "SymmetryError", "ThetaKind",
     "UsageError", "apply_series", "basis_series", "ch_spinor_pow",

@@ -198,9 +198,6 @@ class GradedPoly:
             return GradedPoly.zero(self.spec)
         return GradedPoly(self.spec, self._den, {deg: dict(b)})
 
-    def max_degree(self) -> int:
-        return max(self._buckets) if self._buckets else 0
-
     def min_degree(self) -> int:
         return min(self._buckets) if self._buckets else 0
 
@@ -391,6 +388,20 @@ def exp_generator(spec: RingSpec, name: str, sign: int) -> GradedPoly:
     """exp(+g) or exp(-g) for one degree-2 generator g, cached per ring."""
     w = GradedPoly.generator(spec, name)
     return apply_series(taylor_exp(spec.cap // 2 + 1), w if sign > 0 else -w)
+
+
+@lru_cache(maxsize=None)
+def cosh_half_generator(spec: RingSpec, name: str) -> GradedPoly:
+    """cosh(g/2) for one degree-2 generator g, cached per ring."""
+    w = GradedPoly.generator(spec, name)
+    return apply_series(taylor_cosh_half(spec.cap // 2 + 1), w)
+
+
+@lru_cache(maxsize=None)
+def half_over_sinh_half_generator(spec: RingSpec, name: str) -> GradedPoly:
+    """(g/2)/sinh(g/2), the A-hat factor of one degree-2 generator g, cached per ring."""
+    w = GradedPoly.generator(spec, name)
+    return apply_series(taylor_sinh_half_over_half(spec.cap // 2 + 1), w).inv()
 
 
 def taylor_cosh_half(nterms: int) -> list[Fraction]:

@@ -26,10 +26,10 @@ from .algebra import (
     QSeries,
     RingSpec,
     apply_series,
+    cosh_half_generator,
     exp_generator,
-    taylor_cosh_half,
+    half_over_sinh_half_generator,
     taylor_expm1_over,
-    taylor_sinh_half_over_half,
 )
 from .errors import UsageError
 from .theta import ModularFormId, ThetaKind, modular_form, theta_ratio
@@ -37,13 +37,8 @@ from .theta import ModularFormId, ThetaKind, modular_form, theta_ratio
 
 class Family(Enum):
     AB = "ab"
-    AB_XI = "ab_xi"
-    TWO_LINE = "two_line"
-
-
-class GenusKind(Enum):
-    A_HAT = "a_hat"
-    L_HAT = "l_hat"
+    AB_XI = "ab-xi"
+    TWO_LINE = "two-line"
 
 
 class QFormId(Enum):
@@ -72,24 +67,65 @@ class BrBetarKind(Enum):
     BETA_BAR_R = "betar_bar"
 
 
+# A recipe names Chern roots "V" (those of the rank-2l bundle), "u" (xi) or
+# "u'" (xi'), and an exponent as an int or a twist integer "a" / "b".  A
+# BUNDLE block (roots, grid, sign, exponent) is the `_exterior_block` of the
+# roots raised to the exponent.  A THETA form (groups, two) multiplies, for
+# each (roots, ((kind, exponent), ...)) group and each of its roots,
+# theta_ratio(kind)^exponent, and scales the product by 2^(two * l).
+_T1, _T2, _T3 = ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3
+
+
 @dataclass(frozen=True)
 class FamilyForms:
-    """The assembled forms of one family and the kinds of their decomposition coefficients."""
+    """Everything that sets one family apart: its forms, the kinds of their
+    decomposition coefficients, its Euler roots and both routes' recipes.
+
+    The BUNDLE and THETA recipes are written out independently: DOUBLE_ROUTE
+    compares them, so neither may be derived from the other.
+    """
 
     lead: QFormId            # E2-prefixed character of the first bundle
     main: QFormId            # character of the second bundle
     correction: QFormId      # E2 correction of the second bundle
     b_kind: BrBetarKind      # virtual-bundle coefficients of `main`
     beta_kind: BrBetarKind   # form coefficients of `correction`
+    euler_roots: tuple[str, ...]   # of the rank-two bundles xi, xi'
+    e2_coefficient: Fraction       # c in exp(c * E2 * z)
+    blocks: tuple            # BUNDLE: blocks of bundles 1 and 2, in multiplication order
+    theta: tuple | None      # THETA: forms of the lead and the joint main; None: no formula
+    printed_readings: bool   # the paper prints r = 1 closed forms: twist_bundle at b = 0
 
 
 FAMILY_FORMS = {
-    Family.AB: FamilyForms(QFormId.Q1, QFormId.Q2, QFormId.Q2BAR,
-                           BrBetarKind.B_R, BrBetarKind.BETA_R),
-    Family.AB_XI: FamilyForms(QFormId.Q1_XI, QFormId.Q2_XI, QFormId.Q3_XI,
-                              BrBetarKind.B_TILDE_R, BrBetarKind.BETA_TILDE_R),
-    Family.TWO_LINE: FamilyForms(QFormId.P1, QFormId.P2, QFormId.P3,
-                                 BrBetarKind.B_BAR_R, BrBetarKind.BETA_BAR_R),
+    Family.AB: FamilyForms(
+        QFormId.Q1, QFormId.Q2, QFormId.Q2BAR, BrBetarKind.B_R, BrBetarKind.BETA_R,
+        euler_roots=(), e2_coefficient=Fraction(1, 24),
+        blocks=((("V", "int", +1, "a"), ("V", "half", +1, "b"), ("V", "half", -1, "b")),
+                (("V", "int", +1, "b"), ("V", "half", +1, "b"), ("V", "half", -1, "a"))),
+        theta=(((("V", ((_T1, "a"), (_T2, "b"), (_T3, "b"))),), "a"),
+               ((("V", ((_T2, "a"), (_T1, "b"), (_T3, "b"))),), "b")),
+        printed_readings=True),
+    Family.AB_XI: FamilyForms(
+        QFormId.Q1_XI, QFormId.Q2_XI, QFormId.Q3_XI,
+        BrBetarKind.B_TILDE_R, BrBetarKind.BETA_TILDE_R,
+        euler_roots=("u",), e2_coefficient=Fraction(1, 24),
+        blocks=((("V", "int", +1, "a"), ("u", "int", +1, -2), ("V", "half", +1, "b"),
+                 ("u", "half", +1, 1), ("V", "half", -1, "b"), ("u", "half", -1, 1)),
+                (("V", "int", +1, "b"), ("u", "int", +1, 1), ("V", "half", +1, "b"),
+                 ("u", "half", +1, 1), ("V", "half", -1, "a"), ("u", "half", -1, -2))),
+        theta=None,
+        printed_readings=False),
+    Family.TWO_LINE: FamilyForms(
+        QFormId.P1, QFormId.P2, QFormId.P3, BrBetarKind.B_BAR_R, BrBetarKind.BETA_BAR_R,
+        euler_roots=("u", "u'"), e2_coefficient=Fraction(1, 12),
+        blocks=((("V", "int", +1, 1), ("u", "int", +1, -2),
+                 ("u'", "half", +1, 1), ("u'", "half", -1, 1)),
+                (("u'", "int", +1, 1), ("u'", "half", +1, 1),
+                 ("V", "half", -1, 1), ("u", "half", -1, -2))),
+        theta=(((("V", ((_T1, 1),)), ("u", ((_T1, -2),)), ("u'", ((_T3, 1), (_T2, 1)))), 1),
+               ((("V", ((_T2, 1),)), ("u", ((_T2, -2),)), ("u'", ((_T3, 1), (_T1, 1)))), 0)),
+        printed_readings=True),
 }
 
 
@@ -97,12 +133,6 @@ def family_of(member: QFormId | BrBetarKind) -> Family:
     """The family whose FAMILY_FORMS row names this form or coefficient kind."""
     return next(fam for fam, row in FAMILY_FORMS.items()
                 if member in (row.lead, row.main, row.correction, row.b_kind, row.beta_kind))
-
-
-# THETA route exists only for the combinations with a theta-quotient formula:
-# the Gamma0(2) side (Q1 / P1) and the joint Gamma^0(2) side reached via the
-# Q2 / P2 identifiers.
-_THETA_ROUTE_IDS = {QFormId.Q1, QFormId.Q2, QFormId.P1, QFormId.P2}
 
 
 @dataclass(frozen=True)
@@ -123,11 +153,11 @@ class GeometrySpec:
 
     @property
     def has_xi(self) -> bool:
-        return self.family in (Family.AB_XI, Family.TWO_LINE)
+        return "u" in FAMILY_FORMS[self.family].euler_roots
 
     @property
     def has_xi_prime(self) -> bool:
-        return self.family is Family.TWO_LINE
+        return "u'" in FAMILY_FORMS[self.family].euler_roots
 
     @property
     def tm_roots(self) -> tuple[str, ...]:
@@ -138,7 +168,15 @@ class GeometrySpec:
         return tuple(f"v{j}" for j in range(1, self.l + 1))
 
     def ring(self) -> RingSpec:
-        return _ring_for(self.k, self.l, self.has_xi, self.has_xi_prime)
+        return _ring_for(self.k, self.l, FAMILY_FORMS[self.family].euler_roots)
+
+    def roots(self, label: str) -> tuple[str, ...]:
+        """The Chern roots a recipe names: "V" or a single Euler root."""
+        return self.v_roots if label == "V" else (label,)
+
+    def twist(self, e: int | str) -> int:
+        """A recipe exponent: an int, or the twist integer "a" or "b"."""
+        return getattr(self, e) if isinstance(e, str) else e
 
     def root_families(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
         """Paired root families for Pontryagin conversion (Euler roots pass through)."""
@@ -146,13 +184,10 @@ class GeometrySpec:
 
 
 @lru_cache(maxsize=None)
-def _ring_for(k: int, l: int, xi: bool, xi_prime: bool) -> RingSpec:
+def _ring_for(k: int, l: int, euler_roots: tuple[str, ...]) -> RingSpec:
     gens = [(f"w{j}", 2) for j in range(1, 2 * k + 1)]
     gens += [(f"v{j}", 2) for j in range(1, l + 1)]
-    if xi:
-        gens.append(("u", 2))
-    if xi_prime:
-        gens.append(("u'", 2))
+    gens += [(name, 2) for name in euler_roots]
     return RingSpec(gens=tuple(gens), cap=4 * k)
 
 
@@ -160,30 +195,13 @@ def _ring_for(k: int, l: int, xi: bool, xi_prime: bool) -> RingSpec:
 # q-independent characteristic forms
 
 
-@lru_cache(maxsize=None)
-def _genus_factor(spec: RingSpec, name: str, kind: GenusKind) -> GradedPoly:
-    nterms = spec.cap // 2 + 1
-    w = GradedPoly.generator(spec, name)
-    sh = apply_series(taylor_sinh_half_over_half(nterms), w)
-    if kind is GenusKind.A_HAT:
-        return sh.inv()
-    ch = apply_series(taylor_cosh_half(nterms), w)
-    return ch * sh.inv() * 2
-
-
-def genus_form(kind: GenusKind, spec: GeometrySpec) -> GradedPoly:
-    """Multiplicative genus of the tangent roots: A-hat or the signature form."""
+def genus_form(spec: GeometrySpec) -> GradedPoly:
+    """A-hat genus of the tangent roots: the product of (w/2)/sinh(w/2)."""
     ring = spec.ring()
     out = GradedPoly.one(ring)
     for name in spec.tm_roots:
-        out = out * _genus_factor(ring, name, kind)
+        out = out * half_over_sinh_half_generator(ring, name)
     return out
-
-
-@lru_cache(maxsize=None)
-def _two_cosh_half(spec: RingSpec, name: str) -> GradedPoly:
-    w = GradedPoly.generator(spec, name)
-    return apply_series(taylor_cosh_half(spec.cap // 2 + 1), w) * 2
 
 
 def ch_spinor_pow(spec: GeometrySpec, e: int) -> GradedPoly:
@@ -193,11 +211,12 @@ def ch_spinor_pow(spec: GeometrySpec, e: int) -> GradedPoly:
     the truncated ring.
     """
     ring = spec.ring()
-    out = GradedPoly.one(ring)
     if e == 0:
-        return out
+        return GradedPoly.one(ring)
+    # the factor 2^e of every root, gathered into the starting constant
+    out = GradedPoly.constant(ring, Fraction(2) ** (e * spec.l))
     for name in spec.v_roots:
-        f = _two_cosh_half(ring, name)
+        f = cosh_half_generator(ring, name)
         out = out * (f ** e if e > 0 else f.inv() ** (-e))
     return out
 
@@ -207,8 +226,7 @@ def cosh_half_euler(spec: GeometrySpec, which: str = "u") -> GradedPoly:
     ring = spec.ring()
     if which not in ring.names:
         raise UsageError(f"family {spec.family.value} carries no root {which!r}")
-    w = GradedPoly.generator(ring, which)
-    return apply_series(taylor_cosh_half(ring.cap // 2 + 1), w)
+    return cosh_half_generator(ring, which)
 
 
 def lead_weight(spec: GeometrySpec) -> tuple[GradedPoly, GradedPoly]:
@@ -218,7 +236,7 @@ def lead_weight(spec: GeometrySpec) -> tuple[GradedPoly, GradedPoly]:
     The xi families divide the lead by cosh(u/2)^2; the weight carries
     cosh(u/2), or cosh(u'/2) in the two-line family, where b = 0.
     """
-    ahat = genus_form(GenusKind.A_HAT, spec)
+    ahat = genus_form(spec)
     lead = ahat * ch_spinor_pow(spec, spec.a)
     weight = ahat * ch_spinor_pow(spec, spec.b)
     if spec.has_xi:
@@ -228,10 +246,10 @@ def lead_weight(spec: GeometrySpec) -> tuple[GradedPoly, GradedPoly]:
     return lead, weight
 
 
-def ch_tilde_roots(spec: GeometrySpec, roots: tuple[str, ...], rank: int) -> GradedPoly:
+def ch_tilde_roots(spec: GeometrySpec, roots: tuple[str, ...]) -> GradedPoly:
     """ch of (complexified bundle minus its rank): sum over +-roots of e^root, minus rank."""
     ring = spec.ring()
-    out = GradedPoly.constant(ring, -rank)
+    out = GradedPoly.constant(ring, -2 * len(roots))
     for name in roots:
         out = out + exp_generator(ring, name, +1)
         out = out + exp_generator(ring, name, -1)
@@ -239,15 +257,17 @@ def ch_tilde_roots(spec: GeometrySpec, roots: tuple[str, ...], rank: int) -> Gra
 
 
 def ch_v_tilde(spec: GeometrySpec) -> GradedPoly:
-    return ch_tilde_roots(spec, spec.v_roots, 2 * spec.l)
+    return ch_tilde_roots(spec, spec.v_roots)
 
 
-def ch_xi_tilde(spec: GeometrySpec) -> GradedPoly:
-    return ch_tilde_roots(spec, ("u",), 2)
-
-
-def ch_xi_prime_tilde(spec: GeometrySpec) -> GradedPoly:
-    return ch_tilde_roots(spec, ("u'",), 2)
+def twist_bundle(spec: GeometrySpec) -> GradedPoly:
+    """ch of the bundle in the r = 1 coefficients: (b-a) V~, plus 3 xi~ in the
+    xi family; 2 xi~ + xi'~ - V~ in the two-line family."""
+    chv = ch_v_tilde(spec)
+    if spec.has_xi_prime:
+        return ch_tilde_roots(spec, ("u",)) * 2 + ch_tilde_roots(spec, ("u'",)) - chv
+    out = chv * (spec.b - spec.a)
+    return out + ch_tilde_roots(spec, ("u",)) * 3 if spec.has_xi else out
 
 
 def _square_sums(ring: RingSpec, plus: tuple[str, ...], minus: tuple[str, ...],
@@ -299,13 +319,13 @@ def _symmetric_block(spec: RingSpec, roots: tuple[str, ...], order: int) -> QSer
 
 
 @lru_cache(maxsize=None)
-def _exterior_block(spec: RingSpec, roots: tuple[str, ...], rank: int,
+def _exterior_block(spec: RingSpec, roots: tuple[str, ...],
                     grid: str, sign: int, order: int) -> QSeries:
     """prod over the exponent grid of ch Lambda_t of a reduced bundle.
 
     grid 'int' walks t = sign * q^m (m >= 1), grid 'half' walks
-    t = sign * q^(m - 1/2); `rank` is the complex rank divided out via the
-    (1 + t)^rank denominator.
+    t = sign * q^(m - 1/2); the complex rank r = 2 * len(roots) is divided
+    out via the (1 + t)^r denominator.
     """
     res = QSeries.one(order, spec)
     m = 1
@@ -316,15 +336,15 @@ def _exterior_block(spec: RingSpec, roots: tuple[str, ...], rank: int,
         for name in roots:
             for e in (exp_generator(spec, name, +1), exp_generator(spec, name, -1)):
                 res = res * QSeries.binomial(e if sign > 0 else -e, h, order)
-        res = res * QSeries.binomial(sign, h, order).powi(-rank)
+        res = res * QSeries.binomial(sign, h, order).powi(-2 * len(roots))
         m += 1
     return res
 
 
 @lru_cache(maxsize=None)
-def _block_power(spec: RingSpec, roots: tuple[str, ...], rank: int,
+def _block_power(spec: RingSpec, roots: tuple[str, ...],
                  grid: str, sign: int, e: int, order: int) -> QSeries:
-    return _exterior_block(spec, roots, rank, grid, sign, order).powi(e)
+    return _exterior_block(spec, roots, grid, sign, order).powi(e)
 
 
 def ch_theta_bundle(which: int, spec: GeometrySpec, order: int) -> QSeries:
@@ -339,54 +359,14 @@ def ch_theta_bundle(which: int, spec: GeometrySpec, order: int) -> QSeries:
 @lru_cache(maxsize=None)
 def _ch_theta_cached(which: int, spec: GeometrySpec, order: int) -> QSeries:
     ring = spec.ring()
-    vr, rank_v = spec.v_roots, 2 * spec.l
     res = _symmetric_block(ring, spec.tm_roots, order)
-
-    def vblock(grid: str, sign: int, e: int) -> QSeries:
-        return _block_power(ring, vr, rank_v, grid, sign, e, order)
-
-    def xiblock(root: str, grid: str, sign: int, e: int) -> QSeries:
-        return _block_power(ring, (root,), 2, grid, sign, e, order)
-
-    a, b = spec.a, spec.b
-    if spec.family is Family.AB:
-        if which == 1:
-            for blk in (vblock("int", +1, a), vblock("half", +1, b), vblock("half", -1, b)):
-                res = res * blk
-        else:
-            for blk in (vblock("int", +1, b), vblock("half", +1, b), vblock("half", -1, a)):
-                res = res * blk
-        return res
-    if spec.family is Family.AB_XI:
-        if which == 1:
-            parts = [vblock("int", +1, a), xiblock("u", "int", +1, -2),
-                     vblock("half", +1, b), xiblock("u", "half", +1, 1),
-                     vblock("half", -1, b), xiblock("u", "half", -1, 1)]
-        else:
-            parts = [vblock("int", +1, b), xiblock("u", "int", +1, 1),
-                     vblock("half", +1, b), xiblock("u", "half", +1, 1),
-                     vblock("half", -1, a), xiblock("u", "half", -1, -2)]
-        for blk in parts:
-            res = res * blk
-        return res
-    # TWO_LINE
-    if which == 1:
-        parts = [vblock("int", +1, 1), xiblock("u", "int", +1, -2),
-                 xiblock("u'", "half", +1, 1), xiblock("u'", "half", -1, 1)]
-    else:
-        parts = [xiblock("u'", "int", +1, 1), xiblock("u'", "half", +1, 1),
-                 vblock("half", -1, 1), xiblock("u", "half", -1, -2)]
-    for blk in parts:
-        res = res * blk
+    for roots, grid, sign, e in FAMILY_FORMS[spec.family].blocks[which - 1]:
+        res = res * _block_power(ring, spec.roots(roots), grid, sign, spec.twist(e), order)
     return res
 
 
 # ---------------------------------------------------------------------------
 # E2 exponential prefactors
-
-
-def _e2_coefficient(spec: GeometrySpec) -> Fraction:
-    return Fraction(1, 12) if spec.family is Family.TWO_LINE else Fraction(1, 24)
 
 
 @lru_cache(maxsize=None)
@@ -405,7 +385,7 @@ def e2_expm1_over_z(spec: GeometrySpec, order: int) -> QSeries:
     """
     ring = spec.ring()
     z = p1_combo(spec)
-    scaled = modular_form(ModularFormId.E2, order).scale(_e2_coefficient(spec))
+    scaled = modular_form(ModularFormId.E2, order).scale(FAMILY_FORMS[spec.family].e2_coefficient)
     result = QSeries.zero_series(order, ring)
     zpow = GradedPoly.one(ring)       # z^(n-1) / n!
     ppow = QSeries.one(order)
@@ -422,7 +402,8 @@ def static_expm1_over_z(spec: GeometrySpec) -> GradedPoly:
     """(e^(c z) - 1)/z with the q-independent normalization E2 -> 1."""
     ring = spec.ring()
     z = p1_combo(spec)
-    return apply_series(taylor_expm1_over(_e2_coefficient(spec), ring.cap // 2 + 1), z)
+    c = FAMILY_FORMS[spec.family].e2_coefficient
+    return apply_series(taylor_expm1_over(c, ring.cap // 2 + 1), z)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +422,8 @@ def q_form(form: QFormId, route: Route, spec: GeometrySpec, order: int) -> QSeri
     if family is not spec.family:
         raise UsageError(f"form {form.name} needs family {family.value}")
     if route is Route.THETA:
-        if form not in _THETA_ROUTE_IDS:
+        row = FAMILY_FORMS[family]
+        if row.theta is None or form not in (row.lead, row.main):
             raise UsageError(f"no theta-quotient expression for {form.name}")
         return _q_form_theta(form, spec, order)
     return _q_form_bundle(form, spec, order)
@@ -465,34 +447,11 @@ def _q_form_theta(form: QFormId, spec: GeometrySpec, order: int) -> QSeries:
     res = e2_exponential(spec, order)
     for name in spec.tm_roots:
         res = res * theta_ratio(ThetaKind.THETA, GradedPoly.generator(ring, name), order)
-
-    def vratio(kind: ThetaKind, name: str, e: int) -> QSeries:
-        return theta_ratio(kind, GradedPoly.generator(ring, name), order).powi(e)
-
-    a, b, l = spec.a, spec.b, spec.l
-    if form is QFormId.Q1:
-        for name in spec.v_roots:
-            res = res * vratio(ThetaKind.THETA1, name, a)
-            res = res * vratio(ThetaKind.THETA2, name, b)
-            res = res * vratio(ThetaKind.THETA3, name, b)
-        return res.scale(Fraction(2) ** (a * l))
-    if form is QFormId.Q2:
-        for name in spec.v_roots:
-            res = res * vratio(ThetaKind.THETA2, name, a)
-            res = res * vratio(ThetaKind.THETA1, name, b)
-            res = res * vratio(ThetaKind.THETA3, name, b)
-        return res.scale(Fraction(2) ** (b * l))
-    if form is QFormId.P1:
-        for name in spec.v_roots:
-            res = res * vratio(ThetaKind.THETA1, name, 1)
-        res = res * vratio(ThetaKind.THETA1, "u", -2)
-        res = res * vratio(ThetaKind.THETA3, "u'", 1)
-        res = res * vratio(ThetaKind.THETA2, "u'", 1)
-        return res.scale(Fraction(2) ** l)
-    # P2: the joint Gamma^0(2) combination
-    for name in spec.v_roots:
-        res = res * vratio(ThetaKind.THETA2, name, 1)
-    res = res * vratio(ThetaKind.THETA2, "u", -2)
-    res = res * vratio(ThetaKind.THETA3, "u'", 1)
-    res = res * vratio(ThetaKind.THETA1, "u'", 1)
-    return res
+    row = FAMILY_FORMS[spec.family]
+    groups, two = row.theta[0 if form is row.lead else 1]
+    for roots, factors in groups:
+        for name in spec.roots(roots):
+            w = GradedPoly.generator(ring, name)
+            for kind, e in factors:
+                res = res * theta_ratio(kind, w, order).powi(spec.twist(e))
+    return res.scale(Fraction(2) ** (spec.twist(two) * spec.l))

@@ -18,8 +18,7 @@ from .errors import UsageError
 from .theta import ModularFormId, modular_form
 from .verifier import CASES, CaseId, CaseRequest, Report, default_grid, run_suite, verify_case
 
-_FAMILY_NAMES = {"ab": Family.AB, "ab-xi": Family.AB_XI, "two-line": Family.TWO_LINE}
-_FAMILY_LABELS = {v: k for k, v in _FAMILY_NAMES.items()}
+_FAMILIES = sorted(f.value for f in Family)
 
 _MODULAR_OBJECTS = {
     "delta1": ModularFormId.DELTA1, "eps1": ModularFormId.EPS1,
@@ -33,7 +32,9 @@ _TYPE_NAMES = {list: "an array", str: "a string", int: "an integer",
 _SUITE_KEYS = {"cases": list, "format": str, "tolerance": (int, float)}
 _ENTRY_KEYS = {"case": str, "family": str, "k": int, "l": int, "a": int, "b": int,
                "qOrder": int, "perturb": bool}
-_GEOMETRY_KEYS = {"family", "k", "l", "a", "b"}
+# Geometry keys and flags, with the defaults of those that have one.
+_GEOMETRY_DEFAULTS = {"k": 1, "l": 1, "a": 1, "b": 0}
+_GEOMETRY_KEYS = ("family", *_GEOMETRY_DEFAULTS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,11 +46,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run verification cases")
     v.add_argument("--case", help="case identifier, e.g. THM31 or COR32")
-    v.add_argument("--k", type=int, default=1, help="manifold dimension is 4k")
-    v.add_argument("--l", type=int, default=1, help="auxiliary bundle rank is 2l")
-    v.add_argument("--a", type=int, default=1, help="first twist integer")
-    v.add_argument("--b", type=int, default=0, help="second twist integer")
-    v.add_argument("--family", choices=sorted(_FAMILY_NAMES),
+    v.add_argument("--k", type=int, help="manifold dimension is 4k (default 1)")
+    v.add_argument("--l", type=int, help="auxiliary bundle rank is 2l (default 1)")
+    v.add_argument("--a", type=int, help="first twist integer (default 1)")
+    v.add_argument("--b", type=int, help="second twist integer (default 0)")
+    v.add_argument("--family", choices=_FAMILIES,
                    help="bundle family (defaults to the case's natural family)")
     v.add_argument("--q-order", type=int, dest="q_order",
                    help="truncation order in integer q units (default k+2)")
@@ -66,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--l", type=int, default=1)
     e.add_argument("--a", type=int, default=1)
     e.add_argument("--b", type=int, default=0)
-    e.add_argument("--family", choices=sorted(_FAMILY_NAMES), default="ab")
+    e.add_argument("--family", choices=_FAMILIES, default="ab")
     e.add_argument("--which", type=int, choices=[1, 2], default=2,
                    help="which twisted bundle (theta-bundle object only)")
     e.add_argument("--q-order", type=int, dest="q_order", default=3)
@@ -87,7 +88,7 @@ def report_to_dict(report: Report) -> dict:
     return {
         "case": report.case.value,
         "spec": None if spec is None else {
-            "family": _FAMILY_LABELS[spec.family],
+            "family": spec.family.value,
             "k": spec.k, "l": spec.l, "a": spec.a, "b": spec.b,
         },
         "qOrder": report.q_order,
@@ -111,7 +112,7 @@ def format_report_text(report: Report) -> str:
     spec = report.spec
     head = f"[{tag}] {report.case.value}"
     if spec is not None:
-        head += (f" family={_FAMILY_LABELS[spec.family]}"
+        head += (f" family={spec.family.value}"
                  f" k={spec.k} l={spec.l} a={spec.a} b={spec.b}")
     head += f" N={report.q_order}"
     if report.residual_q is None and report.residual_degree is None:
@@ -134,10 +135,23 @@ def format_report_text(report: Report) -> str:
 # verify command
 
 
-def _spec_from_args(family: Family, k: int, l: int, a: int, b: int) -> GeometrySpec:
-    # GeometrySpec validation rejects invalid combinations (e.g. twists other
-    # than (1, 0) for the two-line family) before any case executes.
-    return GeometrySpec(k=k, l=l, a=a, b=b, family=family)
+def _case_spec(case: CaseId, given: dict, where: str) -> GeometrySpec | None:
+    """The geometry of one case from the keys a user gave, defaults filled in.
+
+    GeometrySpec rejects invalid combinations (e.g. twists other than (1, 0)
+    for the two-line family) before any case executes.
+    """
+    row = CASES[case]
+    if not row.needs_geometry:
+        if given:
+            raise UsageError(f"{where}: {case.value} takes no geometry")
+        return None
+    try:
+        family = Family(given.get("family", row.default_family.value))
+    except ValueError:
+        raise UsageError(f"unknown family {given['family']!r}")
+    return GeometrySpec(family=family, **{key: given.get(key, default)
+                                          for key, default in _GEOMETRY_DEFAULTS.items()})
 
 
 def _request_from_args(args: argparse.Namespace) -> CaseRequest:
@@ -146,12 +160,10 @@ def _request_from_args(args: argparse.Namespace) -> CaseRequest:
     except ValueError:
         raise UsageError(f"unknown case {args.case!r}; choose from "
                          + ", ".join(c.value for c in CaseId))
-    row = CASES[case]
-    spec = None
-    if row.needs_geometry:
-        family = _FAMILY_NAMES[args.family] if args.family else row.default_family
-        spec = _spec_from_args(family, args.k, args.l, args.a, args.b)
-    return CaseRequest(case, spec, args.q_order, tolerance=args.tolerance)
+    given = {key: getattr(args, key) for key in _GEOMETRY_KEYS
+             if getattr(args, key) is not None}
+    return CaseRequest(case, _case_spec(case, given, "command line"), args.q_order,
+                       tolerance=args.tolerance)
 
 
 def _check_object(obj, types: dict, where: str) -> None:
@@ -186,17 +198,8 @@ def _requests_from_suite_file(path: str) -> tuple[list[CaseRequest], str | None]
             case = CaseId(entry["case"])
         except (KeyError, ValueError):
             raise UsageError(f"suite entry with unknown case: {entry!r}")
-        row = CASES[case]
-        spec = None
-        if row.needs_geometry:
-            family_name = entry.get("family", _FAMILY_LABELS[row.default_family])
-            if family_name not in _FAMILY_NAMES:
-                raise UsageError(f"unknown family {family_name!r}")
-            spec = _spec_from_args(_FAMILY_NAMES[family_name],
-                                   entry.get("k", 1), entry.get("l", 1),
-                                   entry.get("a", 1), entry.get("b", 0))
-        elif _GEOMETRY_KEYS & entry.keys():
-            raise UsageError(f"{where}: {case.value} takes no geometry")
+        given = {key: entry[key] for key in _GEOMETRY_KEYS if key in entry}
+        spec = _case_spec(case, given, where)
         requests.append(CaseRequest(case, spec, entry.get("qOrder"),
                                     perturb=entry.get("perturb", False),
                                     tolerance=config.get("tolerance")))
@@ -239,8 +242,7 @@ def _expand_rows(args: argparse.Namespace) -> list[tuple[str, str]]:
         series = modular_form(_MODULAR_OBJECTS[args.object], n)
         return [(half_q_label(i), str(c)) for i, c in enumerate(series.coeffs)]
 
-    family = _FAMILY_NAMES[args.family]
-    spec = _spec_from_args(family, args.k, args.l, args.a, args.b)
+    spec = GeometrySpec(k=args.k, l=args.l, a=args.a, b=args.b, family=Family(args.family))
     if args.object == "theta-bundle":
         series = ch_theta_bundle(args.which, spec, n)
         rows = []
@@ -248,7 +250,7 @@ def _expand_rows(args: argparse.Namespace) -> list[tuple[str, str]]:
             rows.append((half_q_label(i), str(pontryagin_all(c, spec.root_families()))))
         return rows
 
-    row = FAMILY_FORMS[family]
+    row = FAMILY_FORMS[spec.family]
     kind = row.b_kind if args.object == "br" else row.beta_kind
     result, checks = extract_br_betar(spec, kind, max(n, spec.k + 2))
     rows = []

@@ -16,7 +16,7 @@ r = 0, 1 values against their closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -25,17 +25,14 @@ from .algebra import GradedPoly, QSeries
 from .bundles import (
     FAMILY_FORMS,
     BrBetarKind,
-    Family,
     GeometrySpec,
     Route,
     ch_theta_bundle,
-    ch_v_tilde,
-    ch_xi_prime_tilde,
-    ch_xi_tilde,
     family_of,
     lead_weight,
     q_form,
     static_expm1_over_z,
+    twist_bundle,
 )
 from .errors import UsageError
 from .theta import ModularFormId, modular_form
@@ -134,27 +131,15 @@ def _b_closed_forms(spec: GeometrySpec, ring_one: GradedPoly) -> list[ClosedForm
     """Candidate closed forms for the r = 0, 1 virtual-bundle coefficients."""
     k = spec.k
     sign = Fraction(-1) ** k
-    checks = []
-    h0_cands = (("printed", ring_one * sign),)
-    checks.append(("h0", h0_cands, "printed"))
+    checks = [("h0", (("printed", ring_one * sign),), "printed")]
     if k >= 2:
-        chv = ch_v_tilde(spec)
-        if spec.family is Family.AB:
-            lit = chv * (-spec.a) - 24 * k * sign
-            dist = (chv * (-spec.a) - 24 * k) * sign
-            gen = (chv * (spec.b - spec.a) - 24 * k) * sign
-            cands = (("printed-literal", lit), ("printed-distributed", dist),
-                     ("generalized", gen))
-        elif spec.family is Family.AB_XI:
-            gen = (chv * (spec.b - spec.a) + ch_xi_tilde(spec) * 3 - 24 * k) * sign
-            cands = (("generalized", gen),)
-        else:
-            w = ch_xi_tilde(spec) * 2 + ch_xi_prime_tilde(spec) - chv
-            lit = w - 24 * k * sign
-            dist = (w - 24 * k) * sign
-            cands = (("printed-literal", lit), ("printed-distributed", dist),
-                     ("generalized", dist))
-        checks.append(("h1", cands, "generalized"))
+        cands = []
+        if FAMILY_FORMS[spec.family].printed_readings:
+            printed = twist_bundle(replace(spec, b=0))
+            cands += [("printed-literal", printed - 24 * k * sign),
+                      ("printed-distributed", (printed - 24 * k) * sign)]
+        cands.append(("generalized", (twist_bundle(spec) - 24 * k) * sign))
+        checks.append(("h1", tuple(cands), "generalized"))
     return checks
 
 
@@ -164,23 +149,18 @@ def _beta_closed_forms(spec: GeometrySpec) -> list[ClosedFormCheck]:
     deg = 4 * k - 4
     sign = Fraction(-1) ** k
     base = static_expm1_over_z(spec) * lead_weight(spec)[1]
-    checks = []
-    checks.append(("beta0", (("printed", base.degree_part(deg) * sign),), "printed"))
+    checks = [("beta0", (("printed", base.degree_part(deg) * sign),), "printed")]
     if k >= 2:
-        chv = ch_v_tilde(spec)
-        if spec.family is Family.AB:
-            lit = (base * (chv * (-spec.a) - 24 * k)).degree_part(deg) * sign
-            gen = (base * (chv * (spec.b - spec.a) - 24 * k)).degree_part(deg) * sign
-            cands = (("printed-literal", lit), ("generalized", gen))
-        elif spec.family is Family.AB_XI:
-            gen = (base * (chv * (spec.b - spec.a) + ch_xi_tilde(spec) * 3 - 24 * k)) \
-                .degree_part(deg) * sign
-            cands = (("generalized", gen),)
-        else:
-            w = ch_xi_tilde(spec) * 2 + ch_xi_prime_tilde(spec) - chv
-            lit = (base * (w - 24 * k)).degree_part(deg) * sign
-            cands = (("printed-literal", lit), ("generalized", lit))
-        checks.append(("beta1", cands, "generalized"))
+        def beta(w: GradedPoly) -> GradedPoly:
+            return (base * (w - 24 * k)).degree_part(deg) * sign
+        general = twist_bundle(spec)
+        cands = [("generalized", beta(general))]
+        if FAMILY_FORMS[spec.family].printed_readings:
+            printed = twist_bundle(replace(spec, b=0))
+            # at b = 0 the printed reading is the general one; reuse its product
+            cands.insert(0, ("printed-literal",
+                             cands[0][1] if printed == general else beta(printed)))
+        checks.append(("beta1", tuple(cands), "generalized"))
     return checks
 
 

@@ -25,10 +25,9 @@ from .algebra import (
     GradedPoly,
     QSeries,
     RingSpec,
-    apply_series,
+    cosh_half_generator,
     exp_generator,
-    taylor_cosh_half,
-    taylor_sinh_half_over_half,
+    half_over_sinh_half_generator,
 )
 from .errors import DomainError, UsageError
 
@@ -97,14 +96,12 @@ def _geometric_inverse(poly: GradedPoly, half_exp: int, sign: int, order: int) -
 
 @lru_cache(maxsize=None)
 def _theta_ratio_cached(kind: ThetaKind, spec: RingSpec, name: str, order: int) -> QSeries:
-    nterms = spec.cap // 2 + 1
-    w = GradedPoly.generator(spec, name)
     ew = exp_generator(spec, name, +1)
     ewi = exp_generator(spec, name, -1)
 
     if kind is ThetaKind.THETA:
         # (w/2)/sinh(w/2) * prod (1-q^j)^2 / ((1-e^w q^j)(1-e^-w q^j))
-        res = QSeries.from_poly(apply_series(taylor_sinh_half_over_half(nterms), w).inv(), order)
+        res = QSeries.from_poly(half_over_sinh_half_generator(spec, name), order)
         for j in range(1, order + 1):
             res = res * QSeries.binomial(-1, 2 * j, order).powi(2)
             res = res * _geometric_inverse(ew, 2 * j, +1, order)
@@ -113,7 +110,7 @@ def _theta_ratio_cached(kind: ThetaKind, spec: RingSpec, name: str, order: int) 
 
     if kind is ThetaKind.THETA1:
         # cosh(w/2) * prod (1+e^w q^j)(1+e^-w q^j) / (1+q^j)^2
-        res = QSeries.from_poly(apply_series(taylor_cosh_half(nterms), w), order)
+        res = QSeries.from_poly(cosh_half_generator(spec, name), order)
         for j in range(1, order + 1):
             res = res * QSeries.binomial(ew, 2 * j, order)
             res = res * QSeries.binomial(ewi, 2 * j, order)
@@ -348,15 +345,16 @@ def sqrt_tau_over_i(tau: complex) -> complex:
     return cmath.sqrt(tau / 1j)
 
 
-def transformation_residuals(tau: complex, v: complex,
-                             theta_terms: int = 60, e2_terms: int = 40) -> dict[str, float]:
+def transformation_residuals(tau: complex, v: complex, theta_terms: int = 60,
+                             e2_terms: int = 40, perturb: bool = False) -> dict[str, float]:
     """Absolute residuals of the theta / E2 / delta-eps transformation laws.
 
     Keys cover the T and S laws of the four theta functions and theta', the
     Jacobi derivative identity, the S law of E2, the S laws relating
     delta2/eps2 to delta1/eps1, and the weight checks of all four forms under
     their congruence-subgroup generators (trivial character, verified
-    numerically).
+    numerically).  `perturb` is a negative control: it drops the 6 i tau / pi
+    term of the E2 S law, which must leave e2_S far above any tolerance.
     """
     _check_tau(tau)
     res: dict[str, float] = {}
@@ -385,8 +383,8 @@ def transformation_residuals(tau: complex, v: complex,
     res["jacobi_identity"] = abs(theta_prime_eval(0, tau, theta_terms)
                                  - cmath.pi * th(ThetaKind.THETA1, 0, tau)
                                  * th(ThetaKind.THETA2, 0, tau) * th(ThetaKind.THETA3, 0, tau))
-    res["e2_S"] = abs(e2_eval(s_tau, e2_terms)
-                      - (tau * tau * e2_eval(tau, e2_terms) - 6j * tau / cmath.pi))
+    anomaly = 0 if perturb else 6j * tau / cmath.pi
+    res["e2_S"] = abs(e2_eval(s_tau, e2_terms) - (tau * tau * e2_eval(tau, e2_terms) - anomaly))
 
     d1 = modular_form_eval(ModularFormId.DELTA1, tau, theta_terms)
     e1 = modular_form_eval(ModularFormId.EPS1, tau, theta_terms)

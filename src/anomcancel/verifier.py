@@ -12,7 +12,7 @@ against stated tolerances.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -28,19 +28,17 @@ from .algebra import (
 from .bundles import (
     FAMILY_FORMS,
     Family,
-    GenusKind,
     GeometrySpec,
     QFormId,
     Route,
     ch_v_tilde,
-    ch_xi_prime_tilde,
-    ch_xi_tilde,
     genus_form,
     lead_weight,
     p1_combo,
     p1_relation,
     q_form,
     static_expm1_over_z,
+    twist_bundle,
 )
 from .decomp import BrBetarKind, Group, basis_series, decompose, extract_br_betar
 from .errors import UsageError
@@ -272,7 +270,7 @@ def _case_cor43(req: CaseRequest) -> Outcome:
         raise UsageError("this corollary is the k = 2 specialization")
     l = spec.l
     lead, weight = lead_weight(spec)
-    chw = ch_xi_tilde(spec) * 2 + ch_xi_prime_tilde(spec) - ch_v_tilde(spec)
+    chw = twist_bundle(spec)
     z = p1_combo(spec)
     pref = static_expm1_over_z(spec)
     c1 = _two_pow(l - 4)
@@ -318,10 +316,10 @@ def _case_transfer(req: CaseRequest) -> Outcome:
 
 def _case_double_route(req: CaseRequest) -> Outcome:
     spec, order = req.spec, req.q_order
-    if spec.family is Family.AB_XI:
-        raise UsageError("no theta-quotient route for the xi-twisted family")
-    z = p1_combo(spec)
     row = FAMILY_FORMS[spec.family]
+    if row.theta is None:
+        raise UsageError(f"no theta-quotient route for family {spec.family.value}")
+    z = p1_combo(spec)
     pairs = [
         (row.lead.name, q_form(row.lead, Route.BUNDLE, spec, order),
          q_form(row.lead, Route.THETA, spec, order)),
@@ -349,20 +347,25 @@ def _case_closed_forms(req: CaseRequest) -> Outcome:
     spec = req.spec
     row = FAMILY_FORMS[spec.family]
     ok = True
+    first = (None, None)
     quantities = []
     notes = []
     for kind in (row.b_kind, row.beta_kind):
         _, checks = extract_br_betar(spec, kind, req.q_order)
         for c in checks:
-            passed = c.passed and not req.perturb
-            ok = ok and passed
+            if req.perturb:
+                # negative control: a damaged coefficient matches no candidate
+                c = replace(c, computed=c.computed + 1)
+            if ok and not c.passed:
+                ok = False
+                first = _poly_residual(c.computed - dict(c.candidates)[c.expected])
             quantities.append((f"{kind.value}.{c.name}", _pontryagin_str(c.computed, spec)))
             quantities.append((f"{kind.value}.{c.name}.readings", ",".join(c.matches) or "none"))
             if c.name in ("h1", "beta1") and "printed-literal" not in c.matches and c.passed:
                 notes.append(
                     f"{kind.value}.{c.name}: printed closed form holds only at b = 0; "
                     f"computed value carries (b-a) ch(V~) with the (-1)^k prefactor distributed")
-    return ok, (None, None), tuple(quantities), tuple(notes)
+    return ok, first, tuple(quantities), tuple(notes)
 
 
 def _case_hlz(req: CaseRequest) -> Outcome:
@@ -377,7 +380,7 @@ def _case_hlz(req: CaseRequest) -> Outcome:
     cap = 4 * k
     ring = spec.ring()
     nterms = ring.cap // 2 + 1
-    ahat = genus_form(GenusKind.A_HAT, spec)
+    ahat = genus_form(spec)
     spinor = GradedPoly.one(ring)
     for name in spec.v_roots:
         v_half = GradedPoly.generator(ring, name) * Fraction(1, 2)
@@ -406,7 +409,7 @@ def _case_hlz(req: CaseRequest) -> Outcome:
 
 
 def _case_numeric(req: CaseRequest) -> Outcome:
-    res = transformation_residuals(NUMERIC_TAU, NUMERIC_V)
+    res = transformation_residuals(NUMERIC_TAU, NUMERIC_V, perturb=req.perturb)
     ok = True
     quantities = []
     for name, value in res.items():

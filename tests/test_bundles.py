@@ -9,7 +9,6 @@ from anomcancel import bundles, theta
 from anomcancel.algebra import GradedPoly, QSeries, pontryagin_all
 from anomcancel.bundles import (
     Family,
-    GenusKind,
     GeometrySpec,
     QFormId,
     Route,
@@ -51,11 +50,11 @@ class TestGeometrySpec:
 
 class TestGenusForms:
     def test_all_roots_zero_gives_one(self):
-        a_hat = genus_form(GenusKind.A_HAT, AB11)
+        a_hat = genus_form(AB11)
         assert set_gens_zero(a_hat, AB11.ring().names) == GradedPoly.one(AB11.ring())
 
     def test_degree4_is_minus_p1_over_24(self):
-        a_hat = genus_form(GenusKind.A_HAT, AB11)
+        a_hat = genus_form(AB11)
         pp = pontryagin_all(a_hat.degree_part(4), AB11.root_families())
         ring = pp.poly.spec
         exps = [0] * len(ring.gens)
@@ -64,7 +63,7 @@ class TestGenusForms:
 
     def test_degree8_pontryagin(self):
         spec = GeometrySpec(k=2, l=1, a=1, b=0, family=Family.AB)
-        a_hat = genus_form(GenusKind.A_HAT, spec)
+        a_hat = genus_form(spec)
         pp = pontryagin_all(a_hat.degree_part(8), spec.root_families())
         ring = pp.poly.spec
         e_p1sq = [0] * len(ring.gens)
@@ -73,21 +72,6 @@ class TestGenusForms:
         e_p2[ring.index("p2(TM)")] = 1
         assert pp.poly.coefficient(e_p1sq) == F(7, 5760)
         assert pp.poly.coefficient(e_p2) == F(-4, 5760)
-
-    def test_signature_form_leading_terms(self):
-        # w / tanh(w/2) = 2 + w^2/6 - w^4/360 + ...
-        l_hat = genus_form(GenusKind.L_HAT, AB11)
-        assert l_hat.constant_term() == 4  # two roots, factor 2 each
-        assert l_hat.coefficient((2, 0, 0)) == F(1, 3)  # 2 * (1/6)
-        # cross check against cosh/sinh assembly for a single root, cap 8
-        from anomcancel.algebra import (apply_series, taylor_cosh_half,
-                                        taylor_sinh_half_over_half)
-        big = GeometrySpec(k=2, l=1, a=1, b=0, family=Family.AB).ring()
-        w = GradedPoly.generator(big, "w1")
-        one_root = (apply_series(taylor_cosh_half(5), w)
-                    * apply_series(taylor_sinh_half_over_half(5), w).inv() * 2)
-        assert one_root.coefficient((2, 0, 0, 0, 0)) == F(1, 6)
-        assert one_root.coefficient((4, 0, 0, 0, 0)) == F(-1, 360)
 
 
 class TestSpinorPowers:
@@ -171,7 +155,7 @@ class TestThetaBundles:
         spec = GeometrySpec(k=1, l=1, a=0, b=0, family=Family.AB)
         ring = spec.ring()
         s_block = _symmetric_block(ring, spec.tm_roots, 3)
-        lam_block = _exterior_block(ring, spec.tm_roots, 4 * spec.k, "int", -1, 3)
+        lam_block = _exterior_block(ring, spec.tm_roots, "int", -1, 3)
         assert s_block * lam_block == QSeries.one(3, ring)
 
 
@@ -201,7 +185,7 @@ class TestQForms:
         got = q_form(QFormId.Q1, Route.BUNDLE, spec, 2).coeffs[0]
         z = p1_combo(spec)
         want = (apply_series(taylor_exp(5), z * F(1, 24))
-                * genus_form(GenusKind.A_HAT, spec) * ch_spinor_pow(spec, 2))
+                * genus_form(spec) * ch_spinor_pow(spec, 2))
         assert got == want
 
     def test_double_route_documented_case(self):
@@ -237,7 +221,7 @@ class TestQForms:
     def test_xi_family_cosh_weighting(self):
         spec = GeometrySpec(k=1, l=1, a=1, b=0, family=Family.AB_XI)
         q2 = q_form(QFormId.Q2_XI, Route.BUNDLE, spec, 2)
-        expect = (genus_form(GenusKind.A_HAT, spec) * cosh_half_euler(spec, "u")
+        expect = (genus_form(spec) * cosh_half_euler(spec, "u")
                   * ch_spinor_pow(spec, 0)) * ch_theta_bundle(2, spec, 2)
         assert q2 == expect
 

@@ -96,6 +96,20 @@ class TestVerifyCommand:
         assert code == 0
         assert "family=two-line" in out
 
+    @pytest.mark.parametrize("case", ["NUMERIC_MODULARITY", "JACOBI_QSERIES"])
+    @pytest.mark.parametrize("flag, value", [("--family", "ab"), ("--k", "5"), ("--l", "1"),
+                                             ("--a", "1"), ("--b", "0")])
+    def test_geometry_flags_on_a_case_without_one(self, capsys, case, flag, value):
+        code, out, err = run_cli(capsys, "verify", "--case", case, flag, value)
+        assert code == 2 and out == ""
+        assert f"{case} takes no geometry" in err
+
+    def test_family_mismatch_names_the_accepted_flag_value(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "--case", "THM34", "--family", "ab")
+        assert code == 2
+        assert "needs family ab-xi" in err
+        assert run_cli(capsys, "verify", "--case", "THM34", "--family", "ab-xi")[0] == 0
+
 
 class TestSuiteValidation:
     def run_suite_file(self, capsys, tmp_path, config):

@@ -104,11 +104,29 @@ class TestNegativeControls:
         (CaseId.HLZ_SPECIAL, AB(2, 2, 1, 0), None, (None, 8)),
         (CaseId.JACOBI_QSERIES, None, 20, (2, None)),
         (CaseId.JACOBI_QSERIES, None, 80, (2, None)),
+        (CaseId.BR_BETAR_CLOSED_FORMS, AB(1, 1, 1, 0), None, (None, 0)),
+        (CaseId.BR_BETAR_CLOSED_FORMS, AB(2, 1, 2, 1), None, (None, 0)),
+        (CaseId.NUMERIC_MODULARITY, None, None, (None, None)),
     ])
     def test_perturb_fails_at_expected_location(self, case, spec, q_order, where):
         report = verify_case(case, spec, q_order, perturb=True)
         assert report.verdict == "fail"
         assert (report.residual_q, report.residual_degree) == where
+
+    def test_perturbed_numeric_breaks_the_e2_law_only(self):
+        # the control drops the 6 i tau / pi term of the E2 S law
+        quantities = dict(verify_case(CaseId.NUMERIC_MODULARITY, perturb=True).quantities)
+        above = {name for name, text in quantities.items()
+                 if float(text.split()[0]) >= float(text.split("tol ")[1].rstrip(")"))}
+        assert above == {"e2_S"}
+
+    @pytest.mark.parametrize("spec", [AB(1, 1, 1, 0), AB(2, 1, 2, 1), XI(2, 1, 0, 1),
+                                      TWO(2, 1)])
+    def test_perturbed_closed_forms_match_no_reading(self, spec):
+        report = verify_case(CaseId.BR_BETAR_CLOSED_FORMS, spec, perturb=True)
+        readings = [v for name, v in report.quantities if name.endswith(".readings")]
+        assert readings and set(readings) == {"none"}
+        assert report.notes == ()
 
 
 class TestValidation:
