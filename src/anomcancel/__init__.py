@@ -13,8 +13,12 @@ from .algebra import (
     Rational,
     RingSpec,
     apply_series,
+    family_sum,
     ideal_reduce,
+    one_root_ring,
     pontryagin_all,
+    power_sums,
+    symmetrise,
     to_pontryagin,
 )
 from .bundles import (
@@ -28,7 +32,15 @@ from .bundles import (
     p1_combo,
     q_form,
 )
-from .decomp import BrBetarKind, DecompResult, Group, basis_series, decompose, extract_br_betar
+from .decomp import (
+    BrBetarKind,
+    DecompResult,
+    Group,
+    basis_series,
+    closed_form_checks,
+    decompose,
+    extract_br_betar,
+)
 from .errors import DomainError, InvertError, SymmetryError, UsageError
 from .theta import (
     ModularFormId,
@@ -50,9 +62,10 @@ __all__ = [
     "InvertError", "ModularFormId", "PontryaginPoly", "QFormId", "QSeries",
     "Rational", "Report", "RingSpec", "Route", "SymmetryError", "ThetaKind",
     "UsageError", "apply_series", "basis_series", "ch_spinor_pow",
-    "ch_theta_bundle", "decompose", "default_grid", "extract_br_betar",
-    "genus_form", "ideal_reduce", "jacobi_identity_check", "modular_form",
-    "p1_combo", "pontryagin_all", "q_form", "run_suite",
+    "ch_theta_bundle", "closed_form_checks", "decompose", "default_grid",
+    "extract_br_betar", "family_sum", "genus_form", "ideal_reduce",
+    "jacobi_identity_check", "modular_form", "one_root_ring", "p1_combo",
+    "pontryagin_all", "power_sums", "q_form", "run_suite", "symmetrise",
     "theta_eval", "theta_logderiv_ratio", "theta_ratio", "to_pontryagin",
     "transformation_residuals", "verify_case",
 ]

@@ -1,8 +1,12 @@
 """Exact arithmetic for truncated graded polynomial rings and q^(1/2)-series.
 
-The ring is generated by even-degree formal roots (degree-2 Chern roots in
-practice); every product is silently truncated above the degree cap, which
-models the vanishing of cohomology above the manifold dimension.  All
+The ring is generated by even-degree generators (in practice degree-2 Euler
+classes and the Pontryagin classes p_i of degree 4i); every product is
+silently truncated above the degree cap, which models the vanishing of
+cohomology above the manifold dimension.  Per-root factors are series in the
+single root w of a one-root ring; `symmetrise` multiplies one over a root
+family as exp(sum_n c_n s_n), with c_n the coefficients of its log in w^2 and
+s_n the family's power sums of squared roots written in its p_i.  All
 coefficients are exact rationals: internally a polynomial is stored as a
 common positive denominator plus integer numerators keyed by bit-packed
 exponent vectors, bucketed by total degree, so that multiplication is pure
@@ -384,24 +388,30 @@ def taylor_exp(nterms: int) -> list[Fraction]:
 
 
 @lru_cache(maxsize=None)
-def exp_generator(spec: RingSpec, name: str, sign: int) -> GradedPoly:
-    """exp(+g) or exp(-g) for one degree-2 generator g, cached per ring."""
-    w = GradedPoly.generator(spec, name)
-    return apply_series(taylor_exp(spec.cap // 2 + 1), w if sign > 0 else -w)
+def one_root_ring(cap: int) -> RingSpec:
+    """The ring of a single degree-2 root w, where every per-root factor is built."""
+    return RingSpec(gens=(("w", 2),), cap=cap)
 
 
 @lru_cache(maxsize=None)
-def cosh_half_generator(spec: RingSpec, name: str) -> GradedPoly:
-    """cosh(g/2) for one degree-2 generator g, cached per ring."""
-    w = GradedPoly.generator(spec, name)
-    return apply_series(taylor_cosh_half(spec.cap // 2 + 1), w)
+def exp_root(cap: int, sign: int) -> GradedPoly:
+    """exp(+w) or exp(-w) on the one-root ring of this cap."""
+    w = GradedPoly.generator(one_root_ring(cap), "w")
+    return apply_series(taylor_exp(cap // 2 + 1), w if sign > 0 else -w)
 
 
 @lru_cache(maxsize=None)
-def half_over_sinh_half_generator(spec: RingSpec, name: str) -> GradedPoly:
-    """(g/2)/sinh(g/2), the A-hat factor of one degree-2 generator g, cached per ring."""
-    w = GradedPoly.generator(spec, name)
-    return apply_series(taylor_sinh_half_over_half(spec.cap // 2 + 1), w).inv()
+def cosh_half_root(cap: int) -> GradedPoly:
+    """cosh(w/2) on the one-root ring of this cap."""
+    w = GradedPoly.generator(one_root_ring(cap), "w")
+    return apply_series(taylor_cosh_half(cap // 2 + 1), w)
+
+
+@lru_cache(maxsize=None)
+def half_over_sinh_half_root(cap: int) -> GradedPoly:
+    """(w/2)/sinh(w/2), the A-hat factor of one root, on the one-root ring of this cap."""
+    w = GradedPoly.generator(one_root_ring(cap), "w")
+    return apply_series(taylor_sinh_half_over_half(cap // 2 + 1), w).inv()
 
 
 def taylor_cosh_half(nterms: int) -> list[Fraction]:
@@ -426,6 +436,11 @@ def taylor_sinh_half_over_half(nterms: int) -> list[Fraction]:
         else:
             out.append(Fraction(0))
     return out
+
+
+def taylor_log1p(nterms: int) -> list[Fraction]:
+    """log(1 + z) = sum (-1)^(n+1) z^n / n."""
+    return [Fraction(0)] + [Fraction((-1) ** (n + 1), n) for n in range(1, nterms)]
 
 
 def taylor_expm1_over(c: Fraction, nterms: int) -> list[Fraction]:
@@ -677,6 +692,140 @@ class QSeries:
             out = list(self.coeffs[cut:]) + [zero] * cut
         return QSeries(out, self.order, self.ring)
 
+    def log(self) -> "QSeries":
+        """log of a ring-valued series whose q^0 coefficient is 1 + nilpotent.
+
+        Reads L off t dF/dt = F * t dL/dt in t = q^(1/2): the q^0 coefficient
+        is log(F_0) and L_n = (F_n - (1/n) sum_(m<n) m L_m F_(n-m)) / F_0.
+        """
+        f = self.coeffs
+        if self.ring is None or f[0].constant_term() != 1:
+            raise UsageError("log needs ring coefficients with q^0 constant term 1")
+        f0_inv = f[0].inv()
+        out = [apply_series(taylor_log1p(self.ring.cap // 2 + 1), f[0] - 1)]
+        for n in range(1, len(f)):
+            acc = GradedPoly.zero(self.ring)
+            for m in range(1, n):
+                if not out[m].is_zero and not f[n - m].is_zero:
+                    acc = acc + out[m] * f[n - m] * m
+            out.append((f[n] - acc * Fraction(1, n)) * f0_inv)
+        return QSeries(out, self.order, self.ring)
+
+    def exp(self) -> "QSeries":
+        """exp of a ring-valued series whose q^0 coefficient is nilpotent.
+
+        E_0 = exp(L_0) in the truncated ring, then n E_n = sum_(m=1..n) m L_m E_(n-m).
+        """
+        lg = self.coeffs
+        if self.ring is None or lg[0].constant_term() != 0:
+            raise UsageError("exp needs ring coefficients with nilpotent q^0 term")
+        scaled = [c * m for m, c in enumerate(lg)]
+        out = [apply_series(taylor_exp(self.ring.cap // 2 + 1), lg[0])]
+        for n in range(1, len(lg)):
+            acc = GradedPoly.zero(self.ring)
+            for m in range(1, n + 1):
+                if not scaled[m].is_zero:
+                    acc = acc + scaled[m] * out[n - m]
+            out.append(acc * Fraction(1, n))
+        return QSeries(out, self.order, self.ring)
+
+
+# ---------------------------------------------------------------------------
+# Products and sums over a root family, in its Pontryagin classes
+
+
+def power_sums(elementary: Sequence[GradedPoly], n_max: int) -> tuple[GradedPoly, ...]:
+    """s_1..s_n_max of the squared roots of a family from its Pontryagin classes.
+
+    `elementary` lists e_i = p_i for i = 1, 2, ..; e_i is zero past the list.
+    Newton's identities: s_n = sum_(i<n) (-1)^(i-1) e_i s_(n-i) + (-1)^(n-1) n e_n.
+    """
+    sums: list[GradedPoly] = []
+    for n in range(1, n_max + 1):
+        s = elementary[n - 1] * ((-1) ** (n - 1) * n) if n <= len(elementary) \
+            else GradedPoly.zero(elementary[0].spec)
+        for i in range(1, min(n, len(elementary) + 1)):
+            term = elementary[i - 1] * sums[n - i - 1]
+            s = s + term if i % 2 else s - term
+        sums.append(s)
+    return tuple(sums)
+
+
+def _even_parts(f: QSeries) -> list[list[Fraction]]:
+    """parts[n][h]: the coefficient of w^(2n) q^(h/2) in f, a series on a one-root ring."""
+    ring = f.ring
+    if ring is None or len(ring.gens) != 1 or ring.degrees[0] != 2:
+        raise UsageError("a per-root series lives on a ring of one degree-2 root")
+    parts = [[Fraction(0)] * len(f.coeffs) for _ in range(ring.cap // 4 + 1)]
+    for h, c in enumerate(f.coeffs):
+        for (e,), value in c.iter_terms():
+            if e % 2:
+                raise SymmetryError("odd power of the root; per-root series not even")
+            parts[e // 2][h] = value
+    return parts
+
+
+@lru_cache(maxsize=None)
+def _log_parts(f: QSeries) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(map(tuple, _even_parts(f.log())))
+
+
+def _as_series(f: GradedPoly | QSeries) -> QSeries:
+    return QSeries.from_poly(f, 0) if isinstance(f, GradedPoly) else f
+
+
+def _over_families(terms: Sequence[tuple[Sequence, Sequence[GradedPoly], int]],
+                   width: int) -> list[GradedPoly]:
+    """out[h] = sum over (parts, sums, e) of e * sum_(n >= 1) parts[n][h] * s_n.
+
+    parts[0], the part free of the root, must vanish.  Terms over the same
+    family share one weighted sum of its power sums.
+    """
+    families: list[tuple[Sequence[GradedPoly], list[list[Fraction]]]] = []
+    for parts, sums, e in terms:
+        if len(parts) != len(sums) + 1 or len(parts[0]) != width:
+            raise UsageError("per-root series and power sums differ in cap or q-order")
+        if any(parts[0]):
+            raise UsageError("a per-root series must be trivial at the root 0")
+        weights = next((w for s, w in families if s is sums), None)
+        if weights is None:
+            weights = [[Fraction(0)] * width for _ in sums]
+            families.append((sums, weights))
+        for n, part in enumerate(parts[1:]):
+            for h, c in enumerate(part):
+                if c:
+                    weights[n][h] += c * e
+    out = [GradedPoly.zero(terms[0][1][0].spec)] * width
+    for sums, weights in families:
+        for s, row in zip(sums, weights):
+            for h, c in enumerate(row):
+                if c:
+                    out[h] = out[h] + s * c
+    return out
+
+
+def family_sum(f: GradedPoly, sums: Sequence[GradedPoly]) -> GradedPoly:
+    """sum over a family's roots of an even per-root f with f(0) = 0: sum_n a_n s_n.
+
+    `sums` are the family's power sums s_n of squared roots (`power_sums`).
+    """
+    return _over_families([(_even_parts(QSeries.from_poly(f, 0)), sums, 1)], 1)[0]
+
+
+def symmetrise(factors: Sequence[tuple[GradedPoly | QSeries, Sequence[GradedPoly], int]]):
+    """prod over factors (f, sums, e) of prod over the family's roots of f(root)^e.
+
+    Each f is an even per-root series on a one-root ring with f(0) = 1, so its
+    log is sum_n c_n w^(2n) and the product is exp(sum e c_n s_n), with s_n
+    the family's power sums (`sums`).  Polynomial factors give a polynomial,
+    q-series factors a q-series.
+    """
+    first = _as_series(factors[0][0])
+    logs = _over_families([(_log_parts(_as_series(f)), sums, e) for f, sums, e in factors],
+                          len(first.coeffs))
+    result = QSeries(logs, first.order, factors[0][1][0].spec).exp()
+    return result.coeffs[0] if isinstance(factors[0][0], GradedPoly) else result
+
 
 # ---------------------------------------------------------------------------
 # Symmetric-function conversion to Pontryagin presentation
@@ -884,16 +1033,17 @@ def _convert_families(p: GradedPoly,
 
 
 # ---------------------------------------------------------------------------
-# Reduction modulo a single quadratic relation
+# Reduction modulo a single relation
 
 
 def ideal_reduce(p: GradedPoly, relation: GradedPoly, leading: str | None = None) -> GradedPoly:
-    """Normal form of p modulo a relation of the shape g^2 - R (R free of g).
+    """Normal form of p modulo a relation of the shape g^d - R, d = 1 or 2, R free of g.
 
-    The relation is normalized so its g^2 coefficient is 1; every occurrence
-    of g^(2t+s) in p is rewritten to g^s R^t.  The result contains no monomial
-    divisible by g^2, and p - result lies in the ideal generated by the
-    relation.
+    The relation is normalized so its g^d coefficient is 1 (d = 1 when the
+    relation is linear in g); every occurrence of g^(d*t+s), s < d, in p is
+    rewritten to g^s R^t.  The result contains no monomial divisible by g^d,
+    and p - result lies in the ideal generated by the relation.  Without
+    `leading`, g is the first generator whose first or second power is a term.
     """
     spec = p.spec
     if relation.spec != spec:
@@ -901,43 +1051,31 @@ def ideal_reduce(p: GradedPoly, relation: GradedPoly, leading: str | None = None
     if relation.is_zero:
         raise UsageError("relation must be nonzero")
 
-    if leading is None:
-        lead_idx = None
-        for i, name in enumerate(spec.names):
-            exps = [0] * len(spec.gens)
-            exps[i] = 2
-            if relation.coefficient(exps) != 0:
-                lead_idx = i
-                break
-        if lead_idx is None:
-            raise UsageError("relation has no generator square to eliminate")
-        leading = spec.names[lead_idx]
-    else:
-        lead_idx = spec.index(leading)
+    def power(i: int, d: int) -> tuple[int, ...]:
+        exps = [0] * len(spec.gens)
+        exps[i] = d
+        return tuple(exps)
 
-    lead_exps = [0] * len(spec.gens)
-    lead_exps[lead_idx] = 2
-    c = relation.coefficient(lead_exps)
-    if c == 0:
-        raise UsageError(f"relation has no {leading}^2 term")
-    rel = relation * (1 / c)
-
-    # R = g^2 - rel must not involve g at all.
-    lead_sq = GradedPoly.from_terms(spec, {tuple(lead_exps): Fraction(1)})
-    rest = lead_sq - rel
+    candidates = range(len(spec.gens)) if leading is None else [spec.index(leading)]
+    found = [(i, d) for i in candidates for d in (1, 2) if relation.coefficient(power(i, d)) != 0]
+    if not found:
+        raise UsageError("relation has no generator or generator square to eliminate"
+                         if leading is None else f"relation has no {leading} or {leading}^2 term")
+    lead_idx, d = found[0]
+    lead_pow = GradedPoly.from_terms(spec, {power(lead_idx, d): Fraction(1)})
+    rest = lead_pow - relation * (1 / relation.coefficient(power(lead_idx, d)))
+    # R = g^d - rel must not involve g at all.
     for exps, _ in rest.iter_terms():
         if exps[lead_idx] != 0:
-            raise UsageError("malformed relation: remainder still involves the leading root")
+            raise UsageError("malformed relation: remainder still involves the leading generator")
 
-    max_t = spec.cap // 4 + 1
     rest_pows = [GradedPoly.one(spec)]
-    for _ in range(max_t):
+    for _ in range(spec.cap // (d * spec.degrees[lead_idx])):
         rest_pows.append(rest_pows[-1] * rest)
 
     out = GradedPoly.zero(spec)
     for exps, coeff in p.iter_terms():
-        e = exps[lead_idx]
-        t, s = divmod(e, 2)
+        t, s = divmod(exps[lead_idx], d)
         if t == 0:
             out = out + GradedPoly.from_terms(spec, {exps: coeff})
             continue

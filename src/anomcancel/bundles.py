@@ -12,6 +12,10 @@ two independent routes: BUNDLE multiplies the symmetric/exterior-power
 generating functions of the constituent bundles, THETA multiplies per-root
 Jacobi theta quotients with the matching power-of-two normalization.  Their
 exact agreement is the central correctness property of the package.
+
+Every form lives in the Pontryagin ring of `GeometrySpec.ring()`: each route
+builds its per-root series once on a one-root ring and `symmetrise` turns
+them into products over the Chern roots of TM, of V and of the Euler roots.
 """
 
 from __future__ import annotations
@@ -26,9 +30,13 @@ from .algebra import (
     QSeries,
     RingSpec,
     apply_series,
-    cosh_half_generator,
-    exp_generator,
-    half_over_sinh_half_generator,
+    cosh_half_root,
+    exp_root,
+    family_sum,
+    half_over_sinh_half_root,
+    one_root_ring,
+    power_sums,
+    symmetrise,
     taylor_expm1_over,
 )
 from .errors import UsageError
@@ -69,10 +77,10 @@ class BrBetarKind(Enum):
 
 # A recipe names Chern roots "V" (those of the rank-2l bundle), "u" (xi) or
 # "u'" (xi'), and an exponent as an int or a twist integer "a" / "b".  A
-# BUNDLE block (roots, grid, sign, exponent) is the `_exterior_block` of the
-# roots raised to the exponent.  A THETA form (groups, two) multiplies, for
-# each (roots, ((kind, exponent), ...)) group and each of its roots,
-# theta_ratio(kind)^exponent, and scales the product by 2^(two * l).
+# BUNDLE block (roots, grid, sign, exponent) is the per-root `_exterior_block`
+# raised to the exponent and multiplied over the roots.  A THETA form (groups,
+# two) multiplies, for each (roots, ((kind, exponent), ...)) group and each of
+# its roots, theta_ratio(kind)^exponent, and scales the product by 2^(two * l).
 _T1, _T2, _T3 = ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3
 
 
@@ -159,36 +167,40 @@ class GeometrySpec:
     def has_xi_prime(self) -> bool:
         return "u'" in FAMILY_FORMS[self.family].euler_roots
 
-    @property
-    def tm_roots(self) -> tuple[str, ...]:
-        return tuple(f"w{j}" for j in range(1, 2 * self.k + 1))
-
-    @property
-    def v_roots(self) -> tuple[str, ...]:
-        return tuple(f"v{j}" for j in range(1, self.l + 1))
-
     def ring(self) -> RingSpec:
+        """Euler roots u, u' (degree 2), then p_1..p_k(TM), then p_1..p_min(l,k)(V)."""
         return _ring_for(self.k, self.l, FAMILY_FORMS[self.family].euler_roots)
 
-    def roots(self, label: str) -> tuple[str, ...]:
-        """The Chern roots a recipe names: "V" or a single Euler root."""
-        return self.v_roots if label == "V" else (label,)
+    def power_sums(self, label: str) -> tuple[GradedPoly, ...]:
+        """s_n, n = 1..k, the sums of the 2n-th powers of the Chern roots that
+        "TM", "V" or a single Euler root ("u", "u'") names."""
+        if label not in ("TM", "V", *FAMILY_FORMS[self.family].euler_roots):
+            raise UsageError(f"family {self.family.value} carries no root {label!r}")
+        return _power_sums(self.ring(), label)
 
     def twist(self, e: int | str) -> int:
         """A recipe exponent: an int, or the twist integer "a" or "b"."""
         return getattr(self, e) if isinstance(e, str) else e
 
-    def root_families(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
-        """Paired root families for Pontryagin conversion (Euler roots pass through)."""
-        return (("TM", self.tm_roots), ("V", self.v_roots))
-
 
 @lru_cache(maxsize=None)
 def _ring_for(k: int, l: int, euler_roots: tuple[str, ...]) -> RingSpec:
-    gens = [(f"w{j}", 2) for j in range(1, 2 * k + 1)]
-    gens += [(f"v{j}", 2) for j in range(1, l + 1)]
-    gens += [(name, 2) for name in euler_roots]
+    # p_i with 4i above the cap 4k, or past a family's root count, is zero
+    gens = [(name, 2) for name in euler_roots]
+    gens += [(f"p{i}(TM)", 4 * i) for i in range(1, k + 1)]
+    gens += [(f"p{i}(V)", 4 * i) for i in range(1, min(l, k) + 1)]
     return RingSpec(gens=tuple(gens), cap=4 * k)
+
+
+@lru_cache(maxsize=None)
+def _power_sums(ring: RingSpec, label: str) -> tuple[GradedPoly, ...]:
+    if label in ring.names:
+        u = GradedPoly.generator(ring, label)   # the one squared root of xi is p1(xi)
+        elementary = (u * u,)
+    else:
+        elementary = tuple(GradedPoly.generator(ring, name) for name in ring.names
+                           if name.endswith(f"({label})"))
+    return power_sums(elementary, ring.cap // 4)
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +209,7 @@ def _ring_for(k: int, l: int, euler_roots: tuple[str, ...]) -> RingSpec:
 
 def genus_form(spec: GeometrySpec) -> GradedPoly:
     """A-hat genus of the tangent roots: the product of (w/2)/sinh(w/2)."""
-    ring = spec.ring()
-    out = GradedPoly.one(ring)
-    for name in spec.tm_roots:
-        out = out * half_over_sinh_half_generator(ring, name)
-    return out
+    return symmetrise([(half_over_sinh_half_root(4 * spec.k), spec.power_sums("TM"), 1)])
 
 
 def ch_spinor_pow(spec: GeometrySpec, e: int) -> GradedPoly:
@@ -210,23 +218,14 @@ def ch_spinor_pow(spec: GeometrySpec, e: int) -> GradedPoly:
     prod_nu (2 cosh(v_nu / 2))^e; negative e inverts each per-root factor in
     the truncated ring.
     """
-    ring = spec.ring()
-    if e == 0:
-        return GradedPoly.one(ring)
-    # the factor 2^e of every root, gathered into the starting constant
-    out = GradedPoly.constant(ring, Fraction(2) ** (e * spec.l))
-    for name in spec.v_roots:
-        f = cosh_half_generator(ring, name)
-        out = out * (f ** e if e > 0 else f.inv() ** (-e))
-    return out
+    # the factor 2^e of every root, gathered into one constant
+    cosh = symmetrise([(cosh_half_root(4 * spec.k), spec.power_sums("V"), e)])
+    return cosh * Fraction(2) ** (e * spec.l)
 
 
 def cosh_half_euler(spec: GeometrySpec, which: str = "u") -> GradedPoly:
     """cosh(c/2) for the Euler root of xi ('u') or xi-prime ("u'")."""
-    ring = spec.ring()
-    if which not in ring.names:
-        raise UsageError(f"family {spec.family.value} carries no root {which!r}")
-    return cosh_half_generator(ring, which)
+    return symmetrise([(cosh_half_root(4 * spec.k), spec.power_sums(which), 1)])
 
 
 def lead_weight(spec: GeometrySpec) -> tuple[GradedPoly, GradedPoly]:
@@ -246,18 +245,15 @@ def lead_weight(spec: GeometrySpec) -> tuple[GradedPoly, GradedPoly]:
     return lead, weight
 
 
-def ch_tilde_roots(spec: GeometrySpec, roots: tuple[str, ...]) -> GradedPoly:
-    """ch of (complexified bundle minus its rank): sum over +-roots of e^root, minus rank."""
-    ring = spec.ring()
-    out = GradedPoly.constant(ring, -2 * len(roots))
-    for name in roots:
-        out = out + exp_generator(ring, name, +1)
-        out = out + exp_generator(ring, name, -1)
-    return out
+def ch_tilde_roots(spec: GeometrySpec, label: str) -> GradedPoly:
+    """ch of (complexified bundle minus its rank): the sum over the roots that
+    `label` names of e^root + e^-root - 2."""
+    cap = 4 * spec.k
+    return family_sum(exp_root(cap, +1) + exp_root(cap, -1) - 2, spec.power_sums(label))
 
 
 def ch_v_tilde(spec: GeometrySpec) -> GradedPoly:
-    return ch_tilde_roots(spec, spec.v_roots)
+    return ch_tilde_roots(spec, "V")
 
 
 def twist_bundle(spec: GeometrySpec) -> GradedPoly:
@@ -265,22 +261,9 @@ def twist_bundle(spec: GeometrySpec) -> GradedPoly:
     xi family; 2 xi~ + xi'~ - V~ in the two-line family."""
     chv = ch_v_tilde(spec)
     if spec.has_xi_prime:
-        return ch_tilde_roots(spec, ("u",)) * 2 + ch_tilde_roots(spec, ("u'",)) - chv
+        return ch_tilde_roots(spec, "u") * 2 + ch_tilde_roots(spec, "u'") - chv
     out = chv * (spec.b - spec.a)
-    return out + ch_tilde_roots(spec, ("u",)) * 3 if spec.has_xi else out
-
-
-def _square_sums(ring: RingSpec, plus: tuple[str, ...], minus: tuple[str, ...],
-                 coef: int) -> GradedPoly:
-    """sum of g^2 over the `plus` roots minus coef times the sum over `minus`."""
-    out = GradedPoly.zero(ring)
-    for name in plus:
-        w = GradedPoly.generator(ring, name)
-        out = out + w * w
-    for name in minus:
-        v = GradedPoly.generator(ring, name)
-        out = out - v * v * coef
-    return out
+    return out + ch_tilde_roots(spec, "u") * 3 if spec.has_xi else out
 
 
 def p1_combo(spec: GeometrySpec) -> GradedPoly:
@@ -291,60 +274,51 @@ def p1_combo(spec: GeometrySpec) -> GradedPoly:
     rank-two oriented bundle is the square of its Euler class.
     """
     if spec.family is Family.TWO_LINE:
-        return _square_sums(spec.ring(), ("u",), ("u'",), 1)
-    return _square_sums(spec.ring(), spec.tm_roots, spec.v_roots, spec.a + 2 * spec.b)
+        return spec.power_sums("u")[0] - spec.power_sums("u'")[0]
+    return spec.power_sums("TM")[0] - spec.power_sums("V")[0] * (spec.a + 2 * spec.b)
 
 
 def p1_relation(spec: GeometrySpec) -> GradedPoly:
     """p1(TM) - p1(V), the relation the two-line identities are reduced modulo."""
-    return _square_sums(spec.ring(), spec.tm_roots, spec.v_roots, 1)
+    return spec.power_sums("TM")[0] - spec.power_sums("V")[0]
 
 
 # ---------------------------------------------------------------------------
-# Generating-function blocks (BUNDLE route)
+# Generating-function blocks (BUNDLE route), per root on the one-root ring
 
 
 @lru_cache(maxsize=None)
-def _symmetric_block(spec: RingSpec, roots: tuple[str, ...], order: int) -> QSeries:
-    """prod_n ch S_(q^n) of the reduced complexified tangent bundle."""
-    res = QSeries.one(order, spec)
+def _symmetric_block(cap: int, order: int) -> QSeries:
+    """One root's factor of prod_n ch S_(q^n) of the reduced complexified
+    tangent bundle: prod_n (1 - q^n)^2 / ((1 - e^w q^n)(1 - e^-w q^n))."""
+    res = QSeries.one(order, one_root_ring(cap))
     for n in range(1, order + 1):
         h = 2 * n
-        num = QSeries.binomial(-1, h, order).powi(2 * len(roots))
-        res = res * num
-        for name in roots:
-            res = res * QSeries.binomial(-exp_generator(spec, name, +1), h, order).inv()
-            res = res * QSeries.binomial(-exp_generator(spec, name, -1), h, order).inv()
+        res = res * QSeries.binomial(-1, h, order).powi(2)
+        res = res * QSeries.binomial(-exp_root(cap, +1), h, order).inv()
+        res = res * QSeries.binomial(-exp_root(cap, -1), h, order).inv()
     return res
 
 
 @lru_cache(maxsize=None)
-def _exterior_block(spec: RingSpec, roots: tuple[str, ...],
-                    grid: str, sign: int, order: int) -> QSeries:
-    """prod over the exponent grid of ch Lambda_t of a reduced bundle.
+def _exterior_block(cap: int, grid: str, sign: int, order: int) -> QSeries:
+    """One root's factor of the product over the exponent grid of ch Lambda_t
+    of a reduced bundle: prod_t (1 + t e^w)(1 + t e^-w) / (1 + t)^2.
 
     grid 'int' walks t = sign * q^m (m >= 1), grid 'half' walks
-    t = sign * q^(m - 1/2); the complex rank r = 2 * len(roots) is divided
-    out via the (1 + t)^r denominator.
+    t = sign * q^(m - 1/2).
     """
-    res = QSeries.one(order, spec)
+    res = QSeries.one(order, one_root_ring(cap))
     m = 1
     while True:
         h = 2 * m if grid == "int" else 2 * m - 1
         if h > 2 * order:
             break
-        for name in roots:
-            for e in (exp_generator(spec, name, +1), exp_generator(spec, name, -1)):
-                res = res * QSeries.binomial(e if sign > 0 else -e, h, order)
-        res = res * QSeries.binomial(sign, h, order).powi(-2 * len(roots))
+        for e in (exp_root(cap, +1), exp_root(cap, -1)):
+            res = res * QSeries.binomial(e if sign > 0 else -e, h, order)
+        res = res * QSeries.binomial(sign, h, order).powi(-2)
         m += 1
     return res
-
-
-@lru_cache(maxsize=None)
-def _block_power(spec: RingSpec, roots: tuple[str, ...],
-                 grid: str, sign: int, e: int, order: int) -> QSeries:
-    return _exterior_block(spec, roots, grid, sign, order).powi(e)
 
 
 def ch_theta_bundle(which: int, spec: GeometrySpec, order: int) -> QSeries:
@@ -358,11 +332,12 @@ def ch_theta_bundle(which: int, spec: GeometrySpec, order: int) -> QSeries:
 
 @lru_cache(maxsize=None)
 def _ch_theta_cached(which: int, spec: GeometrySpec, order: int) -> QSeries:
-    ring = spec.ring()
-    res = _symmetric_block(ring, spec.tm_roots, order)
+    cap = 4 * spec.k
+    factors = [(_symmetric_block(cap, order), spec.power_sums("TM"), 1)]
     for roots, grid, sign, e in FAMILY_FORMS[spec.family].blocks[which - 1]:
-        res = res * _block_power(ring, spec.roots(roots), grid, sign, spec.twist(e), order)
-    return res
+        factors.append((_exterior_block(cap, grid, sign, order), spec.power_sums(roots),
+                        spec.twist(e)))
+    return symmetrise(factors)
 
 
 # ---------------------------------------------------------------------------
@@ -443,15 +418,12 @@ def _q_form_bundle(form: QFormId, spec: GeometrySpec, order: int) -> QSeries:
 
 @lru_cache(maxsize=None)
 def _q_form_theta(form: QFormId, spec: GeometrySpec, order: int) -> QSeries:
-    ring = spec.ring()
-    res = e2_exponential(spec, order)
-    for name in spec.tm_roots:
-        res = res * theta_ratio(ThetaKind.THETA, GradedPoly.generator(ring, name), order)
+    w = GradedPoly.generator(one_root_ring(4 * spec.k), "w")
+    factors = [(theta_ratio(ThetaKind.THETA, w, order), spec.power_sums("TM"), 1)]
     row = FAMILY_FORMS[spec.family]
     groups, two = row.theta[0 if form is row.lead else 1]
-    for roots, factors in groups:
-        for name in spec.roots(roots):
-            w = GradedPoly.generator(ring, name)
-            for kind, e in factors:
-                res = res * theta_ratio(kind, w, order).powi(spec.twist(e))
+    for roots, kinds in groups:
+        for kind, e in kinds:
+            factors.append((theta_ratio(kind, w, order), spec.power_sums(roots), spec.twist(e)))
+    res = e2_exponential(spec, order) * symmetrise(factors)
     return res.scale(Fraction(2) ** (spec.twist(two) * spec.l))

@@ -11,9 +11,9 @@ import json
 import sys
 from fractions import Fraction
 
-from .algebra import half_q_label, pontryagin_all
+from .algebra import half_q_label
 from .bundles import FAMILY_FORMS, Family, GeometrySpec, ch_theta_bundle
-from .decomp import extract_br_betar
+from .decomp import closed_form_checks, extract_br_betar
 from .errors import UsageError
 from .theta import ModularFormId, modular_form
 from .verifier import CASES, CaseId, CaseRequest, Report, default_grid, run_suite, verify_case
@@ -63,11 +63,11 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("expand", help="print q-expansions of named objects")
     e.add_argument("--object", required=True,
                    choices=sorted(_MODULAR_OBJECTS) + ["theta-bundle", "br", "betar"])
-    e.add_argument("--k", type=int, default=1)
-    e.add_argument("--l", type=int, default=1)
-    e.add_argument("--a", type=int, default=1)
-    e.add_argument("--b", type=int, default=0)
-    e.add_argument("--family", choices=_FAMILIES, default="ab")
+    e.add_argument("--k", type=int, help="manifold dimension is 4k (default 1)")
+    e.add_argument("--l", type=int, help="auxiliary bundle rank is 2l (default 1)")
+    e.add_argument("--a", type=int, help="first twist integer (default 1)")
+    e.add_argument("--b", type=int, help="second twist integer (default 0)")
+    e.add_argument("--family", choices=_FAMILIES, help="bundle family (default ab)")
     e.add_argument("--which", type=int, choices=[1, 2], default=2,
                    help="which twisted bundle (theta-bundle object only)")
     e.add_argument("--q-order", type=int, dest="q_order", default=3)
@@ -146,12 +146,22 @@ def _case_spec(case: CaseId, given: dict, where: str) -> GeometrySpec | None:
         if given:
             raise UsageError(f"{where}: {case.value} takes no geometry")
         return None
+    return _geometry(given, row.default_family)
+
+
+def _geometry(given: dict, family: Family) -> GeometrySpec:
+    """A geometry from the keys a user gave; `family` and _GEOMETRY_DEFAULTS fill the rest."""
     try:
-        family = Family(given.get("family", row.default_family.value))
+        family = Family(given.get("family", family.value))
     except ValueError:
         raise UsageError(f"unknown family {given['family']!r}")
     return GeometrySpec(family=family, **{key: given.get(key, default)
                                           for key, default in _GEOMETRY_DEFAULTS.items()})
+
+
+def _given_geometry(args: argparse.Namespace) -> dict:
+    """The geometry flags a user gave on the command line."""
+    return {key: getattr(args, key) for key in _GEOMETRY_KEYS if getattr(args, key) is not None}
 
 
 def _request_from_args(args: argparse.Namespace) -> CaseRequest:
@@ -160,10 +170,8 @@ def _request_from_args(args: argparse.Namespace) -> CaseRequest:
     except ValueError:
         raise UsageError(f"unknown case {args.case!r}; choose from "
                          + ", ".join(c.value for c in CaseId))
-    given = {key: getattr(args, key) for key in _GEOMETRY_KEYS
-             if getattr(args, key) is not None}
-    return CaseRequest(case, _case_spec(case, given, "command line"), args.q_order,
-                       tolerance=args.tolerance)
+    return CaseRequest(case, _case_spec(case, _given_geometry(args), "command line"),
+                       args.q_order, tolerance=args.tolerance)
 
 
 def _check_object(obj, types: dict, where: str) -> None:
@@ -236,36 +244,37 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # expand command
 
 
-def _expand_rows(args: argparse.Namespace) -> list[tuple[str, str]]:
+def _expand_rows(args: argparse.Namespace) -> tuple[list[tuple[str, str]], int]:
+    """The rows to print and the q-order they were computed at."""
     n = args.q_order
+    given = _given_geometry(args)
     if args.object in _MODULAR_OBJECTS:
+        if given:
+            raise UsageError(f"{args.object} takes no geometry")
         series = modular_form(_MODULAR_OBJECTS[args.object], n)
-        return [(half_q_label(i), str(c)) for i, c in enumerate(series.coeffs)]
+        return [(half_q_label(i), str(c)) for i, c in enumerate(series.coeffs)], n
 
-    spec = GeometrySpec(k=args.k, l=args.l, a=args.a, b=args.b, family=Family(args.family))
+    spec = _geometry(given, Family.AB)
     if args.object == "theta-bundle":
         series = ch_theta_bundle(args.which, spec, n)
-        rows = []
-        for i, c in enumerate(series.coeffs):
-            rows.append((half_q_label(i), str(pontryagin_all(c, spec.root_families()))))
-        return rows
+        return [(half_q_label(i), str(c)) for i, c in enumerate(series.coeffs)], n
 
     row = FAMILY_FORMS[spec.family]
     kind = row.b_kind if args.object == "br" else row.beta_kind
-    result, checks = extract_br_betar(spec, kind, max(n, spec.k + 2))
-    rows = []
+    # the decomposition needs the cross-check orders up to k + 2
+    order = max(n, spec.k + 2)
+    result = extract_br_betar(spec, kind, order)
     prefix = "b" if args.object == "br" else "beta"
-    for r, h in enumerate(result.h):
-        rows.append((f"{prefix}_{r}", str(pontryagin_all(h, spec.root_families()))))
-    for check in checks:
+    rows = [(f"{prefix}_{r}", str(h)) for r, h in enumerate(result.h)]
+    for check in closed_form_checks(spec, kind, result):
         rows.append((f"{check.name} readings", ",".join(check.matches) or "none"))
-    return rows
+    return rows, order
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
-    rows = _expand_rows(args)
+    rows, order = _expand_rows(args)
     if args.format == "json":
-        payload = {"object": args.object, "qOrder": args.q_order,
+        payload = {"object": args.object, "qOrder": order,
                    "rows": [{"power": p, "value": v} for p, v in rows]}
         print(json.dumps(payload, indent=2))
     else:

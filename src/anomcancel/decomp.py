@@ -10,8 +10,8 @@ order is the computational witness of modularity.
 
 The same machinery extracts the virtual-bundle coefficients (b-type, all
 cohomological degrees at once) and the form coefficients (beta-type, from the
-degree-(4k-4) slice) of the twisted bundle characters, and compares the
-r = 0, 1 values against their closed forms.
+degree-(4k-4) slice) of the twisted bundle characters; `closed_form_checks`
+compares the r = 0, 1 values against their closed forms.
 """
 
 from __future__ import annotations
@@ -164,9 +164,8 @@ def _beta_closed_forms(spec: GeometrySpec) -> list[ClosedFormCheck]:
     return checks
 
 
-def extract_br_betar(spec: GeometrySpec, which: BrBetarKind,
-                     order: int) -> tuple[DecompResult, list[ClosedFormCheck]]:
-    """Extract the b-type or beta-type coefficients and compare closed forms.
+def extract_br_betar(spec: GeometrySpec, which: BrBetarKind, order: int) -> DecompResult:
+    """Extract the b-type or beta-type coefficients.
 
     b-type decomposes the full bundle character (all cohomological degrees);
     beta-type decomposes the degree-(4k-4) slice of the E2-corrected form.
@@ -176,13 +175,18 @@ def extract_br_betar(spec: GeometrySpec, which: BrBetarKind,
         raise UsageError(f"{which.name} needs family {family_of(which).value}")
     if which is row.b_kind:
         series = ch_theta_bundle(2, spec, order)
-        templates = _b_closed_forms(spec, GradedPoly.one(spec.ring()))
     else:
         series = q_form(row.correction, Route.BUNDLE, spec, order).degree_slice(4 * spec.k - 4)
+    return decompose(series, spec.k, order)
+
+
+def closed_form_checks(spec: GeometrySpec, which: BrBetarKind,
+                       result: DecompResult) -> list[ClosedFormCheck]:
+    """Compare the r = 0, 1 coefficients that `extract_br_betar` gave with
+    their candidate closed forms."""
+    if which is FAMILY_FORMS[spec.family].b_kind:
+        templates = _b_closed_forms(spec, GradedPoly.one(spec.ring()))
+    else:
         templates = _beta_closed_forms(spec)
-    result = decompose(series, spec.k, order)
-    checks = []
-    for (name, cands, expected), computed in zip(templates, result.h):
-        checks.append(ClosedFormCheck(name=name, computed=computed,
-                                      candidates=cands, expected=expected))
-    return result, checks
+    return [ClosedFormCheck(name=name, computed=computed, candidates=cands, expected=expected)
+            for (name, cands, expected), computed in zip(templates, result.h)]

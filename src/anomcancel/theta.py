@@ -24,10 +24,10 @@ from functools import lru_cache
 from .algebra import (
     GradedPoly,
     QSeries,
-    RingSpec,
-    cosh_half_generator,
-    exp_generator,
-    half_over_sinh_half_generator,
+    cosh_half_root,
+    exp_root,
+    half_over_sinh_half_root,
+    one_root_ring,
 )
 from .errors import DomainError, UsageError
 
@@ -64,17 +64,12 @@ def sigma1(n: int) -> int:
 # Symbolic theta quotients
 
 
-def _single_generator(w: GradedPoly) -> tuple[RingSpec, str]:
-    terms = list(w.iter_terms())
-    if len(terms) != 1:
-        raise UsageError("theta argument must be a single degree-2 generator")
-    exps, coeff = terms[0]
-    if coeff != 1 or sum(exps) != 1:
-        raise UsageError("theta argument must be a single degree-2 generator")
-    i = exps.index(1)
-    if w.spec.degrees[i] != 2:
-        raise UsageError("theta argument must have cohomological degree 2")
-    return w.spec, w.spec.names[i]
+def _root_cap(w: GradedPoly) -> int:
+    """The cap of the one-root ring whose root w is; anything else is refused."""
+    ring = one_root_ring(w.spec.cap)
+    if w.spec != ring or w != GradedPoly.generator(ring, "w"):
+        raise UsageError("theta argument must be the root w of a one-root ring")
+    return ring.cap
 
 
 def _geometric_inverse(poly: GradedPoly, half_exp: int, sign: int, order: int) -> QSeries:
@@ -95,13 +90,14 @@ def _geometric_inverse(poly: GradedPoly, half_exp: int, sign: int, order: int) -
 
 
 @lru_cache(maxsize=None)
-def _theta_ratio_cached(kind: ThetaKind, spec: RingSpec, name: str, order: int) -> QSeries:
-    ew = exp_generator(spec, name, +1)
-    ewi = exp_generator(spec, name, -1)
+def _theta_ratio_cached(kind: ThetaKind, cap: int, order: int) -> QSeries:
+    spec = one_root_ring(cap)
+    ew = exp_root(cap, +1)
+    ewi = exp_root(cap, -1)
 
     if kind is ThetaKind.THETA:
         # (w/2)/sinh(w/2) * prod (1-q^j)^2 / ((1-e^w q^j)(1-e^-w q^j))
-        res = QSeries.from_poly(half_over_sinh_half_generator(spec, name), order)
+        res = QSeries.from_poly(half_over_sinh_half_root(cap), order)
         for j in range(1, order + 1):
             res = res * QSeries.binomial(-1, 2 * j, order).powi(2)
             res = res * _geometric_inverse(ew, 2 * j, +1, order)
@@ -110,7 +106,7 @@ def _theta_ratio_cached(kind: ThetaKind, spec: RingSpec, name: str, order: int) 
 
     if kind is ThetaKind.THETA1:
         # cosh(w/2) * prod (1+e^w q^j)(1+e^-w q^j) / (1+q^j)^2
-        res = QSeries.from_poly(cosh_half_generator(spec, name), order)
+        res = QSeries.from_poly(cosh_half_root(cap), order)
         for j in range(1, order + 1):
             res = res * QSeries.binomial(ew, 2 * j, order)
             res = res * QSeries.binomial(ewi, 2 * j, order)
@@ -139,12 +135,11 @@ def theta_ratio(kind: ThetaKind, w: GradedPoly, order: int) -> QSeries:
     For THETA this is w * theta'(0)/theta(w); for the other kinds it is
     theta_i(w)/theta_i(0).  The q^(1/8) prefactors cancel in every quotient,
     so the result lives on the half-integer q grid with coefficients that are
-    polynomials in the single generator w.
+    polynomials in w, the root of a one-root ring (`one_root_ring`).
     """
     if order < 0:
         raise UsageError("truncation order must be >= 0")
-    spec, name = _single_generator(w)
-    return _theta_ratio_cached(kind, spec, name, order)
+    return _theta_ratio_cached(kind, _root_cap(w), order)
 
 
 def theta_logderiv_ratio(kind: ThetaKind, w: GradedPoly, order: int) -> QSeries:
@@ -155,9 +150,8 @@ def theta_logderiv_ratio(kind: ThetaKind, w: GradedPoly, order: int) -> QSeries:
     """
     if kind is ThetaKind.THETA:
         raise UsageError("log-derivative ratio is defined for theta1/theta2/theta3 only")
-    spec, name = _single_generator(w)
-    ratio = _theta_ratio_cached(kind, spec, name, order)
-    deriv = ratio.map(lambda p: p.derivative(name))
+    ratio = _theta_ratio_cached(kind, _root_cap(w), order)
+    deriv = ratio.map(lambda p: p.derivative("w"))
     return deriv * ratio.inv()
 
 

@@ -22,7 +22,8 @@ from .algebra import (
     QSeries,
     apply_series,
     ideal_reduce,
-    pontryagin_all,
+    one_root_ring,
+    symmetrise,
     taylor_exp,
 )
 from .bundles import (
@@ -40,7 +41,14 @@ from .bundles import (
     static_expm1_over_z,
     twist_bundle,
 )
-from .decomp import BrBetarKind, Group, basis_series, decompose, extract_br_betar
+from .decomp import (
+    BrBetarKind,
+    Group,
+    basis_series,
+    closed_form_checks,
+    decompose,
+    extract_br_betar,
+)
 from .errors import UsageError
 from .theta import jacobi_identity_check, transformation_residuals
 
@@ -100,10 +108,6 @@ class CaseRequest:
 Outcome = tuple[bool, tuple, tuple, tuple]
 
 
-def _pontryagin_str(poly: GradedPoly, spec: GeometrySpec) -> str:
-    return str(pontryagin_all(poly, spec.root_families()))
-
-
 def _series_residual(series: QSeries) -> tuple[int | None, int | None]:
     n = series.first_nonzero()
     if n is None:
@@ -150,8 +154,8 @@ def _theorem_sides(spec: GeometrySpec, order: int,
     z = p1_combo(spec)
     lead, weight = lead_weight(spec)
     row = FAMILY_FORMS[spec.family]
-    b_res, _ = extract_br_betar(spec, row.b_kind, order)
-    beta_res, _ = extract_br_betar(spec, row.beta_kind, order)
+    b_res = extract_br_betar(spec, row.b_kind, order)
+    beta_res = extract_br_betar(spec, row.beta_kind, order)
 
     # (a - b) l is l in the two-line family, whose twists are fixed at (1, 0)
     coef = [_two_pow((spec.a - spec.b) * spec.l + k - 6 * r) for r in range(k // 2 + 1)]
@@ -180,15 +184,15 @@ def _case_theorem(req: CaseRequest) -> Outcome:
     diff = lhs - rhs
     notes = []
     if spec.family is Family.TWO_LINE:
-        diff = ideal_reduce(diff, p1_relation(spec), leading="w1")
+        diff = ideal_reduce(diff, p1_relation(spec), leading="p1(TM)")
         notes.append("difference reduced modulo p1(TM) - p1(V)")
     ok = diff.is_zero
     quantities = []
     for r, br in enumerate(data["b"].h):
-        quantities.append((f"ch(b_{r})", _pontryagin_str(br, spec)))
+        quantities.append((f"ch(b_{r})", str(br)))
     for r, betar in enumerate(data["beta"].h):
-        quantities.append((f"beta_{r}", _pontryagin_str(betar, spec)))
-    quantities.append(("correction_form", _pontryagin_str(data["correction"], spec)))
+        quantities.append((f"beta_{r}", str(betar)))
+    quantities.append(("correction_form", str(data["correction"])))
     return ok, _poly_residual(diff), tuple(quantities), tuple(notes)
 
 
@@ -216,7 +220,7 @@ def _case_cor32(req: CaseRequest) -> Outcome:
     coherent = (data["b"].h[0] == GradedPoly.constant(ring, -1)
                 and data["correction"] == GradedPoly.constant(ring, -_two_pow(a * l - 3)))
     quantities = (("constant", f"-2^({a}*{l}-3) = {-const}"),
-                  ("p1_combo", _pontryagin_str(z, spec)),
+                  ("p1_combo", str(z)),
                   ("coherent_with_main_theorem", "yes" if coherent else "no"))
     return diff.is_zero and coherent, _poly_residual(diff), quantities, ()
 
@@ -257,9 +261,9 @@ def _case_cor42(req: CaseRequest) -> Outcome:
         const = const * 2
     lhs = lead.degree_part(4) + weight.degree_part(4) * _two_pow(l + 1)
     rhs = z * (-const)
-    diff = ideal_reduce(lhs - rhs, p1_relation(spec), leading="w1")
+    diff = ideal_reduce(lhs - rhs, p1_relation(spec), leading="p1(TM)")
     quantities = (("constant", f"-2^({l}-2) = {-const}"),
-                  ("p1_combo", _pontryagin_str(z, spec)))
+                  ("p1_combo", str(z)))
     notes = ("difference reduced modulo p1(TM) - p1(V)",)
     return diff.is_zero, _poly_residual(diff), quantities, notes
 
@@ -280,7 +284,7 @@ def _case_cor43(req: CaseRequest) -> Outcome:
            - (weight * chw).degree_part(8) * c1)
     bracket = weight * _two_pow(l) + (weight * chw) * c1 - lead
     rhs = z * (pref * bracket).degree_part(4)
-    diff = ideal_reduce(lhs - rhs, p1_relation(spec), leading="w1")
+    diff = ideal_reduce(lhs - rhs, p1_relation(spec), leading="p1(TM)")
     notes = ("difference reduced modulo p1(TM) - p1(V); the Euler-square of xi' is "
              "used for its first Pontryagin class; the bracket carries the "
              "ch(2xi~+xi'~-V~) term with coefficient +2^(l-4)",)
@@ -309,7 +313,7 @@ def _case_transfer(req: CaseRequest) -> Outcome:
     transfer_diff = recon - q1_top
     ok = dec.is_exact and transfer_diff.is_zero()
     resid = dec.residual if not dec.is_exact else transfer_diff
-    quantities = tuple((f"h_{r}", _pontryagin_str(hr, spec)) for r, hr in enumerate(dec.h))
+    quantities = tuple((f"h_{r}", str(hr)) for r, hr in enumerate(dec.h))
     notes = ("decomposition residual zero and weight-transfer series equality",)
     return ok, _series_residual(resid), quantities, notes
 
@@ -351,15 +355,15 @@ def _case_closed_forms(req: CaseRequest) -> Outcome:
     quantities = []
     notes = []
     for kind in (row.b_kind, row.beta_kind):
-        _, checks = extract_br_betar(spec, kind, req.q_order)
-        for c in checks:
+        result = extract_br_betar(spec, kind, req.q_order)
+        for c in closed_form_checks(spec, kind, result):
             if req.perturb:
                 # negative control: a damaged coefficient matches no candidate
                 c = replace(c, computed=c.computed + 1)
             if ok and not c.passed:
                 ok = False
                 first = _poly_residual(c.computed - dict(c.candidates)[c.expected])
-            quantities.append((f"{kind.value}.{c.name}", _pontryagin_str(c.computed, spec)))
+            quantities.append((f"{kind.value}.{c.name}", str(c.computed)))
             quantities.append((f"{kind.value}.{c.name}.readings", ",".join(c.matches) or "none"))
             if c.name in ("h1", "beta1") and "printed-literal" not in c.matches and c.passed:
                 notes.append(
@@ -374,20 +378,19 @@ def _case_hlz(req: CaseRequest) -> Outcome:
         spec = GeometrySpec(k=spec.k, l=spec.l, a=1, b=0, family=Family.AB)
     lhs, rhs, _ = _theorem_sides(spec, order)
     # Independent assembly hard-wired to the single-twist shape: the spinor
-    # character written out as a per-root sum of exponentials, the untwisted
+    # character symmetrised from a per-root sum of exponentials, the untwisted
     # weight side, and literal 2^(l + k - 6r) constants.
     k, l = spec.k, spec.l
     cap = 4 * k
     ring = spec.ring()
     nterms = ring.cap // 2 + 1
     ahat = genus_form(spec)
-    spinor = GradedPoly.one(ring)
-    for name in spec.v_roots:
-        v_half = GradedPoly.generator(ring, name) * Fraction(1, 2)
-        spinor = spinor * (apply_series(taylor_exp(nterms), v_half)
-                           + apply_series(taylor_exp(nterms), -v_half))
-    b_res, _ = extract_br_betar(spec, BrBetarKind.B_R, order)
-    beta_res, _ = extract_br_betar(spec, BrBetarKind.BETA_R, order)
+    w_half = GradedPoly.generator(one_root_ring(cap), "w") * Fraction(1, 2)
+    per_root = (apply_series(taylor_exp(nterms), w_half)
+                + apply_series(taylor_exp(nterms), -w_half))
+    spinor = symmetrise([(per_root * Fraction(1, 2), spec.power_sums("V"), 1)]) * _two_pow(l)
+    b_res = extract_br_betar(spec, BrBetarKind.B_R, order)
+    beta_res = extract_br_betar(spec, BrBetarKind.BETA_R, order)
     lhs_special = (ahat * spinor).degree_part(cap)
     for r, br in enumerate(b_res.h):
         lhs_special = lhs_special - (ahat * br).degree_part(cap) * _two_pow(l + k - 6 * r)

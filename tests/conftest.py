@@ -1,4 +1,5 @@
-"""Shared helpers: random ring elements and series, generator substitutions."""
+"""Shared helpers: random ring elements and series, generator substitutions,
+and the root-ring oracle for the Pontryagin-ring engine."""
 
 import random
 import sys
@@ -7,7 +8,17 @@ from typing import Iterable, Mapping
 
 import pytest
 
-from anomcancel.algebra import GradedPoly, QSeries, RingSpec
+from anomcancel.algebra import (
+    GradedPoly,
+    QSeries,
+    RingSpec,
+    cosh_half_root,
+    half_over_sinh_half_root,
+    one_root_ring,
+    pontryagin_all,
+)
+from anomcancel.bundles import FAMILY_FORMS, Family, Route, _exterior_block, _symmetric_block
+from anomcancel.theta import ModularFormId, ThetaKind, modular_form, theta_ratio
 
 
 @pytest.fixture
@@ -87,3 +98,133 @@ def set_gens_zero(p: GradedPoly, names: Iterable[str]) -> GradedPoly:
     terms = {exps: coeff for exps, coeff in p.iter_terms()
              if all(exps[i] == 0 for i in drop)}
     return GradedPoly.from_terms(p.spec, terms)
+
+
+# ---------------------------------------------------------------------------
+# Root-ring oracle.  The engine computes in the Pontryagin ring of
+# GeometrySpec.ring(); the oracle multiplies every per-root factor over the
+# individual Chern roots w1..w2k of TM and v1..vl of V, as the engine once
+# did, and pontryagin_all rewrites the result in the engine's ring.
+
+
+def root_ring(spec) -> RingSpec:
+    """Chern roots of TM, then of V, then the family's Euler roots; cap 4k."""
+    gens = [(f"w{j}", 2) for j in range(1, 2 * spec.k + 1)]
+    gens += [(f"v{j}", 2) for j in range(1, spec.l + 1)]
+    gens += [(name, 2) for name in FAMILY_FORMS[spec.family].euler_roots]
+    return RingSpec(gens=tuple(gens), cap=4 * spec.k)
+
+
+def roots_of(spec, label: str) -> tuple[str, ...]:
+    """The root-ring generators that a recipe label ("TM", "V", "u", "u'") names."""
+    if label == "TM":
+        return tuple(f"w{j}" for j in range(1, 2 * spec.k + 1))
+    if label == "V":
+        return tuple(f"v{j}" for j in range(1, spec.l + 1))
+    return (label,)
+
+
+def at_root(f: GradedPoly, ring: RingSpec, name: str) -> GradedPoly:
+    """A one-root polynomial f(w) with w replaced by the generator `name`."""
+    i = ring.index(name)
+    n = len(ring.gens)
+    return GradedPoly.from_terms(
+        ring, {tuple(e if j == i else 0 for j in range(n)): c for (e,), c in f.iter_terms()})
+
+
+def root_product(spec, factors):
+    """prod over factors (f, label, e) and over the roots `label` names of
+    f(root)^e, in the root ring: the per-root loop."""
+    ring = root_ring(spec)
+    out = None
+    for f, label, e in factors:
+        for name in roots_of(spec, label):
+            if isinstance(f, QSeries):
+                g = QSeries([at_root(c, ring, name) for c in f.coeffs], f.order, ring).powi(e)
+            else:
+                g = at_root(f, ring, name) ** e
+            out = g if out is None else out * g
+    return out
+
+
+def root_sum(spec, f: GradedPoly, label: str) -> GradedPoly:
+    """sum over the roots `label` names of f(root), in the root ring."""
+    ring = root_ring(spec)
+    out = GradedPoly.zero(ring)
+    for name in roots_of(spec, label):
+        out = out + at_root(f, ring, name)
+    return out
+
+
+def in_pontryagin(x, spec):
+    """A root-ring element, or series, rewritten in spec.ring() by pontryagin_all."""
+    families = (("TM", roots_of(spec, "TM")), ("V", roots_of(spec, "V")))
+    if isinstance(x, QSeries):
+        return QSeries([pontryagin_all(c, families).poly for c in x.coeffs],
+                       x.order, spec.ring())
+    return pontryagin_all(x, families).poly
+
+
+def _root_z(spec) -> GradedPoly:
+    """p1_combo in the root ring, from the squares of the roots."""
+    ring = root_ring(spec)
+
+    def squares(label):
+        return root_sum(spec, GradedPoly.generator(one_root_ring(ring.cap), "w") ** 2, label)
+
+    if spec.family is Family.TWO_LINE:
+        return squares("u") - squares("u'")
+    return squares("TM") - squares("V") * (spec.a + 2 * spec.b)
+
+
+def _root_e2_series(spec, order: int, first: int) -> QSeries:
+    """sum_(n >= first) (c E2)^n z^(n - first) / n!: exp(c E2 z) for first = 0,
+    (exp(c E2 z) - 1) / z for first = 1."""
+    ring = root_ring(spec)
+    z = _root_z(spec)
+    e2 = modular_form(ModularFormId.E2, order).scale(FAMILY_FORMS[spec.family].e2_coefficient)
+    out = QSeries.zero_series(order, ring)
+    fact = Fraction(1)
+    for n in range(first, ring.cap // 4 + 2):
+        fact = fact * max(n, 1)
+        out = out + e2.powi(n).to_ring(ring) * (z ** (n - first) * (1 / fact))
+    return out
+
+
+def root_ch_theta_bundle(which: int, spec, order: int) -> QSeries:
+    """ch_theta_bundle in the root ring."""
+    cap = 4 * spec.k
+    factors = [(_symmetric_block(cap, order), "TM", 1)]
+    for label, grid, sign, e in FAMILY_FORMS[spec.family].blocks[which - 1]:
+        factors.append((_exterior_block(cap, grid, sign, order), label, spec.twist(e)))
+    return root_product(spec, factors)
+
+
+def root_q_form(form, route, spec, order: int) -> QSeries:
+    """q_form in the root ring, on the BUNDLE route or the THETA route."""
+    cap = 4 * spec.k
+    ring = root_ring(spec)
+    row = FAMILY_FORMS[spec.family]
+    if route is Route.THETA:
+        w = GradedPoly.generator(one_root_ring(cap), "w")
+        groups, two = row.theta[0 if form is row.lead else 1]
+        factors = [(theta_ratio(ThetaKind.THETA, w, order), "TM", 1)]
+        factors += [(theta_ratio(kind, w, order), label, spec.twist(e))
+                    for label, kinds in groups for kind, e in kinds]
+        product = _root_e2_series(spec, order, 0) * root_product(spec, factors)
+        return product.scale(Fraction(2) ** (spec.twist(two) * spec.l))
+    ahat = root_product(spec, [(half_over_sinh_half_root(cap), "TM", 1)])
+
+    def spinor(e):
+        cosh = root_product(spec, [(cosh_half_root(cap), "V", e)])
+        return cosh * Fraction(2) ** (e * spec.l)
+
+    lead, weight = ahat * spinor(spec.a), ahat * spinor(spec.b)
+    euler = FAMILY_FORMS[spec.family].euler_roots
+    if euler:
+        lead = lead * root_product(spec, [(cosh_half_root(cap), "u", -2)])
+        weight = weight * root_product(spec, [(cosh_half_root(cap), euler[-1], 1)])
+    if form is row.lead:
+        return _root_e2_series(spec, order, 0) * lead * root_ch_theta_bundle(1, spec, order)
+    base = root_ch_theta_bundle(2, spec, order) * weight
+    return base if form is row.main else _root_e2_series(spec, order, 1) * base

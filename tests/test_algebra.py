@@ -257,6 +257,19 @@ class TestIdealReduce:
         w1, w2, v1 = gens()
         assert ideal_reduce(w1 ** 4, self.relation()) == (v1 ** 2 - w2 ** 2) ** 2
 
+    def test_linear_relation(self):
+        # p1(TM) - p1(V) in a Pontryagin ring: p1(TM) is replaced by p1(V)
+        spec = RingSpec(gens=(("u", 2), ("p1(TM)", 4), ("p2(TM)", 8), ("p1(V)", 4)), cap=8)
+        u, p1, p2, q1 = (GradedPoly.generator(spec, name) for name in spec.names)
+        rel = p1 - q1
+        assert ideal_reduce(rel, rel).is_zero
+        assert ideal_reduce(p1 * p1 * 3 - p2 + u * p1, rel) == q1 * q1 * 3 - p2 + u * q1
+        assert ideal_reduce(p1 * 2 + 1, rel * 5, leading="p1(TM)") == q1 * 2 + 1
+        # without `leading`, the first generator with a linear or square term
+        assert ideal_reduce(u * u + p1, u * u - q1) == q1 + p1
+        with pytest.raises(UsageError):
+            ideal_reduce(p1, rel, leading="p2(TM)")
+
     def test_malformed_relation(self):
         w1, w2, v1 = gens()
         with pytest.raises(UsageError):

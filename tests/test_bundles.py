@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from anomcancel import bundles, theta
-from anomcancel.algebra import GradedPoly, QSeries, pontryagin_all
+from anomcancel.algebra import GradedPoly, QSeries, one_root_ring, symmetrise
 from anomcancel.bundles import (
     Family,
     GeometrySpec,
@@ -24,7 +24,14 @@ from anomcancel.bundles import (
 from anomcancel.bundles import _symmetric_block
 from anomcancel.errors import UsageError
 
-from conftest import permute_gens, scale_gens, set_gens_zero
+from conftest import (
+    in_pontryagin,
+    permute_gens,
+    root_ch_theta_bundle,
+    roots_of,
+    scale_gens,
+    set_gens_zero,
+)
 
 
 AB11 = GeometrySpec(k=1, l=1, a=1, b=0, family=Family.AB)
@@ -41,7 +48,7 @@ class TestGeometrySpec:
         spec = GeometrySpec(k=2, l=3, a=0, b=0, family=Family.AB_XI)
         ring = spec.ring()
         assert ring.cap == 8
-        assert ring.names == ("w1", "w2", "w3", "w4", "v1", "v2", "v3", "u")
+        assert ring.names == ("u", "p1(TM)", "p2(TM)", "p1(V)", "p2(V)")
 
     def test_positivity_validation(self):
         with pytest.raises(UsageError):
@@ -55,23 +62,21 @@ class TestGenusForms:
 
     def test_degree4_is_minus_p1_over_24(self):
         a_hat = genus_form(AB11)
-        pp = pontryagin_all(a_hat.degree_part(4), AB11.root_families())
-        ring = pp.poly.spec
+        ring = AB11.ring()
         exps = [0] * len(ring.gens)
         exps[ring.index("p1(TM)")] = 1
-        assert pp.poly.coefficient(exps) == F(-1, 24)
+        assert a_hat.degree_part(4).coefficient(exps) == F(-1, 24)
 
     def test_degree8_pontryagin(self):
         spec = GeometrySpec(k=2, l=1, a=1, b=0, family=Family.AB)
-        a_hat = genus_form(spec)
-        pp = pontryagin_all(a_hat.degree_part(8), spec.root_families())
-        ring = pp.poly.spec
+        a_hat = genus_form(spec).degree_part(8)
+        ring = spec.ring()
         e_p1sq = [0] * len(ring.gens)
         e_p1sq[ring.index("p1(TM)")] = 2
         e_p2 = [0] * len(ring.gens)
         e_p2[ring.index("p2(TM)")] = 1
-        assert pp.poly.coefficient(e_p1sq) == F(7, 5760)
-        assert pp.poly.coefficient(e_p2) == F(-4, 5760)
+        assert a_hat.coefficient(e_p1sq) == F(7, 5760)
+        assert a_hat.coefficient(e_p2) == F(-4, 5760)
 
 
 class TestSpinorPowers:
@@ -79,12 +84,13 @@ class TestSpinorPowers:
         assert ch_spinor_pow(AB11, 0) == GradedPoly.one(AB11.ring())
 
     def test_rank_one_family_expansion(self):
-        # degree cap 8 keeps the v^4 term
+        # degree cap 8 keeps the v^4 term; the one root's v^2 is p1(V)
         spec = GeometrySpec(k=2, l=1, a=1, b=0, family=Family.AB)
         p = ch_spinor_pow(spec, 1)
-        assert p.coefficient((0, 0, 0, 0, 0)) == 2
-        assert p.coefficient((0, 0, 0, 0, 2)) == F(1, 4)
-        assert p.coefficient((0, 0, 0, 0, 4)) == F(1, 192)
+        assert spec.ring().names == ("p1(TM)", "p2(TM)", "p1(V)")
+        assert p.coefficient((0, 0, 0)) == 2
+        assert p.coefficient((0, 0, 1)) == F(1, 4)
+        assert p.coefficient((0, 0, 2)) == F(1, 192)
 
     def test_inverse_pair(self):
         prod = ch_spinor_pow(AB11, -2) * ch_spinor_pow(AB11, 2)
@@ -109,7 +115,7 @@ class TestThetaBundles:
 
     def test_zero_twists_leave_only_tangent_block(self):
         spec = GeometrySpec(k=1, l=2, a=0, b=0, family=Family.AB)
-        expect = _symmetric_block(spec.ring(), spec.tm_roots, 3)
+        expect = symmetrise([(_symmetric_block(4, 3), spec.power_sums("TM"), 1)])
         assert ch_theta_bundle(1, spec, 3) == expect
         assert ch_theta_bundle(2, spec, 3) == expect
 
@@ -131,15 +137,17 @@ class TestThetaBundles:
                     assert rank.denominator == 1
 
     def test_symmetry_invariance(self, rng):
+        # on the root-ring oracle, whose image is the engine's series
         spec = GeometrySpec(k=2, l=2, a=1, b=1, family=Family.AB)
-        series = ch_theta_bundle(2, spec, 3)
-        tm = list(spec.tm_roots)
+        series = root_ch_theta_bundle(2, spec, 3)
+        assert in_pontryagin(series, spec) == ch_theta_bundle(2, spec, 3)
+        tm = list(roots_of(spec, "TM"))
         for _ in range(10):
             perm = tm[:]
             rng.shuffle(perm)
             mapping = dict(zip(tm, perm))
             flips = {name: -1 for name in tm if rng.random() < 0.5}
-            flips.update({name: -1 for name in spec.v_roots if rng.random() < 0.5})
+            flips.update({name: -1 for name in roots_of(spec, "V") if rng.random() < 0.5})
             transformed = series.map(
                 lambda p: scale_gens(permute_gens(p, mapping), flips))
             assert transformed == series
@@ -150,24 +158,23 @@ class TestThetaBundles:
 
     def test_symmetric_exterior_duality(self):
         # ch S_t(E~) * ch Lambda_(-t)(E~) = 1 grid point by grid point, so the
-        # product of the assembled blocks over the whole integer grid is 1
+        # product of one root's blocks over the whole integer grid is 1
         from anomcancel.bundles import _exterior_block, _symmetric_block
-        spec = GeometrySpec(k=1, l=1, a=0, b=0, family=Family.AB)
-        ring = spec.ring()
-        s_block = _symmetric_block(ring, spec.tm_roots, 3)
-        lam_block = _exterior_block(ring, spec.tm_roots, "int", -1, 3)
+        ring = one_root_ring(4)
+        s_block = _symmetric_block(4, 3)
+        lam_block = _exterior_block(4, "int", -1, 3)
         assert s_block * lam_block == QSeries.one(3, ring)
 
 
 class TestP1Combo:
     def test_standard_combination(self):
         z = p1_combo(AB11)
-        assert str(pontryagin_all(z, AB11.root_families())) == "p1(TM) - p1(V)"
+        assert str(z) == "p1(TM) - p1(V)"
 
     def test_vanishing_v_coefficient(self):
         spec = GeometrySpec(k=1, l=1, a=-2, b=1, family=Family.AB)
         z = p1_combo(spec)
-        assert str(pontryagin_all(z, spec.root_families())) == "p1(TM)"
+        assert str(z) == "p1(TM)"
 
     def test_two_line_euler_squares(self):
         spec = GeometrySpec(k=1, l=1, a=1, b=0, family=Family.TWO_LINE)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from anomcancel import verifier
+from anomcancel import bundles
 from anomcancel.cli import main
 from anomcancel.errors import SymmetryError
 
@@ -82,10 +82,10 @@ class TestVerifyCommand:
         assert code == 2
 
     def test_symmetry_error_is_internal_error(self, capsys, monkeypatch):
-        # a failed Pontryagin conversion is a bug, not a reason to print roots
+        # a per-root series that is not symmetric is a bug, not a usage error
         def broken(*args, **kwargs):
             raise SymmetryError("back-substitution mismatch")
-        monkeypatch.setattr(verifier, "pontryagin_all", broken)
+        monkeypatch.setattr(bundles, "symmetrise", broken)
         code, _, err = run_cli(capsys, "verify", "--case", "THM31")
         assert code == 3
         assert "back-substitution mismatch" in err
@@ -188,3 +188,31 @@ class TestExpandCommand:
         with pytest.raises(SystemExit) as exc:
             main(["expand", "--object", "nonsense"])
         assert exc.value.code == 2
+
+
+class TestExpandValidation:
+    @pytest.mark.parametrize("obj", ["e2", "delta2"])
+    @pytest.mark.parametrize("flag, value", [("--family", "two-line"), ("--k", "9"), ("--l", "1"),
+                                             ("--a", "7"), ("--b", "0")])
+    def test_geometry_flags_on_a_modular_object(self, capsys, obj, flag, value):
+        code, out, err = run_cli(capsys, "expand", "--object", obj, flag, value)
+        assert code == 2 and out == ""
+        assert f"{obj} takes no geometry" in err
+
+    def test_invalid_geometry_on_a_modular_object(self, capsys):
+        code, out, err = run_cli(capsys, "expand", "--object", "e2", "--family", "two-line",
+                                 "--k", "9", "--a", "7")
+        assert code == 2 and out == ""
+
+    def test_reported_order_is_the_decomposition_order(self, capsys):
+        # br/betar decompose through q-order k + 2 at least
+        for obj in ("br", "betar"):
+            code, out, _ = run_cli(capsys, "expand", "--object", obj, "--k", "3",
+                                   "--q-order", "1", "--format", "json")
+            assert code == 0 and json.loads(out)["qOrder"] == 5
+        code, out, _ = run_cli(capsys, "expand", "--object", "br", "--k", "1",
+                               "--q-order", "4", "--format", "json")
+        assert code == 0 and json.loads(out)["qOrder"] == 4
+        code, out, _ = run_cli(capsys, "expand", "--object", "theta-bundle", "--k", "2",
+                               "--q-order", "1", "--format", "json")
+        assert code == 0 and json.loads(out)["qOrder"] == 1

@@ -165,11 +165,12 @@ class TestValidation:
 
 class TestInvariants:
     def test_homogeneous_scaling(self):
-        # scaling every generator by t multiplies both degree-4k sides by t^(2k)
+        # scaling every Chern root by t (a degree-d generator by t^(d/2))
+        # multiplies both degree-4k sides by t^(2k)
         spec = AB(1, 1, 2, 1)
         lhs, rhs, _ = _theorem_sides(spec, 3)
         t = F(3)
-        scales = {name: t for name in spec.ring().names}
+        scales = {name: t ** (deg // 2) for name, deg in spec.ring().gens}
         lhs_scaled = scale_gens(lhs, scales)
         rhs_scaled = scale_gens(rhs, scales)
         assert lhs_scaled == lhs * t ** (2 * spec.k)
@@ -181,7 +182,7 @@ class TestInvariants:
         # ch(b_0) = -1 and the correction form is the constant -2^(al-3)
         from anomcancel.decomp import BrBetarKind, extract_br_betar
         spec = AB(1, 2, 2, 1)
-        result, _ = extract_br_betar(spec, BrBetarKind.B_R, 3)
+        result = extract_br_betar(spec, BrBetarKind.B_R, 3)
         assert result.h[0] == GradedPoly.constant(spec.ring(), -1)
         _, _, data = _theorem_sides(spec, 3)
         expect = GradedPoly.constant(
