@@ -12,9 +12,9 @@ common positive denominator plus integer numerators keyed by bit-packed
 exponent vectors, bucketed by total degree, so that multiplication is pure
 integer work.
 
-Formal power series in q^(1/2) (`QSeries`) hold their coefficients in a
-dense array indexed by half-steps; coefficients are either `Fraction` or
-`GradedPoly`, and mixed arithmetic promotes the rational side into the ring.
+Formal power series in q^(1/2) (`QSeries`) hold their coefficients, either
+`Fraction` or `GradedPoly`, in a dense array indexed by half-steps; products
+and quotients run over the nonzero coefficients only.
 """
 
 from __future__ import annotations
@@ -466,14 +466,6 @@ def _coeff_is_zero(c) -> bool:
     return c.is_zero if isinstance(c, GradedPoly) else c == 0
 
 
-def _coeff_inv(c):
-    if isinstance(c, GradedPoly):
-        return c.inv()
-    if c == 0:
-        raise InvertError("constant term is zero; series not invertible")
-    return 1 / c
-
-
 class QSeries:
     """Power series in q^(1/2) truncated at integer order N (half-index 2N).
 
@@ -538,10 +530,10 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         try:
-            a, b = self._align(other)
+            self._check(other)
         except UsageError:
             return False
-        return a.coeffs == b.coeffs
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.coeffs, self.order, self.ring))
@@ -589,16 +581,13 @@ class QSeries:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _align(self, other: "QSeries") -> tuple["QSeries", "QSeries"]:
+    def _check(self, other: "QSeries") -> RingSpec | None:
+        """The ring of a result of self and other; orders and rings must agree."""
         if self.order != other.order:
             raise UsageError("q-series truncation orders differ")
-        if self.ring is None and other.ring is not None:
-            return self.to_ring(other.ring), other
-        if other.ring is None and self.ring is not None:
-            return self, other.to_ring(self.ring)
-        if self.ring != other.ring:
+        if self.ring is not None and other.ring is not None and self.ring != other.ring:
             raise UsageError("q-series over different rings")
-        return self, other
+        return self.ring if self.ring is not None else other.ring
 
     def __neg__(self) -> "QSeries":
         return QSeries([-c for c in self.coeffs], self.order, self.ring)
@@ -606,15 +595,23 @@ class QSeries:
     def __add__(self, other) -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
-        a, b = self._align(other)
-        return QSeries([x + y for x, y in zip(a.coeffs, b.coeffs)], a.order, a.ring)
+        ring = self._check(other)
+        return QSeries([x + y for x, y in zip(self.coeffs, other.coeffs)], self.order, ring)
 
     def __sub__(self, other) -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
         return self + (-other)
 
+    def _terms(self) -> list[tuple[int, object]]:
+        """Nonzero (half-index, coefficient) pairs; integral rationals as cheaper ints."""
+        if self.ring is None:
+            return [(n, c.numerator if c.denominator == 1 else c)
+                    for n, c in enumerate(self.coeffs) if c]
+        return [(n, c) for n, c in enumerate(self.coeffs) if not c.is_zero]
+
     def __mul__(self, other) -> "QSeries":
+        """Product over nonzero coefficient pairs; a rational factor stays rational."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if isinstance(other, GradedPoly):
@@ -622,44 +619,50 @@ class QSeries:
             return QSeries([c * other for c in s.coeffs], s.order, s.ring)
         if not isinstance(other, QSeries):
             return NotImplemented
-        a, b = self._align(other)
-        width = 2 * a.order + 1
-        zero = GradedPoly.zero(a.ring) if a.ring is not None else Fraction(0)
-        out = [zero] * width
-        for i, ca in enumerate(a.coeffs):
-            if _coeff_is_zero(ca):
-                continue
-            for j in range(width - i):
-                cb = b.coeffs[j]
-                if _coeff_is_zero(cb):
-                    continue
-                out[i + j] = out[i + j] + ca * cb
-        return QSeries(out, a.order, a.ring)
+        ring = self._check(other)
+        width = 2 * self.order + 1
+        out = [None] * width
+        terms = other._terms()
+        for i, ca in self._terms():
+            for j, cb in terms:
+                if i + j >= width:
+                    break
+                t = ca * cb
+                out[i + j] = t if out[i + j] is None else out[i + j] + t
+        if ring is not None:
+            return QSeries([GradedPoly.zero(ring) if c is None else c for c in out], self.order, ring)
+        return QSeries([Fraction(c or 0) for c in out], self.order)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "QSeries":
+        """Exact quotient: out_n = (a_n - sum_(j>=1, b_j != 0) b_j out_(n-j)) / b_0."""
+        if not isinstance(other, QSeries):
+            return NotImplemented
+        ring = self._check(other)
+        a = self if ring is None else self.to_ring(ring)
+        b0 = other.coeffs[0]
+        if b0 == 0:
+            raise InvertError("constant term is zero; series not invertible")
+        unit = b0 == 1
+        r0 = None if unit else b0.inv() if isinstance(b0, GradedPoly) else 1 / b0
+        minus_terms = [(j, -bj) for j, bj in other._terms()[1:]]
+        out = []
+        for n, s in enumerate(a.coeffs):
+            for j, mbj in minus_terms:
+                if j > n:
+                    break
+                if not _coeff_is_zero(out[n - j]):
+                    s = s + mbj * out[n - j]
+            out.append(s if unit else s * r0)
+        return QSeries(out, a.order, ring)
 
     def scale(self, c: Fraction | int) -> "QSeries":
         c = Fraction(c)
         return QSeries([x * c for x in self.coeffs], self.order, self.ring)
 
     def inv(self) -> "QSeries":
-        r0 = _coeff_inv(self.coeffs[0])
-        width = 2 * self.order + 1
-        out = [r0]
-        for n in range(1, width):
-            s = None
-            for j in range(1, n + 1):
-                cj = self.coeffs[j]
-                if _coeff_is_zero(cj):
-                    continue
-                t = cj * out[n - j]
-                s = t if s is None else s + t
-            if s is None:
-                zero = GradedPoly.zero(self.ring) if self.ring is not None else Fraction(0)
-                out.append(zero)
-            else:
-                out.append(-(r0 * s))
-        return QSeries(out, self.order, self.ring)
+        return QSeries.one(self.order, self.ring) / self
 
     def powi(self, e: int) -> "QSeries":
         """Integer power; negative exponents go through inv()."""

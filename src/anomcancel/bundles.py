@@ -295,8 +295,8 @@ def _symmetric_block(cap: int, order: int) -> QSeries:
     for n in range(1, order + 1):
         h = 2 * n
         res = res * QSeries.binomial(-1, h, order).powi(2)
-        res = res * QSeries.binomial(-exp_root(cap, +1), h, order).inv()
-        res = res * QSeries.binomial(-exp_root(cap, -1), h, order).inv()
+        res = res / (QSeries.binomial(-exp_root(cap, +1), h, order)
+                     * QSeries.binomial(-exp_root(cap, -1), h, order))
     return res
 
 
@@ -314,9 +314,9 @@ def _exterior_block(cap: int, grid: str, sign: int, order: int) -> QSeries:
         h = 2 * m if grid == "int" else 2 * m - 1
         if h > 2 * order:
             break
-        for e in (exp_root(cap, +1), exp_root(cap, -1)):
-            res = res * QSeries.binomial(e if sign > 0 else -e, h, order)
-        res = res * QSeries.binomial(sign, h, order).powi(-2)
+        res = res * (QSeries.binomial(exp_root(cap, +1) * sign, h, order)
+                     * QSeries.binomial(exp_root(cap, -1) * sign, h, order))
+        res = res / QSeries.binomial(sign, h, order).powi(2)
         m += 1
     return res
 

@@ -72,6 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="which twisted bundle (theta-bundle object only)")
     e.add_argument("--q-order", type=int, dest="q_order", default=3)
     e.add_argument("--format", choices=["text", "json"], default="text")
+    for p in (v, e):
+        p.add_argument("--debug", action="store_true",
+                       help="print the traceback of an internal error (exit 3)")
     return parser
 
 
@@ -295,6 +298,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal failure: distinct exit status
+        if args.debug:
+            import traceback  # only here: no start-up cost for every run
+            traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

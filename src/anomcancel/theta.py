@@ -73,7 +73,8 @@ def _root_cap(w: GradedPoly) -> int:
 
 
 def _geometric_inverse(poly: GradedPoly, half_exp: int, sign: int, order: int) -> QSeries:
-    """(1 - sign * poly * q^(half_exp/2))^(-1) expanded as a geometric series."""
+    """(1 - sign * poly * q^(half_exp/2))^(-1) as a geometric series: the THETA
+    route builds it apart from the BUNDLE route's division, keeping them independent."""
     spec = poly.spec
     width = 2 * order + 1
     coeffs = [GradedPoly.zero(spec)] * width
@@ -110,7 +111,7 @@ def _theta_ratio_cached(kind: ThetaKind, cap: int, order: int) -> QSeries:
         for j in range(1, order + 1):
             res = res * QSeries.binomial(ew, 2 * j, order)
             res = res * QSeries.binomial(ewi, 2 * j, order)
-            res = res * QSeries.binomial(1, 2 * j, order).powi(-2)
+            res = res / QSeries.binomial(1, 2 * j, order).powi(2)
         return res
 
     if kind in (ThetaKind.THETA2, ThetaKind.THETA3):
@@ -122,7 +123,7 @@ def _theta_ratio_cached(kind: ThetaKind, cap: int, order: int) -> QSeries:
             h = 2 * j - 1
             res = res * QSeries.binomial(c, h, order)
             res = res * QSeries.binomial(ci, h, order)
-            res = res * QSeries.binomial(sign, h, order).powi(-2)
+            res = res / QSeries.binomial(sign, h, order).powi(2)
             j += 1
         return res
 
@@ -152,7 +153,7 @@ def theta_logderiv_ratio(kind: ThetaKind, w: GradedPoly, order: int) -> QSeries:
         raise UsageError("log-derivative ratio is defined for theta1/theta2/theta3 only")
     ratio = _theta_ratio_cached(kind, _root_cap(w), order)
     deriv = ratio.map(lambda p: p.derivative("w"))
-    return deriv * ratio.inv()
+    return deriv / ratio
 
 
 # ---------------------------------------------------------------------------

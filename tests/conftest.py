@@ -68,6 +68,30 @@ def random_ring_series(rng: random.Random, spec: RingSpec, order: int,
                    order, spec)
 
 
+def random_sparse_series(rng: random.Random, spec: RingSpec | None, order: int,
+                         nonzero: int = 3) -> QSeries:
+    """A series with at most `nonzero` nonzero coefficients, rational when spec is None."""
+    width = 2 * order + 1
+    zero = Fraction(0) if spec is None else GradedPoly.zero(spec)
+    coeffs = [zero] * width
+    for n in rng.sample(range(width), min(nonzero, width)):
+        coeffs[n] = random_fraction(rng) if spec is None else random_poly(rng, spec)
+    return QSeries(coeffs, order, spec)
+
+
+def schoolbook_product(a: QSeries, b: QSeries) -> QSeries:
+    """Dense reference product: every index pair i + j <= 2N, zeros included."""
+    ring = a.ring if a.ring is not None else b.ring
+    if ring is not None:
+        a, b = a.to_ring(ring), b.to_ring(ring)
+    width = 2 * a.order + 1
+    out = [a.coeffs[0] * 0] * width
+    for i in range(width):
+        for j in range(width - i):
+            out[i + j] = out[i + j] + a.coeffs[i] * b.coeffs[j]
+    return QSeries(out, a.order, ring)
+
+
 def scale_gens(p: GradedPoly, scales: Mapping[str, Fraction | int]) -> GradedPoly:
     """Substitute g -> c_g * g for each named generator."""
     idx = {p.spec.index(name): Fraction(c) for name, c in scales.items()}

@@ -22,10 +22,14 @@ from anomcancel.errors import InvertError, SymmetryError, UsageError
 
 from conftest import (
     permute_gens,
+    random_fraction,
     random_nilpotent,
     random_poly,
     random_rational_series,
+    random_ring_series,
+    random_sparse_series,
     scale_gens,
+    schoolbook_product,
     set_gens_zero,
 )
 
@@ -164,6 +168,67 @@ class TestQSeriesArith:
         mixed = rational * ring_series
         assert mixed.coeffs[0] == w1 * 2
         assert mixed.coeffs[1] == w1
+
+
+class TestSparseKernels:
+    """The sparse product and the exact quotient against dense references."""
+
+    ORDER = 4
+
+    def operands(self, rng, spec):
+        """Dense, sparse and binomial series, rational when spec is None."""
+        n = self.ORDER
+        if spec is None:
+            dense = random_rational_series(rng, n)
+            c = random_fraction(rng)
+        else:
+            dense = random_ring_series(rng, spec, n)
+            c = random_poly(rng, spec)
+        return [dense, random_sparse_series(rng, spec, n),
+                QSeries.binomial(c, rng.randint(1, 2 * n), n)]
+
+    def test_product_matches_schoolbook(self, rng):
+        for _ in range(20):
+            pool = self.operands(rng, None) + self.operands(rng, SPEC)
+            for a in pool:
+                for b in pool:
+                    assert a * b == schoolbook_product(a, b)
+
+    def test_quotient_inverts_product(self, rng):
+        one = GradedPoly.one(SPEC)
+        for _ in range(20):
+            pool = self.operands(rng, None) + self.operands(rng, SPEC)
+            for a in pool:
+                for b in pool:
+                    b0 = b.coeffs[0]
+                    if b0 == 0 or (b.ring is not None and b0.constant_term() == 0):
+                        continue
+                    assert (a / b) * b == a
+                    assert a / b == a * b.inv()
+            unit = random_nilpotent(rng, SPEC) + one
+            b = QSeries([unit] + list(random_ring_series(rng, SPEC, self.ORDER).coeffs[1:]),
+                        self.ORDER, SPEC)
+            a = pool[0]
+            assert (a / b) * b == a
+            assert a / b == a * b.inv()
+
+    def test_division_by_non_unit_rejected(self, rng):
+        n = self.ORDER
+        a = random_ring_series(rng, SPEC, n)
+        with pytest.raises(InvertError):
+            a / QSeries.rational([0, 1], n)
+        nilpotent = QSeries([random_nilpotent(rng, SPEC), GradedPoly.one(SPEC)], n, SPEC)
+        with pytest.raises(InvertError):
+            a / nilpotent
+
+    def test_division_mismatch_rejected(self, rng):
+        with pytest.raises(UsageError):
+            random_rational_series(rng, 3) / QSeries.one(2)
+        other = RingSpec(gens=(("x", 2),), cap=4)
+        with pytest.raises(UsageError):
+            QSeries.one(3, SPEC) / QSeries.one(3, other)
+        with pytest.raises(UsageError):
+            QSeries.one(3, SPEC) * QSeries.one(3, other)
 
 
 class TestApplySeries:

@@ -89,6 +89,17 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "--case", "THM31")
         assert code == 3
         assert "back-substitution mismatch" in err
+        assert "Traceback" not in err
+
+    def test_debug_prints_internal_traceback(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise SymmetryError("back-substitution mismatch")
+        monkeypatch.setattr(bundles, "symmetrise", broken)
+        code, _, err = run_cli(capsys, "verify", "--case", "THM31", "--debug")
+        assert code == 3
+        assert "Traceback (most recent call last)" in err
+        assert "in broken" in err
+        assert err.rstrip().endswith("internal error: back-substitution mismatch")
 
     def test_two_line_case_via_flags(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--case", "THM41",
