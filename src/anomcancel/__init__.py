@@ -48,7 +48,6 @@ from .theta import (
     jacobi_identity_check,
     modular_form,
     theta_eval,
-    theta_logderiv_ratio,
     theta_ratio,
     transformation_residuals,
 )
@@ -66,6 +65,6 @@ __all__ = [
     "extract_br_betar", "family_sum", "genus_form", "ideal_reduce",
     "jacobi_identity_check", "modular_form", "one_root_ring", "p1_combo",
     "pontryagin_all", "power_sums", "q_form", "run_suite", "symmetrise",
-    "theta_eval", "theta_logderiv_ratio", "theta_ratio", "to_pontryagin",
+    "theta_eval", "theta_ratio", "to_pontryagin",
     "transformation_residuals", "verify_case",
 ]

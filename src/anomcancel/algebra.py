@@ -4,13 +4,13 @@ The ring is generated by even-degree generators (in practice degree-2 Euler
 classes and the Pontryagin classes p_i of degree 4i); every product is
 silently truncated above the degree cap, which models the vanishing of
 cohomology above the manifold dimension.  Per-root factors are series in the
-single root w of a one-root ring; `symmetrise` multiplies one over a root
-family as exp(sum_n c_n s_n), with c_n the coefficients of its log in w^2 and
-s_n the family's power sums of squared roots written in its p_i.  All
-coefficients are exact rationals: internally a polynomial is stored as a
-common positive denominator plus integer numerators keyed by bit-packed
-exponent vectors, bucketed by total degree, so that multiplication is pure
-integer work.
+single root w of a one-root ring; `symmetrise` multiplies them over their
+root families, times exp of an additive exponent E, as one exp(E + sum e c_n
+s_n), with c_n the coefficients of a factor's log in w^2 and s_n the family's
+power sums of squared roots written in its p_i.  All coefficients are exact
+rationals: internally a polynomial is stored as a common positive
+denominator plus integer numerators keyed by bit-packed exponent vectors,
+bucketed by total degree, so that multiplication is pure integer work.
 
 Formal power series in q^(1/2) (`QSeries`) hold their coefficients, either
 `Fraction` or `GradedPoly`, in a dense array indexed by half-steps; products
@@ -343,20 +343,6 @@ class GradedPoly:
             acc = acc + term
         return acc * (1 / c)
 
-    # -- calculus ----------------------------------------------------------
-
-    def derivative(self, name: str) -> "GradedPoly":
-        """Formal partial derivative with respect to one generator."""
-        i = self.spec.index(name)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in self.iter_terms():
-            e = exps[i]
-            if e == 0:
-                continue
-            new = exps[:i] + (e - 1,) + exps[i + 1:]
-            terms[new] = terms.get(new, Fraction(0)) + coeff * e
-        return GradedPoly.from_terms(self.spec, terms)
-
 
 def apply_series(coeffs: Sequence[Fraction], x: GradedPoly) -> GradedPoly:
     """Evaluate a univariate power series f at a nilpotent ring element.
@@ -441,12 +427,6 @@ def taylor_sinh_half_over_half(nterms: int) -> list[Fraction]:
 def taylor_log1p(nterms: int) -> list[Fraction]:
     """log(1 + z) = sum (-1)^(n+1) z^n / n."""
     return [Fraction(0)] + [Fraction((-1) ** (n + 1), n) for n in range(1, nterms)]
-
-
-def taylor_expm1_over(c: Fraction, nterms: int) -> list[Fraction]:
-    """(e^(c z) - 1) / z = sum c^(n+1) z^n / (n+1)!."""
-    c = Fraction(c)
-    return [c ** (n + 1) / math.factorial(n + 1) for n in range(nterms)]
 
 
 # ---------------------------------------------------------------------------
@@ -548,12 +528,6 @@ class QSeries:
                 shown.append("...")
                 break
         return "QSeries[N=%d](%s)" % (self.order, " + ".join(shown) or "0")
-
-    def coefficient(self, half_index: int):
-        """Coefficient of q^(half_index/2)."""
-        if half_index < 0 or half_index > 2 * self.order:
-            raise UsageError("half-index outside truncation range")
-        return self.coeffs[half_index]
 
     def is_zero(self) -> bool:
         return all(_coeff_is_zero(c) for c in self.coeffs)
@@ -769,24 +743,23 @@ def _even_parts(f: QSeries) -> list[list[Fraction]]:
 
 
 @lru_cache(maxsize=None)
-def _log_parts(f: QSeries) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(map(tuple, _even_parts(f.log())))
-
-
-def _as_series(f: GradedPoly | QSeries) -> QSeries:
-    return QSeries.from_poly(f, 0) if isinstance(f, GradedPoly) else f
+def _log_parts(f: GradedPoly | QSeries) -> tuple[tuple[Fraction, ...], ...]:
+    """`_even_parts` of log f; a polynomial f, constant in q, has parts one wide."""
+    series = QSeries.from_poly(f, 0) if isinstance(f, GradedPoly) else f
+    return tuple(map(tuple, _even_parts(series.log())))
 
 
 def _over_families(terms: Sequence[tuple[Sequence, Sequence[GradedPoly], int]],
                    width: int) -> list[GradedPoly]:
     """out[h] = sum over (parts, sums, e) of e * sum_(n >= 1) parts[n][h] * s_n.
 
-    parts[0], the part free of the root, must vanish.  Terms over the same
-    family share one weighted sum of its power sums.
+    parts[0], the part free of the root, must vanish.  Parts are `width` wide,
+    or one wide for a term constant in q.  Terms over the same family share
+    one weighted sum of its power sums.
     """
     families: list[tuple[Sequence[GradedPoly], list[list[Fraction]]]] = []
     for parts, sums, e in terms:
-        if len(parts) != len(sums) + 1 or len(parts[0]) != width:
+        if len(parts) != len(sums) + 1 or len(parts[0]) not in (1, width):
             raise UsageError("per-root series and power sums differ in cap or q-order")
         if any(parts[0]):
             raise UsageError("a per-root series must be trivial at the root 0")
@@ -815,19 +788,25 @@ def family_sum(f: GradedPoly, sums: Sequence[GradedPoly]) -> GradedPoly:
     return _over_families([(_even_parts(QSeries.from_poly(f, 0)), sums, 1)], 1)[0]
 
 
-def symmetrise(factors: Sequence[tuple[GradedPoly | QSeries, Sequence[GradedPoly], int]]):
-    """prod over factors (f, sums, e) of prod over the family's roots of f(root)^e.
+def symmetrise(factors: Sequence[tuple[GradedPoly | QSeries, Sequence[GradedPoly], int]],
+               exponent: QSeries | None = None):
+    """exp(exponent) times the product over factors (f, sums, e) of the
+    product over the family's roots of f(root)^e, as one exp.
 
-    Each f is an even per-root series on a one-root ring with f(0) = 1, so its
-    log is sum_n c_n w^(2n) and the product is exp(sum e c_n s_n), with s_n
-    the family's power sums (`sums`).  Polynomial factors give a polynomial,
-    q-series factors a q-series.
+    Each f is an even per-root factor on a one-root ring with f(0) = 1, a
+    polynomial (constant in q) or a q-series, so its log is sum_n c_n w^(2n)
+    and the product is exp(exponent + sum e c_n s_n), with s_n the family's
+    power sums (`sums`).  The result is a q-series when any f or the
+    exponent (ring-valued, nilpotent at q^0) is one, else a polynomial.
     """
-    first = _as_series(factors[0][0])
-    logs = _over_families([(_log_parts(_as_series(f)), sums, e) for f, sums, e in factors],
-                          len(first.coeffs))
-    result = QSeries(logs, first.order, factors[0][1][0].spec).exp()
-    return result.coeffs[0] if isinstance(factors[0][0], GradedPoly) else result
+    series = [f for f, _, _ in factors if isinstance(f, QSeries)]
+    if exponent is not None:
+        series.append(exponent)
+    order = series[0].order if series else 0
+    logs = QSeries(_over_families([(_log_parts(f), sums, e) for f, sums, e in factors],
+                                  2 * order + 1), order, factors[0][1][0].spec)
+    result = (logs if exponent is None else logs + exponent).exp()
+    return result if series else result.coeffs[0]
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ Jacobi theta quotients with the matching power-of-two normalization.  Their
 exact agreement is the central correctness property of the package.
 
 Every form lives in the Pontryagin ring of `GeometrySpec.ring()`: each route
-builds its per-root series once on a one-root ring and `symmetrise` turns
-them into products over the Chern roots of TM, of V and of the Euler roots.
+builds its per-root series once on a one-root ring, and one `symmetrise` turns
+a form's rows of them, with the E2 exponent c * E2 * z where the form has one,
+into one exp over the Chern roots of TM, of V and of the Euler roots.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .algebra import (
     GradedPoly,
     QSeries,
     RingSpec,
-    apply_series,
     cosh_half_root,
     exp_root,
     family_sum,
@@ -37,7 +37,6 @@ from .algebra import (
     one_root_ring,
     power_sums,
     symmetrise,
-    taylor_expm1_over,
 )
 from .errors import UsageError
 from .theta import ModularFormId, ThetaKind, modular_form, theta_ratio
@@ -78,7 +77,8 @@ class BrBetarKind(Enum):
 # A recipe names Chern roots "V" (those of the rank-2l bundle), "u" (xi) or
 # "u'" (xi'), and an exponent as an int or a twist integer "a" / "b".  A
 # BUNDLE block (roots, grid, sign, exponent) is the per-root `_exterior_block`
-# raised to the exponent and multiplied over the roots.  A THETA form (groups,
+# raised to the exponent and multiplied over the roots; an Euler-cosh factor
+# (roots, exponent) is cosh(u/2)^exponent over the roots.  A THETA form (groups,
 # two) multiplies, for each (roots, ((kind, exponent), ...)) group and each of
 # its roots, theta_ratio(kind)^exponent, and scales the product by 2^(two * l).
 _T1, _T2, _T3 = ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3
@@ -100,6 +100,7 @@ class FamilyForms:
     beta_kind: BrBetarKind   # form coefficients of `correction`
     euler_roots: tuple[str, ...]   # of the rank-two bundles xi, xi'
     e2_coefficient: Fraction       # c in exp(c * E2 * z)
+    euler_cosh: tuple        # Euler-cosh factors of the lead and of the weight
     blocks: tuple            # BUNDLE: blocks of bundles 1 and 2, in multiplication order
     theta: tuple | None      # THETA: forms of the lead and the joint main; None: no formula
     printed_readings: bool   # the paper prints r = 1 closed forms: twist_bundle at b = 0
@@ -108,7 +109,7 @@ class FamilyForms:
 FAMILY_FORMS = {
     Family.AB: FamilyForms(
         QFormId.Q1, QFormId.Q2, QFormId.Q2BAR, BrBetarKind.B_R, BrBetarKind.BETA_R,
-        euler_roots=(), e2_coefficient=Fraction(1, 24),
+        euler_roots=(), e2_coefficient=Fraction(1, 24), euler_cosh=((), ()),
         blocks=((("V", "int", +1, "a"), ("V", "half", +1, "b"), ("V", "half", -1, "b")),
                 (("V", "int", +1, "b"), ("V", "half", +1, "b"), ("V", "half", -1, "a"))),
         theta=(((("V", ((_T1, "a"), (_T2, "b"), (_T3, "b"))),), "a"),
@@ -118,6 +119,7 @@ FAMILY_FORMS = {
         QFormId.Q1_XI, QFormId.Q2_XI, QFormId.Q3_XI,
         BrBetarKind.B_TILDE_R, BrBetarKind.BETA_TILDE_R,
         euler_roots=("u",), e2_coefficient=Fraction(1, 24),
+        euler_cosh=((("u", -2),), (("u", 1),)),
         blocks=((("V", "int", +1, "a"), ("u", "int", +1, -2), ("V", "half", +1, "b"),
                  ("u", "half", +1, 1), ("V", "half", -1, "b"), ("u", "half", -1, 1)),
                 (("V", "int", +1, "b"), ("u", "int", +1, 1), ("V", "half", +1, "b"),
@@ -127,6 +129,7 @@ FAMILY_FORMS = {
     Family.TWO_LINE: FamilyForms(
         QFormId.P1, QFormId.P2, QFormId.P3, BrBetarKind.B_BAR_R, BrBetarKind.BETA_BAR_R,
         euler_roots=("u", "u'"), e2_coefficient=Fraction(1, 12),
+        euler_cosh=((("u", -2),), (("u'", 1),)),
         blocks=((("V", "int", +1, 1), ("u", "int", +1, -2),
                  ("u'", "half", +1, 1), ("u'", "half", -1, 1)),
                 (("u'", "int", +1, 1), ("u'", "half", +1, 1),
@@ -223,26 +226,24 @@ def ch_spinor_pow(spec: GeometrySpec, e: int) -> GradedPoly:
     return cosh * Fraction(2) ** (e * spec.l)
 
 
-def cosh_half_euler(spec: GeometrySpec, which: str = "u") -> GradedPoly:
-    """cosh(c/2) for the Euler root of xi ('u') or xi-prime ("u'")."""
-    return symmetrise([(cosh_half_root(4 * spec.k), spec.power_sums(which), 1)])
+def _genus_rows(spec: GeometrySpec, which: int) -> tuple[list, Fraction]:
+    """Rows of the lead (which = 1) or weight (2) form: A-hat over TM, cosh(v/2)^e
+    over V for e = a or b, the Euler-cosh factors; and its factor 2^(e l)."""
+    cap = 4 * spec.k
+    e = spec.a if which == 1 else spec.b
+    rows = [(half_over_sinh_half_root(cap), spec.power_sums("TM"), 1),
+            (cosh_half_root(cap), spec.power_sums("V"), e)]
+    rows += [(cosh_half_root(cap), spec.power_sums(roots), x)
+             for roots, x in FAMILY_FORMS[spec.family].euler_cosh[which - 1]]
+    return rows, Fraction(2) ** (e * spec.l)
 
 
 def lead_weight(spec: GeometrySpec) -> tuple[GradedPoly, GradedPoly]:
     """Genus-times-spinor forms multiplying the family's first (lead) and second
-    (weight) twisted bundle.
-
-    The xi families divide the lead by cosh(u/2)^2; the weight carries
-    cosh(u/2), or cosh(u'/2) in the two-line family, where b = 0.
-    """
-    ahat = genus_form(spec)
-    lead = ahat * ch_spinor_pow(spec, spec.a)
-    weight = ahat * ch_spinor_pow(spec, spec.b)
-    if spec.has_xi:
-        cosh_u = cosh_half_euler(spec, "u")
-        lead = lead * (cosh_u * cosh_u).inv()
-        weight = weight * cosh_half_euler(spec, "u'" if spec.has_xi_prime else "u")
-    return lead, weight
+    (weight) twisted bundle: A-hat times the a-th or b-th spinor power, times
+    the family's Euler-cosh factors (`FamilyForms.euler_cosh`)."""
+    return tuple(symmetrise(rows) * two
+                 for rows, two in (_genus_rows(spec, 1), _genus_rows(spec, 2)))
 
 
 def ch_tilde_roots(spec: GeometrySpec, label: str) -> GradedPoly:
@@ -321,33 +322,34 @@ def _exterior_block(cap: int, grid: str, sign: int, order: int) -> QSeries:
     return res
 
 
+@lru_cache(maxsize=None)
 def ch_theta_bundle(which: int, spec: GeometrySpec, order: int) -> QSeries:
     """Chern character of the first or second twisted tensor-product bundle."""
     if which not in (1, 2):
         raise UsageError("which must be 1 or 2")
     if order < 0:
         raise UsageError("truncation order must be >= 0")
-    return _ch_theta_cached(which, spec, order)
+    return symmetrise(_block_rows(spec, which, order))
 
 
-@lru_cache(maxsize=None)
-def _ch_theta_cached(which: int, spec: GeometrySpec, order: int) -> QSeries:
+def _block_rows(spec: GeometrySpec, which: int, order: int) -> list:
+    """The per-root rows of the first or second twisted bundle's character."""
     cap = 4 * spec.k
-    factors = [(_symmetric_block(cap, order), spec.power_sums("TM"), 1)]
+    rows = [(_symmetric_block(cap, order), spec.power_sums("TM"), 1)]
     for roots, grid, sign, e in FAMILY_FORMS[spec.family].blocks[which - 1]:
-        factors.append((_exterior_block(cap, grid, sign, order), spec.power_sums(roots),
-                        spec.twist(e)))
-    return symmetrise(factors)
+        rows.append((_exterior_block(cap, grid, sign, order), spec.power_sums(roots),
+                     spec.twist(e)))
+    return rows
 
 
 # ---------------------------------------------------------------------------
-# E2 exponential prefactors
+# E2 prefactors
 
 
-@lru_cache(maxsize=None)
-def e2_exponential(spec: GeometrySpec, order: int) -> QSeries:
-    """exp(c * E2(tau) * z) = 1 + z * e2_expm1_over_z."""
-    return e2_expm1_over_z(spec, order) * p1_combo(spec) + QSeries.one(order, spec.ring())
+def _e2_exponent(spec: GeometrySpec, order: int) -> QSeries:
+    """c * E2(tau) * z, the log of the prefactor exp(c * E2 * z)."""
+    c = FAMILY_FORMS[spec.family].e2_coefficient
+    return modular_form(ModularFormId.E2, order).scale(c) * p1_combo(spec)
 
 
 @lru_cache(maxsize=None)
@@ -356,7 +358,8 @@ def e2_expm1_over_z(spec: GeometrySpec, order: int) -> QSeries:
 
     z is the family's degree-4 combination and c is 1/24 for the AB families
     and 1/12 for the two-line family; the sum over powers of z terminates at
-    the degree cap.
+    the degree cap.  At order 0, where E2 = 1, its one coefficient is the
+    q-independent (e^(c z) - 1) / z.
     """
     ring = spec.ring()
     z = p1_combo(spec)
@@ -371,14 +374,6 @@ def e2_expm1_over_z(spec: GeometrySpec, order: int) -> QSeries:
         ppow = ppow * scaled
         result = result + QSeries([zpow * c for c in ppow.coeffs], order, ring)
     return result
-
-
-def static_expm1_over_z(spec: GeometrySpec) -> GradedPoly:
-    """(e^(c z) - 1)/z with the q-independent normalization E2 -> 1."""
-    ring = spec.ring()
-    z = p1_combo(spec)
-    c = FAMILY_FORMS[spec.family].e2_coefficient
-    return apply_series(taylor_expm1_over(c, ring.cap // 2 + 1), z)
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +402,10 @@ def q_form(form: QFormId, route: Route, spec: GeometrySpec, order: int) -> QSeri
 @lru_cache(maxsize=None)
 def _q_form_bundle(form: QFormId, spec: GeometrySpec, order: int) -> QSeries:
     row = FAMILY_FORMS[spec.family]
-    lead, weight = lead_weight(spec)
     if form is row.lead:
-        return e2_exponential(spec, order) * lead * ch_theta_bundle(1, spec, order)
-    base = weight * ch_theta_bundle(2, spec, order)
+        rows, two = _genus_rows(spec, 1)
+        return symmetrise(rows + _block_rows(spec, 1, order), _e2_exponent(spec, order)).scale(two)
+    base = lead_weight(spec)[1] * ch_theta_bundle(2, spec, order)
     if form is row.main:
         return base
     return e2_expm1_over_z(spec, order) * base
@@ -425,5 +420,5 @@ def _q_form_theta(form: QFormId, spec: GeometrySpec, order: int) -> QSeries:
     for roots, kinds in groups:
         for kind, e in kinds:
             factors.append((theta_ratio(kind, w, order), spec.power_sums(roots), spec.twist(e)))
-    res = e2_exponential(spec, order) * symmetrise(factors)
+    res = symmetrise(factors, _e2_exponent(spec, order))
     return res.scale(Fraction(2) ** (spec.twist(two) * spec.l))

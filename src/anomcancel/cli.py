@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -58,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--suite", help="path to a JSON suite configuration")
     v.add_argument("--all", action="store_true", help="run the default grid")
     v.add_argument("--tolerance", type=float,
-                   help="override the numeric tolerances")
+                   help="override the numeric tolerances (--case NUMERIC_MODULARITY only)")
 
     e = sub.add_parser("expand", help="print q-expansions of named objects")
     e.add_argument("--object", required=True,
@@ -190,6 +191,11 @@ def _check_object(obj, types: dict, where: str) -> None:
             raise UsageError(f"{where}: {key!r} must be {_TYPE_NAMES[want]}")
 
 
+def _check_tolerance(value: float, where: str) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise UsageError(f"{where}: tolerance must be finite and positive, not {value}")
+
+
 def _requests_from_suite_file(path: str) -> tuple[list[CaseRequest], str | None]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -201,6 +207,8 @@ def _requests_from_suite_file(path: str) -> tuple[list[CaseRequest], str | None]
         raise UsageError("suite config must be an object with a 'cases' array")
     if config.get("format", "text") not in ("text", "json"):
         raise UsageError("suite config: 'format' must be \"text\" or \"json\"")
+    if "tolerance" in config:
+        _check_tolerance(config["tolerance"], "suite config")
     requests = []
     for n, entry in enumerate(config["cases"]):
         where = f"suite entry {n}"
@@ -219,6 +227,11 @@ def _requests_from_suite_file(path: str) -> tuple[list[CaseRequest], str | None]
 
 def cmd_verify(args: argparse.Namespace) -> int:
     out_format = args.format
+    if args.tolerance is not None:
+        # a suite file sets its own tolerance; every other case ignores one
+        if args.suite or args.all or args.case != CaseId.NUMERIC_MODULARITY.value:
+            raise UsageError("--tolerance applies to --case NUMERIC_MODULARITY only")
+        _check_tolerance(args.tolerance, "--tolerance")
     if args.suite:
         requests, fmt = _requests_from_suite_file(args.suite)
         if fmt is not None:
@@ -264,7 +277,7 @@ def _expand_rows(args: argparse.Namespace) -> tuple[list[tuple[str, str]], int]:
 
     row = FAMILY_FORMS[spec.family]
     kind = row.b_kind if args.object == "br" else row.beta_kind
-    # the decomposition needs the cross-check orders up to k + 2
+    # decompose at least through the verify cases' default q-order k + 2
     order = max(n, spec.k + 2)
     result = extract_br_betar(spec, kind, order)
     prefix = "b" if args.object == "br" else "beta"

@@ -28,10 +28,10 @@ from .bundles import (
     GeometrySpec,
     Route,
     ch_theta_bundle,
+    e2_expm1_over_z,
     family_of,
     lead_weight,
     q_form,
-    static_expm1_over_z,
     twist_bundle,
 )
 from .errors import UsageError
@@ -148,7 +148,7 @@ def _beta_closed_forms(spec: GeometrySpec) -> list[ClosedFormCheck]:
     k = spec.k
     deg = 4 * k - 4
     sign = Fraction(-1) ** k
-    base = static_expm1_over_z(spec) * lead_weight(spec)[1]
+    base = e2_expm1_over_z(spec, 0).coeffs[0] * lead_weight(spec)[1]
     checks = [("beta0", (("printed", base.degree_part(deg) * sign),), "printed")]
     if k >= 2:
         def beta(w: GradedPoly) -> GradedPoly:

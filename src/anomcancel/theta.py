@@ -143,19 +143,6 @@ def theta_ratio(kind: ThetaKind, w: GradedPoly, order: int) -> QSeries:
     return _theta_ratio_cached(kind, _root_cap(w), order)
 
 
-def theta_logderiv_ratio(kind: ThetaKind, w: GradedPoly, order: int) -> QSeries:
-    """Logarithmic derivative theta_i'(w)/theta_i(w), taken in the w variable.
-
-    Only defined for THETA1/THETA2/THETA3; the result is odd in w and vanishes
-    at w = 0 order by order.
-    """
-    if kind is ThetaKind.THETA:
-        raise UsageError("log-derivative ratio is defined for theta1/theta2/theta3 only")
-    ratio = _theta_ratio_cached(kind, _root_cap(w), order)
-    deriv = ratio.map(lambda p: p.derivative("w"))
-    return deriv / ratio
-
-
 # ---------------------------------------------------------------------------
 # Modular forms as rational q-series
 

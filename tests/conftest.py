@@ -1,5 +1,5 @@
 """Shared helpers: random ring elements and series, generator substitutions,
-and the root-ring oracle for the Pontryagin-ring engine."""
+derivatives in a root, and the root-ring oracle for the Pontryagin-ring engine."""
 
 import random
 import sys
@@ -18,6 +18,7 @@ from anomcancel.algebra import (
     pontryagin_all,
 )
 from anomcancel.bundles import FAMILY_FORMS, Family, Route, _exterior_block, _symmetric_block
+from anomcancel.errors import UsageError
 from anomcancel.theta import ModularFormId, ThetaKind, modular_form, theta_ratio
 
 
@@ -26,14 +27,21 @@ def rng():
     return random.Random(20240317)
 
 
-@pytest.fixture
-def cold_caches():
-    """Empty every lru_cache of the package, so the test rebuilds each series."""
+def _clear_caches():
     for name, module in list(sys.modules.items()):
         if name == "anomcancel" or name.startswith("anomcancel."):
             for obj in vars(module).values():
                 if hasattr(obj, "cache_clear"):
                     obj.cache_clear()
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty every lru_cache of the package before the test, so it rebuilds
+    each series, and after it, so no series built under its patches outlives it."""
+    _clear_caches()
+    yield
+    _clear_caches()
 
 
 def random_fraction(rng: random.Random, span: int = 6) -> Fraction:
@@ -122,6 +130,31 @@ def set_gens_zero(p: GradedPoly, names: Iterable[str]) -> GradedPoly:
     terms = {exps: coeff for exps, coeff in p.iter_terms()
              if all(exps[i] == 0 for i in drop)}
     return GradedPoly.from_terms(p.spec, terms)
+
+
+def derivative(p: GradedPoly, name: str) -> GradedPoly:
+    """Formal partial derivative with respect to one generator."""
+    i = p.spec.index(name)
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for exps, coeff in p.iter_terms():
+        e = exps[i]
+        if e == 0:
+            continue
+        new = exps[:i] + (e - 1,) + exps[i + 1:]
+        terms[new] = terms.get(new, Fraction(0)) + coeff * e
+    return GradedPoly.from_terms(p.spec, terms)
+
+
+def theta_logderiv_ratio(kind: ThetaKind, w: GradedPoly, order: int) -> QSeries:
+    """Logarithmic derivative theta_i'(w)/theta_i(w), taken in the w variable.
+
+    Only defined for THETA1/THETA2/THETA3; the result is odd in w and vanishes
+    at w = 0 order by order.
+    """
+    if kind is ThetaKind.THETA:
+        raise UsageError("log-derivative ratio is defined for theta1/theta2/theta3 only")
+    ratio = theta_ratio(kind, w, order)
+    return ratio.map(lambda p: derivative(p, "w")) / ratio
 
 
 # ---------------------------------------------------------------------------

@@ -10,17 +10,21 @@ from anomcancel.algebra import (
     QSeries,
     RingSpec,
     apply_series,
+    cosh_half_root,
     ideal_reduce,
+    one_root_ring,
     pontryagin_all,
+    power_sums,
+    symmetrise,
     taylor_cosh_half,
     taylor_exp,
-    taylor_expm1_over,
     taylor_sinh_half_over_half,
     to_pontryagin,
 )
 from anomcancel.errors import InvertError, SymmetryError, UsageError
 
 from conftest import (
+    derivative,
     permute_gens,
     random_fraction,
     random_nilpotent,
@@ -94,7 +98,7 @@ class TestGradedPoly:
         assert scale_gens(p, {"w1": 3}) == w1 ** 2 * w2 * 9 + v1 * 2
         assert permute_gens(p, {"w1": "w2", "w2": "w1"}) == w2 ** 2 * w1 + v1 * 2
         assert set_gens_zero(p, ["w1"]) == v1 * 2
-        assert p.derivative("w1") == w1 * w2 * 2
+        assert derivative(p, "w1") == w1 * w2 * 2
 
 
 class TestQSeriesArith:
@@ -242,13 +246,6 @@ class TestApplySeries:
         assert p.coefficient((0, 0, 2)) == F(1, 4)
         assert p.coefficient((0, 0, 4)) == F(1, 192)
 
-    def test_expm1_over_reproduces_exponential(self):
-        w1, w2, v1 = gens()
-        z = w1 * w1 + w2 * w2 - v1 * v1 * 2
-        pref = apply_series(taylor_expm1_over(F(1, 24), 5), z)
-        assert pref.constant_term() == F(1, 24)
-        assert pref * z + 1 == apply_series(taylor_exp(5), z * F(1, 24))
-
     def test_nonzero_constant_rejected(self):
         with pytest.raises(UsageError):
             apply_series(taylor_exp(5), GradedPoly.one(SPEC))
@@ -256,6 +253,33 @@ class TestApplySeries:
     def test_too_few_terms_rejected(self):
         with pytest.raises(UsageError):
             apply_series([F(1)], gens()[0])
+
+
+class TestSymmetriseRows:
+    """Polynomial rows, q-series rows and an exponent go through one exp."""
+
+    P = RingSpec(gens=(("p1", 4), ("p2", 8)), cap=8)
+
+    def rows(self):
+        w = GradedPoly.generator(one_root_ring(8), "w")
+        sums = power_sums(gens(self.P), 2)
+        series = QSeries([cosh_half_root(8), w * w, w ** 4 * F(1, 3)], 1, w.spec)
+        return (cosh_half_root(8), sums, 2), (series, sums, -1)
+
+    def test_one_exp_is_the_product_of_the_parts(self):
+        poly_row, series_row = self.rows()
+        p1, p2 = gens(self.P)
+        exponent = QSeries([p1 * F(1, 24), p2, p1 * p1 * 3], 1, self.P)
+        got = symmetrise([poly_row, series_row], exponent)
+        want = symmetrise([poly_row]) * symmetrise([series_row]) * exponent.exp()
+        assert got == want
+
+    def test_orders_must_agree(self):
+        poly_row, series_row = self.rows()
+        with pytest.raises(UsageError):
+            symmetrise([poly_row, series_row], QSeries.zero_series(2, self.P))
+        with pytest.raises(UsageError):
+            symmetrise([series_row, (QSeries.one(2, one_root_ring(8)), series_row[1], 1)])
 
 
 class TestPontryagin:

@@ -1,13 +1,23 @@
 """Genus forms, spinor powers, twisted bundle characters, double-route forms."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from anomcancel import bundles, theta
-from anomcancel.algebra import GradedPoly, QSeries, one_root_ring, symmetrise
+from anomcancel.algebra import (
+    GradedPoly,
+    QSeries,
+    apply_series,
+    cosh_half_root,
+    one_root_ring,
+    symmetrise,
+    taylor_exp,
+)
 from anomcancel.bundles import (
+    FAMILY_FORMS,
     Family,
     GeometrySpec,
     QFormId,
@@ -15,14 +25,14 @@ from anomcancel.bundles import (
     ch_spinor_pow,
     ch_theta_bundle,
     ch_v_tilde,
-    cosh_half_euler,
-    e2_exponential,
+    e2_expm1_over_z,
     genus_form,
     p1_combo,
     q_form,
 )
-from anomcancel.bundles import _symmetric_block
+from anomcancel.bundles import _e2_exponent, _symmetric_block
 from anomcancel.errors import UsageError
+from anomcancel.verifier import CaseId, verify_case
 
 from conftest import (
     in_pontryagin,
@@ -187,7 +197,6 @@ class TestP1Combo:
 class TestQForms:
     def test_q0_coefficient_of_q1(self):
         # at q^0 the E2 factor is exp(z/24) and the bundle character is 1
-        from anomcancel.algebra import apply_series, taylor_exp
         spec = GeometrySpec(k=1, l=1, a=2, b=1, family=Family.AB)
         got = q_form(QFormId.Q1, Route.BUNDLE, spec, 2).coeffs[0]
         z = p1_combo(spec)
@@ -220,15 +229,23 @@ class TestQForms:
 
     def test_e2_factor_times_inverse(self):
         spec = GeometrySpec(k=1, l=1, a=1, b=0, family=Family.AB)
-        fwd = e2_exponential(spec, 3)
-        flipped = GeometrySpec(k=1, l=1, a=1, b=0, family=Family.AB)
+        fwd = _e2_exponent(spec, 3).exp()
         # exp(c E2 z) * exp(-c E2 z) = 1; realize the inverse via series inv
         assert fwd * fwd.inv() == QSeries.one(3, spec.ring())
+        assert fwd == e2_expm1_over_z(spec, 3) * p1_combo(spec) + QSeries.one(3, spec.ring())
+
+    def test_static_expm1_over_reproduces_exponential(self):
+        spec = GeometrySpec(k=2, l=1, a=2, b=0, family=Family.AB)
+        z = p1_combo(spec)
+        pref = e2_expm1_over_z(spec, 0).coeffs[0]
+        assert pref.constant_term() == F(1, 24)
+        assert pref * z + 1 == apply_series(taylor_exp(5), z * F(1, 24))
 
     def test_xi_family_cosh_weighting(self):
         spec = GeometrySpec(k=1, l=1, a=1, b=0, family=Family.AB_XI)
         q2 = q_form(QFormId.Q2_XI, Route.BUNDLE, spec, 2)
-        expect = (genus_form(spec) * cosh_half_euler(spec, "u")
+        cosh_u = symmetrise([(cosh_half_root(4), spec.power_sums("u"), 1)])
+        expect = (genus_form(spec) * cosh_u
                   * ch_spinor_pow(spec, 0)) * ch_theta_bundle(2, spec, 2)
         assert q2 == expect
 
@@ -255,3 +272,50 @@ class TestRouteIndependence:
         monkeypatch.setattr(bundles, "_symmetric_block", self.refuse)
         monkeypatch.setattr(bundles, "_exterior_block", self.refuse)
         assert not q_form(form, Route.THETA, spec, 2).is_zero()
+
+
+class TestRouteMutations:
+    """One changed exponent in either route's recipe makes DOUBLE_ROUTE report
+    MISMATCH on the form it builds: the routes share `symmetrise` and the E2
+    exponent, so only their recipes keep them apart."""
+
+    SPECS = [GeometrySpec(k=1, l=2, a=2, b=1, family=Family.AB),
+             GeometrySpec(k=1, l=2, a=1, b=0, family=Family.TWO_LINE)]
+
+    @staticmethod
+    def verdicts(spec):
+        report = verify_case(CaseId.DOUBLE_ROUTE, spec, q_order=2)
+        return report.passed, dict(report.quantities)
+
+    @staticmethod
+    def expect(row, which):
+        lead, joint = row.lead.name, f"{row.main.name}_joint"
+        return (False, {lead: "MISMATCH", joint: "equal"} if which == 0
+                else {lead: "equal", joint: "MISMATCH"})
+
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.family.value)
+    def test_bundle_block_exponent(self, spec, which, cold_caches, monkeypatch):
+        row = FAMILY_FORMS[spec.family]
+        (roots, grid, sign, e), *rest = row.blocks[which]
+        blocks = list(row.blocks)
+        blocks[which] = ((roots, grid, sign, spec.twist(e) + 1), *rest)
+        monkeypatch.setitem(FAMILY_FORMS, spec.family, replace(row, blocks=tuple(blocks)))
+        assert self.verdicts(spec) == self.expect(row, which)
+
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.family.value)
+    def test_theta_recipe_exponent(self, spec, which, cold_caches, monkeypatch):
+        row = FAMILY_FORMS[spec.family]
+        groups, two = row.theta[which]
+        (roots, ((kind, e), *kinds)), *rest = groups
+        theta = list(row.theta)
+        theta[which] = (((roots, ((kind, spec.twist(e) + 1), *kinds)), *rest), two)
+        monkeypatch.setitem(FAMILY_FORMS, spec.family, replace(row, theta=tuple(theta)))
+        assert self.verdicts(spec) == self.expect(row, which)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.family.value)
+    def test_unchanged_recipes_agree(self, spec, cold_caches):
+        row = FAMILY_FORMS[spec.family]
+        assert self.verdicts(spec) == (True, {row.lead.name: "equal",
+                                              f"{row.main.name}_joint": "equal"})

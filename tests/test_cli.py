@@ -122,6 +122,31 @@ class TestVerifyCommand:
         assert run_cli(capsys, "verify", "--case", "THM34", "--family", "ab-xi")[0] == 0
 
 
+class TestTolerance:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+    def test_not_finite_and_positive_is_usage_error(self, capsys, value):
+        code, out, err = run_cli(capsys, "verify", "--case", "NUMERIC_MODULARITY",
+                                 f"--tolerance={value}")
+        assert code == 2 and out == ""
+        assert "tolerance must be finite and positive" in err
+
+    @pytest.mark.parametrize("selector", [("--all",), ("--case", "THM31"),
+                                          ("--case", "JACOBI_QSERIES"),
+                                          ("--suite", "suite.json"),
+                                          ("--all", "--case", "NUMERIC_MODULARITY")])
+    def test_where_it_would_be_ignored_is_usage_error(self, capsys, selector):
+        code, out, err = run_cli(capsys, "verify", *selector, "--tolerance", "1e-6")
+        assert code == 2 and out == ""
+        assert "--tolerance applies to --case NUMERIC_MODULARITY only" in err
+
+    @pytest.mark.parametrize("value, code", [("1e-6", 0), ("1e-30", 1)])
+    def test_numeric_case_reads_it(self, capsys, value, code):
+        got, out, _ = run_cli(capsys, "verify", "--case", "NUMERIC_MODULARITY",
+                              "--tolerance", value)
+        assert got == code
+        assert f"(tol {float(value):.0e})" in out
+
+
 class TestSuiteValidation:
     def run_suite_file(self, capsys, tmp_path, config):
         path = tmp_path / "suite.json"
@@ -135,6 +160,14 @@ class TestSuiteValidation:
         pytest.param({"cases": [{"case": "THM31"}], "format": "xml"}, id="unknown format"),
         pytest.param({"cases": [{"case": "THM31"}], "tolerance": "1e-8"},
                      id="tolerance not a number"),
+        pytest.param({"cases": [{"case": "NUMERIC_MODULARITY"}], "tolerance": float("nan")},
+                     id="tolerance NaN"),
+        pytest.param({"cases": [{"case": "NUMERIC_MODULARITY"}], "tolerance": float("inf")},
+                     id="tolerance Infinity"),
+        pytest.param({"cases": [{"case": "NUMERIC_MODULARITY"}], "tolerance": 0},
+                     id="tolerance zero"),
+        pytest.param({"cases": [{"case": "NUMERIC_MODULARITY"}], "tolerance": -1e-8},
+                     id="tolerance negative"),
         pytest.param({"cases": ["THM31"]}, id="entry not an object"),
         pytest.param({"cases": [{"k": 1}]}, id="entry without a case"),
         pytest.param({"cases": [{"case": "THM31", "k": "2"}]}, id="k as a string"),

@@ -1,5 +1,7 @@
 """Independent oracle: the per-root BUNDLE blocks and theta quotients against
-sympy's own series expansion in (w, q), at cap 8 and q-order 4.
+sympy's own series expansion in (w, q), at cap 8 and q-order 4; the modular
+forms against theta-constant sums; and assembled q-forms at k <= 2 against
+products over named Chern roots.
 
 Every per-root series is a product of factors f(w, s) at s = c q^(h/2).  sympy
 expands each f in s and then in w, and multiplies the expansions as polynomials
@@ -8,6 +10,7 @@ The test is skipped when sympy is not installed; it is not a runtime
 dependency of the package.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -15,9 +18,20 @@ import pytest
 
 sp = pytest.importorskip("sympy")
 
+from sympy.polys.rings import ring  # noqa: E402
+
 from anomcancel.algebra import GradedPoly, one_root_ring  # noqa: E402
-from anomcancel.bundles import _exterior_block, _symmetric_block  # noqa: E402
-from anomcancel.theta import ThetaKind, theta_ratio  # noqa: E402
+from anomcancel.bundles import (  # noqa: E402
+    FAMILY_FORMS,
+    Family,
+    GeometrySpec,
+    QFormId,
+    Route,
+    _exterior_block,
+    _symmetric_block,
+    q_form,
+)
+from anomcancel.theta import ModularFormId, ThetaKind, modular_form, theta_ratio  # noqa: E402
 
 CAP, ORDER = 8, 4
 W_MAX, T_MAX = CAP // 2, 2 * ORDER  # highest powers of w (degree 2) and of t = q^(1/2)
@@ -89,3 +103,224 @@ def test_theta_ratio(kind):
     prefactor, f, c, steps = THETA_ORACLE[kind]
     root = GradedPoly.generator(one_root_ring(CAP), "w")
     assert _engine(theta_ratio(kind, root, ORDER)) == _product(prefactor, [(f, c, h) for h in steps])
+
+
+# ---------------------------------------------------------------------------
+# Modular forms from the theta constants written as sums, not as Jacobi's
+# products: theta3(0) = sum_n q^(n^2/2), theta2(0) = sum_n (-1)^n q^(n^2/2),
+# theta1(0)^4 = 16 q^(1/2) (sum_(n>=0) q^(n(n+1)/2))^4; E2 from sigma_1.
+
+
+def _t_coeffs(expr):
+    """Coefficients of t^0..t^T_MAX of a polynomial in t = q^(1/2)."""
+    poly = sp.Poly(sp.expand(expr), t)
+    return [Fraction(int(c.p), int(c.q)) for c in (poly.coeff_monomial(t ** n)
+                                                   for n in range(T_MAX + 1))]
+
+
+_SQUARES = [n for n in range(-T_MAX, T_MAX + 1) if n * n <= T_MAX]
+THETA3_4 = sum(t ** (n * n) for n in _SQUARES) ** 4
+THETA2_4 = sum((-1) ** (n % 2) * t ** (n * n) for n in _SQUARES) ** 4
+THETA1_4 = 16 * t * sum(t ** (n * (n + 1)) for n in range(T_MAX) if n * (n + 1) <= T_MAX) ** 4
+MODULAR_ORACLE = {
+    ModularFormId.DELTA1: (THETA2_4 + THETA3_4) / 8,
+    ModularFormId.EPS1: THETA2_4 * THETA3_4 / 16,
+    ModularFormId.DELTA2: -(THETA1_4 + THETA3_4) / 8,
+    ModularFormId.EPS2: THETA1_4 * THETA3_4 / 16,
+    ModularFormId.E2: 1 - 24 * sum(sp.divisor_sigma(n) * t ** (2 * n) for n in range(1, ORDER + 1)),
+}
+
+
+@pytest.mark.parametrize("form", list(ModularFormId), ids=lambda f: f.name)
+def test_modular_form(form):
+    assert list(modular_form(form, ORDER).coeffs) == _t_coeffs(MODULAR_ORACLE[form])
+
+
+# ---------------------------------------------------------------------------
+# Assembled q-forms at k <= 2 on both routes, E2 prefactors included.  sympy
+# multiplies the per-root expansions over named Chern roots: x1..x2k of TM,
+# y1..yl of V and the Euler roots u, u'.  The engine's series is read back
+# over the same roots, its p_i of a family being the i-th elementary symmetric
+# function of the family's squared roots.  Neither side goes through the
+# engine's symmetriser, its log/exp or its root-ring oracle.
+
+# The paper's genus-times-spinor forms: A-hat(TM) ch(Delta(V))^a times
+# cosh(u/2)^-2 on the lead of both xi families; the weight, with the b-th
+# spinor power, carries cosh(u/2) (ab-xi) or cosh(u'/2) (two-line).
+EULER_COSH = {
+    Family.AB: ((), ()),
+    Family.AB_XI: ((("u", -2),), (("u", 1),)),
+    Family.TWO_LINE: ((("u", -2),), (("u'", 1),)),
+}
+WT = ring("w t", sp.QQ)[0]   # one root w and t = q^(1/2)
+
+
+class Roots:
+    """Polynomials in the Chern roots of one geometry and t, cut at root
+    degree 2k (the degree cap 4k) and at t^(2 order)."""
+
+    def __init__(self, spec, order):
+        self.spec, self.order = spec, order
+        self.names = {"TM": [f"x{j}" for j in range(1, 2 * spec.k + 1)],
+                      "V": [f"y{j}" for j in range(1, spec.l + 1)],
+                      "u": ["u"], "u'": ["u'"]}
+        self.ring = ring([n for names in self.names.values() for n in names] + ["t"], sp.QQ)[0]
+        self.gen = dict(zip(self.ring.symbols, self.ring.gens))
+
+    def cut(self, p):
+        top = 2 * self.spec.k
+        return p.ring.from_dict({m: c for m, c in p.items()
+                                 if sum(m[:-1]) <= top and m[-1] <= 2 * self.order})
+
+    def root(self, name):
+        return self.gen[sp.Symbol(name)]
+
+    def at(self, f, name):
+        """A per-root polynomial f(w, t) at the root `name`."""
+        i = self.ring.symbols.index(sp.Symbol(name))
+        width = len(self.ring.symbols)
+        return self.cut(self.ring.from_dict(
+            {tuple(e if j == i else n if j == width - 1 else 0 for j in range(width)): c
+             for (e, n), c in f.items()}))
+
+    def product(self, rows):
+        """The product over rows (per-root polynomial, label) and over the
+        roots that the label names."""
+        out = self.ring.one
+        for f, label in rows:
+            for name in self.names[label]:
+                out = self.cut(out * self.at(f, name))
+        return out
+
+    def per_root(self, prefactor, factors, e):
+        """(prefactor(w) times f(w, c t^h) for every f of fs over factors
+        (fs, c, h))^e, by the binomial series of f = f(0) (1 + g)."""
+        f = WT(_expansion(prefactor))
+        for fs, c, h in factors:
+            for factor in fs:
+                f = self.cut(f * WT(_expansion(factor).subs(s, c * t ** h)))
+        f0 = f.const()
+        g = f * (1 / f0) - 1
+        out, term = WT.one, WT.one
+        for j in range(1, 2 * self.spec.k + 2 * self.order + 1):
+            term = self.cut(term * g) * sp.QQ(e - j + 1, j)
+            out = out + term
+        return out * f0 ** e
+
+
+def _grid(grid, order):
+    return range(2, 2 * order + 1, 2) if grid == "int" else range(1, 2 * order + 1, 2)
+
+
+def _genus_rows(roots, which):
+    spec = roots.spec
+    e = spec.a if which == 1 else spec.b
+    rows = [(roots.per_root((w / 2) / sp.sinh(w / 2), (), 1), "TM"),
+            (roots.per_root(2 * sp.cosh(w / 2), (), e), "V")]
+    rows += [(roots.per_root(sp.cosh(w / 2), (), x), label)
+             for label, x in EULER_COSH[spec.family][which - 1]]
+    return rows
+
+
+def _block_rows(roots, which):
+    spec, order = roots.spec, roots.order
+    tangent = [(SYMMETRIC, 1, h) for h in _grid("int", order)]
+    rows = [(roots.per_root(sp.Integer(1), tangent, 1), "TM")]
+    for label, grid, sign, e in FAMILY_FORMS[spec.family].blocks[which - 1]:
+        factors = [(EXTERIOR, sign, h) for h in _grid(grid, order)]
+        rows.append((roots.per_root(sp.Integer(1), factors, spec.twist(e)), label))
+    return rows
+
+
+def _theta_rows(roots, form):
+    spec = roots.spec
+    row = FAMILY_FORMS[spec.family]
+    groups, two = row.theta[0 if form is row.lead else 1]
+    rows = []
+    for label, kinds in (("TM", ((ThetaKind.THETA, 1),)),) + groups:
+        for kind, e in kinds:
+            prefactor, f, c, steps = THETA_ORACLE[kind]
+            factors = [(f, c, h) for h in steps if h <= 2 * roots.order]
+            rows.append((roots.per_root(prefactor, factors, spec.twist(e)), label))
+    return rows, sp.QQ(2) ** (spec.twist(two) * spec.l)
+
+
+def _e2_series(roots, first):
+    """sum_(m >= first) (c E2)^m z^(m - first) / m! over the roots: exp(c E2 z)
+    for first = 0, (exp(c E2 z) - 1) / z for first = 1."""
+    spec = roots.spec
+
+    def squares(label):
+        return sum((roots.root(name) ** 2 for name in roots.names[label]), roots.ring.zero)
+
+    if spec.family is Family.TWO_LINE:
+        z, c = squares("u") - squares("u'"), sp.QQ(1, 12)
+    else:
+        z, c = squares("TM") - squares("V") * (spec.a + 2 * spec.b), sp.QQ(1, 24)
+    tq = roots.root("t")
+    e2 = roots.ring.one - 24 * sum((int(sp.divisor_sigma(n)) * tq ** (2 * n)
+                                    for n in range(1, roots.order + 1)), roots.ring.zero)
+    out = roots.ring.zero
+    for m in range(first, spec.k + 2):
+        out = out + roots.cut((e2 * c) ** m * z ** (m - first)) * sp.QQ(1, math.factorial(m))
+    return out
+
+
+def _oracle_form(spec, form, route, order):
+    roots = Roots(spec, order)
+    row = FAMILY_FORMS[spec.family]
+    if route is Route.THETA:
+        rows, two = _theta_rows(roots, form)
+        return roots.cut(_e2_series(roots, 0) * roots.product(rows)) * two
+    if form is row.lead:
+        product = roots.product(_genus_rows(roots, 1) + _block_rows(roots, 1))
+        return roots.cut(_e2_series(roots, 0) * product)
+    base = roots.product(_genus_rows(roots, 2) + _block_rows(roots, 2))
+    return base if form is row.main else roots.cut(_e2_series(roots, 1) * base)
+
+
+def _engine_over_roots(spec, series):
+    """The engine's series with every generator of spec.ring() written in the roots."""
+    roots = Roots(spec, series.order)
+    images = {}
+    for name in spec.ring().names:
+        if name in ("u", "u'"):
+            images[name] = roots.root(name)
+        else:
+            i, label = name[1:-1].split("(")
+            elementary = [roots.ring.one] + [roots.ring.zero] * int(i)
+            for r in roots.names[label]:
+                for j in range(int(i), 0, -1):
+                    elementary[j] = elementary[j] + elementary[j - 1] * roots.root(r) ** 2
+            images[name] = elementary[-1]
+    out = roots.ring.zero
+    for n, coeff in enumerate(series.coeffs):
+        for exps, value in coeff.iter_terms():
+            term = roots.root("t") ** n * sp.QQ(value.numerator, value.denominator)
+            for name, e in zip(spec.ring().names, exps):
+                term = term * images[name] ** e
+            out = out + term
+    return roots.cut(out)
+
+
+ASSEMBLED = [
+    (GeometrySpec(k=1, l=2, a=2, b=1, family=Family.AB), 3,
+     ((QFormId.Q1, Route.BUNDLE), (QFormId.Q2, Route.BUNDLE), (QFormId.Q2BAR, Route.BUNDLE),
+      (QFormId.Q1, Route.THETA), (QFormId.Q2, Route.THETA))),
+    (GeometrySpec(k=1, l=1, a=-1, b=2, family=Family.AB_XI), 3,
+     ((QFormId.Q1_XI, Route.BUNDLE), (QFormId.Q3_XI, Route.BUNDLE))),
+    (GeometrySpec(k=1, l=1, a=1, b=0, family=Family.TWO_LINE), 3,
+     ((QFormId.P1, Route.BUNDLE), (QFormId.P3, Route.BUNDLE),
+      (QFormId.P1, Route.THETA), (QFormId.P2, Route.THETA))),
+    (GeometrySpec(k=2, l=1, a=1, b=0, family=Family.AB), 2,
+     ((QFormId.Q1, Route.BUNDLE), (QFormId.Q1, Route.THETA))),
+]
+
+
+@pytest.mark.parametrize("spec, order, form, route",
+                         [(spec, order, form, route) for spec, order, forms in ASSEMBLED
+                          for form, route in forms],
+                         ids=lambda x: getattr(x, "name", None))
+def test_assembled_q_form(spec, order, form, route):
+    got = _engine_over_roots(spec, q_form(form, route, spec, order))
+    assert got == _oracle_form(spec, form, route, order)

@@ -26,13 +26,12 @@ from anomcancel.theta import (
     moebius,
     sigma1,
     theta_eval,
-    theta_logderiv_ratio,
     theta_prime_eval,
     theta_ratio,
     transformation_residuals,
 )
 
-from conftest import scale_gens, set_gens_zero
+from conftest import scale_gens, set_gens_zero, theta_logderiv_ratio
 
 SPEC = RingSpec(gens=(("w", 2),), cap=8)
 W = GradedPoly.generator(SPEC, "w")

@@ -12,7 +12,6 @@ from anomcancel.verifier import (
     CaseRequest,
     default_grid,
     run_suite,
-    suite_passed,
     verify_case,
 )
 from anomcancel.verifier import _theorem_sides
@@ -202,13 +201,13 @@ class TestInvariants:
 class TestSuite:
     def test_empty_suite_passes(self):
         reports = run_suite([])
-        assert reports == [] and suite_passed(reports)
+        assert reports == [] and all(r.passed for r in reports)
 
     def test_failing_entry_fails_suite(self):
         reqs = [CaseRequest(CaseId.COR32, AB(1, 1, 1, 0)),
                 CaseRequest(CaseId.JACOBI_QSERIES, q_order=6, perturb=True)]
         reports = run_suite(reqs)
-        assert not suite_passed(reports)
+        assert not all(r.passed for r in reports)
         assert sum(not r.passed for r in reports) == 1
 
     def test_default_grid_shape(self):
