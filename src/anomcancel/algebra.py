@@ -69,9 +69,6 @@ class RingSpec:
                 return i
         raise UsageError(f"unknown generator {name!r}")
 
-    def degree_of(self, name: str) -> int:
-        return self.gens[self.index(name)][1]
-
 
 def _pack(exps: Sequence[int]) -> int:
     key = 0
@@ -813,52 +810,6 @@ def symmetrise(factors: Sequence[tuple[GradedPoly | QSeries, Sequence[GradedPoly
 # Symmetric-function conversion to Pontryagin presentation
 
 
-@lru_cache(maxsize=None)
-def _elementary_monomials(m: int, i: int) -> tuple[tuple[int, ...], ...]:
-    """Exponent vectors of e_i(s_1..s_m): all 0/1 vectors with i ones."""
-    out = []
-    for bits in range(1 << m):
-        if bin(bits).count("1") == i:
-            out.append(tuple((bits >> j) & 1 for j in range(m)))
-    return tuple(out)
-
-
-def _expand_elementary_product(dexps: Sequence[int], m: int) -> dict[tuple[int, ...], int]:
-    """Expand prod_i e_i(s)^(d_i) as a polynomial in s_1..s_m."""
-    poly: dict[tuple[int, ...], int] = {(0,) * m: 1}
-    for i, d in enumerate(dexps, start=1):
-        for _ in range(d):
-            nxt: dict[tuple[int, ...], int] = {}
-            for mono, c in poly.items():
-                for emono in _elementary_monomials(m, i):
-                    key = tuple(a + b for a, b in zip(mono, emono))
-                    nxt[key] = nxt.get(key, 0) + c
-            poly = nxt
-    return poly
-
-
-def _decompose_symmetric(terms: dict[tuple[int, ...], Fraction], m: int) -> dict[tuple[int, ...], Fraction]:
-    """Rewrite a symmetric polynomial in s_1..s_m over elementary symmetric functions."""
-    work = dict(terms)
-    out: dict[tuple[int, ...], Fraction] = {}
-    while work:
-        lam = max(work)
-        if any(lam[i] < lam[i + 1] for i in range(m - 1)):
-            raise SymmetryError("leading monomial is not a partition; input not symmetric")
-        c = work.pop(lam)
-        dexps = tuple(lam[i] - (lam[i + 1] if i + 1 < m else 0) for i in range(m))
-        out[dexps] = out.get(dexps, Fraction(0)) + c
-        for mono, coef in _expand_elementary_product(dexps, m).items():
-            if mono == lam:
-                continue
-            nv = work.get(mono, Fraction(0)) - c * coef
-            if nv:
-                work[mono] = nv
-            else:
-                work.pop(mono, None)
-    return {d: c for d, c in out.items() if c}
-
-
 class PontryaginPoly:
     """A graded polynomial rewritten over Pontryagin generators p_i(family).
 
@@ -887,33 +838,37 @@ class PontryaginPoly:
     def expand(self) -> GradedPoly:
         """Substitute every p_i(F) by the elementary symmetric function of squared roots."""
         src = self.source_spec
-        images: dict[str, GradedPoly] = {name: GradedPoly.generator(src, name)
-                                         for name in src.names}
-        sym_images: dict[str, GradedPoly] = {}
-        for fam, roots in self.families:
-            m = len(roots)
-            squares = [GradedPoly.generator(src, r) ** 2 for r in roots]
-            for i in range(1, m + 1):
-                e_i = GradedPoly.zero(src)
-                for emono in _elementary_monomials(m, i):
-                    term = GradedPoly.one(src)
-                    for s, e in zip(squares, emono):
-                        if e:
-                            term = term * s
-                    e_i = e_i + term
-                sym_images[f"p{i}({fam})"] = e_i
+        images = _images(src, self.families)
         result = GradedPoly.zero(src)
         for exps, coeff in self.poly.iter_terms():
-            term = GradedPoly.constant(src, coeff)
-            for name, e in zip(self.poly.spec.names, exps):
-                if e == 0:
-                    continue
-                img = sym_images.get(name) or images.get(name)
-                if img is None:
-                    raise UsageError(f"cannot expand symbol {name!r}")
-                term = term * img ** e
-            result = result + term
+            result = result + _image(src, images, zip(self.poly.spec.names, exps)) * coeff
         return result
+
+
+def _images(src: RingSpec,
+            families: tuple[tuple[str, tuple[str, ...]], ...]) -> dict[str, GradedPoly]:
+    """Each generator of `src` as itself, and each p_i(F) as e_i of F's squared
+    roots x, built root by root through e_i <- e_i + x e_(i-1)."""
+    images = {name: GradedPoly.generator(src, name) for name in src.names}
+    for fam, roots in families:
+        e = [GradedPoly.one(src)] + [GradedPoly.zero(src)] * len(roots)
+        for n, r in enumerate(roots, start=1):
+            x = images[r] * images[r]
+            for i in range(n, 0, -1):
+                e[i] = e[i] + x * e[i - 1]
+        images.update((f"p{i}({fam})", e[i]) for i in range(1, len(roots) + 1))
+    return images
+
+
+def _image(src: RingSpec, images: Mapping[str, GradedPoly], powers) -> GradedPoly:
+    """The product of images[name]^e over the (name, e) pairs of `powers`."""
+    out = GradedPoly.one(src)
+    for name, e in powers:
+        if e:
+            if name not in images:
+                raise UsageError(f"cannot expand symbol {name!r}")
+            out = out * images[name] ** e
+    return out
 
 
 def to_pontryagin(p: GradedPoly, family: str, roots: Sequence[str]) -> PontryaginPoly:
@@ -921,8 +876,7 @@ def to_pontryagin(p: GradedPoly, family: str, roots: Sequence[str]) -> Pontryagi
 
     The input must be invariant under permutations and sign flips of the named
     roots; p_i(family) is the i-th elementary symmetric function of their
-    squares.  Non-symmetric input raises SymmetryError (detected by the failed
-    back-substitution check).
+    squares.  Non-symmetric input raises SymmetryError.
     """
     return _convert_families(p, ((family, tuple(roots)),))
 
@@ -934,79 +888,41 @@ def pontryagin_all(p: GradedPoly, families: Sequence[tuple[str, Sequence[str]]])
 
 def _convert_families(p: GradedPoly,
                       families: tuple[tuple[str, tuple[str, ...]], ...]) -> PontryaginPoly:
+    """Leading-term elimination (Macdonald, Symmetric Functions, I.2).
+
+    In the lex order ranking the family roots first, as listed, then the
+    passthrough generators, the leading monomial of what is left has, in each
+    family, even exponents whose halves form a partition lambda; it is the
+    leading monomial of (passthrough part) * prod_i p_i(F)^(lambda_i -
+    lambda_(i+1)), so that term is recorded and its image subtracted.
+    """
     src = p.spec
-    converted: set[str] = set()
-    for _, roots in families:
-        converted.update(roots)
-    sym_gens = []
-    for fam, roots in families:
-        for r in roots:
-            if src.degree_of(r) != 2:
-                raise UsageError("family roots must have degree 2")
-        # p_i symbols with 4i above the cap can never carry a term
-        sym_gens.extend((f"p{i}({fam})", 4 * i)
-                        for i in range(1, len(roots) + 1) if 4 * i <= src.cap)
+    fam_idx = [(fam, [src.index(r) for r in roots]) for fam, roots in families]
+    root_idx = [i for _, idx in fam_idx for i in idx]
+    if any(src.degrees[i] != 2 for i in root_idx):
+        raise UsageError("family roots must have degree 2")
+    passthrough = [i for i in range(len(src.gens)) if i not in root_idx]
+    # p_i symbols with 4i above the cap can never carry a term
     target = RingSpec(
-        gens=tuple((n, d) for n, d in src.gens if n not in converted) + tuple(sym_gens),
+        gens=tuple(src.gens[i] for i in passthrough)
+        + tuple((f"p{i}({fam})", 4 * i) for fam, roots in families
+                for i in range(1, len(roots) + 1) if 4 * i <= src.cap),
         cap=src.cap)
-
-    passthrough = [n for n, _ in src.gens if n not in converted]
-    pass_idx = [src.index(n) for n in passthrough]
-
-    # Group terms by the passthrough part; each group's family exponents must
-    # be even and jointly symmetric.
-    grouped: dict[tuple[int, ...], dict[tuple[tuple[int, ...], ...], Fraction]] = {}
-    for exps, coeff in p.iter_terms():
-        fam_parts = []
-        for _, roots in families:
-            part = []
-            for r in roots:
-                e = exps[src.index(r)]
-                if e % 2 != 0:
-                    raise SymmetryError(f"odd power of root {r!r}; not sign-flip invariant")
-                part.append(e // 2)
-            fam_parts.append(tuple(part))
-        key = tuple(exps[i] for i in pass_idx)
-        grouped.setdefault(key, {})[tuple(fam_parts)] = \
-            grouped.get(key, {}).get(tuple(fam_parts), Fraction(0)) + coeff
-
-    out_terms: dict[tuple[int, ...], Fraction] = {}
-    for pass_exps, fam_terms in grouped.items():
-        # Decompose family by family; `done_prefix` maps already-assigned
-        # elementary exponents to the still-unconverted tail terms.
-        done_prefix: dict[tuple[int, ...], dict[tuple[tuple[int, ...], ...], Fraction]] = {(): fam_terms}
-        for fam, roots in families:
-            m = len(roots)
-            nxt: dict[tuple[int, ...], dict[tuple[tuple[int, ...], ...], Fraction]] = {}
-            for prefix, terms in done_prefix.items():
-                # collect symmetric polynomial in this family with coefficients
-                # indexed by the remaining families' exponents
-                by_rest: dict[tuple[tuple[int, ...], ...], dict[tuple[int, ...], Fraction]] = {}
-                for fam_parts, c in terms.items():
-                    rest = fam_parts[1:]
-                    by_rest.setdefault(rest, {})[fam_parts[0]] = \
-                        by_rest.get(rest, {}).get(fam_parts[0], Fraction(0)) + c
-                for rest, sym_terms in by_rest.items():
-                    for dexps, c in _decompose_symmetric(sym_terms, m).items():
-                        new_prefix = prefix + dexps
-                        nxt.setdefault(new_prefix, {})[rest] = \
-                            nxt.get(new_prefix, {}).get(rest, Fraction(0)) + c
-            done_prefix = nxt
-        for prefix, terms in done_prefix.items():
-            c = terms.get((), Fraction(0))
-            if c == 0:
-                continue
-            exps = [0] * len(target.gens)
-            for i, e in enumerate(pass_exps):
-                exps[target.index(passthrough[i])] = e
-            pos = 0
-            for fam, roots in families:
-                for i in range(1, len(roots) + 1):
-                    if prefix[pos]:
-                        exps[target.index(f"p{i}({fam})")] = prefix[pos]
-                    pos += 1
-            key = tuple(exps)
-            out_terms[key] = out_terms.get(key, Fraction(0)) + c
+    images = _images(src, families)
+    rank = root_idx + passthrough
+    left, out_terms = p, {}
+    while not left.is_zero:
+        exps, c = max(left.iter_terms(), key=lambda t: [t[0][i] for i in rank])
+        powers = {src.names[i]: exps[i] for i in passthrough}
+        for fam, idx in fam_idx:
+            lam = [exps[i] for i in idx] + [0]
+            if any(e % 2 or e < f for e, f in zip(lam, lam[1:])):
+                raise SymmetryError("leading monomial is not a partition in the squared "
+                                    f"roots of {fam}; input not symmetric")
+            powers.update((f"p{i}({fam})", (lam[i - 1] - lam[i]) // 2)
+                          for i in range(1, len(idx) + 1))
+        out_terms[tuple(powers.get(name, 0) for name in target.names)] = c
+        left = left - _image(src, images, powers.items()) * c
 
     result = PontryaginPoly(GradedPoly.from_terms(target, out_terms), src, families)
     if result.expand() != p:
@@ -1018,51 +934,34 @@ def _convert_families(p: GradedPoly,
 # Reduction modulo a single relation
 
 
-def ideal_reduce(p: GradedPoly, relation: GradedPoly, leading: str | None = None) -> GradedPoly:
-    """Normal form of p modulo a relation of the shape g^d - R, d = 1 or 2, R free of g.
+def ideal_reduce(p: GradedPoly, relation: GradedPoly, leading: str) -> GradedPoly:
+    """Normal form of p modulo a relation g - R linear in g = `leading`, R free of g.
 
-    The relation is normalized so its g^d coefficient is 1 (d = 1 when the
-    relation is linear in g); every occurrence of g^(d*t+s), s < d, in p is
-    rewritten to g^s R^t.  The result contains no monomial divisible by g^d,
-    and p - result lies in the ideal generated by the relation.  Without
-    `leading`, g is the first generator whose first or second power is a term.
+    The relation is normalized so its g coefficient is 1, and every g^t in p
+    is rewritten to R^t: the result is free of g, and p - result lies in the
+    ideal generated by the relation.
     """
     spec = p.spec
     if relation.spec != spec:
         raise UsageError("relation lives in a different ring")
     if relation.is_zero:
         raise UsageError("relation must be nonzero")
-
-    def power(i: int, d: int) -> tuple[int, ...]:
-        exps = [0] * len(spec.gens)
-        exps[i] = d
-        return tuple(exps)
-
-    candidates = range(len(spec.gens)) if leading is None else [spec.index(leading)]
-    found = [(i, d) for i in candidates for d in (1, 2) if relation.coefficient(power(i, d)) != 0]
-    if not found:
-        raise UsageError("relation has no generator or generator square to eliminate"
-                         if leading is None else f"relation has no {leading} or {leading}^2 term")
-    lead_idx, d = found[0]
-    lead_pow = GradedPoly.from_terms(spec, {power(lead_idx, d): Fraction(1)})
-    rest = lead_pow - relation * (1 / relation.coefficient(power(lead_idx, d)))
-    # R = g^d - rel must not involve g at all.
-    for exps, _ in rest.iter_terms():
-        if exps[lead_idx] != 0:
-            raise UsageError("malformed relation: remainder still involves the leading generator")
+    g = spec.index(leading)
+    c = relation.coefficient([int(i == g) for i in range(len(spec.gens))])
+    if c == 0:
+        raise UsageError(f"relation has no {leading} term")
+    rest = GradedPoly.generator(spec, leading) - relation * (1 / c)
+    if any(exps[g] for exps, _ in rest.iter_terms()):
+        raise UsageError("malformed relation: remainder still involves the leading generator")
 
     rest_pows = [GradedPoly.one(spec)]
-    for _ in range(spec.cap // (d * spec.degrees[lead_idx])):
+    for _ in range(spec.cap // spec.degrees[g]):
         rest_pows.append(rest_pows[-1] * rest)
 
     out = GradedPoly.zero(spec)
     for exps, coeff in p.iter_terms():
-        t, s = divmod(exps[lead_idx], d)
-        if t == 0:
-            out = out + GradedPoly.from_terms(spec, {exps: coeff})
-            continue
         base = list(exps)
-        base[lead_idx] = s
+        t, base[g] = base[g], 0
         mono = GradedPoly.from_terms(spec, {tuple(base): coeff})
-        out = out + mono * rest_pows[t]
+        out = out + (mono * rest_pows[t] if t else mono)
     return out

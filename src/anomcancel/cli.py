@@ -232,6 +232,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.suite or args.all or args.case != CaseId.NUMERIC_MODULARITY.value:
             raise UsageError("--tolerance applies to --case NUMERIC_MODULARITY only")
         _check_tolerance(args.tolerance, "--tolerance")
+    if args.suite or args.all:
+        # a suite file or the grid chooses its own cases, geometries and q-orders
+        given = {"--all": args.suite and args.all, "--case": args.case is not None,
+                 "--q-order": args.q_order is not None,
+                 **{f"--{key}": True for key in _given_geometry(args)}}
+        extra = [flag for flag, on in given.items() if on]
+        if extra:
+            raise UsageError(f"{'--suite' if args.suite else '--all'} cannot be combined "
+                             f"with {', '.join(extra)}")
     if args.suite:
         requests, fmt = _requests_from_suite_file(args.suite)
         if fmt is not None:

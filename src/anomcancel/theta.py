@@ -72,8 +72,8 @@ def _root_cap(w: GradedPoly) -> int:
     return ring.cap
 
 
-def _geometric_inverse(poly: GradedPoly, half_exp: int, sign: int, order: int) -> QSeries:
-    """(1 - sign * poly * q^(half_exp/2))^(-1) as a geometric series: the THETA
+def _geometric_inverse(poly: GradedPoly, half_exp: int, order: int) -> QSeries:
+    """(1 - poly * q^(half_exp/2))^(-1) as a geometric series: the THETA
     route builds it apart from the BUNDLE route's division, keeping them independent."""
     spec = poly.spec
     width = 2 * order + 1
@@ -85,7 +85,7 @@ def _geometric_inverse(poly: GradedPoly, half_exp: int, sign: int, order: int) -
         power = power * poly
         if power.is_zero:
             break
-        coeffs[i * half_exp] = power if sign > 0 or i % 2 == 0 else -power
+        coeffs[i * half_exp] = power
         i += 1
     return QSeries(coeffs, order, spec)
 
@@ -101,8 +101,8 @@ def _theta_ratio_cached(kind: ThetaKind, cap: int, order: int) -> QSeries:
         res = QSeries.from_poly(half_over_sinh_half_root(cap), order)
         for j in range(1, order + 1):
             res = res * QSeries.binomial(-1, 2 * j, order).powi(2)
-            res = res * _geometric_inverse(ew, 2 * j, +1, order)
-            res = res * _geometric_inverse(ewi, 2 * j, +1, order)
+            res = res * _geometric_inverse(ew, 2 * j, order)
+            res = res * _geometric_inverse(ewi, 2 * j, order)
         return res
 
     if kind is ThetaKind.THETA1:

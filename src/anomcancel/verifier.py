@@ -447,7 +447,7 @@ class CaseRow:
     handler: Callable[[CaseRequest], Outcome]
     family: Family | None                 # required family; None accepts any
     default_family: Family | None         # assumed by the CLI and suite files; None: no geometry
-    default_q_order: int | None = None    # None: k + 2
+    default_q_order: int | None = None    # None: k + 2; 0: reads no q-series, takes none
 
     @property
     def needs_geometry(self) -> bool:
@@ -487,6 +487,8 @@ def verify_case(case: CaseId, spec: GeometrySpec | None = None,
         raise UsageError(f"{case.value} needs family {row.family.value}")
     if q_order is None:
         q_order = spec.k + 2 if row.default_q_order is None else row.default_q_order
+    elif row.default_q_order == 0:
+        raise UsageError(f"{case.value} reads no q-series and takes no q-order")
     # decompose reads the h_r off half-indices 0..k//2; the floor keeps two
     # integer q-orders past them.  No theorem case reads those orders: it uses
     # the h_r alone, and its b_r and beta_r decompositions leave a nonzero

@@ -329,42 +329,89 @@ class TestPontryagin:
             to_pontryagin(w1, "TM", ["w1", "w2"])
 
 
+class TestElimination:
+    """pontryagin_all over two root families and a passthrough Euler root."""
+
+    SPEC = RingSpec(gens=(("u", 2), ("w1", 2), ("w2", 2), ("v1", 2), ("v2", 2)), cap=12)
+    TARGET = RingSpec(gens=(("u", 2), ("p1(TM)", 4), ("p2(TM)", 8),
+                            ("p1(V)", 4), ("p2(V)", 8)), cap=12)
+    FAMILIES = [("TM", ("w1", "w2")), ("V", ("v1", "v2"))]
+
+    def elementary(self):
+        """u, then e_1, e_2 of each family's squared roots, in TARGET's order."""
+        u, w1, w2, v1, v2 = gens(self.SPEC)
+        return [u, w1 ** 2 + w2 ** 2, w1 ** 2 * w2 ** 2, v1 ** 2 + v2 ** 2, v1 ** 2 * v2 ** 2]
+
+    def test_known_value(self):
+        u, e1, e2, f1, _ = self.elementary()
+        p = u * u * e1 * e1 - e2 * 3 + e1 * f1 * F(1, 2)
+        pp = pontryagin_all(p, self.FAMILIES)
+        assert pp.poly.spec == self.TARGET
+        assert str(pp) == "-3*p2(TM) + 1/2*p1(TM)*p1(V) + u^2*p1(TM)^2"
+
+    def test_random_symmetric_round_trip(self, rng):
+        images = self.elementary()
+        for _ in range(100):
+            want = random_poly(rng, self.TARGET, terms=5, max_exp=2)
+            p = GradedPoly.zero(self.SPEC)
+            for exps, coeff in want.iter_terms():
+                term = GradedPoly.constant(self.SPEC, coeff)
+                for image, e in zip(images, exps):
+                    term = term * image ** e
+                p = p + term
+            pp = pontryagin_all(p, self.FAMILIES)
+            assert pp.poly == want
+            assert pp.expand() == p
+
+    def test_non_symmetric_rejected(self):
+        u, w1, w2, v1, v2 = gens(self.SPEC)
+        with pytest.raises(SymmetryError):
+            pontryagin_all(u * w1 * (v1 ** 2), self.FAMILIES)        # odd power
+        with pytest.raises(SymmetryError):
+            pontryagin_all(u * v2 ** 2, self.FAMILIES)               # not a partition
+        # x1^2 x2 + x1 in the squared roots x: the leading monomial is a
+        # partition, but x1 x2^2 is left after subtracting p1 p2
+        with pytest.raises(SymmetryError):
+            pontryagin_all(w1 ** 4 * w2 ** 2 + w1 ** 2, self.FAMILIES)
+
+    def test_root_of_wrong_degree_rejected(self):
+        spec = RingSpec(gens=(("w1", 2), ("p1", 4)), cap=8)
+        with pytest.raises(UsageError):
+            pontryagin_all(GradedPoly.one(spec), [("TM", ("w1", "p1"))])
+
+
+PSPEC = RingSpec(gens=(("u", 2), ("p1(TM)", 4), ("p2(TM)", 8), ("p1(V)", 4)), cap=8)
+
+
 class TestIdealReduce:
+    """Reduction modulo p1(TM) - p1(V), the relation the verifier uses."""
+
     def relation(self):
-        w1, w2, v1 = gens()
-        return w1 ** 2 + w2 ** 2 - v1 ** 2
+        _, p1, _, q1 = gens(PSPEC)
+        return p1 - q1
 
     def test_generator_reduces_to_zero(self):
         rel = self.relation()
-        assert ideal_reduce(rel, rel).is_zero
-
-    def test_single_rewrite(self):
-        w1, w2, v1 = gens()
-        assert ideal_reduce(w1 ** 2, self.relation()) == v1 ** 2 - w2 ** 2
-
-    def test_double_rewrite(self):
-        w1, w2, v1 = gens()
-        assert ideal_reduce(w1 ** 4, self.relation()) == (v1 ** 2 - w2 ** 2) ** 2
+        assert ideal_reduce(rel, rel, leading="p1(TM)").is_zero
 
     def test_linear_relation(self):
         # p1(TM) - p1(V) in a Pontryagin ring: p1(TM) is replaced by p1(V)
-        spec = RingSpec(gens=(("u", 2), ("p1(TM)", 4), ("p2(TM)", 8), ("p1(V)", 4)), cap=8)
-        u, p1, p2, q1 = (GradedPoly.generator(spec, name) for name in spec.names)
-        rel = p1 - q1
-        assert ideal_reduce(rel, rel).is_zero
-        assert ideal_reduce(p1 * p1 * 3 - p2 + u * p1, rel) == q1 * q1 * 3 - p2 + u * q1
+        u, p1, p2, q1 = gens(PSPEC)
+        rel = self.relation()
+        assert ideal_reduce(p1 * p1 * 3 - p2 + u * p1, rel, leading="p1(TM)") \
+            == q1 * q1 * 3 - p2 + u * q1
         assert ideal_reduce(p1 * 2 + 1, rel * 5, leading="p1(TM)") == q1 * 2 + 1
-        # without `leading`, the first generator with a linear or square term
-        assert ideal_reduce(u * u + p1, u * u - q1) == q1 + p1
         with pytest.raises(UsageError):
             ideal_reduce(p1, rel, leading="p2(TM)")
 
     def test_malformed_relation(self):
-        w1, w2, v1 = gens()
+        u, p1, _, q1 = gens(PSPEC)
         with pytest.raises(UsageError):
-            ideal_reduce(w1 ** 2, w1 ** 2 + w1 * w2)  # remainder keeps w1
+            ideal_reduce(p1, p1 + p1 * u, leading="p1(TM)")  # remainder keeps p1(TM)
         with pytest.raises(UsageError):
-            ideal_reduce(w1 ** 2, GradedPoly.zero(SPEC))
+            ideal_reduce(p1, GradedPoly.zero(PSPEC), leading="p1(TM)")
+        with pytest.raises(UsageError):
+            ideal_reduce(u, u * u - q1, leading="u")          # not linear in u
 
 
 class TestProperties:
@@ -424,15 +471,19 @@ class TestProperties:
             assert pp.expand() == p
 
     def test_ideal_reduce_is_idempotent_homomorphism(self, rng):
-        w1, w2, v1 = gens()
-        rel = w1 ** 2 + w2 ** 2 - v1 ** 2
+        _, p1, _, q1 = gens(PSPEC)
+        rel = p1 - q1
+
+        def reduce(x):
+            return ideal_reduce(x, rel, leading="p1(TM)")
+
         for _ in range(self.N_CASES):
-            p = random_poly(rng, SPEC)
-            q = random_poly(rng, SPEC)
-            rp = ideal_reduce(p, rel)
-            assert ideal_reduce(rp, rel) == rp
-            lhs = ideal_reduce(p * q, rel)
-            rhs = ideal_reduce(ideal_reduce(p, rel) * ideal_reduce(q, rel), rel)
+            p = random_poly(rng, PSPEC)
+            q = random_poly(rng, PSPEC)
+            rp = reduce(p)
+            assert reduce(rp) == rp
+            lhs = reduce(p * q)
+            rhs = reduce(reduce(p) * reduce(q))
             assert lhs == rhs
 
 

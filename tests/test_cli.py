@@ -147,6 +147,36 @@ class TestTolerance:
         assert f"(tol {float(value):.0e})" in out
 
 
+class TestSelectorConflicts:
+    """--suite and --all choose their own cases, geometries and q-orders."""
+
+    @pytest.mark.parametrize("selector", [("--all",), ("--suite", "suite.json")])
+    @pytest.mark.parametrize("extra, flag", [
+        (("--case", "THM41"), "--case"), (("--q-order", "2"), "--q-order"),
+        (("--family", "ab"), "--family"), (("--k", "3"), "--k"), (("--l", "2"), "--l"),
+        (("--a", "1"), "--a"), (("--b", "0"), "--b"),
+    ])
+    def test_ignored_flag_is_usage_error(self, capsys, selector, extra, flag):
+        code, out, err = run_cli(capsys, "verify", *selector, *extra)
+        assert code == 2 and out == ""
+        assert f"{selector[0]} cannot be combined with {flag}" in err
+
+    def test_suite_with_all_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps({"cases": [{"case": "JACOBI_QSERIES", "qOrder": 2}]}))
+        code, out, err = run_cli(capsys, "verify", "--suite", str(path), "--all")
+        assert code == 2 and out == ""
+        assert "--suite cannot be combined with --all" in err
+        assert run_cli(capsys, "verify", "--suite", str(path))[0] == 0
+
+    @pytest.mark.parametrize("value", ["-3", "0", "5"])
+    def test_q_order_on_numeric_case_is_usage_error(self, capsys, value):
+        code, out, err = run_cli(capsys, "verify", "--case", "NUMERIC_MODULARITY",
+                                 "--q-order", value)
+        assert code == 2 and out == ""
+        assert "NUMERIC_MODULARITY reads no q-series and takes no q-order" in err
+
+
 class TestSuiteValidation:
     def run_suite_file(self, capsys, tmp_path, config):
         path = tmp_path / "suite.json"
@@ -179,6 +209,10 @@ class TestSuiteValidation:
         pytest.param({"cases": [{"case": "THM31", "family": "xi"}]}, id="unknown family"),
         pytest.param({"cases": [{"case": "JACOBI_QSERIES", "k": 2}]},
                      id="geometry on a case without one"),
+        pytest.param({"cases": [{"case": "NUMERIC_MODULARITY", "qOrder": -3}]},
+                     id="qOrder on the numeric case"),
+        pytest.param({"cases": [{"case": "COR32"}, {"case": "NUMERIC_MODULARITY", "qOrder": 0}]},
+                     id="qOrder 0 on the numeric case"),
     ])
     def test_malformed_suite_is_usage_error(self, capsys, tmp_path, config):
         code, out, err = self.run_suite_file(capsys, tmp_path, config)
