@@ -10,7 +10,6 @@ from .algebra import (
     GradedPoly,
     PontryaginPoly,
     QSeries,
-    Rational,
     RingSpec,
     apply_series,
     family_sum,
@@ -19,7 +18,6 @@ from .algebra import (
     pontryagin_all,
     power_sums,
     symmetrise,
-    to_pontryagin,
 )
 from .bundles import (
     Family,
@@ -59,12 +57,11 @@ __all__ = [
     "BrBetarKind", "CaseId", "CaseRequest", "DecompResult", "DomainError",
     "Family", "GeometrySpec", "GradedPoly", "Group",
     "InvertError", "ModularFormId", "PontryaginPoly", "QFormId", "QSeries",
-    "Rational", "Report", "RingSpec", "Route", "SymmetryError", "ThetaKind",
+    "Report", "RingSpec", "Route", "SymmetryError", "ThetaKind",
     "UsageError", "apply_series", "basis_series", "ch_spinor_pow",
     "ch_theta_bundle", "closed_form_checks", "decompose", "default_grid",
     "extract_br_betar", "family_sum", "genus_form", "ideal_reduce",
     "jacobi_identity_check", "modular_form", "one_root_ring", "p1_combo",
     "pontryagin_all", "power_sums", "q_form", "run_suite", "symmetrise",
-    "theta_eval", "theta_ratio", "to_pontryagin",
-    "transformation_residuals", "verify_case",
+    "theta_eval", "theta_ratio", "transformation_residuals", "verify_case",
 ]

@@ -27,9 +27,6 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import InvertError, SymmetryError, UsageError
 
-# Exact rational scalar type: always lowest terms, positive denominator.
-Rational = Fraction
-
 _SHIFT = 6          # bits per generator exponent in a packed monomial key
 _MASK = (1 << _SHIFT) - 1
 
@@ -536,11 +533,6 @@ class QSeries:
                 return n
         return None
 
-    def truncate(self, order: int) -> "QSeries":
-        if order > self.order:
-            raise UsageError("cannot extend a truncated series")
-        return QSeries(self.coeffs[: 2 * order + 1], order, self.ring)
-
     def map(self, fn: Callable) -> "QSeries":
         """Apply fn to every coefficient (must stay within the same ring)."""
         return QSeries([fn(c) for c in self.coeffs], self.order, self.ring)
@@ -869,16 +861,6 @@ def _image(src: RingSpec, images: Mapping[str, GradedPoly], powers) -> GradedPol
                 raise UsageError(f"cannot expand symbol {name!r}")
             out = out * images[name] ** e
     return out
-
-
-def to_pontryagin(p: GradedPoly, family: str, roots: Sequence[str]) -> PontryaginPoly:
-    """Convert a polynomial symmetric in one root family to Pontryagin classes.
-
-    The input must be invariant under permutations and sign flips of the named
-    roots; p_i(family) is the i-th elementary symmetric function of their
-    squares.  Non-symmetric input raises SymmetryError.
-    """
-    return _convert_families(p, ((family, tuple(roots)),))
 
 
 def pontryagin_all(p: GradedPoly, families: Sequence[tuple[str, Sequence[str]]]) -> PontryaginPoly:

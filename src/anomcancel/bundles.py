@@ -411,14 +411,13 @@ def _q_form_bundle(form: QFormId, spec: GeometrySpec, order: int) -> QSeries:
     return e2_expm1_over_z(spec, order) * base
 
 
-@lru_cache(maxsize=None)
 def _q_form_theta(form: QFormId, spec: GeometrySpec, order: int) -> QSeries:
-    w = GradedPoly.generator(one_root_ring(4 * spec.k), "w")
-    factors = [(theta_ratio(ThetaKind.THETA, w, order), spec.power_sums("TM"), 1)]
+    cap = 4 * spec.k
+    factors = [(theta_ratio(ThetaKind.THETA, cap, order), spec.power_sums("TM"), 1)]
     row = FAMILY_FORMS[spec.family]
     groups, two = row.theta[0 if form is row.lead else 1]
     for roots, kinds in groups:
         for kind, e in kinds:
-            factors.append((theta_ratio(kind, w, order), spec.power_sums(roots), spec.twist(e)))
+            factors.append((theta_ratio(kind, cap, order), spec.power_sums(roots), spec.twist(e)))
     res = symmetrise(factors, _e2_exponent(spec, order))
     return res.scale(Fraction(2) ** (spec.twist(two) * spec.l))

@@ -17,7 +17,7 @@ from .bundles import FAMILY_FORMS, Family, GeometrySpec, ch_theta_bundle
 from .decomp import closed_form_checks, extract_br_betar
 from .errors import UsageError
 from .theta import ModularFormId, modular_form
-from .verifier import CASES, CaseId, CaseRequest, Report, default_grid, run_suite, verify_case
+from .verifier import CASES, CaseId, CaseRequest, Report, default_grid, run_suite
 
 _FAMILIES = sorted(f.value for f in Family)
 
@@ -69,8 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--a", type=int, help="first twist integer (default 1)")
     e.add_argument("--b", type=int, help="second twist integer (default 0)")
     e.add_argument("--family", choices=_FAMILIES, help="bundle family (default ab)")
-    e.add_argument("--which", type=int, choices=[1, 2], default=2,
-                   help="which twisted bundle (theta-bundle object only)")
+    e.add_argument("--which", type=int, choices=[1, 2],
+                   help="which twisted bundle (theta-bundle object only; default 2)")
     e.add_argument("--q-order", type=int, dest="q_order", default=3)
     e.add_argument("--format", choices=["text", "json"], default="text")
     for p in (v, e):
@@ -145,12 +145,12 @@ def _case_spec(case: CaseId, given: dict, where: str) -> GeometrySpec | None:
     GeometrySpec rejects invalid combinations (e.g. twists other than (1, 0)
     for the two-line family) before any case executes.
     """
-    row = CASES[case]
-    if not row.needs_geometry:
+    families = CASES[case].families
+    if not families:
         if given:
             raise UsageError(f"{where}: {case.value} takes no geometry")
         return None
-    return _geometry(given, row.default_family)
+    return _geometry(given, families[0])
 
 
 def _geometry(given: dict, family: Family) -> GeometrySpec:
@@ -249,9 +249,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     elif args.all:
         reports = run_suite(default_grid())
     elif args.case:
-        req = _request_from_args(args)
-        reports = [verify_case(req.case, req.spec, req.q_order,
-                               req.perturb, req.tolerance)]
+        reports = run_suite([_request_from_args(args)])
     else:
         raise UsageError("choose one of --case, --all or --suite")
 
@@ -273,6 +271,8 @@ def _expand_rows(args: argparse.Namespace) -> tuple[list[tuple[str, str]], int]:
     """The rows to print and the q-order they were computed at."""
     n = args.q_order
     given = _given_geometry(args)
+    if args.which is not None and args.object != "theta-bundle":
+        raise UsageError("--which applies to --object theta-bundle only")
     if args.object in _MODULAR_OBJECTS:
         if given:
             raise UsageError(f"{args.object} takes no geometry")
@@ -281,7 +281,7 @@ def _expand_rows(args: argparse.Namespace) -> tuple[list[tuple[str, str]], int]:
 
     spec = _geometry(given, Family.AB)
     if args.object == "theta-bundle":
-        series = ch_theta_bundle(args.which, spec, n)
+        series = ch_theta_bundle(args.which or 2, spec, n)
         return [(half_q_label(i), str(c)) for i, c in enumerate(series.coeffs)], n
 
     row = FAMILY_FORMS[spec.family]

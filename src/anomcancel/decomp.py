@@ -49,7 +49,6 @@ class DecompResult:
 
     h: tuple
     residual: QSeries
-    determination_order: int  # last half-index used to fix the h_r
 
     @property
     def is_exact(self) -> bool:
@@ -97,7 +96,7 @@ def decompose(series: QSeries, k: int, order: int) -> DecompResult:
         term = basis[r] * hr if isinstance(hr, GradedPoly) else basis[r].scale(hr)
         recon = term if recon is None else recon + term
     residual = series - recon
-    return DecompResult(h=tuple(h), residual=residual, determination_order=m_max)
+    return DecompResult(h=tuple(h), residual=residual)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ under the modular group generators.
 from __future__ import annotations
 
 import cmath
-import math
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -64,14 +63,6 @@ def sigma1(n: int) -> int:
 # Symbolic theta quotients
 
 
-def _root_cap(w: GradedPoly) -> int:
-    """The cap of the one-root ring whose root w is; anything else is refused."""
-    ring = one_root_ring(w.spec.cap)
-    if w.spec != ring or w != GradedPoly.generator(ring, "w"):
-        raise UsageError("theta argument must be the root w of a one-root ring")
-    return ring.cap
-
-
 def _geometric_inverse(poly: GradedPoly, half_exp: int, order: int) -> QSeries:
     """(1 - poly * q^(half_exp/2))^(-1) as a geometric series: the THETA
     route builds it apart from the BUNDLE route's division, keeping them independent."""
@@ -91,7 +82,19 @@ def _geometric_inverse(poly: GradedPoly, half_exp: int, order: int) -> QSeries:
 
 
 @lru_cache(maxsize=None)
-def _theta_ratio_cached(kind: ThetaKind, cap: int, order: int) -> QSeries:
+def theta_ratio(kind: ThetaKind, cap: int, order: int) -> QSeries:
+    """Normalized theta quotient with a nilpotent argument.
+
+    For THETA this is w * theta'(0)/theta(w); for the other kinds it is
+    theta_i(w)/theta_i(0).  The q^(1/8) prefactors cancel in every quotient,
+    so the result lives on the half-integer q grid with coefficients that are
+    polynomials in w, the root of the one-root ring of this (even, positive)
+    degree cap (`one_root_ring`).
+    """
+    if cap < 2 or cap % 2:
+        raise UsageError(f"degree cap must be even and positive, not {cap}")
+    if order < 0:
+        raise UsageError("truncation order must be >= 0")
     spec = one_root_ring(cap)
     ew = exp_root(cap, +1)
     ewi = exp_root(cap, -1)
@@ -128,19 +131,6 @@ def _theta_ratio_cached(kind: ThetaKind, cap: int, order: int) -> QSeries:
         return res
 
     raise UsageError(f"unknown theta kind {kind!r}")
-
-
-def theta_ratio(kind: ThetaKind, w: GradedPoly, order: int) -> QSeries:
-    """Normalized theta quotient with a nilpotent argument.
-
-    For THETA this is w * theta'(0)/theta(w); for the other kinds it is
-    theta_i(w)/theta_i(0).  The q^(1/8) prefactors cancel in every quotient,
-    so the result lives on the half-integer q grid with coefficients that are
-    polynomials in w, the root of a one-root ring (`one_root_ring`).
-    """
-    if order < 0:
-        raise UsageError("truncation order must be >= 0")
-    return _theta_ratio_cached(kind, _root_cap(w), order)
 
 
 # ---------------------------------------------------------------------------

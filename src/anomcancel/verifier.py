@@ -96,11 +96,47 @@ class Report:
 
 @dataclass(frozen=True)
 class CaseRequest:
+    """One case to run; building it checks everything its `CASES` row demands."""
+
     case: CaseId
     spec: GeometrySpec | None = None
-    q_order: int | None = None
+    q_order: int | None = None         # as the caller gave it; `order` is the one run at
     perturb: bool = False
     tolerance: float | None = None
+
+    def __post_init__(self) -> None:
+        case, spec = self.case, self.spec
+        row = CASES.get(case)
+        if row is None:
+            raise UsageError(f"unknown case {case!r}")
+        if row.families and spec is None:
+            raise UsageError(f"{case.value} needs a geometry")
+        if not row.families and spec is not None:
+            raise UsageError(f"{case.value} takes no geometry")
+        if spec is not None and spec.family not in row.families:
+            raise UsageError(f"{case.value} needs family "
+                             + " or ".join(f.value for f in row.families))
+        if self.q_order is not None and row.default_q_order == 0:
+            raise UsageError(f"{case.value} reads no q-series and takes no q-order")
+        # decompose reads the h_r off half-indices 0..k//2; the floor keeps two
+        # integer q-orders past them.  No theorem case reads those orders: it uses
+        # the h_r alone, and its b_r and beta_r decompositions leave a nonzero
+        # residual there.  EQ318_TRANSFER and DOUBLE_ROUTE compare them.
+        if spec is not None and 2 * self.order < spec.k // 2 + 4:
+            raise UsageError("q-order too small: need 2 * q-order >= k // 2 + 4")
+        if self.order < 0:
+            raise UsageError("q-order must be >= 0")
+        for name, value in row.pins:
+            if getattr(spec, name) != value:
+                raise UsageError(f"{case.value} fixes {name} = {value}")
+
+    @property
+    def order(self) -> int:
+        """The q-order the case runs at: the one given, else its row's default."""
+        if self.q_order is not None:
+            return self.q_order
+        default = CASES[self.case].default_q_order
+        return self.spec.k + 2 if default is None else default
 
 
 # What a case handler returns: verdict, (residual half-index, residual
@@ -180,7 +216,7 @@ def _theorem_sides(spec: GeometrySpec, order: int,
 
 def _case_theorem(req: CaseRequest) -> Outcome:
     spec = req.spec
-    lhs, rhs, data = _theorem_sides(spec, req.q_order, req.perturb)
+    lhs, rhs, data = _theorem_sides(spec, req.order, req.perturb)
     diff = lhs - rhs
     notes = []
     if spec.family is Family.TWO_LINE:
@@ -202,8 +238,6 @@ def _case_theorem(req: CaseRequest) -> Outcome:
 
 def _case_cor32(req: CaseRequest) -> Outcome:
     spec = req.spec
-    if spec.k != 1:
-        raise UsageError("this corollary is the k = 1 specialization")
     a, b, l = spec.a, spec.b, spec.l
     da, db = lead_weight(spec)
     z = p1_combo(spec)
@@ -227,8 +261,6 @@ def _case_cor32(req: CaseRequest) -> Outcome:
 
 def _case_cor33(req: CaseRequest) -> Outcome:
     spec = req.spec
-    if spec.k != 2:
-        raise UsageError("this corollary is the k = 2 specialization")
     a, b, l = spec.a, spec.b, spec.l
     da, db = lead_weight(spec)
     chv = ch_v_tilde(spec)
@@ -251,8 +283,6 @@ def _case_cor33(req: CaseRequest) -> Outcome:
 
 def _case_cor42(req: CaseRequest) -> Outcome:
     spec = req.spec
-    if spec.k != 1:
-        raise UsageError("this corollary is the k = 1 specialization")
     l = spec.l
     lead, weight = lead_weight(spec)
     z = p1_combo(spec)
@@ -270,8 +300,6 @@ def _case_cor42(req: CaseRequest) -> Outcome:
 
 def _case_cor43(req: CaseRequest) -> Outcome:
     spec = req.spec
-    if spec.k != 2:
-        raise UsageError("this corollary is the k = 2 specialization")
     l = spec.l
     lead, weight = lead_weight(spec)
     chw = twist_bundle(spec)
@@ -297,7 +325,7 @@ def _case_cor43(req: CaseRequest) -> Outcome:
 
 
 def _case_transfer(req: CaseRequest) -> Outcome:
-    spec, order = req.spec, req.q_order
+    spec, order = req.spec, req.order
     k = spec.k
     if req.perturb:
         side = q_form(QFormId.Q2, Route.BUNDLE, spec, order).degree_slice(4 * k)
@@ -319,10 +347,8 @@ def _case_transfer(req: CaseRequest) -> Outcome:
 
 
 def _case_double_route(req: CaseRequest) -> Outcome:
-    spec, order = req.spec, req.q_order
+    spec, order = req.spec, req.order
     row = FAMILY_FORMS[spec.family]
-    if row.theta is None:
-        raise UsageError(f"no theta-quotient route for family {spec.family.value}")
     z = p1_combo(spec)
     pairs = [
         (row.lead.name, q_form(row.lead, Route.BUNDLE, spec, order),
@@ -355,7 +381,7 @@ def _case_closed_forms(req: CaseRequest) -> Outcome:
     quantities = []
     notes = []
     for kind in (row.b_kind, row.beta_kind):
-        result = extract_br_betar(spec, kind, req.q_order)
+        result = extract_br_betar(spec, kind, req.order)
         for c in closed_form_checks(spec, kind, result):
             if req.perturb:
                 # negative control: a damaged coefficient matches no candidate
@@ -373,9 +399,7 @@ def _case_closed_forms(req: CaseRequest) -> Outcome:
 
 
 def _case_hlz(req: CaseRequest) -> Outcome:
-    spec, order = req.spec, req.q_order
-    if (spec.a, spec.b) != (1, 0):
-        spec = GeometrySpec(k=spec.k, l=spec.l, a=1, b=0, family=Family.AB)
+    spec, order = req.spec, req.order
     lhs, rhs, _ = _theorem_sides(spec, order)
     # Independent assembly hard-wired to the single-twist shape: the spinor
     # character symmetrised from a per-root sum of exponentials, the untwisted
@@ -431,9 +455,9 @@ def _case_numeric(req: CaseRequest) -> Outcome:
 
 
 def _case_jacobi(req: CaseRequest) -> Outcome:
-    residual = jacobi_identity_check(req.q_order, req.perturb)
+    residual = jacobi_identity_check(req.order, req.perturb)
     ok = residual.is_zero()
-    return ok, _series_residual(residual), (("q_order", str(req.q_order)),), ()
+    return ok, _series_residual(residual), (("q_order", str(req.order)),), ()
 
 
 # ---------------------------------------------------------------------------
@@ -442,34 +466,29 @@ def _case_jacobi(req: CaseRequest) -> Outcome:
 
 @dataclass(frozen=True)
 class CaseRow:
-    """How verify_case runs one case and what the case needs."""
+    """How verify_case runs one case and what the case accepts."""
 
     handler: Callable[[CaseRequest], Outcome]
-    family: Family | None                 # required family; None accepts any
-    default_family: Family | None         # assumed by the CLI and suite files; None: no geometry
+    families: tuple[Family, ...]          # accepted, the first by default; (): no geometry
+    pins: tuple[tuple[str, int], ...] = ()  # geometry values the case fixes
     default_q_order: int | None = None    # None: k + 2; 0: reads no q-series, takes none
 
-    @property
-    def needs_geometry(self) -> bool:
-        return self.default_family is not None
-
-
-_AB, _XI, _TWO = Family.AB, Family.AB_XI, Family.TWO_LINE
 
 CASES: dict[CaseId, CaseRow] = {
-    CaseId.THM31: CaseRow(_case_theorem, _AB, _AB),
-    CaseId.COR32: CaseRow(_case_cor32, _AB, _AB),
-    CaseId.COR33: CaseRow(_case_cor33, _AB, _AB),
-    CaseId.THM34: CaseRow(_case_theorem, _XI, _XI),
-    CaseId.THM41: CaseRow(_case_theorem, _TWO, _TWO),
-    CaseId.COR42: CaseRow(_case_cor42, _TWO, _TWO),
-    CaseId.COR43: CaseRow(_case_cor43, _TWO, _TWO),
-    CaseId.EQ318_TRANSFER: CaseRow(_case_transfer, _AB, _AB),
-    CaseId.DOUBLE_ROUTE: CaseRow(_case_double_route, None, _AB),
-    CaseId.BR_BETAR_CLOSED_FORMS: CaseRow(_case_closed_forms, None, _AB),
-    CaseId.HLZ_SPECIAL: CaseRow(_case_hlz, _AB, _AB),
-    CaseId.NUMERIC_MODULARITY: CaseRow(_case_numeric, None, None, default_q_order=0),
-    CaseId.JACOBI_QSERIES: CaseRow(_case_jacobi, None, None, default_q_order=20),
+    CaseId.THM31: CaseRow(_case_theorem, (Family.AB,)),
+    CaseId.COR32: CaseRow(_case_cor32, (Family.AB,), (("k", 1),)),
+    CaseId.COR33: CaseRow(_case_cor33, (Family.AB,), (("k", 2),)),
+    CaseId.THM34: CaseRow(_case_theorem, (Family.AB_XI,)),
+    CaseId.THM41: CaseRow(_case_theorem, (Family.TWO_LINE,)),
+    CaseId.COR42: CaseRow(_case_cor42, (Family.TWO_LINE,), (("k", 1),)),
+    CaseId.COR43: CaseRow(_case_cor43, (Family.TWO_LINE,), (("k", 2),)),
+    CaseId.EQ318_TRANSFER: CaseRow(_case_transfer, (Family.AB,)),
+    CaseId.DOUBLE_ROUTE: CaseRow(_case_double_route, tuple(
+        family for family, row in FAMILY_FORMS.items() if row.theta is not None)),
+    CaseId.BR_BETAR_CLOSED_FORMS: CaseRow(_case_closed_forms, tuple(Family)),
+    CaseId.HLZ_SPECIAL: CaseRow(_case_hlz, (Family.AB,), (("a", 1), ("b", 0))),
+    CaseId.NUMERIC_MODULARITY: CaseRow(_case_numeric, (), default_q_order=0),
+    CaseId.JACOBI_QSERIES: CaseRow(_case_jacobi, (), default_q_order=20),
 }
 
 
@@ -478,28 +497,10 @@ def verify_case(case: CaseId, spec: GeometrySpec | None = None,
                 tolerance: float | None = None) -> Report:
     """Run one verification case and return its structured report."""
     start = time.perf_counter()
-    row = CASES.get(case)
-    if row is None:
-        raise UsageError(f"unknown case {case!r}")
-    if row.needs_geometry and spec is None:
-        raise UsageError(f"{case.value} needs a geometry")
-    if row.family is not None and spec.family is not row.family:
-        raise UsageError(f"{case.value} needs family {row.family.value}")
-    if q_order is None:
-        q_order = spec.k + 2 if row.default_q_order is None else row.default_q_order
-    elif row.default_q_order == 0:
-        raise UsageError(f"{case.value} reads no q-series and takes no q-order")
-    # decompose reads the h_r off half-indices 0..k//2; the floor keeps two
-    # integer q-orders past them.  No theorem case reads those orders: it uses
-    # the h_r alone, and its b_r and beta_r decompositions leave a nonzero
-    # residual there.  EQ318_TRANSFER and DOUBLE_ROUTE compare them.
-    if row.needs_geometry and 2 * q_order < spec.k // 2 + 4:
-        raise UsageError("q-order too small: need 2 * q-order >= k // 2 + 4")
-
-    ok, resid, quantities, notes = row.handler(
-        CaseRequest(case, spec, q_order, perturb, tolerance))
+    req = CaseRequest(case, spec, q_order, perturb, tolerance)
+    ok, resid, quantities, notes = CASES[case].handler(req)
     millis = int((time.perf_counter() - start) * 1000)
-    return Report(case=case, spec=spec, q_order=q_order,
+    return Report(case=case, spec=spec, q_order=req.order,
                   verdict="pass" if ok else "fail",
                   residual_q=resid[0], residual_degree=resid[1],
                   quantities=quantities, notes=notes, millis=millis)

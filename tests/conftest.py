@@ -100,6 +100,12 @@ def schoolbook_product(a: QSeries, b: QSeries) -> QSeries:
     return QSeries(out, a.order, ring)
 
 
+def truncate(series: QSeries, order: int) -> QSeries:
+    """The series cut down to a lower truncation order."""
+    assert order <= series.order
+    return QSeries(series.coeffs[: 2 * order + 1], order, series.ring)
+
+
 def scale_gens(p: GradedPoly, scales: Mapping[str, Fraction | int]) -> GradedPoly:
     """Substitute g -> c_g * g for each named generator."""
     idx = {p.spec.index(name): Fraction(c) for name, c in scales.items()}
@@ -153,7 +159,7 @@ def theta_logderiv_ratio(kind: ThetaKind, w: GradedPoly, order: int) -> QSeries:
     """
     if kind is ThetaKind.THETA:
         raise UsageError("log-derivative ratio is defined for theta1/theta2/theta3 only")
-    ratio = theta_ratio(kind, w, order)
+    ratio = theta_ratio(kind, w.spec.cap, order)
     return ratio.map(lambda p: derivative(p, "w")) / ratio
 
 
@@ -263,10 +269,9 @@ def root_q_form(form, route, spec, order: int) -> QSeries:
     ring = root_ring(spec)
     row = FAMILY_FORMS[spec.family]
     if route is Route.THETA:
-        w = GradedPoly.generator(one_root_ring(cap), "w")
         groups, two = row.theta[0 if form is row.lead else 1]
-        factors = [(theta_ratio(ThetaKind.THETA, w, order), "TM", 1)]
-        factors += [(theta_ratio(kind, w, order), label, spec.twist(e))
+        factors = [(theta_ratio(ThetaKind.THETA, cap, order), "TM", 1)]
+        factors += [(theta_ratio(kind, cap, order), label, spec.twist(e))
                     for label, kinds in groups for kind, e in kinds]
         product = _root_e2_series(spec, order, 0) * root_product(spec, factors)
         return product.scale(Fraction(2) ** (spec.twist(two) * spec.l))

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from anomcancel import bundles
+from anomcancel import bundles, verifier
 from anomcancel.cli import main
 from anomcancel.errors import SymmetryError
 
@@ -115,6 +115,12 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert f"{case} takes no geometry" in err
 
+    def test_pinned_twists_are_usage_error(self, capsys):
+        # HLZ_SPECIAL is the (a, b) = (1, 0) instance; it never swaps in other twists
+        code, out, err = run_cli(capsys, "verify", "--case", "HLZ_SPECIAL", "--a", "2")
+        assert code == 2 and out == ""
+        assert "HLZ_SPECIAL fixes a = 1" in err
+
     def test_family_mismatch_names_the_accepted_flag_value(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--case", "THM34", "--family", "ab")
         assert code == 2
@@ -219,6 +225,25 @@ class TestSuiteValidation:
         assert code == 2
         assert err.startswith("error: ") and out == ""
 
+    # each bad entry sorts after the good one, so a suite that ran its cases
+    # before checking them would reach verify_case first
+    @pytest.mark.parametrize("bad", [
+        pytest.param({"case": "NUMERIC_MODULARITY", "qOrder": 2}, id="qOrder on the numeric case"),
+        pytest.param({"case": "THM31", "qOrder": 1}, id="qOrder below the guard"),
+        pytest.param({"case": "JACOBI_QSERIES", "qOrder": -1}, id="negative qOrder"),
+        pytest.param({"case": "COR33", "k": 1}, id="COR33 at k = 1"),
+        pytest.param({"case": "HLZ_SPECIAL", "b": 1}, id="HLZ_SPECIAL at b = 1"),
+        pytest.param({"case": "DOUBLE_ROUTE", "family": "ab-xi"}, id="DOUBLE_ROUTE on ab-xi"),
+        pytest.param({"case": "THM34", "family": "ab"}, id="THM34 on ab"),
+    ])
+    def test_refused_before_any_case_runs(self, capsys, tmp_path, monkeypatch, bad):
+        calls = []
+        monkeypatch.setattr(verifier, "verify_case", lambda *args, **kwargs: calls.append(args))
+        code, out, err = self.run_suite_file(capsys, tmp_path, {"cases": [{"case": "COR32"}, bad]})
+        assert code == 2
+        assert err.startswith("error: ") and out == ""
+        assert calls == []
+
     def test_every_key_accepted(self, capsys, tmp_path):
         config = {"cases": [{"case": "COR32", "family": "ab", "k": 1, "l": 2, "a": 2,
                              "b": 1, "qOrder": 3, "perturb": False},
@@ -281,6 +306,19 @@ class TestExpandValidation:
         code, out, err = run_cli(capsys, "expand", "--object", "e2", "--family", "two-line",
                                  "--k", "9", "--a", "7")
         assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("obj", ["e2", "delta2", "br", "betar"])
+    def test_which_on_another_object(self, capsys, obj):
+        code, out, err = run_cli(capsys, "expand", "--object", obj, "--which", "1")
+        assert code == 2 and out == ""
+        assert "--which applies to --object theta-bundle only" in err
+
+    def test_theta_bundle_defaults_to_the_second_bundle(self, capsys):
+        argv = ("expand", "--object", "theta-bundle", "--q-order", "1")
+        default = run_cli(capsys, *argv)
+        assert default[0] == 0
+        assert default == run_cli(capsys, *argv, "--which", "2")
+        assert default != run_cli(capsys, *argv, "--which", "1")
 
     def test_reported_order_is_the_decomposition_order(self, capsys):
         # br/betar decompose through q-order k + 2 at least

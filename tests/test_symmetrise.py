@@ -37,12 +37,11 @@ ORDER = 2
 
 def per_root_factors(cap: int, order: int):
     """(name, per-root series) of every factor kind the engine symmetrises."""
-    w = GradedPoly.generator(one_root_ring(cap), "w")
     out = [("ahat", half_over_sinh_half_root(cap)), ("cosh_half", cosh_half_root(cap)),
            ("symmetric_block", _symmetric_block(cap, order))]
     out += [(f"exterior_{grid}_{sign:+d}", _exterior_block(cap, grid, sign, order))
             for grid in ("int", "half") for sign in (+1, -1)]
-    out += [(kind.value, theta_ratio(kind, w, order)) for kind in ThetaKind]
+    out += [(kind.value, theta_ratio(kind, cap, order)) for kind in ThetaKind]
     return out
 
 

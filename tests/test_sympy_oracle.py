@@ -101,8 +101,7 @@ THETA_ORACLE = {
 @pytest.mark.parametrize("kind", list(ThetaKind), ids=lambda k: k.name)
 def test_theta_ratio(kind):
     prefactor, f, c, steps = THETA_ORACLE[kind]
-    root = GradedPoly.generator(one_root_ring(CAP), "w")
-    assert _engine(theta_ratio(kind, root, ORDER)) == _product(prefactor, [(f, c, h) for h in steps])
+    assert _engine(theta_ratio(kind, CAP, ORDER)) == _product(prefactor, [(f, c, h) for h in steps])
 
 
 # ---------------------------------------------------------------------------

@@ -43,30 +43,30 @@ V = 0.13 + 0.07j
 class TestThetaRatios:
     def test_w_zero_gives_constant_one(self):
         for kind in ThetaKind:
-            series = theta_ratio(kind, W, 3)
+            series = theta_ratio(kind, SPEC.cap, 3)
             at_zero = series.map(lambda p: set_gens_zero(p, ["w"]))
             assert at_zero == QSeries.one(3, SPEC)
 
     def test_theta_q0_is_genus_factor(self):
-        got = theta_ratio(ThetaKind.THETA, W, 2).coeffs[0]
+        got = theta_ratio(ThetaKind.THETA, SPEC.cap, 2).coeffs[0]
         want = apply_series(taylor_sinh_half_over_half(5), W).inv()
         assert got == want
 
     def test_theta1_q0_is_cosh(self):
-        got = theta_ratio(ThetaKind.THETA1, W, 2).coeffs[0]
+        got = theta_ratio(ThetaKind.THETA1, SPEC.cap, 2).coeffs[0]
         assert got == apply_series(taylor_cosh_half(5), W)
 
     def test_half_grid_kinds_start_at_one(self):
         for kind in (ThetaKind.THETA2, ThetaKind.THETA3):
-            got = theta_ratio(kind, W, 2)
+            got = theta_ratio(kind, SPEC.cap, 2)
             assert got.coeffs[0] == GradedPoly.one(SPEC)
             assert not got.coeffs[1].is_zero  # genuine q^(1/2) content
 
     def test_argument_validation(self):
-        with pytest.raises(UsageError):
-            theta_ratio(ThetaKind.THETA, W * 2, 2)
-        with pytest.raises(UsageError):
-            theta_ratio(ThetaKind.THETA, W + 1, 2)
+        # the cap of a one-root ring is even and positive; the order is >= 0
+        for cap, order in [(7, 2), (0, 2), (-8, 2), (8, -1)]:
+            with pytest.raises(UsageError):
+                theta_ratio(ThetaKind.THETA, cap, order)
 
 
 class TestLogDerivative:

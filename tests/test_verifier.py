@@ -5,9 +5,10 @@ from fractions import Fraction as F
 import pytest
 
 from anomcancel.algebra import GradedPoly
-from anomcancel.bundles import Family, GeometrySpec
+from anomcancel.bundles import FAMILY_FORMS, Family, GeometrySpec
 from anomcancel.errors import UsageError
 from anomcancel.verifier import (
+    CASES,
     CaseId,
     CaseRequest,
     default_grid,
@@ -140,6 +141,27 @@ class TestValidation:
             verify_case(CaseId.COR32, AB(2, 1, 1, 0))
         with pytest.raises(UsageError):
             verify_case(CaseId.COR33, AB(1, 1, 1, 0))
+        with pytest.raises(UsageError, match="COR42 fixes k = 1"):
+            verify_case(CaseId.COR42, TWO(2, 1))
+        with pytest.raises(UsageError, match="COR43 fixes k = 2"):
+            verify_case(CaseId.COR43, TWO(1, 1))
+
+    def test_hlz_fixes_the_twists(self):
+        with pytest.raises(UsageError, match="HLZ_SPECIAL fixes a = 1"):
+            verify_case(CaseId.HLZ_SPECIAL, AB(2, 2, 2, 1))
+        with pytest.raises(UsageError, match="HLZ_SPECIAL fixes b = 0"):
+            verify_case(CaseId.HLZ_SPECIAL, AB(1, 1, 1, 1))
+
+    def test_spec_on_a_case_without_geometry(self):
+        with pytest.raises(UsageError, match="JACOBI_QSERIES takes no geometry"):
+            verify_case(CaseId.JACOBI_QSERIES, AB(3, 2, 2, 1), q_order=5)
+
+    def test_double_route_takes_the_families_with_a_theta_recipe(self):
+        with_theta = {family for family, row in FAMILY_FORMS.items() if row.theta is not None}
+        assert set(CASES[CaseId.DOUBLE_ROUTE].families) == with_theta
+        assert with_theta == {Family.AB, Family.TWO_LINE}
+        with pytest.raises(UsageError, match="DOUBLE_ROUTE needs family ab or two-line"):
+            verify_case(CaseId.DOUBLE_ROUTE, XI(1, 1, 1, 0))
 
     def test_missing_spec(self):
         with pytest.raises(UsageError):
