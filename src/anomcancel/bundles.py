@@ -49,29 +49,16 @@ class Family(Enum):
 
 
 class QFormId(Enum):
-    Q1 = "q1"
-    Q2 = "q2"
-    Q2BAR = "q2bar"
-    Q1_XI = "q1_xi"
-    Q2_XI = "q2_xi"
-    Q3_XI = "q3_xi"
-    P1 = "p1"
-    P2 = "p2"
-    P3 = "p3"
+    """An assembled form by its role; `GeometrySpec.family` picks the family's form."""
+
+    LEAD = "lead"              # E2-prefixed character of the first bundle: Q1, Q1^xi, P1
+    MAIN = "main"              # character of the second bundle: Q2, Q2^xi, P2
+    CORRECTION = "correction"  # E2 correction of the second bundle: Q2bar, Q3^xi, P3
 
 
 class Route(Enum):
     BUNDLE = "bundle"
     THETA = "theta"
-
-
-class BrBetarKind(Enum):
-    B_R = "br"
-    BETA_R = "betar"
-    B_TILDE_R = "br_tilde"
-    BETA_TILDE_R = "betar_tilde"
-    B_BAR_R = "br_bar"
-    BETA_BAR_R = "betar_bar"
 
 
 # A recipe names Chern roots "V" (those of the rank-2l bundle), "u" (xi) or
@@ -86,18 +73,14 @@ _T1, _T2, _T3 = ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3
 
 @dataclass(frozen=True)
 class FamilyForms:
-    """Everything that sets one family apart: its forms, the kinds of their
+    """Everything that sets one family apart: the labels of its forms and
     decomposition coefficients, its Euler roots and both routes' recipes.
 
     The BUNDLE and THETA recipes are written out independently: DOUBLE_ROUTE
     compares them, so neither may be derived from the other.
     """
 
-    lead: QFormId            # E2-prefixed character of the first bundle
-    main: QFormId            # character of the second bundle
-    correction: QFormId      # E2 correction of the second bundle
-    b_kind: BrBetarKind      # virtual-bundle coefficients of `main`
-    beta_kind: BrBetarKind   # form coefficients of `correction`
+    names: tuple[str, str, str, str]  # report labels of LEAD, MAIN, b_r and beta_r
     euler_roots: tuple[str, ...]   # of the rank-two bundles xi, xi'
     e2_coefficient: Fraction       # c in exp(c * E2 * z)
     euler_cosh: tuple        # Euler-cosh factors of the lead and of the weight
@@ -108,7 +91,7 @@ class FamilyForms:
 
 FAMILY_FORMS = {
     Family.AB: FamilyForms(
-        QFormId.Q1, QFormId.Q2, QFormId.Q2BAR, BrBetarKind.B_R, BrBetarKind.BETA_R,
+        ("Q1", "Q2", "br", "betar"),
         euler_roots=(), e2_coefficient=Fraction(1, 24), euler_cosh=((), ()),
         blocks=((("V", "int", +1, "a"), ("V", "half", +1, "b"), ("V", "half", -1, "b")),
                 (("V", "int", +1, "b"), ("V", "half", +1, "b"), ("V", "half", -1, "a"))),
@@ -116,8 +99,7 @@ FAMILY_FORMS = {
                ((("V", ((_T2, "a"), (_T1, "b"), (_T3, "b"))),), "b")),
         printed_readings=True),
     Family.AB_XI: FamilyForms(
-        QFormId.Q1_XI, QFormId.Q2_XI, QFormId.Q3_XI,
-        BrBetarKind.B_TILDE_R, BrBetarKind.BETA_TILDE_R,
+        ("Q1_XI", "Q2_XI", "br_tilde", "betar_tilde"),
         euler_roots=("u",), e2_coefficient=Fraction(1, 24),
         euler_cosh=((("u", -2),), (("u", 1),)),
         blocks=((("V", "int", +1, "a"), ("u", "int", +1, -2), ("V", "half", +1, "b"),
@@ -127,7 +109,7 @@ FAMILY_FORMS = {
         theta=None,
         printed_readings=False),
     Family.TWO_LINE: FamilyForms(
-        QFormId.P1, QFormId.P2, QFormId.P3, BrBetarKind.B_BAR_R, BrBetarKind.BETA_BAR_R,
+        ("P1", "P2", "br_bar", "betar_bar"),
         euler_roots=("u", "u'"), e2_coefficient=Fraction(1, 12),
         euler_cosh=((("u", -2),), (("u'", 1),)),
         blocks=((("V", "int", +1, 1), ("u", "int", +1, -2),
@@ -138,12 +120,6 @@ FAMILY_FORMS = {
                ((("V", ((_T2, 1),)), ("u", ((_T2, -2),)), ("u'", ((_T3, 1), (_T1, 1)))), 0)),
         printed_readings=True),
 }
-
-
-def family_of(member: QFormId | BrBetarKind) -> Family:
-    """The family whose FAMILY_FORMS row names this form or coefficient kind."""
-    return next(fam for fam, row in FAMILY_FORMS.items()
-                if member in (row.lead, row.main, row.correction, row.b_kind, row.beta_kind))
 
 
 @dataclass(frozen=True)
@@ -289,19 +265,6 @@ def p1_relation(spec: GeometrySpec) -> GradedPoly:
 
 
 @lru_cache(maxsize=None)
-def _symmetric_block(cap: int, order: int) -> QSeries:
-    """One root's factor of prod_n ch S_(q^n) of the reduced complexified
-    tangent bundle: prod_n (1 - q^n)^2 / ((1 - e^w q^n)(1 - e^-w q^n))."""
-    res = QSeries.one(order, one_root_ring(cap))
-    for n in range(1, order + 1):
-        h = 2 * n
-        res = res * QSeries.binomial(-1, h, order).powi(2)
-        res = res / (QSeries.binomial(-exp_root(cap, +1), h, order)
-                     * QSeries.binomial(-exp_root(cap, -1), h, order))
-    return res
-
-
-@lru_cache(maxsize=None)
 def _exterior_block(cap: int, grid: str, sign: int, order: int) -> QSeries:
     """One root's factor of the product over the exponent grid of ch Lambda_t
     of a reduced bundle: prod_t (1 + t e^w)(1 + t e^-w) / (1 + t)^2.
@@ -333,9 +296,12 @@ def ch_theta_bundle(which: int, spec: GeometrySpec, order: int) -> QSeries:
 
 
 def _block_rows(spec: GeometrySpec, which: int, order: int) -> list:
-    """The per-root rows of the first or second twisted bundle's character."""
+    """The per-root rows of the first or second twisted bundle's character.
+
+    The tangent row prod_n ch S_(q^n)(TM~) is the inverse of the exterior
+    block on the grid t = -q^n: ch S_t(E~) * ch Lambda_(-t)(E~) = 1."""
     cap = 4 * spec.k
-    rows = [(_symmetric_block(cap, order), spec.power_sums("TM"), 1)]
+    rows = [(_exterior_block(cap, "int", -1, order), spec.power_sums("TM"), -1)]
     for roots, grid, sign, e in FAMILY_FORMS[spec.family].blocks[which - 1]:
         rows.append((_exterior_block(cap, grid, sign, order), spec.power_sums(roots),
                      spec.twist(e)))
@@ -381,32 +347,30 @@ def e2_expm1_over_z(spec: GeometrySpec, order: int) -> QSeries:
 
 
 def q_form(form: QFormId, route: Route, spec: GeometrySpec, order: int) -> QSeries:
-    """Full-degree q-series of one assembled characteristic form.
+    """Full-degree q-series of one assembled characteristic form of `spec.family`.
 
     Degree extraction (top component or one below) is deliberately left to
     the callers so that all grading bookkeeping lives in one place.  On the
-    THETA route the identifiers Q2 and P2 denote the modular combinations
-    'Q2 + z * Q2bar' and 'P2 + z * P3' that the theta quotients express.
+    THETA route MAIN denotes the modular combination MAIN + z * CORRECTION
+    ('Q2 + z * Q2bar', 'P2 + z * P3') that the theta quotients express.
     """
-    family = family_of(form)
-    if family is not spec.family:
-        raise UsageError(f"form {form.name} needs family {family.value}")
+    if not isinstance(form, QFormId):
+        raise UsageError(f"unknown form {form!r}")
     if route is Route.THETA:
-        row = FAMILY_FORMS[family]
-        if row.theta is None or form not in (row.lead, row.main):
-            raise UsageError(f"no theta-quotient expression for {form.name}")
+        if FAMILY_FORMS[spec.family].theta is None or form is QFormId.CORRECTION:
+            raise UsageError(f"no theta-quotient expression for {form.name} "
+                             f"in family {spec.family.value}")
         return _q_form_theta(form, spec, order)
     return _q_form_bundle(form, spec, order)
 
 
 @lru_cache(maxsize=None)
 def _q_form_bundle(form: QFormId, spec: GeometrySpec, order: int) -> QSeries:
-    row = FAMILY_FORMS[spec.family]
-    if form is row.lead:
+    if form is QFormId.LEAD:
         rows, two = _genus_rows(spec, 1)
         return symmetrise(rows + _block_rows(spec, 1, order), _e2_exponent(spec, order)).scale(two)
     base = lead_weight(spec)[1] * ch_theta_bundle(2, spec, order)
-    if form is row.main:
+    if form is QFormId.MAIN:
         return base
     return e2_expm1_over_z(spec, order) * base
 
@@ -414,8 +378,7 @@ def _q_form_bundle(form: QFormId, spec: GeometrySpec, order: int) -> QSeries:
 def _q_form_theta(form: QFormId, spec: GeometrySpec, order: int) -> QSeries:
     cap = 4 * spec.k
     factors = [(theta_ratio(ThetaKind.THETA, cap, order), spec.power_sums("TM"), 1)]
-    row = FAMILY_FORMS[spec.family]
-    groups, two = row.theta[0 if form is row.lead else 1]
+    groups, two = FAMILY_FORMS[spec.family].theta[0 if form is QFormId.LEAD else 1]
     for roots, kinds in groups:
         for kind, e in kinds:
             factors.append((theta_ratio(kind, cap, order), spec.power_sums(roots), spec.twist(e)))

@@ -13,8 +13,8 @@ import sys
 from fractions import Fraction
 
 from .algebra import half_q_label
-from .bundles import FAMILY_FORMS, Family, GeometrySpec, ch_theta_bundle
-from .decomp import closed_form_checks, extract_br_betar
+from .bundles import Family, GeometrySpec, ch_theta_bundle
+from .decomp import BrBetarKind, closed_form_checks, extract_br_betar
 from .errors import UsageError
 from .theta import ModularFormId, modular_form
 from .verifier import CASES, CaseId, CaseRequest, Report, default_grid, run_suite
@@ -284,12 +284,11 @@ def _expand_rows(args: argparse.Namespace) -> tuple[list[tuple[str, str]], int]:
         series = ch_theta_bundle(args.which or 2, spec, n)
         return [(half_q_label(i), str(c)) for i, c in enumerate(series.coeffs)], n
 
-    row = FAMILY_FORMS[spec.family]
-    kind = row.b_kind if args.object == "br" else row.beta_kind
+    kind = BrBetarKind(args.object)
     # decompose at least through the verify cases' default q-order k + 2
     order = max(n, spec.k + 2)
     result = extract_br_betar(spec, kind, order)
-    prefix = "b" if args.object == "br" else "beta"
+    prefix = "b" if kind is BrBetarKind.B_R else "beta"
     rows = [(f"{prefix}_{r}", str(h)) for r, h in enumerate(result.h)]
     for check in closed_form_checks(spec, kind, result):
         rows.append((f"{check.name} readings", ",".join(check.matches) or "none"))

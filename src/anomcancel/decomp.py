@@ -24,12 +24,11 @@ from functools import lru_cache
 from .algebra import GradedPoly, QSeries
 from .bundles import (
     FAMILY_FORMS,
-    BrBetarKind,
     GeometrySpec,
+    QFormId,
     Route,
     ch_theta_bundle,
     e2_expm1_over_z,
-    family_of,
     lead_weight,
     q_form,
     twist_bundle,
@@ -41,6 +40,14 @@ from .theta import ModularFormId, modular_form
 class Group(Enum):
     GAMMA0 = "gamma0"
     GAMMA_UPPER0 = "gamma_upper0"
+
+
+class BrBetarKind(Enum):
+    """A coefficient kind by its role; `GeometrySpec.family` picks the family's
+    b_r / beta_r (tilde in ab-xi, bar in two-line)."""
+
+    B_R = "br"          # virtual-bundle coefficients of the MAIN form
+    BETA_R = "betar"    # form coefficients of the CORRECTION form
 
 
 @dataclass(frozen=True)
@@ -69,15 +76,14 @@ def basis_series(k: int, r: int, group: Group, order: int) -> QSeries:
     return delta.scale(8).powi(k - 2 * r) * eps.powi(r)
 
 
-def decompose(series: QSeries, k: int, order: int) -> DecompResult:
+def decompose(series: QSeries, k: int) -> DecompResult:
     """Solve for h_r against the (8 delta2)^(k-2r) eps2^r basis.
 
     h_r are fixed by the coefficients of q^0 .. q^([k/2]/2) alone (the basis
     leading-term matrix is unitriangular up to the common sign (-1)^k); the
-    residual keeps the full difference through the truncation order.
+    residual keeps the full difference through the series' truncation order.
     """
-    if series.order != order:
-        raise UsageError("series truncation order mismatch")
+    order = series.order
     m_max = k // 2
     if 2 * order <= m_max:
         raise UsageError("truncation order too small to determine the coefficients")
@@ -93,7 +99,7 @@ def decompose(series: QSeries, k: int, order: int) -> DecompResult:
         h.append(val * (1 / lead))
     recon = None
     for r, hr in enumerate(h):
-        term = basis[r] * hr if isinstance(hr, GradedPoly) else basis[r].scale(hr)
+        term = basis[r] * hr
         recon = term if recon is None else recon + term
     residual = series - recon
     return DecompResult(h=tuple(h), residual=residual)
@@ -169,21 +175,20 @@ def extract_br_betar(spec: GeometrySpec, which: BrBetarKind, order: int) -> Deco
     b-type decomposes the full bundle character (all cohomological degrees);
     beta-type decomposes the degree-(4k-4) slice of the E2-corrected form.
     """
-    row = FAMILY_FORMS[spec.family]
-    if which not in (row.b_kind, row.beta_kind):
-        raise UsageError(f"{which.name} needs family {family_of(which).value}")
-    if which is row.b_kind:
+    if which is BrBetarKind.B_R:
         series = ch_theta_bundle(2, spec, order)
+    elif which is BrBetarKind.BETA_R:
+        series = q_form(QFormId.CORRECTION, Route.BUNDLE, spec, order).degree_slice(4 * spec.k - 4)
     else:
-        series = q_form(row.correction, Route.BUNDLE, spec, order).degree_slice(4 * spec.k - 4)
-    return decompose(series, spec.k, order)
+        raise UsageError(f"unknown coefficient kind {which!r}")
+    return decompose(series, spec.k)
 
 
 def closed_form_checks(spec: GeometrySpec, which: BrBetarKind,
                        result: DecompResult) -> list[ClosedFormCheck]:
     """Compare the r = 0, 1 coefficients that `extract_br_betar` gave with
     their candidate closed forms."""
-    if which is FAMILY_FORMS[spec.family].b_kind:
+    if which is BrBetarKind.B_R:
         templates = _b_closed_forms(spec, GradedPoly.one(spec.ring()))
     else:
         templates = _beta_closed_forms(spec)

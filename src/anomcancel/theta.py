@@ -81,6 +81,12 @@ def _geometric_inverse(poly: GradedPoly, half_exp: int, order: int) -> QSeries:
     return QSeries(coeffs, order, spec)
 
 
+# Jacobi's products for theta1, theta2, theta3 take a factor (1 + sign t) at
+# each t = q^(h/2) of a grid: h = 2j ('int') or h = 2j - 1 ('half'), j >= 1.
+_THETA_GRIDS = {ThetaKind.THETA1: ("int", +1), ThetaKind.THETA2: ("half", -1),
+                ThetaKind.THETA3: ("half", +1)}
+
+
 @lru_cache(maxsize=None)
 def theta_ratio(kind: ThetaKind, cap: int, order: int) -> QSeries:
     """Normalized theta quotient with a nilpotent argument.
@@ -108,50 +114,32 @@ def theta_ratio(kind: ThetaKind, cap: int, order: int) -> QSeries:
             res = res * _geometric_inverse(ewi, 2 * j, order)
         return res
 
-    if kind is ThetaKind.THETA1:
-        # cosh(w/2) * prod (1+e^w q^j)(1+e^-w q^j) / (1+q^j)^2
-        res = QSeries.from_poly(cosh_half_root(cap), order)
-        for j in range(1, order + 1):
-            res = res * QSeries.binomial(ew, 2 * j, order)
-            res = res * QSeries.binomial(ewi, 2 * j, order)
-            res = res / QSeries.binomial(1, 2 * j, order).powi(2)
-        return res
-
-    if kind in (ThetaKind.THETA2, ThetaKind.THETA3):
-        sign = -1 if kind is ThetaKind.THETA2 else +1
-        c, ci = (ew, ewi) if sign > 0 else (-ew, -ewi)
-        res = QSeries.one(order, spec)
-        j = 1
-        while 2 * j - 1 <= 2 * order:
-            h = 2 * j - 1
-            res = res * QSeries.binomial(c, h, order)
-            res = res * QSeries.binomial(ci, h, order)
-            res = res / QSeries.binomial(sign, h, order).powi(2)
-            j += 1
-        return res
-
-    raise UsageError(f"unknown theta kind {kind!r}")
+    if kind not in _THETA_GRIDS:
+        raise UsageError(f"unknown theta kind {kind!r}")
+    # cosh(w/2) for theta1, else 1, times prod_t (1 + sign e^w t)(1 + sign e^-w t) / (1 + sign t)^2
+    grid, sign = _THETA_GRIDS[kind]
+    lead = cosh_half_root(cap) if kind is ThetaKind.THETA1 else GradedPoly.one(spec)
+    res = QSeries.from_poly(lead, order)
+    for j in range(1, order + 1):
+        h = 2 * j if grid == "int" else 2 * j - 1
+        res = res * QSeries.binomial(ew * sign, h, order) * QSeries.binomial(ewi * sign, h, order)
+        res = res / QSeries.binomial(sign, h, order).powi(2)
+    return res
 
 
 # ---------------------------------------------------------------------------
 # Modular forms as rational q-series
 
 
-def _euler_block(sign: int, order: int) -> QSeries:
-    """prod_j (1 - q^j)(1 + sign q^j) ... building block on the integer grid."""
+def _theta_const(kind: ThetaKind, order: int) -> QSeries:
+    """theta_i(0) without its 2 q^(1/8) prefactor: prod_j (1 - q^j)(1 + sign t_j)^2
+    over the grid points t_j of `_THETA_GRIDS`."""
+    grid, sign = _THETA_GRIDS[kind]
     res = QSeries.one(order)
-    for j in range(1, order + 2):
+    for j in range(1, order + 1):
+        h = 2 * j if grid == "int" else 2 * j - 1
         res = res * QSeries.binomial(-1, 2 * j, order)
-        res = res * QSeries.binomial(sign, 2 * j, order).powi(2)
-    return res
-
-
-def _half_block(sign: int, order: int) -> QSeries:
-    """prod_j (1 - q^j)(1 + sign q^(j-1/2))^2 on the half grid."""
-    res = QSeries.one(order)
-    for j in range(1, order + 2):
-        res = res * QSeries.binomial(-1, 2 * j, order)
-        res = res * QSeries.binomial(sign, 2 * j - 1, order).powi(2)
+        res = res * QSeries.binomial(sign, h, order).powi(2)
     return res
 
 
@@ -162,13 +150,8 @@ def _theta_const_fourth(kind: ThetaKind, order: int) -> QSeries:
     theta1(0)^4 = 16 q^(1/2) prod((1-q^j)(1+q^j)^2)^4 lands on the half grid;
     theta2(0)^4 and theta3(0)^4 carry no prefactor.
     """
-    if kind is ThetaKind.THETA1:
-        return _euler_block(+1, order).powi(4).shift(1).scale(16)
-    if kind is ThetaKind.THETA2:
-        return _half_block(-1, order).powi(4)
-    if kind is ThetaKind.THETA3:
-        return _half_block(+1, order).powi(4)
-    raise UsageError("theta constant fourth power undefined for this kind")
+    fourth = _theta_const(kind, order).powi(4)
+    return fourth.shift(1).scale(16) if kind is ThetaKind.THETA1 else fourth
 
 
 @lru_cache(maxsize=None)
@@ -206,7 +189,8 @@ def jacobi_identity_check(order: int, perturb: bool = False) -> QSeries:
     lhs = QSeries.one(order)
     for j in range(1, order + 2):
         lhs = lhs * QSeries.binomial(-1, 2 * j, order).powi(2 if perturb else 3)
-    rhs = _euler_block(+1, order) * _half_block(-1, order) * _half_block(+1, order)
+    rhs = (_theta_const(ThetaKind.THETA1, order) * _theta_const(ThetaKind.THETA2, order)
+           * _theta_const(ThetaKind.THETA3, order))
     return lhs - rhs
 
 

@@ -167,9 +167,8 @@ def _gamma_upper_side(spec: GeometrySpec, order: int) -> QSeries:
     """Top-degree series of the modular combination on the b-even side."""
     cap = 4 * spec.k
     z = p1_combo(spec)
-    row = FAMILY_FORMS[spec.family]
-    top = q_form(row.main, Route.BUNDLE, spec, order).degree_slice(cap)
-    low = q_form(row.correction, Route.BUNDLE, spec, order).degree_slice(cap - 4)
+    top = q_form(QFormId.MAIN, Route.BUNDLE, spec, order).degree_slice(cap)
+    low = q_form(QFormId.CORRECTION, Route.BUNDLE, spec, order).degree_slice(cap - 4)
     return top + low * z
 
 
@@ -189,9 +188,8 @@ def _theorem_sides(spec: GeometrySpec, order: int,
     cap = 4 * k
     z = p1_combo(spec)
     lead, weight = lead_weight(spec)
-    row = FAMILY_FORMS[spec.family]
-    b_res = extract_br_betar(spec, row.b_kind, order)
-    beta_res = extract_br_betar(spec, row.beta_kind, order)
+    b_res = extract_br_betar(spec, BrBetarKind.B_R, order)
+    beta_res = extract_br_betar(spec, BrBetarKind.BETA_R, order)
 
     # (a - b) l is l in the two-line family, whose twists are fixed at (1, 0)
     coef = [_two_pow((spec.a - spec.b) * spec.l + k - 6 * r) for r in range(k // 2 + 1)]
@@ -328,16 +326,16 @@ def _case_transfer(req: CaseRequest) -> Outcome:
     spec, order = req.spec, req.order
     k = spec.k
     if req.perturb:
-        side = q_form(QFormId.Q2, Route.BUNDLE, spec, order).degree_slice(4 * k)
+        side = q_form(QFormId.MAIN, Route.BUNDLE, spec, order).degree_slice(4 * k)
     else:
         side = _gamma_upper_side(spec, order)
-    dec = decompose(side, k, order)
+    dec = decompose(side, k)
     recon = None
     for r, hr in enumerate(dec.h):
         term = basis_series(k, r, Group.GAMMA0, order) * hr
         recon = term if recon is None else recon + term
     recon = recon.scale(_two_pow((spec.a - spec.b) * spec.l))
-    q1_top = q_form(QFormId.Q1, Route.BUNDLE, spec, order).degree_slice(4 * k)
+    q1_top = q_form(QFormId.LEAD, Route.BUNDLE, spec, order).degree_slice(4 * k)
     transfer_diff = recon - q1_top
     ok = dec.is_exact and transfer_diff.is_zero()
     resid = dec.residual if not dec.is_exact else transfer_diff
@@ -348,15 +346,15 @@ def _case_transfer(req: CaseRequest) -> Outcome:
 
 def _case_double_route(req: CaseRequest) -> Outcome:
     spec, order = req.spec, req.order
-    row = FAMILY_FORMS[spec.family]
+    lead, main, _, _ = FAMILY_FORMS[spec.family].names
     z = p1_combo(spec)
     pairs = [
-        (row.lead.name, q_form(row.lead, Route.BUNDLE, spec, order),
-         q_form(row.lead, Route.THETA, spec, order)),
-        (f"{row.main.name}_joint",
-         q_form(row.main, Route.BUNDLE, spec, order)
-         + q_form(row.correction, Route.BUNDLE, spec, order) * z,
-         q_form(row.main, Route.THETA, spec, order)),
+        (lead, q_form(QFormId.LEAD, Route.BUNDLE, spec, order),
+         q_form(QFormId.LEAD, Route.THETA, spec, order)),
+        (f"{main}_joint",
+         q_form(QFormId.MAIN, Route.BUNDLE, spec, order)
+         + q_form(QFormId.CORRECTION, Route.BUNDLE, spec, order) * z,
+         q_form(QFormId.MAIN, Route.THETA, spec, order)),
     ]
     ok = True
     first = (None, None)
@@ -375,12 +373,11 @@ def _case_double_route(req: CaseRequest) -> Outcome:
 
 def _case_closed_forms(req: CaseRequest) -> Outcome:
     spec = req.spec
-    row = FAMILY_FORMS[spec.family]
     ok = True
     first = (None, None)
     quantities = []
     notes = []
-    for kind in (row.b_kind, row.beta_kind):
+    for kind, label in zip(BrBetarKind, FAMILY_FORMS[spec.family].names[2:]):
         result = extract_br_betar(spec, kind, req.order)
         for c in closed_form_checks(spec, kind, result):
             if req.perturb:
@@ -389,11 +386,11 @@ def _case_closed_forms(req: CaseRequest) -> Outcome:
             if ok and not c.passed:
                 ok = False
                 first = _poly_residual(c.computed - dict(c.candidates)[c.expected])
-            quantities.append((f"{kind.value}.{c.name}", str(c.computed)))
-            quantities.append((f"{kind.value}.{c.name}.readings", ",".join(c.matches) or "none"))
+            quantities.append((f"{label}.{c.name}", str(c.computed)))
+            quantities.append((f"{label}.{c.name}.readings", ",".join(c.matches) or "none"))
             if c.name in ("h1", "beta1") and "printed-literal" not in c.matches and c.passed:
                 notes.append(
-                    f"{kind.value}.{c.name}: printed closed form holds only at b = 0; "
+                    f"{label}.{c.name}: printed closed form holds only at b = 0; "
                     f"computed value carries (b-a) ch(V~) with the (-1)^k prefactor distributed")
     return ok, first, tuple(quantities), tuple(notes)
 

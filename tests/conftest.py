@@ -4,6 +4,7 @@ derivatives in a root, and the root-ring oracle for the Pontryagin-ring engine."
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 import pytest
@@ -13,11 +14,12 @@ from anomcancel.algebra import (
     QSeries,
     RingSpec,
     cosh_half_root,
+    exp_root,
     half_over_sinh_half_root,
     one_root_ring,
     pontryagin_all,
 )
-from anomcancel.bundles import FAMILY_FORMS, Family, Route, _exterior_block, _symmetric_block
+from anomcancel.bundles import FAMILY_FORMS, Family, QFormId, Route, _exterior_block
 from anomcancel.errors import UsageError
 from anomcancel.theta import ModularFormId, ThetaKind, modular_form, theta_ratio
 
@@ -254,10 +256,24 @@ def _root_e2_series(spec, order: int, first: int) -> QSeries:
     return out
 
 
+@lru_cache(maxsize=None)
+def symmetric_block(cap: int, order: int) -> QSeries:
+    """One root's factor of prod_n ch S_(q^n) of the reduced complexified
+    tangent bundle: prod_n (1 - q^n)^2 / ((1 - e^w q^n)(1 - e^-w q^n)), built
+    by its own divisions; the engine takes it as the exterior block's inverse."""
+    res = QSeries.one(order, one_root_ring(cap))
+    for n in range(1, order + 1):
+        h = 2 * n
+        res = res * QSeries.binomial(-1, h, order).powi(2)
+        res = res / (QSeries.binomial(-exp_root(cap, +1), h, order)
+                     * QSeries.binomial(-exp_root(cap, -1), h, order))
+    return res
+
+
 def root_ch_theta_bundle(which: int, spec, order: int) -> QSeries:
     """ch_theta_bundle in the root ring."""
     cap = 4 * spec.k
-    factors = [(_symmetric_block(cap, order), "TM", 1)]
+    factors = [(symmetric_block(cap, order), "TM", 1)]
     for label, grid, sign, e in FAMILY_FORMS[spec.family].blocks[which - 1]:
         factors.append((_exterior_block(cap, grid, sign, order), label, spec.twist(e)))
     return root_product(spec, factors)
@@ -267,9 +283,8 @@ def root_q_form(form, route, spec, order: int) -> QSeries:
     """q_form in the root ring, on the BUNDLE route or the THETA route."""
     cap = 4 * spec.k
     ring = root_ring(spec)
-    row = FAMILY_FORMS[spec.family]
     if route is Route.THETA:
-        groups, two = row.theta[0 if form is row.lead else 1]
+        groups, two = FAMILY_FORMS[spec.family].theta[0 if form is QFormId.LEAD else 1]
         factors = [(theta_ratio(ThetaKind.THETA, cap, order), "TM", 1)]
         factors += [(theta_ratio(kind, cap, order), label, spec.twist(e))
                     for label, kinds in groups for kind, e in kinds]
@@ -286,7 +301,17 @@ def root_q_form(form, route, spec, order: int) -> QSeries:
     if euler:
         lead = lead * root_product(spec, [(cosh_half_root(cap), "u", -2)])
         weight = weight * root_product(spec, [(cosh_half_root(cap), euler[-1], 1)])
-    if form is row.lead:
+    if form is QFormId.LEAD:
         return _root_e2_series(spec, order, 0) * lead * root_ch_theta_bundle(1, spec, order)
     base = root_ch_theta_bundle(2, spec, order) * weight
-    return base if form is row.main else _root_e2_series(spec, order, 1) * base
+    return base if form is QFormId.MAIN else _root_e2_series(spec, order, 1) * base
+
+
+# The paper's names of each family's LEAD, MAIN and CORRECTION forms; the ids
+# of the tests parametrised over forms print them, as QFormId.Q1 and so on.
+PAPER_FORMS = {Family.AB: ("Q1", "Q2", "Q2BAR"), Family.AB_XI: ("Q1_XI", "Q2_XI", "Q3_XI"),
+               Family.TWO_LINE: ("P1", "P2", "P3")}
+
+
+def paper_form(spec, form) -> str:
+    return PAPER_FORMS[spec.family][list(QFormId).index(form)]

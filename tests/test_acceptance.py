@@ -73,8 +73,8 @@ def timed(fn):
 def gamma_upper_side(spec: GeometrySpec, order: int) -> QSeries:
     cap = 4 * spec.k
     z = p1_combo(spec)
-    top = q_form(QFormId.Q2, Route.BUNDLE, spec, order).degree_slice(cap)
-    low = q_form(QFormId.Q2BAR, Route.BUNDLE, spec, order).degree_slice(cap - 4)
+    top = q_form(QFormId.MAIN, Route.BUNDLE, spec, order).degree_slice(cap)
+    low = q_form(QFormId.CORRECTION, Route.BUNDLE, spec, order).degree_slice(cap - 4)
     return top + low * z
 
 
@@ -142,20 +142,20 @@ def test_criterion_05_decomposition_modularity_witness():
                     order = k + 2
                     # the modular combination built on the second twisted
                     # bundle decomposes with zero residual through q^(k+2)
-                    joint = decompose(gamma_upper_side(spec, order), k, order)
+                    joint = decompose(gamma_upper_side(spec, order), k)
                     if not joint.is_exact:
                         return False
                     # its bundle character alone reproduces the basis through
                     # the determination order (the defining congruence) ...
-                    raw = decompose(ch_theta_bundle(2, spec, order), k, order)
+                    raw = decompose(ch_theta_bundle(2, spec, order), k)
                     for m in range(k // 2 + 1):
                         if not raw.residual.coeffs[m].is_zero:
                             return False
                     # ... and the negative control (no E2 correction, z != 0)
                     # leaves a nonzero residual
-                    top = q_form(QFormId.Q2, Route.BUNDLE, spec, order) \
+                    top = q_form(QFormId.MAIN, Route.BUNDLE, spec, order) \
                         .degree_slice(4 * k)
-                    control = decompose(top, k, order)
+                    control = decompose(top, k)
                     if control.is_exact:
                         return False
         return True
@@ -174,13 +174,8 @@ def test_criterion_06_closed_form_coefficients():
                     specs.append(GeometrySpec(k=k, l=l, a=a, b=b, family=Family.AB))
                     specs.append(GeometrySpec(k=k, l=l, a=a, b=b, family=Family.AB_XI))
                 specs.append(GeometrySpec(k=k, l=l, a=1, b=0, family=Family.TWO_LINE))
-        kinds = {
-            Family.AB: (BrBetarKind.B_R, BrBetarKind.BETA_R),
-            Family.AB_XI: (BrBetarKind.B_TILDE_R, BrBetarKind.BETA_TILDE_R),
-            Family.TWO_LINE: (BrBetarKind.B_BAR_R, BrBetarKind.BETA_BAR_R),
-        }
         for spec in specs:
-            for kind in kinds[spec.family]:
+            for kind in BrBetarKind:
                 checks = closed_form_checks(spec, kind,
                                             extract_br_betar(spec, kind, spec.k + 2))
                 for check in checks:
@@ -365,7 +360,7 @@ def test_criterion_12_property_suites():
             for r, c in enumerate(coeffs):
                 term = basis_series(2, r, Group.GAMMA_UPPER0, 3) * c
                 series = term if series is None else series + term
-            result = decompose(series, 2, 3)
+            result = decompose(series, 2)
             if tuple(result.h) != tuple(coeffs) or not result.is_exact:
                 return False
         return True

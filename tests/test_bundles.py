@@ -30,17 +30,19 @@ from anomcancel.bundles import (
     p1_combo,
     q_form,
 )
-from anomcancel.bundles import _e2_exponent, _symmetric_block
+from anomcancel.bundles import _e2_exponent
 from anomcancel.errors import UsageError
 from anomcancel.verifier import CaseId, verify_case
 
 from conftest import (
     in_pontryagin,
+    paper_form,
     permute_gens,
     root_ch_theta_bundle,
     roots_of,
     scale_gens,
     set_gens_zero,
+    symmetric_block,
 )
 
 
@@ -125,7 +127,7 @@ class TestThetaBundles:
 
     def test_zero_twists_leave_only_tangent_block(self):
         spec = GeometrySpec(k=1, l=2, a=0, b=0, family=Family.AB)
-        expect = symmetrise([(_symmetric_block(4, 3), spec.power_sums("TM"), 1)])
+        expect = symmetrise([(symmetric_block(4, 3), spec.power_sums("TM"), 1)])
         assert ch_theta_bundle(1, spec, 3) == expect
         assert ch_theta_bundle(2, spec, 3) == expect
 
@@ -169,9 +171,9 @@ class TestThetaBundles:
     def test_symmetric_exterior_duality(self):
         # ch S_t(E~) * ch Lambda_(-t)(E~) = 1 grid point by grid point, so the
         # product of one root's blocks over the whole integer grid is 1
-        from anomcancel.bundles import _exterior_block, _symmetric_block
+        from anomcancel.bundles import _exterior_block
         ring = one_root_ring(4)
-        s_block = _symmetric_block(4, 3)
+        s_block = symmetric_block(4, 3)
         lam_block = _exterior_block(4, "int", -1, 3)
         assert s_block * lam_block == QSeries.one(3, ring)
 
@@ -198,7 +200,7 @@ class TestQForms:
     def test_q0_coefficient_of_q1(self):
         # at q^0 the E2 factor is exp(z/24) and the bundle character is 1
         spec = GeometrySpec(k=1, l=1, a=2, b=1, family=Family.AB)
-        got = q_form(QFormId.Q1, Route.BUNDLE, spec, 2).coeffs[0]
+        got = q_form(QFormId.LEAD, Route.BUNDLE, spec, 2).coeffs[0]
         z = p1_combo(spec)
         want = (apply_series(taylor_exp(5), z * F(1, 24))
                 * genus_form(spec) * ch_spinor_pow(spec, 2))
@@ -206,26 +208,33 @@ class TestQForms:
 
     def test_double_route_documented_case(self):
         spec = GeometrySpec(k=1, l=1, a=1, b=0, family=Family.AB)
-        assert (q_form(QFormId.Q1, Route.BUNDLE, spec, 4)
-                == q_form(QFormId.Q1, Route.THETA, spec, 4))
+        assert (q_form(QFormId.LEAD, Route.BUNDLE, spec, 4)
+                == q_form(QFormId.LEAD, Route.THETA, spec, 4))
 
     def test_two_line_joint_documented_case(self):
         spec = GeometrySpec(k=1, l=1, a=1, b=0, family=Family.TWO_LINE)
         z = p1_combo(spec)
-        bundle = (q_form(QFormId.P2, Route.BUNDLE, spec, 3)
-                  + q_form(QFormId.P3, Route.BUNDLE, spec, 3) * z)
-        assert bundle == q_form(QFormId.P2, Route.THETA, spec, 3)
+        bundle = (q_form(QFormId.MAIN, Route.BUNDLE, spec, 3)
+                  + q_form(QFormId.CORRECTION, Route.BUNDLE, spec, 3) * z)
+        assert bundle == q_form(QFormId.MAIN, Route.THETA, spec, 3)
 
     def test_theta_route_rejects_unsupported_ids(self):
         with pytest.raises(UsageError):
-            q_form(QFormId.Q2BAR, Route.THETA, AB11, 2)
+            q_form(QFormId.CORRECTION, Route.THETA, AB11, 2)
         xi = GeometrySpec(k=1, l=1, a=1, b=0, family=Family.AB_XI)
         with pytest.raises(UsageError):
-            q_form(QFormId.Q1_XI, Route.THETA, xi, 2)
+            q_form(QFormId.LEAD, Route.THETA, xi, 2)
 
-    def test_family_mismatch_rejected(self):
-        with pytest.raises(UsageError):
-            q_form(QFormId.P1, Route.BUNDLE, AB11, 2)
+    @pytest.mark.parametrize("route", list(Route))
+    @pytest.mark.parametrize("form", ["q1", "LEAD", None])
+    def test_non_member_form_is_usage_error(self, form, route):
+        with pytest.raises(UsageError, match="unknown form"):
+            q_form(form, route, AB11, 2)
+
+    def test_every_family_names_its_forms_and_coefficients(self):
+        names = [row.names for row in FAMILY_FORMS.values()]
+        assert all(len(row) == 4 and all(isinstance(n, str) for n in row) for row in names)
+        assert len({n for row in names for n in row}) == 4 * len(Family)
 
     def test_e2_factor_times_inverse(self):
         spec = GeometrySpec(k=1, l=1, a=1, b=0, family=Family.AB)
@@ -243,7 +252,7 @@ class TestQForms:
 
     def test_xi_family_cosh_weighting(self):
         spec = GeometrySpec(k=1, l=1, a=1, b=0, family=Family.AB_XI)
-        q2 = q_form(QFormId.Q2_XI, Route.BUNDLE, spec, 2)
+        q2 = q_form(QFormId.MAIN, Route.BUNDLE, spec, 2)
         cosh_u = symmetrise([(cosh_half_root(4), spec.power_sums("u"), 1)])
         expect = (genus_form(spec) * cosh_u
                   * ch_spinor_pow(spec, 0)) * ch_theta_bundle(2, spec, 2)
@@ -255,7 +264,9 @@ class TestRouteIndependence:
 
     AB = GeometrySpec(k=1, l=2, a=2, b=1, family=Family.AB)
     TWO = GeometrySpec(k=1, l=2, a=1, b=0, family=Family.TWO_LINE)
-    CASES = [(QFormId.Q1, AB), (QFormId.Q2, AB), (QFormId.P1, TWO), (QFormId.P2, TWO)]
+    CASES = [pytest.param(form, spec, id=f"QFormId.{paper_form(spec, form)}-spec{i}")
+             for i, (form, spec) in enumerate([(QFormId.LEAD, AB), (QFormId.MAIN, AB),
+                                               (QFormId.LEAD, TWO), (QFormId.MAIN, TWO)])]
 
     @staticmethod
     def refuse(*args, **kwargs):
@@ -269,7 +280,6 @@ class TestRouteIndependence:
 
     @pytest.mark.parametrize("form, spec", CASES)
     def test_theta_route_uses_no_bundle_block(self, form, spec, cold_caches, monkeypatch):
-        monkeypatch.setattr(bundles, "_symmetric_block", self.refuse)
         monkeypatch.setattr(bundles, "_exterior_block", self.refuse)
         assert not q_form(form, Route.THETA, spec, 2).is_zero()
 
@@ -289,7 +299,7 @@ class TestRouteMutations:
 
     @staticmethod
     def expect(row, which):
-        lead, joint = row.lead.name, f"{row.main.name}_joint"
+        lead, joint = row.names[0], f"{row.names[1]}_joint"
         return (False, {lead: "MISMATCH", joint: "equal"} if which == 0
                 else {lead: "equal", joint: "MISMATCH"})
 
@@ -317,5 +327,5 @@ class TestRouteMutations:
     @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.family.value)
     def test_unchanged_recipes_agree(self, spec, cold_caches):
         row = FAMILY_FORMS[spec.family]
-        assert self.verdicts(spec) == (True, {row.lead.name: "equal",
-                                              f"{row.main.name}_joint": "equal"})
+        assert self.verdicts(spec) == (True, {row.names[0]: "equal",
+                                              f"{row.names[1]}_joint": "equal"})

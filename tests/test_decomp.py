@@ -28,19 +28,11 @@ from anomcancel.errors import UsageError
 from conftest import random_poly
 
 
-FORM_PAIR = {
-    Family.AB: (QFormId.Q2, QFormId.Q2BAR),
-    Family.AB_XI: (QFormId.Q2_XI, QFormId.Q3_XI),
-    Family.TWO_LINE: (QFormId.P2, QFormId.P3),
-}
-
-
 def gamma_upper_side(spec, order):
     cap = 4 * spec.k
     z = p1_combo(spec)
-    main, corr = FORM_PAIR[spec.family]
-    top = q_form(main, Route.BUNDLE, spec, order).degree_slice(cap)
-    low = q_form(corr, Route.BUNDLE, spec, order).degree_slice(cap - 4)
+    top = q_form(QFormId.MAIN, Route.BUNDLE, spec, order).degree_slice(cap)
+    low = q_form(QFormId.CORRECTION, Route.BUNDLE, spec, order).degree_slice(cap - 4)
     return top + low * z
 
 
@@ -72,7 +64,7 @@ class TestDecompose:
     def test_basis_reproduces_itself(self):
         for k, r0 in [(1, 0), (2, 1), (4, 2)]:
             series = basis_series(k, r0, Group.GAMMA_UPPER0, 4)
-            result = decompose(series, k, 4)
+            result = decompose(series, k)
             for r, h in enumerate(result.h):
                 assert h == (1 if r == r0 else 0)
             assert result.is_exact
@@ -87,13 +79,21 @@ class TestDecompose:
             for r, c in enumerate(coeffs):
                 term = basis_series(2, r, Group.GAMMA_UPPER0, order) * c
                 series = term if series is None else series + term
-            result = decompose(series, 2, order)
+            result = decompose(series, 2)
             assert tuple(result.h) == tuple(coeffs)
             assert result.is_exact
 
     def test_order_too_small(self):
         with pytest.raises(UsageError):
-            decompose(QSeries.rational([1], 0), 2, 0)
+            decompose(QSeries.rational([1], 0), 2)
+
+    @pytest.mark.parametrize("order", [1, 3, 5])
+    def test_order_is_the_series_order(self, order):
+        # the residual runs through the series' own truncation order
+        series = basis_series(2, 1, Group.GAMMA_UPPER0, order)
+        result = decompose(series + QSeries.rational([0] * (2 * order) + [1], order), 2)
+        assert result.h == (0, 1) and result.residual.order == order
+        assert result.residual.first_nonzero() == 2 * order
 
 
 class TestClosedForms:
@@ -129,43 +129,44 @@ class TestClosedForms:
 
     def test_two_line_bar_coefficients(self):
         spec = GeometrySpec(k=2, l=2, a=1, b=0, family=Family.TWO_LINE)
-        checks = closed_form_checks(spec, BrBetarKind.B_BAR_R,
-                                    extract_br_betar(spec, BrBetarKind.B_BAR_R, 4))
+        checks = closed_form_checks(spec, BrBetarKind.B_R,
+                                    extract_br_betar(spec, BrBetarKind.B_R, 4))
         assert all(c.passed for c in checks)
-        bchecks = closed_form_checks(spec, BrBetarKind.BETA_BAR_R,
-                                     extract_br_betar(spec, BrBetarKind.BETA_BAR_R, 4))
+        bchecks = closed_form_checks(spec, BrBetarKind.BETA_R,
+                                     extract_br_betar(spec, BrBetarKind.BETA_R, 4))
         assert all(c.passed for c in bchecks)
 
     def test_xi_family_coefficients(self):
         spec = GeometrySpec(k=2, l=2, a=2, b=1, family=Family.AB_XI)
-        checks = closed_form_checks(spec, BrBetarKind.B_TILDE_R,
-                                    extract_br_betar(spec, BrBetarKind.B_TILDE_R, 4))
+        checks = closed_form_checks(spec, BrBetarKind.B_R,
+                                    extract_br_betar(spec, BrBetarKind.B_R, 4))
         assert all(c.passed for c in checks)
 
-    def test_family_mismatch(self):
+    @pytest.mark.parametrize("which", ["br", "B_R", None])
+    def test_non_member_kind_is_usage_error(self, which):
         spec = GeometrySpec(k=1, l=1, a=1, b=0, family=Family.AB)
-        with pytest.raises(UsageError):
-            extract_br_betar(spec, BrBetarKind.B_BAR_R, 3)
+        with pytest.raises(UsageError, match="unknown coefficient kind"):
+            extract_br_betar(spec, which, 3)
 
 
 class TestModularityWitness:
     def test_joint_combination_has_zero_residual(self):
         for (k, l, a, b) in [(1, 1, 1, 0), (2, 1, 1, 0), (2, 2, -1, 2), (1, 3, 2, 1)]:
             spec = GeometrySpec(k=k, l=l, a=a, b=b, family=Family.AB)
-            result = decompose(gamma_upper_side(spec, k + 2), k, k + 2)
+            result = decompose(gamma_upper_side(spec, k + 2), k)
             assert result.is_exact, (k, l, a, b)
 
     def test_negative_control_without_correction(self):
         for (k, l, a, b) in [(1, 1, 1, 0), (2, 2, 2, 1), (1, 1, 0, 0)]:
             spec = GeometrySpec(k=k, l=l, a=a, b=b, family=Family.AB)
-            top = q_form(QFormId.Q2, Route.BUNDLE, spec, k + 2).degree_slice(4 * k)
-            result = decompose(top, k, k + 2)
+            top = q_form(QFormId.MAIN, Route.BUNDLE, spec, k + 2).degree_slice(4 * k)
+            result = decompose(top, k)
             assert not result.is_exact, (k, l, a, b)
 
     def test_xi_family_combination_has_zero_residual(self):
         for (k, l, a, b) in [(1, 1, 1, 0), (2, 2, 2, 1)]:
             spec = GeometrySpec(k=k, l=l, a=a, b=b, family=Family.AB_XI)
-            result = decompose(gamma_upper_side(spec, k + 2), k, k + 2)
+            result = decompose(gamma_upper_side(spec, k + 2), k)
             assert result.is_exact, (k, l, a, b)
 
     def test_two_line_combination_needs_the_ideal(self):
@@ -176,16 +177,16 @@ class TestModularityWitness:
             ring = spec.ring()
             rel = GradedPoly.generator(ring, "p1(TM)") - GradedPoly.generator(ring, "p1(V)")
             series = gamma_upper_side(spec, k + 2)
-            raw = decompose(series, k, k + 2)
+            raw = decompose(series, k)
             assert not raw.is_exact, (k, l)
             reduced = series.map(lambda p: ideal_reduce(p, rel, leading="p1(TM)"))
-            assert decompose(reduced, k, k + 2).is_exact, (k, l)
+            assert decompose(reduced, k).is_exact, (k, l)
 
     def test_raw_bundle_character_is_not_modular(self):
         # the full character itself satisfies the defining congruence only up
         # to the determination order; beyond it the residual is nonzero
         spec = GeometrySpec(k=1, l=1, a=1, b=0, family=Family.AB)
-        result = decompose(ch_theta_bundle(2, spec, 3), 1, 3)
+        result = decompose(ch_theta_bundle(2, spec, 3), 1)
         for m in range(spec.k // 2 + 1):
             assert result.residual.coeffs[m].is_zero
         assert not result.is_exact
@@ -195,11 +196,11 @@ class TestModularityWitness:
         for (k, l, a, b) in [(1, 1, 1, 0), (2, 2, 2, 1)]:
             spec = GeometrySpec(k=k, l=l, a=a, b=b, family=Family.AB)
             order = k + 2
-            result = decompose(gamma_upper_side(spec, order), k, order)
+            result = decompose(gamma_upper_side(spec, order), k)
             recon = None
             for r, h in enumerate(result.h):
                 term = basis_series(k, r, Group.GAMMA0, order) * h
                 recon = term if recon is None else recon + term
             recon = recon.scale(F(2) ** ((a - b) * l))
-            q1_top = q_form(QFormId.Q1, Route.BUNDLE, spec, order).degree_slice(4 * k)
+            q1_top = q_form(QFormId.LEAD, Route.BUNDLE, spec, order).degree_slice(4 * k)
             assert recon == q1_top

@@ -22,15 +22,22 @@ from anomcancel.bundles import (
     FAMILY_FORMS,
     Family,
     GeometrySpec,
+    QFormId,
     Route,
     _exterior_block,
-    _symmetric_block,
     q_form,
 )
 from anomcancel.errors import SymmetryError, UsageError
 from anomcancel.theta import ThetaKind, theta_ratio
 
-from conftest import in_pontryagin, root_product, root_q_form, root_sum
+from conftest import (
+    in_pontryagin,
+    paper_form,
+    root_product,
+    root_q_form,
+    root_sum,
+    symmetric_block,
+)
 
 ORDER = 2
 
@@ -38,7 +45,7 @@ ORDER = 2
 def per_root_factors(cap: int, order: int):
     """(name, per-root series) of every factor kind the engine symmetrises."""
     out = [("ahat", half_over_sinh_half_root(cap)), ("cosh_half", cosh_half_root(cap)),
-           ("symmetric_block", _symmetric_block(cap, order))]
+           ("symmetric_block", symmetric_block(cap, order))]
     out += [(f"exterior_{grid}_{sign:+d}", _exterior_block(cap, grid, sign, order))
             for grid in ("int", "half") for sign in (+1, -1)]
     out += [(kind.value, theta_ratio(kind, cap, order)) for kind in ThetaKind]
@@ -63,7 +70,7 @@ def test_symmetriser_of_several_families(k, l):
     # one call over several factors is the product of the single-factor calls
     spec = GeometrySpec(k=k, l=l, a=1, b=0, family=Family.TWO_LINE)
     cap = 4 * k
-    factors = [(_symmetric_block(cap, ORDER), "TM", 1),
+    factors = [(symmetric_block(cap, ORDER), "TM", 1),
                (_exterior_block(cap, "half", -1, ORDER), "V", 2),
                (_exterior_block(cap, "int", +1, ORDER), "u", -2),
                (_exterior_block(cap, "half", +1, ORDER), "u'", 1)]
@@ -86,13 +93,13 @@ FORM_CASES = [
     for k in (1, 2) for l in (1, 2)
     for family, (a, b) in ((Family.AB, (2, 1)), (Family.AB, (-1, 0)), (Family.AB_XI, (0, 2)),
                            (Family.TWO_LINE, (1, 0)))
-    for form, route in ((FAMILY_FORMS[family].lead, Route.BUNDLE),
-                        (FAMILY_FORMS[family].main, Route.BUNDLE),
-                        (FAMILY_FORMS[family].correction, Route.BUNDLE),
-                        (FAMILY_FORMS[family].lead, Route.THETA),
-                        (FAMILY_FORMS[family].main, Route.THETA))
+    for form, route in ((QFormId.LEAD, Route.BUNDLE), (QFormId.MAIN, Route.BUNDLE),
+                        (QFormId.CORRECTION, Route.BUNDLE),
+                        (QFormId.LEAD, Route.THETA), (QFormId.MAIN, Route.THETA))
     if route is Route.BUNDLE or FAMILY_FORMS[family].theta is not None
 ]
+FORM_CASES = [pytest.param(*case, id=f"spec{i}-QFormId.{paper_form(case[0], case[1])}-{case[2]}")
+              for i, case in enumerate(FORM_CASES)]
 
 
 @pytest.mark.parametrize("spec, form, route", FORM_CASES)
@@ -130,7 +137,7 @@ def test_symmetriser_rejects_bad_per_root_series():
 
 def test_series_log_and_exp_are_inverse():
     ring = one_root_ring(8)
-    f = _symmetric_block(8, 3)
+    f = symmetric_block(8, 3)
     assert f.log().exp() == f
     assert f.log().coeffs[0] == GradedPoly.zero(ring)
     with pytest.raises(UsageError):

@@ -28,10 +28,11 @@ from anomcancel.bundles import (  # noqa: E402
     QFormId,
     Route,
     _exterior_block,
-    _symmetric_block,
     q_form,
 )
 from anomcancel.theta import ModularFormId, ThetaKind, modular_form, theta_ratio  # noqa: E402
+
+from conftest import paper_form, symmetric_block  # noqa: E402
 
 CAP, ORDER = 8, 4
 W_MAX, T_MAX = CAP // 2, 2 * ORDER  # highest powers of w (degree 2) and of t = q^(1/2)
@@ -76,8 +77,11 @@ def _engine(series):
 
 
 def test_symmetric_block():
+    # the tests' reference, and the engine's tangent row: the exterior block's inverse
     factors = [(SYMMETRIC, 1, 2 * n) for n in range(1, ORDER + 1)]
-    assert _engine(_symmetric_block(CAP, ORDER)) == _product(sp.Integer(1), factors)
+    want = _product(sp.Integer(1), factors)
+    assert _engine(symmetric_block(CAP, ORDER)) == want
+    assert _engine(_exterior_block(CAP, "int", -1, ORDER).inv()) == want
 
 
 @pytest.mark.parametrize("grid", ["int", "half"])
@@ -233,8 +237,7 @@ def _block_rows(roots, which):
 
 def _theta_rows(roots, form):
     spec = roots.spec
-    row = FAMILY_FORMS[spec.family]
-    groups, two = row.theta[0 if form is row.lead else 1]
+    groups, two = FAMILY_FORMS[spec.family].theta[0 if form is QFormId.LEAD else 1]
     rows = []
     for label, kinds in (("TM", ((ThetaKind.THETA, 1),)),) + groups:
         for kind, e in kinds:
@@ -267,15 +270,14 @@ def _e2_series(roots, first):
 
 def _oracle_form(spec, form, route, order):
     roots = Roots(spec, order)
-    row = FAMILY_FORMS[spec.family]
     if route is Route.THETA:
         rows, two = _theta_rows(roots, form)
         return roots.cut(_e2_series(roots, 0) * roots.product(rows)) * two
-    if form is row.lead:
+    if form is QFormId.LEAD:
         product = roots.product(_genus_rows(roots, 1) + _block_rows(roots, 1))
         return roots.cut(_e2_series(roots, 0) * product)
     base = roots.product(_genus_rows(roots, 2) + _block_rows(roots, 2))
-    return base if form is row.main else roots.cut(_e2_series(roots, 1) * base)
+    return base if form is QFormId.MAIN else roots.cut(_e2_series(roots, 1) * base)
 
 
 def _engine_over_roots(spec, series):
@@ -302,24 +304,25 @@ def _engine_over_roots(spec, series):
     return roots.cut(out)
 
 
+LEAD, MAIN, CORRECTION = QFormId
+BUNDLE, THETA = Route
 ASSEMBLED = [
     (GeometrySpec(k=1, l=2, a=2, b=1, family=Family.AB), 3,
-     ((QFormId.Q1, Route.BUNDLE), (QFormId.Q2, Route.BUNDLE), (QFormId.Q2BAR, Route.BUNDLE),
-      (QFormId.Q1, Route.THETA), (QFormId.Q2, Route.THETA))),
+     ((LEAD, BUNDLE), (MAIN, BUNDLE), (CORRECTION, BUNDLE), (LEAD, THETA), (MAIN, THETA))),
     (GeometrySpec(k=1, l=1, a=-1, b=2, family=Family.AB_XI), 3,
-     ((QFormId.Q1_XI, Route.BUNDLE), (QFormId.Q3_XI, Route.BUNDLE))),
+     ((LEAD, BUNDLE), (CORRECTION, BUNDLE))),
     (GeometrySpec(k=1, l=1, a=1, b=0, family=Family.TWO_LINE), 3,
-     ((QFormId.P1, Route.BUNDLE), (QFormId.P3, Route.BUNDLE),
-      (QFormId.P1, Route.THETA), (QFormId.P2, Route.THETA))),
+     ((LEAD, BUNDLE), (CORRECTION, BUNDLE), (LEAD, THETA), (MAIN, THETA))),
     (GeometrySpec(k=2, l=1, a=1, b=0, family=Family.AB), 2,
-     ((QFormId.Q1, Route.BUNDLE), (QFormId.Q1, Route.THETA))),
+     ((LEAD, BUNDLE), (LEAD, THETA))),
 ]
 
 
-@pytest.mark.parametrize("spec, order, form, route",
-                         [(spec, order, form, route) for spec, order, forms in ASSEMBLED
-                          for form, route in forms],
-                         ids=lambda x: getattr(x, "name", None))
+@pytest.mark.parametrize("spec, order, form, route", [
+    pytest.param(spec, order, form, route,
+                 id=f"spec{i}-{order}-{paper_form(spec, form)}-{route.name}")
+    for i, (spec, order, form, route) in enumerate(
+        (spec, order, form, route) for spec, order, forms in ASSEMBLED for form, route in forms)])
 def test_assembled_q_form(spec, order, form, route):
     got = _engine_over_roots(spec, q_form(form, route, spec, order))
     assert got == _oracle_form(spec, form, route, order)
