@@ -296,10 +296,8 @@ def ch_theta_bundle(which: int, spec: GeometrySpec, order: int) -> QSeries:
 
 
 def _block_rows(spec: GeometrySpec, which: int, order: int) -> list:
-    """The per-root rows of the first or second twisted bundle's character.
-
-    The tangent row prod_n ch S_(q^n)(TM~) is the inverse of the exterior
-    block on the grid t = -q^n: ch S_t(E~) * ch Lambda_(-t)(E~) = 1."""
+    """The per-root rows of the first or second twisted bundle's character; the
+    tangent row, prod_n ch S_(q^n)(TM~), inverts the exterior block at t = -q^n."""
     cap = 4 * spec.k
     rows = [(_exterior_block(cap, "int", -1, order), spec.power_sums("TM"), -1)]
     for roots, grid, sign, e in FAMILY_FORMS[spec.family].blocks[which - 1]:
@@ -358,8 +356,7 @@ def q_form(form: QFormId, route: Route, spec: GeometrySpec, order: int) -> QSeri
         raise UsageError(f"unknown form {form!r}")
     if route is Route.THETA:
         if FAMILY_FORMS[spec.family].theta is None or form is QFormId.CORRECTION:
-            raise UsageError(f"no theta-quotient expression for {form.name} "
-                             f"in family {spec.family.value}")
+            raise UsageError(f"no theta-quotient expression for {form.name} in {spec.family.value}")
         return _q_form_theta(form, spec, order)
     return _q_form_bundle(form, spec, order)
 

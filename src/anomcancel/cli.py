@@ -1,14 +1,15 @@
 """Command-line front end: run verification cases and print q-expansions.
 
 Exit status: 0 when every requested check passes, 1 when any verdict is
-"fail", 2 for usage errors, 3 for internal failures.
+"fail", 2 for usage errors, 3 for internal failures, 141 (128 + SIGPIPE)
+when the reader of standard output closes it early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
+import os
 import sys
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from .bundles import Family, GeometrySpec, ch_theta_bundle
 from .decomp import BrBetarKind, closed_form_checks, extract_br_betar
 from .errors import UsageError
 from .theta import ModularFormId, modular_form
-from .verifier import CASES, CaseId, CaseRequest, Report, default_grid, run_suite
+from .verifier import CASES, CaseId, CaseRequest, Report, check_tolerance, default_grid, run_suite
 
 _FAMILIES = sorted(f.value for f in Family)
 
@@ -55,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bundle family (defaults to the case's natural family)")
     v.add_argument("--q-order", type=int, dest="q_order",
                    help="truncation order in integer q units (default k+2)")
-    v.add_argument("--format", choices=["text", "json"], default="text")
+    v.add_argument("--format", choices=["text", "json"],
+                   help="report format (default text, or the suite file's)")
     v.add_argument("--suite", help="path to a JSON suite configuration")
     v.add_argument("--all", action="store_true", help="run the default grid")
     v.add_argument("--tolerance", type=float,
@@ -191,11 +193,6 @@ def _check_object(obj, types: dict, where: str) -> None:
             raise UsageError(f"{where}: {key!r} must be {_TYPE_NAMES[want]}")
 
 
-def _check_tolerance(value: float, where: str) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise UsageError(f"{where}: tolerance must be finite and positive, not {value}")
-
-
 def _requests_from_suite_file(path: str) -> tuple[list[CaseRequest], str | None]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -203,12 +200,12 @@ def _requests_from_suite_file(path: str) -> tuple[list[CaseRequest], str | None]
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read suite config {path!r}: {exc}")
     _check_object(config, _SUITE_KEYS, "suite config")
-    if "cases" not in config:
-        raise UsageError("suite config must be an object with a 'cases' array")
+    if not config.get("cases"):
+        raise UsageError("suite config must be an object with a nonempty 'cases' array")
     if config.get("format", "text") not in ("text", "json"):
         raise UsageError("suite config: 'format' must be \"text\" or \"json\"")
     if "tolerance" in config:
-        _check_tolerance(config["tolerance"], "suite config")
+        check_tolerance(config["tolerance"], "suite config")
     requests = []
     for n, entry in enumerate(config["cases"]):
         where = f"suite entry {n}"
@@ -219,9 +216,10 @@ def _requests_from_suite_file(path: str) -> tuple[list[CaseRequest], str | None]
             raise UsageError(f"suite entry with unknown case: {entry!r}")
         given = {key: entry[key] for key in _GEOMETRY_KEYS if key in entry}
         spec = _case_spec(case, given, where)
+        # the suite-wide tolerance is the numeric case's; no other case reads one
+        tolerance = config.get("tolerance") if case is CaseId.NUMERIC_MODULARITY else None
         requests.append(CaseRequest(case, spec, entry.get("qOrder"),
-                                    perturb=entry.get("perturb", False),
-                                    tolerance=config.get("tolerance")))
+                                    perturb=entry.get("perturb", False), tolerance=tolerance))
     return requests, config.get("format")
 
 
@@ -231,7 +229,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # a suite file sets its own tolerance; every other case ignores one
         if args.suite or args.all or args.case != CaseId.NUMERIC_MODULARITY.value:
             raise UsageError("--tolerance applies to --case NUMERIC_MODULARITY only")
-        _check_tolerance(args.tolerance, "--tolerance")
+        check_tolerance(args.tolerance, "--tolerance")
     if args.suite or args.all:
         # a suite file or the grid chooses its own cases, geometries and q-orders
         given = {"--all": args.suite and args.all, "--case": args.case is not None,
@@ -243,8 +241,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
                              f"with {', '.join(extra)}")
     if args.suite:
         requests, fmt = _requests_from_suite_file(args.suite)
-        if fmt is not None:
-            out_format = fmt
+        if fmt is not None and out_format is not None:
+            raise UsageError("--format cannot be combined with a suite file that sets 'format'")
+        out_format = out_format or fmt
         reports = run_suite(requests)
     elif args.all:
         reports = run_suite(default_grid())
@@ -312,12 +311,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "verify":
-            return cmd_verify(args)
-        return cmd_expand(args)
+        status = cmd_verify(args) if args.command == "verify" else cmd_expand(args)
+        sys.stdout.flush()  # a reader gone away shows here, not at interpreter exit
+        return status
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader left (`| head`): exit as SIGPIPE would; devnull takes the last flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except Exception as exc:  # internal failure: distinct exit status
         if args.debug:
             import traceback  # only here: no start-up cost for every run

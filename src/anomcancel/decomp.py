@@ -43,8 +43,7 @@ class Group(Enum):
 
 
 class BrBetarKind(Enum):
-    """A coefficient kind by its role; `GeometrySpec.family` picks the family's
-    b_r / beta_r (tilde in ab-xi, bar in two-line)."""
+    """A coefficient kind by its role; `GeometrySpec.family` picks tilde or bar."""
 
     B_R = "br"          # virtual-bundle coefficients of the MAIN form
     BETA_R = "betar"    # form coefficients of the CORRECTION form
@@ -97,11 +96,9 @@ def decompose(series: QSeries, k: int) -> DecompResult:
                 val = val - h[r] * br
         lead = basis[m].coeffs[m]
         h.append(val * (1 / lead))
-    recon = None
+    residual = series
     for r, hr in enumerate(h):
-        term = basis[r] * hr
-        recon = term if recon is None else recon + term
-    residual = series - recon
+        residual = residual - basis[r] * hr
     return DecompResult(h=tuple(h), residual=residual)
 
 
@@ -190,7 +187,9 @@ def closed_form_checks(spec: GeometrySpec, which: BrBetarKind,
     their candidate closed forms."""
     if which is BrBetarKind.B_R:
         templates = _b_closed_forms(spec, GradedPoly.one(spec.ring()))
-    else:
+    elif which is BrBetarKind.BETA_R:
         templates = _beta_closed_forms(spec)
+    else:
+        raise UsageError(f"unknown coefficient kind {which!r}")
     return [ClosedFormCheck(name=name, computed=computed, candidates=cands, expected=expected)
             for (name, cands, expected), computed in zip(templates, result.h)]

@@ -11,6 +11,7 @@ against stated tolerances.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -129,6 +130,10 @@ class CaseRequest:
         for name, value in row.pins:
             if getattr(spec, name) != value:
                 raise UsageError(f"{case.value} fixes {name} = {value}")
+        if self.tolerance is not None:
+            if case is not CaseId.NUMERIC_MODULARITY:
+                raise UsageError(f"{case.value} takes no tolerance")
+            check_tolerance(self.tolerance, case.value)
 
     @property
     def order(self) -> int:
@@ -137,6 +142,12 @@ class CaseRequest:
             return self.q_order
         default = CASES[self.case].default_q_order
         return self.spec.k + 2 if default is None else default
+
+
+def check_tolerance(value: float, where: str) -> None:
+    """Refuse a numeric tolerance that is not finite and positive."""
+    if not (math.isfinite(value) and value > 0):
+        raise UsageError(f"{where}: tolerance must be finite and positive, not {value}")
 
 
 # What a case handler returns: verdict, (residual half-index, residual

@@ -1,6 +1,10 @@
 """Command-line interface: flags, exit codes, JSON round-trip."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -204,6 +208,9 @@ class TestSuiteValidation:
                      id="tolerance zero"),
         pytest.param({"cases": [{"case": "NUMERIC_MODULARITY"}], "tolerance": -1e-8},
                      id="tolerance negative"),
+        pytest.param({"cases": [{"case": "COR32"}], "tolerance": float("nan")},
+                     id="tolerance NaN without a numeric entry"),
+        pytest.param({"cases": []}, id="no cases"),
         pytest.param({"cases": ["THM31"]}, id="entry not an object"),
         pytest.param({"cases": [{"k": 1}]}, id="entry without a case"),
         pytest.param({"cases": [{"case": "THM31", "k": "2"}]}, id="k as a string"),
@@ -254,6 +261,20 @@ class TestSuiteValidation:
         reports = json.loads(out)
         assert reports[0]["spec"] == {"family": "ab", "k": 1, "l": 2, "a": 2, "b": 1}
         assert reports[0]["qOrder"] == 3
+        # the suite-wide tolerance reaches the numeric case only
+        assert all("(tol 1e-08)" in q["pontryagin"] for q in reports[1]["quantities"])
+
+    def test_format_flag_and_suite_format_conflict(self, capsys, tmp_path):
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps({"cases": [{"case": "COR32"}], "format": "text"}))
+        code, out, err = run_cli(capsys, "verify", "--suite", str(path), "--format", "json")
+        assert code == 2 and out == ""
+        assert "--format cannot be combined with a suite file that sets 'format'" in err
+        assert run_cli(capsys, "verify", "--suite", str(path))[1].endswith("1/1 cases passed\n")
+        # a suite without 'format' takes the flag's
+        path.write_text(json.dumps({"cases": [{"case": "COR32"}]}))
+        code, out, _ = run_cli(capsys, "verify", "--suite", str(path), "--format", "json")
+        assert code == 0 and json.loads(out)[0]["case"] == "COR32"
 
 
 class TestExpandCommand:
@@ -332,3 +353,17 @@ class TestExpandValidation:
         code, out, _ = run_cli(capsys, "expand", "--object", "theta-bundle", "--k", "2",
                                "--q-order", "1", "--format", "json")
         assert code == 0 and json.loads(out)["qOrder"] == 1
+
+
+# COR32's one report meets the closed pipe at main's flush; 64 kB of E2 rows meet it in a print
+@pytest.mark.parametrize("argv", [["verify", "--case", "COR32"],
+                                  ["expand", "--object", "e2", "--q-order", "2000"]])
+def test_closed_stdout_pipe_exits_141_quietly(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen([sys.executable, "-m", "anomcancel.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # the reader is gone before the first write
+    err = proc.stderr.read()
+    assert proc.wait() == 141
+    assert err == b""

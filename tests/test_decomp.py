@@ -147,6 +147,9 @@ class TestClosedForms:
         spec = GeometrySpec(k=1, l=1, a=1, b=0, family=Family.AB)
         with pytest.raises(UsageError, match="unknown coefficient kind"):
             extract_br_betar(spec, which, 3)
+        result = extract_br_betar(spec, BrBetarKind.BETA_R, 3)
+        with pytest.raises(UsageError, match="unknown coefficient kind"):
+            closed_form_checks(spec, which, result)
 
 
 class TestModularityWitness:

@@ -167,6 +167,17 @@ class TestValidation:
         with pytest.raises(UsageError):
             verify_case(CaseId.THM31)
 
+    @pytest.mark.parametrize("tolerance", [-5.0, 1e-6, float("nan")])
+    def test_tolerance_on_a_case_that_reads_none(self, tolerance):
+        with pytest.raises(UsageError, match="COR32 takes no tolerance"):
+            verify_case(CaseId.COR32, AB(1, 1, 1, 0), tolerance=tolerance)
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0, -1e-8])
+    def test_numeric_tolerance_must_be_finite_and_positive(self, tolerance):
+        with pytest.raises(UsageError, match="tolerance must be finite and positive"):
+            verify_case(CaseId.NUMERIC_MODULARITY, tolerance=tolerance)
+        assert verify_case(CaseId.NUMERIC_MODULARITY, tolerance=1e-6).passed
+
     def test_insufficient_order(self):
         with pytest.raises(UsageError):
             verify_case(CaseId.THM31, AB(2, 1, 1, 0), q_order=0)
