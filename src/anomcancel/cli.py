@@ -226,10 +226,9 @@ def _requests_from_suite_file(path: str) -> tuple[list[CaseRequest], str | None]
 def cmd_verify(args: argparse.Namespace) -> int:
     out_format = args.format
     if args.tolerance is not None:
-        # a suite file sets its own tolerance; every other case ignores one
+        # a suite sets its own tolerance and no other case reads one; CaseRequest checks it
         if args.suite or args.all or args.case != CaseId.NUMERIC_MODULARITY.value:
             raise UsageError("--tolerance applies to --case NUMERIC_MODULARITY only")
-        check_tolerance(args.tolerance, "--tolerance")
     if args.suite or args.all:
         # a suite file or the grid chooses its own cases, geometries and q-orders
         given = {"--all": args.suite and args.all, "--case": args.case is not None,
@@ -267,7 +266,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _expand_rows(args: argparse.Namespace) -> tuple[list[tuple[str, str]], int]:
-    """The rows to print and the q-order they were computed at."""
+    """The rows to print and the q-order to report with them."""
     n = args.q_order
     given = _given_geometry(args)
     if args.which is not None and args.object != "theta-bundle":
@@ -276,22 +275,19 @@ def _expand_rows(args: argparse.Namespace) -> tuple[list[tuple[str, str]], int]:
         if given:
             raise UsageError(f"{args.object} takes no geometry")
         series = modular_form(_MODULAR_OBJECTS[args.object], n)
-        return [(half_q_label(i), str(c)) for i, c in enumerate(series.coeffs)], n
-
-    spec = _geometry(given, Family.AB)
-    if args.object == "theta-bundle":
-        series = ch_theta_bundle(args.which or 2, spec, n)
-        return [(half_q_label(i), str(c)) for i, c in enumerate(series.coeffs)], n
-
-    kind = BrBetarKind(args.object)
-    # decompose at least through the verify cases' default q-order k + 2
-    order = max(n, spec.k + 2)
-    result = extract_br_betar(spec, kind, order)
-    prefix = "b" if kind is BrBetarKind.B_R else "beta"
-    rows = [(f"{prefix}_{r}", str(h)) for r, h in enumerate(result.h)]
-    for check in closed_form_checks(spec, kind, result):
-        rows.append((f"{check.name} readings", ",".join(check.matches) or "none"))
-    return rows, order
+    elif args.object == "theta-bundle":
+        series = ch_theta_bundle(args.which or 2, _geometry(given, Family.AB), n)
+    else:
+        spec = _geometry(given, Family.AB)
+        kind = BrBetarKind(args.object)
+        result = extract_br_betar(spec, kind)
+        prefix = "b" if kind is BrBetarKind.B_R else "beta"
+        rows = [(f"{prefix}_{r}", str(h)) for r, h in enumerate(result.h)]
+        for check in closed_form_checks(spec, kind, result):
+            rows.append((f"{check.name} readings", ",".join(check.matches) or "none"))
+        # the h_r do not depend on the q-order; report at least the verify default k + 2
+        return rows, max(n, spec.k + 2)
+    return [(half_q_label(i), str(c)) for i, c in enumerate(series.coeffs)], n
 
 
 def cmd_expand(args: argparse.Namespace) -> int:

@@ -75,6 +75,11 @@ def basis_series(k: int, r: int, group: Group, order: int) -> QSeries:
     return delta.scale(8).powi(k - 2 * r) * eps.powi(r)
 
 
+def coefficient_order(k: int) -> int:
+    """The least truncation order whose half-indices reach k//2, the last one `decompose` reads."""
+    return k // 4 + 1
+
+
 def decompose(series: QSeries, k: int) -> DecompResult:
     """Solve for h_r against the (8 delta2)^(k-2r) eps2^r basis.
 
@@ -84,7 +89,7 @@ def decompose(series: QSeries, k: int) -> DecompResult:
     """
     order = series.order
     m_max = k // 2
-    if 2 * order <= m_max:
+    if order < coefficient_order(k):
         raise UsageError("truncation order too small to determine the coefficients")
     basis = [basis_series(k, r, Group.GAMMA_UPPER0, order) for r in range(m_max + 1)]
     h: list = []
@@ -166,12 +171,14 @@ def _beta_closed_forms(spec: GeometrySpec) -> list[ClosedFormCheck]:
     return checks
 
 
-def extract_br_betar(spec: GeometrySpec, which: BrBetarKind, order: int) -> DecompResult:
+def extract_br_betar(spec: GeometrySpec, which: BrBetarKind) -> DecompResult:
     """Extract the b-type or beta-type coefficients.
 
     b-type decomposes the full bundle character (all cohomological degrees);
     beta-type decomposes the degree-(4k-4) slice of the E2-corrected form.
+    Both are built at `coefficient_order(k)`, the least order that fixes the h_r.
     """
+    order = coefficient_order(spec.k)
     if which is BrBetarKind.B_R:
         series = ch_theta_bundle(2, spec, order)
     elif which is BrBetarKind.BETA_R:

@@ -16,6 +16,7 @@ import time
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from numbers import Real
 from typing import Callable, Iterable
 
 from .algebra import (
@@ -101,7 +102,7 @@ class CaseRequest:
 
     case: CaseId
     spec: GeometrySpec | None = None
-    q_order: int | None = None         # as the caller gave it; `order` is the one run at
+    q_order: int | None = None         # as the caller gave it; `order` fills in the default
     perturb: bool = False
     tolerance: float | None = None
 
@@ -117,16 +118,16 @@ class CaseRequest:
         if spec is not None and spec.family not in row.families:
             raise UsageError(f"{case.value} needs family "
                              + " or ".join(f.value for f in row.families))
-        if self.q_order is not None and row.default_q_order == 0:
+        q = self.q_order
+        if q is not None and row.default_q_order == 0:
             raise UsageError(f"{case.value} reads no q-series and takes no q-order")
-        # decompose reads the h_r off half-indices 0..k//2; the floor keeps two
-        # integer q-orders past them.  No theorem case reads those orders: it uses
-        # the h_r alone, and its b_r and beta_r decompositions leave a nonzero
-        # residual there.  EQ318_TRANSFER and DOUBLE_ROUTE compare them.
+        if q is not None and (not isinstance(q, int) or isinstance(q, bool) or q < 0):
+            raise UsageError(f"q-order must be an integer >= 0, not {q!r}")
+        # decompose reads the h_r off half-indices 0..k//2; the floor keeps two integer
+        # q-orders past them for EQ318_TRANSFER and DOUBLE_ROUTE, which compare them.  Cases
+        # that read the h_r alone build at decomp.coefficient_order(k), whatever q is given.
         if spec is not None and 2 * self.order < spec.k // 2 + 4:
             raise UsageError("q-order too small: need 2 * q-order >= k // 2 + 4")
-        if self.order < 0:
-            raise UsageError("q-order must be >= 0")
         for name, value in row.pins:
             if getattr(spec, name) != value:
                 raise UsageError(f"{case.value} fixes {name} = {value}")
@@ -137,7 +138,7 @@ class CaseRequest:
 
     @property
     def order(self) -> int:
-        """The q-order the case runs at: the one given, else its row's default."""
+        """The q-order the case reports: the one given, else its row's default."""
         if self.q_order is not None:
             return self.q_order
         default = CASES[self.case].default_q_order
@@ -145,9 +146,9 @@ class CaseRequest:
 
 
 def check_tolerance(value: float, where: str) -> None:
-    """Refuse a numeric tolerance that is not finite and positive."""
-    if not (math.isfinite(value) and value > 0):
-        raise UsageError(f"{where}: tolerance must be finite and positive, not {value}")
+    """Refuse a numeric tolerance that is not a finite, positive real number."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < math.inf:
+        raise UsageError(f"{where}: tolerance must be finite and positive, not {value!r}")
 
 
 # What a case handler returns: verdict, (residual half-index, residual
@@ -187,7 +188,7 @@ def _gamma_upper_side(spec: GeometrySpec, order: int) -> QSeries:
 # Theorem assemblies
 
 
-def _theorem_sides(spec: GeometrySpec, order: int,
+def _theorem_sides(spec: GeometrySpec,
                    perturb: bool = False) -> tuple[GradedPoly, GradedPoly, dict]:
     """Left and right side of the main cancellation identity for any family.
 
@@ -199,8 +200,8 @@ def _theorem_sides(spec: GeometrySpec, order: int,
     cap = 4 * k
     z = p1_combo(spec)
     lead, weight = lead_weight(spec)
-    b_res = extract_br_betar(spec, BrBetarKind.B_R, order)
-    beta_res = extract_br_betar(spec, BrBetarKind.BETA_R, order)
+    b_res = extract_br_betar(spec, BrBetarKind.B_R)
+    beta_res = extract_br_betar(spec, BrBetarKind.BETA_R)
 
     # (a - b) l is l in the two-line family, whose twists are fixed at (1, 0)
     coef = [_two_pow((spec.a - spec.b) * spec.l + k - 6 * r) for r in range(k // 2 + 1)]
@@ -218,25 +219,21 @@ def _theorem_sides(spec: GeometrySpec, order: int,
     correction = correction - (pref * lead).degree_part(cap - 4)
     rhs = z * correction
 
-    data = {"b": b_res, "beta": beta_res, "correction": correction,
-            "lead": lead, "weight": weight, "coef": coef}
+    data = {"b": b_res, "beta": beta_res, "correction": correction}
     return lhs, rhs, data
 
 
 def _case_theorem(req: CaseRequest) -> Outcome:
     spec = req.spec
-    lhs, rhs, data = _theorem_sides(spec, req.order, req.perturb)
+    lhs, rhs, data = _theorem_sides(spec, req.perturb)
     diff = lhs - rhs
     notes = []
     if spec.family is Family.TWO_LINE:
         diff = ideal_reduce(diff, p1_relation(spec), leading="p1(TM)")
         notes.append("difference reduced modulo p1(TM) - p1(V)")
     ok = diff.is_zero
-    quantities = []
-    for r, br in enumerate(data["b"].h):
-        quantities.append((f"ch(b_{r})", str(br)))
-    for r, betar in enumerate(data["beta"].h):
-        quantities.append((f"beta_{r}", str(betar)))
+    quantities = [(f"ch(b_{r})", str(br)) for r, br in enumerate(data["b"].h)]
+    quantities += [(f"beta_{r}", str(betar)) for r, betar in enumerate(data["beta"].h)]
     quantities.append(("correction_form", str(data["correction"])))
     return ok, _poly_residual(diff), tuple(quantities), tuple(notes)
 
@@ -258,7 +255,7 @@ def _case_cor32(req: CaseRequest) -> Outcome:
     diff = lhs - rhs
     # specialization coherence: the k = 1 theorem data must imply exactly this
     # statement (sign of the r = 0 bundle coefficient, constant correction form)
-    _, _, data = _theorem_sides(spec, spec.k + 2)
+    _, _, data = _theorem_sides(spec)
     ring = spec.ring()
     coherent = (data["b"].h[0] == GradedPoly.constant(ring, -1)
                 and data["correction"] == GradedPoly.constant(ring, -_two_pow(a * l - 3)))
@@ -389,7 +386,7 @@ def _case_closed_forms(req: CaseRequest) -> Outcome:
     quantities = []
     notes = []
     for kind, label in zip(BrBetarKind, FAMILY_FORMS[spec.family].names[2:]):
-        result = extract_br_betar(spec, kind, req.order)
+        result = extract_br_betar(spec, kind)
         for c in closed_form_checks(spec, kind, result):
             if req.perturb:
                 # negative control: a damaged coefficient matches no candidate
@@ -407,8 +404,8 @@ def _case_closed_forms(req: CaseRequest) -> Outcome:
 
 
 def _case_hlz(req: CaseRequest) -> Outcome:
-    spec, order = req.spec, req.order
-    lhs, rhs, _ = _theorem_sides(spec, order)
+    spec = req.spec
+    lhs, rhs, data = _theorem_sides(spec)
     # Independent assembly hard-wired to the single-twist shape: the spinor
     # character symmetrised from a per-root sum of exponentials, the untwisted
     # weight side, and literal 2^(l + k - 6r) constants.
@@ -421,14 +418,12 @@ def _case_hlz(req: CaseRequest) -> Outcome:
     per_root = (apply_series(taylor_exp(nterms), w_half)
                 + apply_series(taylor_exp(nterms), -w_half))
     spinor = symmetrise([(per_root * Fraction(1, 2), spec.power_sums("V"), 1)]) * _two_pow(l)
-    b_res = extract_br_betar(spec, BrBetarKind.B_R, order)
-    beta_res = extract_br_betar(spec, BrBetarKind.BETA_R, order)
     lhs_special = (ahat * spinor).degree_part(cap)
-    for r, br in enumerate(b_res.h):
+    for r, br in enumerate(data["b"].h):
         lhs_special = lhs_special - (ahat * br).degree_part(cap) * _two_pow(l + k - 6 * r)
     pref = e2_expm1_over_z(spec, 0).coeffs[0]
     corr = GradedPoly.zero(ring)
-    for r, betar in enumerate(beta_res.h):
+    for r, betar in enumerate(data["beta"].h):
         corr = corr + betar * _two_pow(l + k - 6 * r)
     corr = corr - (pref * ahat * spinor).degree_part(cap - 4)
     rhs_special = p1_combo(spec) * corr

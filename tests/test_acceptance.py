@@ -177,7 +177,7 @@ def test_criterion_06_closed_form_coefficients():
         for spec in specs:
             for kind in BrBetarKind:
                 checks = closed_form_checks(spec, kind,
-                                            extract_br_betar(spec, kind, spec.k + 2))
+                                            extract_br_betar(spec, kind))
                 for check in checks:
                     if not check.passed:
                         return False

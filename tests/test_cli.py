@@ -342,7 +342,7 @@ class TestExpandValidation:
         assert default != run_cli(capsys, *argv, "--which", "1")
 
     def test_reported_order_is_the_decomposition_order(self, capsys):
-        # br/betar decompose through q-order k + 2 at least
+        # br/betar report q-order k + 2 at least; their h_r do not depend on it
         for obj in ("br", "betar"):
             code, out, _ = run_cli(capsys, "expand", "--object", obj, "--k", "3",
                                    "--q-order", "1", "--format", "json")

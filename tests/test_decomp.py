@@ -20,6 +20,7 @@ from anomcancel.decomp import (
     Group,
     basis_series,
     closed_form_checks,
+    coefficient_order,
     decompose,
     extract_br_betar,
 )
@@ -96,17 +97,44 @@ class TestDecompose:
         assert result.residual.first_nonzero() == 2 * order
 
 
+def br_betar_series(spec, which, order):
+    """The series extract_br_betar decomposes, built at a chosen order."""
+    if which is BrBetarKind.B_R:
+        return ch_theta_bundle(2, spec, order)
+    return q_form(QFormId.CORRECTION, Route.BUNDLE, spec, order).degree_slice(4 * spec.k - 4)
+
+
+class TestCoefficientOrder:
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_h_do_not_depend_on_the_order(self, family, k):
+        # extract_br_betar builds at coefficient_order(k), the least N with 2N > k//2,
+        # one order below which decompose refuses; a deeper truncation gives the same h_r
+        low = coefficient_order(k)
+        assert 2 * (low - 1) <= k // 2 < 2 * low
+        a, b = (1, 0) if family is Family.TWO_LINE else (2, 1)
+        for l in (1, 2, 3):
+            spec = GeometrySpec(k=k, l=l, a=a, b=b, family=family)
+            for which in BrBetarKind:
+                result = extract_br_betar(spec, which)
+                assert result.residual.order == low
+                for order in (k + 2, k + 4):
+                    assert decompose(br_betar_series(spec, which, order), k).h == result.h
+                with pytest.raises(UsageError, match="truncation order too small"):
+                    decompose(br_betar_series(spec, which, low - 1), k)
+
+
 class TestClosedForms:
     def test_b0_at_k1(self):
         spec = GeometrySpec(k=1, l=1, a=1, b=0, family=Family.AB)
-        result = extract_br_betar(spec, BrBetarKind.B_R, 3)
+        result = extract_br_betar(spec, BrBetarKind.B_R)
         checks = closed_form_checks(spec, BrBetarKind.B_R, result)
         assert result.h[0] == GradedPoly.constant(spec.ring(), -1)
         assert checks[0].passed and "printed" in checks[0].matches
 
     def test_b1_at_k2_single_twist(self):
         spec = GeometrySpec(k=2, l=1, a=1, b=0, family=Family.AB)
-        result = extract_br_betar(spec, BrBetarKind.B_R, 4)
+        result = extract_br_betar(spec, BrBetarKind.B_R)
         checks = closed_form_checks(spec, BrBetarKind.B_R, result)
         want = ch_v_tilde(spec) * (-1) - 48
         assert result.h[1] == want
@@ -115,7 +143,7 @@ class TestClosedForms:
 
     def test_b1_general_twist_needs_b_term(self):
         spec = GeometrySpec(k=2, l=1, a=2, b=1, family=Family.AB)
-        result = extract_br_betar(spec, BrBetarKind.B_R, 4)
+        result = extract_br_betar(spec, BrBetarKind.B_R)
         checks = closed_form_checks(spec, BrBetarKind.B_R, result)
         h1 = checks[1]
         assert h1.matches == ("generalized",)
@@ -124,30 +152,30 @@ class TestClosedForms:
     def test_beta_closed_forms(self):
         spec = GeometrySpec(k=2, l=2, a=1, b=1, family=Family.AB)
         checks = closed_form_checks(spec, BrBetarKind.BETA_R,
-                                    extract_br_betar(spec, BrBetarKind.BETA_R, 4))
+                                    extract_br_betar(spec, BrBetarKind.BETA_R))
         assert all(c.passed for c in checks)
 
     def test_two_line_bar_coefficients(self):
         spec = GeometrySpec(k=2, l=2, a=1, b=0, family=Family.TWO_LINE)
         checks = closed_form_checks(spec, BrBetarKind.B_R,
-                                    extract_br_betar(spec, BrBetarKind.B_R, 4))
+                                    extract_br_betar(spec, BrBetarKind.B_R))
         assert all(c.passed for c in checks)
         bchecks = closed_form_checks(spec, BrBetarKind.BETA_R,
-                                     extract_br_betar(spec, BrBetarKind.BETA_R, 4))
+                                     extract_br_betar(spec, BrBetarKind.BETA_R))
         assert all(c.passed for c in bchecks)
 
     def test_xi_family_coefficients(self):
         spec = GeometrySpec(k=2, l=2, a=2, b=1, family=Family.AB_XI)
         checks = closed_form_checks(spec, BrBetarKind.B_R,
-                                    extract_br_betar(spec, BrBetarKind.B_R, 4))
+                                    extract_br_betar(spec, BrBetarKind.B_R))
         assert all(c.passed for c in checks)
 
     @pytest.mark.parametrize("which", ["br", "B_R", None])
     def test_non_member_kind_is_usage_error(self, which):
         spec = GeometrySpec(k=1, l=1, a=1, b=0, family=Family.AB)
         with pytest.raises(UsageError, match="unknown coefficient kind"):
-            extract_br_betar(spec, which, 3)
-        result = extract_br_betar(spec, BrBetarKind.BETA_R, 3)
+            extract_br_betar(spec, which)
+        result = extract_br_betar(spec, BrBetarKind.BETA_R)
         with pytest.raises(UsageError, match="unknown coefficient kind"):
             closed_form_checks(spec, which, result)
 

@@ -172,7 +172,7 @@ class TestValidation:
         with pytest.raises(UsageError, match="COR32 takes no tolerance"):
             verify_case(CaseId.COR32, AB(1, 1, 1, 0), tolerance=tolerance)
 
-    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0, -1e-8])
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0, -1e-8, "1e-6", True])
     def test_numeric_tolerance_must_be_finite_and_positive(self, tolerance):
         with pytest.raises(UsageError, match="tolerance must be finite and positive"):
             verify_case(CaseId.NUMERIC_MODULARITY, tolerance=tolerance)
@@ -181,6 +181,11 @@ class TestValidation:
     def test_insufficient_order(self):
         with pytest.raises(UsageError):
             verify_case(CaseId.THM31, AB(2, 1, 1, 0), q_order=0)
+        for q_order in (True, "4", 2.5, 4.0):
+            with pytest.raises(UsageError, match="q-order must be an integer >= 0"):
+                verify_case(CaseId.JACOBI_QSERIES, q_order=q_order)
+            with pytest.raises(UsageError, match="q-order must be an integer >= 0"):
+                verify_case(CaseId.THM31, AB(2, 1, 1, 0), q_order=q_order)
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_q_order_guard_matches_half_index_bound(self, k):
@@ -200,7 +205,7 @@ class TestInvariants:
         # scaling every Chern root by t (a degree-d generator by t^(d/2))
         # multiplies both degree-4k sides by t^(2k)
         spec = AB(1, 1, 2, 1)
-        lhs, rhs, _ = _theorem_sides(spec, 3)
+        lhs, rhs, _ = _theorem_sides(spec)
         t = F(3)
         scales = {name: t ** (deg // 2) for name, deg in spec.ring().gens}
         lhs_scaled = scale_gens(lhs, scales)
@@ -214,9 +219,9 @@ class TestInvariants:
         # ch(b_0) = -1 and the correction form is the constant -2^(al-3)
         from anomcancel.decomp import BrBetarKind, extract_br_betar
         spec = AB(1, 2, 2, 1)
-        result = extract_br_betar(spec, BrBetarKind.B_R, 3)
+        result = extract_br_betar(spec, BrBetarKind.B_R)
         assert result.h[0] == GradedPoly.constant(spec.ring(), -1)
-        _, _, data = _theorem_sides(spec, 3)
+        _, _, data = _theorem_sides(spec)
         expect = GradedPoly.constant(
             spec.ring(), -F(2) ** (spec.a * spec.l - 3))
         assert data["correction"] == expect
