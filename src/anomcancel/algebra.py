@@ -325,17 +325,9 @@ class GradedPoly:
         c = self.constant_term()
         if c == 0:
             raise InvertError("constant term is zero; element not invertible")
-        # self = c (1 + nil) with nil nilpotent, so 1/self = (1/c) sum (-nil)^i.
-        nil = self * (1 / c) - 1
-        acc = GradedPoly.one(self.spec)
-        term = GradedPoly.one(self.spec)
-        minus_nil = -nil
-        for _ in range(self.spec.cap // 2):
-            term = term * minus_nil
-            if term.is_zero:
-                break
-            acc = acc + term
-        return acc * (1 / c)
+        # self = c (1 + nil) with nil nilpotent, so 1/self = (1/c) sum (-nil)^n.
+        geometric = [(-1) ** n for n in range(self.spec.cap + 1)]
+        return apply_series(geometric, self * (1 / c) - 1) * (1 / c)
 
 
 def apply_series(coeffs: Sequence[Fraction], x: GradedPoly) -> GradedPoly:

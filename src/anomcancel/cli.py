@@ -243,21 +243,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if fmt is not None and out_format is not None:
             raise UsageError("--format cannot be combined with a suite file that sets 'format'")
         out_format = out_format or fmt
-        reports = run_suite(requests)
     elif args.all:
-        reports = run_suite(default_grid())
+        requests = default_grid()
     elif args.case:
-        reports = run_suite([_request_from_args(args)])
+        requests = [_request_from_args(args)]
     else:
         raise UsageError("choose one of --case, --all or --suite")
 
+    # text reports stream as each case finishes; JSON is one array at the end
+    reports = []
+    for report in run_suite(requests):
+        reports.append(report)
+        if out_format != "json":
+            print(format_report_text(report), flush=True)
     if out_format == "json":
         print(dumps_reports(reports))
     else:
-        for report in reports:
-            print(format_report_text(report))
-        passed = sum(r.passed for r in reports)
-        print(f"{passed}/{len(reports)} cases passed")
+        print(f"{sum(r.passed for r in reports)}/{len(reports)} cases passed")
     return 0 if all(r.passed for r in reports) else 1
 
 

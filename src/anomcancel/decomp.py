@@ -76,8 +76,11 @@ def basis_series(k: int, r: int, group: Group, order: int) -> QSeries:
 
 
 def coefficient_order(k: int) -> int:
-    """The least truncation order whose half-indices reach k//2, the last one `decompose` reads."""
-    return k // 4 + 1
+    """The least truncation order N with 2N >= k//2: its half-indices 0..2N reach
+    k//2, the last one `decompose` reads.  Every series operation is causal in q
+    (a coefficient depends on no higher half-index), so truncating at N changes
+    none of the half-indices 0..2N and the h_r are those of any deeper order."""
+    return (k // 2 + 1) // 2
 
 
 def decompose(series: QSeries, k: int) -> DecompResult:

@@ -10,12 +10,14 @@ Eisenstein series 1 - 24 sum sigma_1(n) q^n.
 
 Numeric side: literal double-precision evaluation of the theta products
 (including the 2 q^(1/8) prefactors) used to test the transformation laws
-under the modular group generators.
+under the modular group generators.  Both sides read `_THETA_GRIDS` and
+`_DELTA_EPS`, so the numeric laws test the recipes the exact series use.
 """
 
 from __future__ import annotations
 
 import cmath
+import operator
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -81,10 +83,11 @@ def _geometric_inverse(poly: GradedPoly, half_exp: int, order: int) -> QSeries:
     return QSeries(coeffs, order, spec)
 
 
-# Jacobi's products for theta1, theta2, theta3 take a factor (1 + sign t) at
-# each t = q^(h/2) of a grid: h = 2j ('int') or h = 2j - 1 ('half'), j >= 1.
-_THETA_GRIDS = {ThetaKind.THETA1: ("int", +1), ThetaKind.THETA2: ("half", -1),
-                ThetaKind.THETA3: ("half", +1)}
+# Jacobi's products take a factor (1 + sign t) at each t = q^(h/2) of a grid:
+# h = 2j ('int') or h = 2j - 1 ('half'), j >= 1.  Beside these, each product has
+# a factor (1 - q^j) per j, and theta and theta1 a lead 2 q^(1/8) sin / cos(pi v).
+_THETA_GRIDS = {ThetaKind.THETA: ("int", -1), ThetaKind.THETA1: ("int", +1),
+                ThetaKind.THETA2: ("half", -1), ThetaKind.THETA3: ("half", +1)}
 
 
 @lru_cache(maxsize=None)
@@ -101,29 +104,26 @@ def theta_ratio(kind: ThetaKind, cap: int, order: int) -> QSeries:
         raise UsageError(f"degree cap must be even and positive, not {cap}")
     if order < 0:
         raise UsageError("truncation order must be >= 0")
+    if kind not in _THETA_GRIDS:
+        raise UsageError(f"unknown theta kind {kind!r}")
     spec = one_root_ring(cap)
     ew = exp_root(cap, +1)
     ewi = exp_root(cap, -1)
-
-    if kind is ThetaKind.THETA:
-        # (w/2)/sinh(w/2) * prod (1-q^j)^2 / ((1-e^w q^j)(1-e^-w q^j))
-        res = QSeries.from_poly(half_over_sinh_half_root(cap), order)
-        for j in range(1, order + 1):
-            res = res * QSeries.binomial(-1, 2 * j, order).powi(2)
-            res = res * _geometric_inverse(ew, 2 * j, order)
-            res = res * _geometric_inverse(ewi, 2 * j, order)
-        return res
-
-    if kind not in _THETA_GRIDS:
-        raise UsageError(f"unknown theta kind {kind!r}")
-    # cosh(w/2) for theta1, else 1, times prod_t (1 + sign e^w t)(1 + sign e^-w t) / (1 + sign t)^2
     grid, sign = _THETA_GRIDS[kind]
-    lead = cosh_half_root(cap) if kind is ThetaKind.THETA1 else GradedPoly.one(spec)
+    lead = {ThetaKind.THETA: half_over_sinh_half_root, ThetaKind.THETA1: cosh_half_root}.get(kind)
+    lead = GradedPoly.one(spec) if lead is None else lead(cap)
+    # lead * prod_t (1 + sign e^w t)(1 + sign e^-w t) / (1 + sign t)^2; THETA takes that
+    # quotient's inverse, through `_geometric_inverse` rather than a series division
     res = QSeries.from_poly(lead, order)
     for j in range(1, order + 1):
         h = 2 * j if grid == "int" else 2 * j - 1
-        res = res * QSeries.binomial(ew * sign, h, order) * QSeries.binomial(ewi * sign, h, order)
-        res = res / QSeries.binomial(sign, h, order).powi(2)
+        const = QSeries.binomial(sign, h, order).powi(2)
+        if kind is ThetaKind.THETA:
+            res = res * const * _geometric_inverse(ew * -sign, h, order) \
+                * _geometric_inverse(ewi * -sign, h, order)
+        else:
+            res = res * QSeries.binomial(ew * sign, h, order) \
+                * QSeries.binomial(ewi * sign, h, order) / const
     return res
 
 
@@ -154,6 +154,15 @@ def _theta_const_fourth(kind: ThetaKind, order: int) -> QSeries:
     return fourth.shift(1).scale(16) if kind is ThetaKind.THETA1 else fourth
 
 
+# delta_i / eps_i from t_i = theta_i(0)^4: (op, i, j, c) means c * op(t_i, t_j).
+_DELTA_EPS = {
+    ModularFormId.DELTA1: (operator.add, ThetaKind.THETA2, ThetaKind.THETA3, Fraction(1, 8)),
+    ModularFormId.EPS1: (operator.mul, ThetaKind.THETA2, ThetaKind.THETA3, Fraction(1, 16)),
+    ModularFormId.DELTA2: (operator.add, ThetaKind.THETA1, ThetaKind.THETA3, Fraction(-1, 8)),
+    ModularFormId.EPS2: (operator.mul, ThetaKind.THETA1, ThetaKind.THETA3, Fraction(1, 16)),
+}
+
+
 @lru_cache(maxsize=None)
 def modular_form(form: ModularFormId, order: int) -> QSeries:
     """Fourier expansion of delta_i / eps_i / E2 to the requested order."""
@@ -164,18 +173,10 @@ def modular_form(form: ModularFormId, order: int) -> QSeries:
         for n in range(1, order + 1):
             coeffs[2 * n] = Fraction(-24 * sigma1(n))
         return QSeries(coeffs, order)
-    t1 = _theta_const_fourth(ThetaKind.THETA1, order)
-    t2 = _theta_const_fourth(ThetaKind.THETA2, order)
-    t3 = _theta_const_fourth(ThetaKind.THETA3, order)
-    if form is ModularFormId.DELTA1:
-        return (t2 + t3).scale(Fraction(1, 8))
-    if form is ModularFormId.EPS1:
-        return (t2 * t3).scale(Fraction(1, 16))
-    if form is ModularFormId.DELTA2:
-        return (t1 + t3).scale(Fraction(-1, 8))
-    if form is ModularFormId.EPS2:
-        return (t1 * t3).scale(Fraction(1, 16))
-    raise UsageError(f"unknown modular form {form!r}")
+    if form not in _DELTA_EPS:
+        raise UsageError(f"unknown modular form {form!r}")
+    op, a, b, c = _DELTA_EPS[form]
+    return op(_theta_const_fourth(a, order), _theta_const_fourth(b, order)).scale(c)
 
 
 def jacobi_identity_check(order: int, perturb: bool = False) -> QSeries:
@@ -213,25 +214,13 @@ def theta_eval(kind: ThetaKind, v: complex, tau: complex, terms: int) -> complex
     q8 = cmath.exp(1j * cmath.pi * tau / 4)      # q^(1/8)
     z = cmath.exp(2j * cmath.pi * v)
     zi = cmath.exp(-2j * cmath.pi * v)
-
-    if kind is ThetaKind.THETA:
-        acc = 2 * q8 * cmath.sin(cmath.pi * v)
-        for j in range(1, terms + 1):
-            qj = q ** j
-            acc *= (1 - qj) * (1 - z * qj) * (1 - zi * qj)
-        return acc
-    if kind is ThetaKind.THETA1:
-        acc = 2 * q8 * cmath.cos(cmath.pi * v)
-        for j in range(1, terms + 1):
-            qj = q ** j
-            acc *= (1 - qj) * (1 + z * qj) * (1 + zi * qj)
-        return acc
-    sign = -1 if kind is ThetaKind.THETA2 else +1
-    acc = 1 + 0j
+    grid, sign = _THETA_GRIDS[kind]
+    trig = {ThetaKind.THETA: cmath.sin, ThetaKind.THETA1: cmath.cos}.get(kind)
+    acc = 1 + 0j if trig is None else 2 * q8 * trig(cmath.pi * v)
     for j in range(1, terms + 1):
         qj = q ** j
-        qhj = qh ** (2 * j - 1)
-        acc *= (1 - qj) * (1 + sign * z * qhj) * (1 + sign * zi * qhj)
+        t = qj if grid == "int" else qh ** (2 * j - 1)
+        acc *= (1 - qj) * (1 + sign * z * t) * (1 + sign * zi * t)
     return acc
 
 
@@ -265,18 +254,10 @@ def modular_form_eval(form: ModularFormId, tau: complex, terms: int) -> complex:
     """Numeric delta_i / eps_i from theta constants, or E2 from its series."""
     if form is ModularFormId.E2:
         return e2_eval(tau, terms)
-    t1 = theta_eval(ThetaKind.THETA1, 0, tau, terms)
-    t2 = theta_eval(ThetaKind.THETA2, 0, tau, terms)
-    t3 = theta_eval(ThetaKind.THETA3, 0, tau, terms)
-    if form is ModularFormId.DELTA1:
-        return (t2 ** 4 + t3 ** 4) / 8
-    if form is ModularFormId.EPS1:
-        return t2 ** 4 * t3 ** 4 / 16
-    if form is ModularFormId.DELTA2:
-        return -(t1 ** 4 + t3 ** 4) / 8
-    if form is ModularFormId.EPS2:
-        return t1 ** 4 * t3 ** 4 / 16
-    raise UsageError(f"unknown modular form {form!r}")
+    if form not in _DELTA_EPS:
+        raise UsageError(f"unknown modular form {form!r}")
+    op, a, b, c = _DELTA_EPS[form]
+    return op(theta_eval(a, 0, tau, terms) ** 4, theta_eval(b, 0, tau, terms) ** 4) * c
 
 
 # Generators used in the weight checks: T and ST^2ST for the c-even subgroup,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from numbers import Real
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .algebra import (
     GradedPoly,
@@ -48,6 +48,7 @@ from .decomp import (
     Group,
     basis_series,
     closed_form_checks,
+    coefficient_order,
     decompose,
     extract_br_betar,
 )
@@ -123,11 +124,11 @@ class CaseRequest:
             raise UsageError(f"{case.value} reads no q-series and takes no q-order")
         if q is not None and (not isinstance(q, int) or isinstance(q, bool) or q < 0):
             raise UsageError(f"q-order must be an integer >= 0, not {q!r}")
-        # decompose reads the h_r off half-indices 0..k//2; the floor keeps two integer
-        # q-orders past them for EQ318_TRANSFER and DOUBLE_ROUTE, which compare them.  Cases
-        # that read the h_r alone build at decomp.coefficient_order(k), whatever q is given.
-        if spec is not None and 2 * self.order < spec.k // 2 + 4:
-            raise UsageError("q-order too small: need 2 * q-order >= k // 2 + 4")
+        # b_r / beta_r are built at coefficient_order(k), whatever q is given; the floor keeps
+        # two integer q-orders past it for EQ318_TRANSFER and DOUBLE_ROUTE, which compare series.
+        if spec is not None and self.order < coefficient_order(spec.k) + 2:
+            raise UsageError(f"q-order too small: k = {spec.k} needs q-order >= "
+                             f"{coefficient_order(spec.k) + 2}")
         for name, value in row.pins:
             if getattr(spec, name) != value:
                 raise UsageError(f"{case.value} fixes {name} = {value}")
@@ -557,10 +558,9 @@ def _request_sort_key(req: CaseRequest):
     return (req.case.value, spec.family.value, spec.k, spec.l, spec.a, spec.b)
 
 
-def run_suite(requests: Iterable[CaseRequest] | None = None) -> list[Report]:
-    """Run a list of case requests (default grid if None), deterministically ordered."""
-    if requests is None:
-        requests = default_grid()
-    ordered = sorted(requests, key=_request_sort_key)
-    return [verify_case(req.case, req.spec, req.q_order, req.perturb, req.tolerance)
-            for req in ordered]
+def run_suite(requests: Iterable[CaseRequest] | None = None) -> Iterator[Report]:
+    """Run case requests (default grid if None) in a fixed order, yielding each
+    report as its case finishes; every request is collected before the first runs."""
+    ordered = sorted(default_grid() if requests is None else requests, key=_request_sort_key)
+    for req in ordered:
+        yield verify_case(req.case, req.spec, req.q_order, req.perturb, req.tolerance)

@@ -105,6 +105,22 @@ class TestVerifyCommand:
         assert "in broken" in err
         assert err.rstrip().endswith("internal error: back-substitution mismatch")
 
+    @pytest.mark.parametrize("fmt, first", [("text", "[PASS] "), ("json", "")])
+    def test_text_reports_stream(self, capsys, monkeypatch, fmt, first):
+        # a text report is out before the next case starts; JSON waits for the last case
+        printed = []
+        inner = verifier.verify_case
+
+        def spy(case, *args, **kwargs):
+            printed.append(capsys.readouterr().out)
+            if len(printed) == 2:
+                raise RuntimeError("stop at the second case")
+            return inner(case, *args, **kwargs)
+        monkeypatch.setattr(verifier, "verify_case", spy)
+        assert main(["verify", "--all", "--format", fmt]) == 3
+        assert printed[0] == "" and printed[1].startswith(first)
+        assert printed[1].count("\n[") == 0 and "cases passed" not in printed[1]
+
     def test_two_line_case_via_flags(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--case", "THM41",
                                "--k", "1", "--l", "2")

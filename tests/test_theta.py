@@ -13,6 +13,8 @@ from anomcancel.algebra import (
     taylor_cosh_half,
     taylor_sinh_half_over_half,
 )
+from anomcancel import theta
+from anomcancel.bundles import Family, GeometrySpec
 from anomcancel.errors import DomainError, UsageError
 from anomcancel.theta import (
     GAMMA0_2_GENERATORS,
@@ -30,6 +32,7 @@ from anomcancel.theta import (
     theta_ratio,
     transformation_residuals,
 )
+from anomcancel.verifier import CaseId, verify_case
 
 from conftest import scale_gens, set_gens_zero, theta_logderiv_ratio
 
@@ -208,3 +211,23 @@ class TestNumeric:
         numeric = (theta_eval(ThetaKind.THETA, h, TAU, 60)
                    - theta_eval(ThetaKind.THETA, -h, TAU, 60)) / (2 * h)
         assert abs(theta_prime_eval(0, TAU, 60) - numeric) < 1e-6
+
+
+class TestSharedProductTable:
+    """theta_ratio, the theta constants and theta_eval all read `_THETA_GRIDS`,
+    so one damaged entry must fail both the numeric laws and the route comparison."""
+
+    @pytest.fixture
+    def theta2_sign_flipped(self, cold_caches, monkeypatch):
+        grid, sign = theta._THETA_GRIDS[ThetaKind.THETA2]
+        monkeypatch.setitem(theta._THETA_GRIDS, ThetaKind.THETA2, (grid, -sign))
+
+    def test_numeric_modularity_fails(self, theta2_sign_flipped):
+        assert not verify_case(CaseId.NUMERIC_MODULARITY).passed
+
+    @pytest.mark.parametrize("spec", [GeometrySpec(k=1, l=2, a=2, b=1, family=Family.AB),
+                                      GeometrySpec(k=1, l=2, a=1, b=0, family=Family.TWO_LINE)],
+                             ids=lambda spec: spec.family.value)
+    def test_double_route_mismatch(self, theta2_sign_flipped, spec):
+        report = verify_case(CaseId.DOUBLE_ROUTE, spec, q_order=2)
+        assert not report.passed and "MISMATCH" in dict(report.quantities).values()

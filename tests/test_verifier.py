@@ -187,11 +187,11 @@ class TestValidation:
             with pytest.raises(UsageError, match="q-order must be an integer >= 0"):
                 verify_case(CaseId.THM31, AB(2, 1, 1, 0), q_order=q_order)
 
-    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("k", range(1, 65))
     def test_q_order_guard_matches_half_index_bound(self, k):
-        # rejected exactly when q < (k//2)/2 + 2; COR32 refuses k != 1 only
-        # after the guard, so every k is cheap to probe
-        for q in range(6):
+        # rejected exactly when q < (k//2)/2 + 2, i.e. below coefficient_order(k) + 2;
+        # COR32 refuses k != 1 only after the guard, so every k is cheap to probe
+        for q in range(41):
             try:
                 verify_case(CaseId.COR32, AB(k, 1, 1, 0), q_order=q)
                 rejected = False
@@ -238,13 +238,13 @@ class TestInvariants:
 
 class TestSuite:
     def test_empty_suite_passes(self):
-        reports = run_suite([])
+        reports = list(run_suite([]))
         assert reports == [] and all(r.passed for r in reports)
 
     def test_failing_entry_fails_suite(self):
         reqs = [CaseRequest(CaseId.COR32, AB(1, 1, 1, 0)),
                 CaseRequest(CaseId.JACOBI_QSERIES, q_order=6, perturb=True)]
-        reports = run_suite(reqs)
+        reports = list(run_suite(reqs))
         assert not all(r.passed for r in reports)
         assert sum(not r.passed for r in reports) == 1
 
