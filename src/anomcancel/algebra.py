@@ -12,9 +12,12 @@ rationals: internally a polynomial is stored as a common positive
 denominator plus integer numerators keyed by bit-packed exponent vectors,
 bucketed by total degree, so that multiplication is pure integer work.
 
-Formal power series in q^(1/2) (`QSeries`) hold their coefficients, either
-`Fraction` or `GradedPoly`, in a dense array indexed by half-steps; products
-and quotients run over the nonzero coefficients only.
+Formal power series in q^(1/2) (`QSeries`) hold their coefficients in a
+dense array indexed by half-steps: integer numerators over one common
+denominator for a rational series, `GradedPoly`s for a ring series.  Products
+and quotients run over the nonzero coefficients only, and each ring-valued
+output coefficient of a product, quotient, `exp` or `log` is one fused
+`sum_of_products`, normalised once.
 """
 
 from __future__ import annotations
@@ -350,9 +353,51 @@ def apply_series(coeffs: Sequence[Fraction], x: GradedPoly) -> GradedPoly:
         power = power * x
         if power.is_zero:
             break
-        if coeffs[n] != 0:
-            acc = acc + power * coeffs[n]
+        c = coeffs[n]
+        if c == 1:
+            acc = acc + power
+        elif c == -1:
+            acc = acc - power
+        elif c != 0:
+            acc = acc + power * c
     return acc
+
+
+def sum_of_products(spec: RingSpec, pairs, scale: Fraction | int = 1) -> GradedPoly:
+    """scale * sum of a * b over the (a, b) in `pairs`, ring elements of `spec`.
+
+    Every product is taken over one common denominator and added into one
+    bucket dict, so the result is normalised once, not once per product and
+    once per partial sum as a loop of `*` and `+` would do.
+    """
+    scale = Fraction(scale)
+    live = [(a, b) for a, b in pairs if a._buckets and b._buckets]
+    if not live or not scale:
+        return GradedPoly.zero(spec)
+    den = 1
+    for a, b in live:
+        if (a.spec is not spec and a.spec != spec) or (b.spec is not spec and b.spec != spec):
+            raise UsageError("polynomials from different rings")
+        d = a._den * b._den
+        den = den // math.gcd(den, d) * d
+    cap = spec.cap
+    out: dict[int, dict[int, int]] = {}
+    for a, b in live:
+        m = den // (a._den * b._den) * scale.numerator
+        for d1, b1 in a._buckets.items():
+            if m != 1:
+                b1 = {k: n * m for k, n in b1.items()}
+            for d2, b2 in b._buckets.items():
+                d = d1 + d2
+                if d > cap:
+                    continue
+                tgt = out.setdefault(d, {})
+                get = tgt.get
+                for k1, n1 in b1.items():
+                    for k2, n2 in b2.items():
+                        k = k1 + k2
+                        tgt[k] = get(k, 0) + n1 * n2
+    return GradedPoly._make(spec, den * scale.denominator, out)
 
 
 def taylor_exp(nterms: int) -> list[Fraction]:
@@ -428,8 +473,14 @@ def half_q_label(n: int) -> str:
     return f"q^({n}/2)"
 
 
-def _coeff_is_zero(c) -> bool:
-    return c.is_zero if isinstance(c, GradedPoly) else c == 0
+def _normal(den: int, nums) -> tuple[int, tuple[int, ...]]:
+    """den and nums divided by their gcd, den made positive."""
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return den, tuple(nums)
+    return den // g, tuple(n // g for n in nums)
 
 
 class QSeries:
@@ -437,10 +488,14 @@ class QSeries:
 
     `coeffs[n]` holds the coefficient of q^(n/2) for n = 0..2N.  `ring` is the
     ambient RingSpec when coefficients are ring elements, or None for rational
-    scalar series.
+    scalar series.  A rational series is stored as a positive common
+    denominator `_den` and integer numerators `_nums` with gcd 1, as
+    `GradedPoly` is, so its arithmetic is integer work; its `coeffs`, a tuple
+    of `Fraction`s, is built on first read.  A ring series stores its
+    `GradedPoly` coefficients.
     """
 
-    __slots__ = ("coeffs", "order", "ring")
+    __slots__ = ("order", "ring", "_den", "_nums", "_coeffs")
 
     def __init__(self, coeffs: Sequence, order: int, ring: RingSpec | None = None):
         if order < 0:
@@ -449,11 +504,36 @@ class QSeries:
         width = 2 * order + 1
         if len(coeffs) > width:
             raise UsageError("coefficient array longer than 2N+1")
-        zero = GradedPoly.zero(ring) if ring is not None else Fraction(0)
-        coeffs.extend([zero] * (width - len(coeffs)))
-        self.coeffs = tuple(coeffs)
+        pad = width - len(coeffs)
         self.order = order
         self.ring = ring
+        if ring is None:
+            if any(isinstance(c, bool) or not isinstance(c, (int, Fraction)) for c in coeffs):
+                raise UsageError("a rational q-series takes int or Fraction coefficients only")
+            den = math.lcm(*(c.denominator for c in coeffs))
+            self._den, self._nums = _normal(
+                den, [c.numerator * (den // c.denominator) for c in coeffs] + [0] * pad)
+            self._coeffs = None
+        else:
+            if any(not isinstance(c, GradedPoly) or c.spec != ring for c in coeffs):
+                raise UsageError("a ring q-series takes elements of its own ring only")
+            self._den = self._nums = None
+            self._coeffs = tuple(coeffs) + (GradedPoly.zero(ring),) * pad
+
+    @staticmethod
+    def _of_nums(den: int, nums, order: int) -> "QSeries":
+        """A rational series from 2N+1 integer numerators over den, normalised once."""
+        s = object.__new__(QSeries)
+        s.order, s.ring, s._coeffs = order, None, None
+        s._den, s._nums = _normal(den, nums)
+        return s
+
+    @property
+    def coeffs(self) -> tuple:
+        if self._coeffs is None:
+            den = self._den
+            self._coeffs = tuple(Fraction(n, den) for n in self._nums)
+        return self._coeffs
 
     # -- constructors ------------------------------------------------------
 
@@ -463,7 +543,7 @@ class QSeries:
 
     @classmethod
     def one(cls, order: int, ring: RingSpec | None = None) -> "QSeries":
-        first = GradedPoly.one(ring) if ring is not None else Fraction(1)
+        first = GradedPoly.one(ring) if ring is not None else 1
         return cls([first], order, ring)
 
     @classmethod
@@ -473,11 +553,19 @@ class QSeries:
     @classmethod
     def binomial(cls, c, half_exp: int, order: int) -> "QSeries":
         """1 + c * q^(half_exp/2), for a rational or ring-element c and half_exp >= 1."""
-        ring = c.spec if isinstance(c, GradedPoly) else None
-        coeffs = list(cls.one(order, ring).coeffs)
-        if half_exp <= 2 * order:
-            coeffs[half_exp] = c if ring is not None else Fraction(c)
-        return cls(coeffs, order, ring)
+        if order < 0:
+            raise UsageError("truncation order must be >= 0")
+        width = 2 * order + 1
+        if isinstance(c, GradedPoly):
+            coeffs = [GradedPoly.one(c.spec)] + [GradedPoly.zero(c.spec)] * (width - 1)
+            if half_exp < width:
+                coeffs[half_exp] = c
+            return cls(coeffs, order, c.spec)
+        c = Fraction(c)
+        nums = [c.denominator] + [0] * (width - 1)
+        if half_exp < width:
+            nums[half_exp] = c.numerator
+        return cls._of_nums(c.denominator, nums, order)
 
     @classmethod
     def from_poly(cls, poly: GradedPoly, order: int) -> "QSeries":
@@ -488,7 +576,8 @@ class QSeries:
             if self.ring != ring:
                 raise UsageError("series already carries a different ring")
             return self
-        return QSeries([GradedPoly.constant(ring, c) for c in self.coeffs], self.order, ring)
+        return QSeries([GradedPoly._make(ring, self._den, {0: {0: n}}) for n in self._nums],
+                       self.order, ring)
 
     # -- structure ---------------------------------------------------------
 
@@ -496,18 +585,22 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         try:
-            self._check(other)
+            ring = self._check(other)
         except UsageError:
             return False
+        if ring is None:
+            return self._den == other._den and self._nums == other._nums
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        if self.ring is None:
+            return hash((self._den, self._nums, self.order))
         return hash((self.coeffs, self.order, self.ring))
 
     def __repr__(self) -> str:
         shown = []
         for n, c in enumerate(self.coeffs):
-            if _coeff_is_zero(c):
+            if c == 0:
                 continue
             shown.append(f"({c})" if n == 0 else f"({c})*{half_q_label(n)}")
             if len(shown) > 5:
@@ -516,14 +609,13 @@ class QSeries:
         return "QSeries[N=%d](%s)" % (self.order, " + ".join(shown) or "0")
 
     def is_zero(self) -> bool:
-        return all(_coeff_is_zero(c) for c in self.coeffs)
+        return self.first_nonzero() is None
 
     def first_nonzero(self) -> int | None:
         """Smallest half-index with a nonzero coefficient, or None."""
-        for n, c in enumerate(self.coeffs):
-            if not _coeff_is_zero(c):
-                return n
-        return None
+        if self.ring is None:
+            return next((n for n, c in enumerate(self._nums) if c), None)
+        return next((n for n, c in enumerate(self._coeffs) if not c.is_zero), None)
 
     def map(self, fn: Callable) -> "QSeries":
         """Apply fn to every coefficient (must stay within the same ring)."""
@@ -544,49 +636,63 @@ class QSeries:
             raise UsageError("q-series over different rings")
         return self.ring if self.ring is not None else other.ring
 
+    def _nonzero(self) -> list[tuple[int, GradedPoly]]:
+        """(half-index, coefficient) of the nonzero coefficients of a ring series."""
+        return [(n, c) for n, c in enumerate(self._coeffs) if not c.is_zero]
+
     def __neg__(self) -> "QSeries":
-        return QSeries([-c for c in self.coeffs], self.order, self.ring)
+        if self.ring is None:
+            return QSeries._of_nums(self._den, [-n for n in self._nums], self.order)
+        return QSeries([-c for c in self._coeffs], self.order, self.ring)
 
     def __add__(self, other) -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
         ring = self._check(other)
-        return QSeries([x + y for x, y in zip(self.coeffs, other.coeffs)], self.order, ring)
+        if ring is None:
+            da, db = self._den, other._den
+            den = da // math.gcd(da, db) * db
+            ma, mb = den // da, den // db
+            return QSeries._of_nums(den, [x * ma + y * mb for x, y in zip(self._nums, other._nums)],
+                                    self.order)
+        a, b = self.to_ring(ring), other.to_ring(ring)
+        return QSeries([x + y for x, y in zip(a._coeffs, b._coeffs)], self.order, ring)
 
     def __sub__(self, other) -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
         return self + (-other)
 
-    def _terms(self) -> list[tuple[int, object]]:
-        """Nonzero (half-index, coefficient) pairs; integral rationals as cheaper ints."""
-        if self.ring is None:
-            return [(n, c.numerator if c.denominator == 1 else c)
-                    for n, c in enumerate(self.coeffs) if c]
-        return [(n, c) for n, c in enumerate(self.coeffs) if not c.is_zero]
-
     def __mul__(self, other) -> "QSeries":
         """Product over nonzero coefficient pairs; a rational factor stays rational."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if isinstance(other, GradedPoly):
-            s = self.to_ring(other.spec) if self.ring is None else self
-            return QSeries([c * other for c in s.coeffs], s.order, s.ring)
+            return QSeries([c * other for c in self.coeffs], self.order, other.spec)
         if not isinstance(other, QSeries):
             return NotImplemented
         ring = self._check(other)
         width = 2 * self.order + 1
-        out = [None] * width
-        terms = other._terms()
-        for i, ca in self._terms():
+        if ring is None:
+            out = [0] * width
+            terms = [(j, y) for j, y in enumerate(other._nums) if y]
+            for i, x in enumerate(self._nums):
+                if x:
+                    for j, y in terms:
+                        if i + j >= width:
+                            break
+                        out[i + j] += x * y
+            return QSeries._of_nums(self._den * other._den, out, self.order)
+        # every pair (a_i, b_j) goes to the bucket of its index i + j; each
+        # output coefficient is then one fused sum of products
+        pairs = [[] for _ in range(width)]
+        terms = other.to_ring(ring)._nonzero()
+        for i, ca in self.to_ring(ring)._nonzero():
             for j, cb in terms:
                 if i + j >= width:
                     break
-                t = ca * cb
-                out[i + j] = t if out[i + j] is None else out[i + j] + t
-        if ring is not None:
-            return QSeries([GradedPoly.zero(ring) if c is None else c for c in out], self.order, ring)
-        return QSeries([Fraction(c or 0) for c in out], self.order)
+                pairs[i + j].append((ca, cb))
+        return QSeries([sum_of_products(ring, p) for p in pairs], self.order, ring)
 
     __rmul__ = __mul__
 
@@ -595,26 +701,59 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         ring = self._check(other)
-        a = self if ring is None else self.to_ring(ring)
-        b0 = other.coeffs[0]
+        if ring is None:
+            return self._rational_quotient(other)
+        a, b = self.to_ring(ring), other.to_ring(ring)
+        b0 = b._coeffs[0]
         if b0 == 0:
             raise InvertError("constant term is zero; series not invertible")
-        unit = b0 == 1
-        r0 = None if unit else b0.inv() if isinstance(b0, GradedPoly) else 1 / b0
-        minus_terms = [(j, -bj) for j, bj in other._terms()[1:]]
-        out = []
-        for n, s in enumerate(a.coeffs):
-            for j, mbj in minus_terms:
+        one = GradedPoly.one(ring)
+        if b0 == 1:
+            lead, minus = a._coeffs, [(j, -bj) for j, bj in b._nonzero()[1:]]
+        else:
+            # out_n = a_n / b_0 - sum_(j>=1) (b_j / b_0) out_(n-j)
+            r0 = b0.inv()
+            lead = [c * r0 for c in a._coeffs]
+            minus = [(j, -(bj * r0)) for j, bj in b._nonzero()[1:]]
+        out: list[GradedPoly] = []
+        for n, an in enumerate(lead):
+            pairs = [(an, one)]
+            for j, mbj in minus:
                 if j > n:
                     break
-                if not _coeff_is_zero(out[n - j]):
-                    s = s + mbj * out[n - j]
-            out.append(s if unit else s * r0)
-        return QSeries(out, a.order, ring)
+                pairs.append((mbj, out[n - j]))
+            out.append(sum_of_products(ring, pairs))
+        return QSeries(out, self.order, ring)
+
+    def _rational_quotient(self, other: "QSeries") -> "QSeries":
+        """self / other on the numerators.  With a = A/Da, b = B/Db and the
+        quotient's c_n = C_n / (Da B_0^(n+1)), sum_j b_j c_(n-j) = a_n reads
+        C_n = A_n Db B_0^n - sum_(j>=1) B_j B_0^(j-1) C_(n-j), all integers."""
+        B = other._nums
+        b0 = B[0]
+        if not b0:
+            raise InvertError("constant term is zero; series not invertible")
+        weights = [(j, bj * b0 ** (j - 1)) for j, bj in enumerate(B) if j and bj]
+        out: list[int] = []
+        lead = other._den
+        for n, an in enumerate(self._nums):
+            s = an * lead
+            for j, w in weights:
+                if j > n:
+                    break
+                s -= w * out[n - j]
+            out.append(s)
+            lead *= b0
+        top = len(out) - 1
+        return QSeries._of_nums(self._den * b0 ** (top + 1),
+                                [c * b0 ** (top - n) for n, c in enumerate(out)], self.order)
 
     def scale(self, c: Fraction | int) -> "QSeries":
         c = Fraction(c)
-        return QSeries([x * c for x in self.coeffs], self.order, self.ring)
+        if self.ring is None:
+            return QSeries._of_nums(self._den * c.denominator,
+                                    [n * c.numerator for n in self._nums], self.order)
+        return QSeries([x * c for x in self._coeffs], self.order, self.ring)
 
     def inv(self) -> "QSeries":
         return QSeries.one(self.order, self.ring) / self
@@ -638,54 +777,63 @@ class QSeries:
     def shift(self, half_steps: int) -> "QSeries":
         """Multiply by q^(half_steps/2); negative shifts must not drop terms."""
         width = 2 * self.order + 1
-        zero = GradedPoly.zero(self.ring) if self.ring is not None else Fraction(0)
+        ring = self.ring
+        items, zero = (self._nums, 0) if ring is None else (self._coeffs, GradedPoly.zero(ring))
         if half_steps >= width:
             out = [zero] * width
         elif half_steps >= 0:
-            out = [zero] * half_steps + list(self.coeffs[: width - half_steps])
+            out = [zero] * half_steps + list(items[: width - half_steps])
         else:
             cut = -half_steps
-            if any(not _coeff_is_zero(c) for c in self.coeffs[:cut]):
+            first = self.first_nonzero()
+            if first is not None and first < cut:
                 raise UsageError("negative shift would drop nonzero terms")
-            out = list(self.coeffs[cut:]) + [zero] * cut
-        return QSeries(out, self.order, self.ring)
+            out = list(items[cut:]) + [zero] * cut
+        if ring is None:
+            return QSeries._of_nums(self._den, out, self.order)
+        return QSeries(out, self.order, ring)
 
     def log(self) -> "QSeries":
         """log of a ring-valued series whose q^0 coefficient is 1 + nilpotent.
 
         Reads L off t dF/dt = F * t dL/dt in t = q^(1/2): the q^0 coefficient
-        is log(F_0) and L_n = (F_n - (1/n) sum_(m<n) m L_m F_(n-m)) / F_0.
+        is log(F_0) and, with g_n = F_n / F_0,
+        L_n = g_n - (1/n) sum_(0<m<n) m L_m g_(n-m).
         """
-        f = self.coeffs
-        if self.ring is None or f[0].constant_term() != 1:
+        f, ring = self.coeffs, self.ring
+        if ring is None or f[0].constant_term() != 1:
             raise UsageError("log needs ring coefficients with q^0 constant term 1")
         f0_inv = f[0].inv()
-        out = [apply_series(taylor_log1p(self.ring.cap // 2 + 1), f[0] - 1)]
+        g = [c * f0_inv for c in f]
+        out = [apply_series(taylor_log1p(ring.cap // 2 + 1), f[0] - 1)]
+        weighted: list[tuple[int, GradedPoly]] = []   # (m, m L_m), L_m != 0
         for n in range(1, len(f)):
-            acc = GradedPoly.zero(self.ring)
-            for m in range(1, n):
-                if not out[m].is_zero and not f[n - m].is_zero:
-                    acc = acc + out[m] * f[n - m] * m
-            out.append((f[n] - acc * Fraction(1, n)) * f0_inv)
-        return QSeries(out, self.order, self.ring)
+            # the pair (g_n, -n), scaled by -1/n like the sum, is the g_n term
+            pairs = [(g[n], GradedPoly.constant(ring, -n))]
+            pairs += [(wl, g[n - m]) for m, wl in weighted]
+            out.append(sum_of_products(ring, pairs, Fraction(-1, n)))
+            if not out[n].is_zero:
+                weighted.append((n, out[n] * n))
+        return QSeries(out, self.order, ring)
 
     def exp(self) -> "QSeries":
         """exp of a ring-valued series whose q^0 coefficient is nilpotent.
 
         E_0 = exp(L_0) in the truncated ring, then n E_n = sum_(m=1..n) m L_m E_(n-m).
         """
-        lg = self.coeffs
-        if self.ring is None or lg[0].constant_term() != 0:
+        lg, ring = self.coeffs, self.ring
+        if ring is None or lg[0].constant_term() != 0:
             raise UsageError("exp needs ring coefficients with nilpotent q^0 term")
-        scaled = [c * m for m, c in enumerate(lg)]
-        out = [apply_series(taylor_exp(self.ring.cap // 2 + 1), lg[0])]
+        weighted = [(m, c * m) for m, c in enumerate(lg) if m and not c.is_zero]
+        out = [apply_series(taylor_exp(ring.cap // 2 + 1), lg[0])]
         for n in range(1, len(lg)):
-            acc = GradedPoly.zero(self.ring)
-            for m in range(1, n + 1):
-                if not scaled[m].is_zero:
-                    acc = acc + scaled[m] * out[n - m]
-            out.append(acc * Fraction(1, n))
-        return QSeries(out, self.order, self.ring)
+            pairs = []
+            for m, wl in weighted:
+                if m > n:
+                    break
+                pairs.append((wl, out[n - m]))
+            out.append(sum_of_products(ring, pairs, Fraction(1, n)))
+        return QSeries(out, self.order, ring)
 
 
 # ---------------------------------------------------------------------------

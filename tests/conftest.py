@@ -1,5 +1,6 @@
 """Shared helpers: random ring elements and series, generator substitutions,
-derivatives in a root, and the root-ring oracle for the Pontryagin-ring engine."""
+derivatives in a root, the per-term reference loops for the q-series kernels,
+and the root-ring oracle for the Pontryagin-ring engine."""
 
 import random
 import sys
@@ -13,14 +14,17 @@ from anomcancel.algebra import (
     GradedPoly,
     QSeries,
     RingSpec,
+    apply_series,
     cosh_half_root,
     exp_root,
     half_over_sinh_half_root,
     one_root_ring,
     pontryagin_all,
+    taylor_exp,
+    taylor_log1p,
 )
 from anomcancel.bundles import FAMILY_FORMS, Family, QFormId, Route, _exterior_block
-from anomcancel.errors import UsageError
+from anomcancel.errors import InvertError, UsageError
 from anomcancel.theta import ModularFormId, ThetaKind, modular_form, theta_ratio
 
 
@@ -100,6 +104,85 @@ def schoolbook_product(a: QSeries, b: QSeries) -> QSeries:
         for j in range(width - i):
             out[i + j] = out[i + j] + a.coeffs[i] * b.coeffs[j]
     return QSeries(out, a.order, ring)
+
+
+# ---------------------------------------------------------------------------
+# Per-term reference loops: the q-series product, quotient, exp and log as
+# one `*` and one `+` per term, each normalised on its own.  The engine fuses
+# each output coefficient into one `sum_of_products`; these are its oracle.
+
+
+def _is_zero(c) -> bool:
+    return c.is_zero if isinstance(c, GradedPoly) else c == 0
+
+
+def _nonzero_terms(series: QSeries) -> list:
+    return [(n, c) for n, c in enumerate(series.coeffs) if not _is_zero(c)]
+
+
+def reference_product(a: QSeries, b: QSeries) -> QSeries:
+    ring = a.ring if a.ring is not None else b.ring
+    width = 2 * a.order + 1
+    out = [None] * width
+    terms = _nonzero_terms(b)
+    for i, ca in _nonzero_terms(a):
+        for j, cb in terms:
+            if i + j >= width:
+                break
+            t = ca * cb
+            out[i + j] = t if out[i + j] is None else out[i + j] + t
+    zero = Fraction(0) if ring is None else GradedPoly.zero(ring)
+    return QSeries([zero if c is None else c for c in out], a.order, ring)
+
+
+def reference_quotient(a: QSeries, b: QSeries) -> QSeries:
+    """out_n = (a_n - sum_(j>=1, b_j != 0) b_j out_(n-j)) / b_0."""
+    ring = a.ring if a.ring is not None else b.ring
+    if ring is not None:
+        a = a.to_ring(ring)
+    b0 = b.coeffs[0]
+    if b0 == 0:
+        raise InvertError("constant term is zero; series not invertible")
+    unit = b0 == 1
+    r0 = None if unit else b0.inv() if isinstance(b0, GradedPoly) else 1 / b0
+    minus_terms = [(j, -bj) for j, bj in _nonzero_terms(b)[1:]]
+    out = []
+    for n, s in enumerate(a.coeffs):
+        for j, mbj in minus_terms:
+            if j > n:
+                break
+            if not _is_zero(out[n - j]):
+                s = s + mbj * out[n - j]
+        out.append(s if unit else s * r0)
+    return QSeries(out, a.order, ring)
+
+
+def reference_log(series: QSeries) -> QSeries:
+    """L_0 = log F_0, L_n = (F_n - (1/n) sum_(m<n) m L_m F_(n-m)) / F_0."""
+    f, ring = series.coeffs, series.ring
+    f0_inv = f[0].inv()
+    out = [apply_series(taylor_log1p(ring.cap // 2 + 1), f[0] - 1)]
+    for n in range(1, len(f)):
+        acc = GradedPoly.zero(ring)
+        for m in range(1, n):
+            if not out[m].is_zero and not f[n - m].is_zero:
+                acc = acc + out[m] * f[n - m] * m
+        out.append((f[n] - acc * Fraction(1, n)) * f0_inv)
+    return QSeries(out, series.order, ring)
+
+
+def reference_exp(series: QSeries) -> QSeries:
+    """E_0 = exp L_0, n E_n = sum_(m=1..n) m L_m E_(n-m)."""
+    lg, ring = series.coeffs, series.ring
+    scaled = [c * m for m, c in enumerate(lg)]
+    out = [apply_series(taylor_exp(ring.cap // 2 + 1), lg[0])]
+    for n in range(1, len(lg)):
+        acc = GradedPoly.zero(ring)
+        for m in range(1, n + 1):
+            if not scaled[m].is_zero:
+                acc = acc + scaled[m] * out[n - m]
+        out.append(acc * Fraction(1, n))
+    return QSeries(out, series.order, ring)
 
 
 def truncate(series: QSeries, order: int) -> QSeries:

@@ -1,5 +1,6 @@
 """Core ring and q-series arithmetic, conversions, ideal reduction."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -15,12 +16,14 @@ from anomcancel.algebra import (
     one_root_ring,
     pontryagin_all,
     power_sums,
+    sum_of_products,
     symmetrise,
     taylor_cosh_half,
     taylor_exp,
     taylor_sinh_half_over_half,
 )
 from anomcancel.errors import InvertError, SymmetryError, UsageError
+from anomcancel.theta import jacobi_identity_check
 
 from conftest import (
     derivative,
@@ -31,6 +34,10 @@ from conftest import (
     random_rational_series,
     random_ring_series,
     random_sparse_series,
+    reference_exp,
+    reference_log,
+    reference_product,
+    reference_quotient,
     scale_gens,
     schoolbook_product,
     set_gens_zero,
@@ -233,6 +240,135 @@ class TestSparseKernels:
             QSeries.one(3, SPEC) / QSeries.one(3, other)
         with pytest.raises(UsageError):
             QSeries.one(3, SPEC) * QSeries.one(3, other)
+
+
+class TestQSeriesConstructor:
+    """A series takes only coefficients of its own kind."""
+
+    def test_rational_series_rejects_ring_elements(self):
+        with pytest.raises(UsageError):
+            QSeries([gens()[0], 1], 1)
+
+    def test_rational_series_rejects_floats_and_bools(self):
+        for bad in (0.5, 1.0, True):
+            with pytest.raises(UsageError):
+                QSeries([1, bad], 1)
+
+    def test_ring_series_rejects_scalars_and_other_rings(self):
+        x = gens()[0]
+        other = GradedPoly.one(RingSpec(gens=(("y", 2),), cap=4))
+        for bad in (1, F(1, 2), 0.5, other):
+            with pytest.raises(UsageError):
+                QSeries([x, bad], 1, SPEC)
+
+    def test_accepted_coefficients(self):
+        assert QSeries([1, F(1, 2)], 1).coeffs == (1, F(1, 2), 0)
+        x = gens()[0]
+        assert QSeries([x], 1, SPEC).coeffs == (x, GradedPoly.zero(SPEC), GradedPoly.zero(SPEC))
+
+
+class TestFusedKernel:
+    """`sum_of_products` and the q-series paths built on it, against the
+    per-term reference loops of conftest."""
+
+    ORDER = 3
+
+    @staticmethod
+    def has_fraction(series):
+        return any(c.denominator != 1 for p in series.coeffs for _, c in p.iter_terms())
+
+    def test_sum_of_products(self, rng):
+        for _ in range(50):
+            pairs = [(random_poly(rng, SPEC), random_poly(rng, SPEC))
+                     for _ in range(rng.randint(0, 4))]
+            scale = random_fraction(rng)
+            expected = GradedPoly.zero(SPEC)
+            for a, b in pairs:
+                expected = expected + a * b
+            assert sum_of_products(SPEC, pairs, scale) == expected * scale
+        other = GradedPoly.one(RingSpec(gens=(("y", 2),), cap=4))
+        with pytest.raises(UsageError):
+            sum_of_products(SPEC, [(gens()[0], other)])
+
+    def test_product(self, rng):
+        n = self.ORDER
+        for _ in range(20):
+            a, b = random_ring_series(rng, SPEC, n), random_ring_series(rng, SPEC, n)
+            assert self.has_fraction(a)
+            r = random_rational_series(rng, n)
+            sparse = random_sparse_series(rng, SPEC, n)
+            for x, y in [(a, b), (a, a), (a, r), (r, b), (sparse, a), (b, sparse)]:
+                assert x * y == reference_product(x, y)
+
+    def test_quotient(self, rng):
+        n = self.ORDER
+        one = GradedPoly.one(SPEC)
+        for _ in range(20):
+            a = random_ring_series(rng, SPEC, n)
+            tail = list(random_ring_series(rng, SPEC, n).coeffs[1:])
+            unit = QSeries([one] + tail, n, SPEC)
+            near_unit = QSeries([one + random_nilpotent(rng, SPEC)] + tail, n, SPEC)
+            non_unit = QSeries([one * F(rng.choice([-3, 2, 5]), rng.randint(1, 4))
+                                + random_nilpotent(rng, SPEC)] + tail, n, SPEC)
+            r = random_rational_series(rng, n)
+            rational = QSeries.rational([F(rng.choice([-2, 3]), 7)] + list(r.coeffs[1:]), n)
+            for x, y in [(a, unit), (a, near_unit), (a, non_unit), (a, rational), (r, non_unit),
+                         (rational, rational)]:
+                assert x / y == reference_quotient(x, y)
+
+    def test_exp_and_log(self, rng):
+        n = self.ORDER
+        one = GradedPoly.one(SPEC)
+        for _ in range(10):
+            tail = list(random_ring_series(rng, SPEC, n).coeffs[1:])
+            lg = QSeries([random_nilpotent(rng, SPEC)] + tail, n, SPEC)
+            assert lg.exp() == reference_exp(lg)
+            f = QSeries([one + random_nilpotent(rng, SPEC)] + tail, n, SPEC)
+            assert f.log() == reference_log(f)
+            assert f.log().exp() == f
+
+
+class TestRationalStore:
+    """Rational series hold integer numerators over one common denominator."""
+
+    def test_normal_form(self, rng):
+        for _ in range(50):
+            a, b = random_rational_series(rng, 3), random_rational_series(rng, 3)
+            built = [a, b, a * b, a + b, a - b, -a, a.scale(random_fraction(rng)), a.shift(2),
+                     a.powi(3), QSeries.binomial(random_fraction(rng), 3, 3), a - a]
+            if b.coeffs[0] != 0:
+                built.append(a / b)
+            for s in built:
+                assert s._den > 0
+                assert math.gcd(s._den, *s._nums) == 1
+                assert s.coeffs == tuple(F(n, s._den) for n in s._nums)
+
+    def test_equal_series_built_two_ways(self, rng):
+        x = QSeries.rational([F(1, 2), F(1, 3), 0, F(-5, 6)], 2)
+        y = QSeries.rational([3, 2, 0, -5], 2).scale(F(1, 6))
+        assert x == y and hash(x) == hash(y)
+        geometric = QSeries.rational([1, 0, -1], 3).inv()
+        assert geometric == QSeries([1, 0, 1, 0, 1, 0, 1], 3)
+        for _ in range(20):
+            a, b = random_rational_series(rng, 3), random_rational_series(rng, 3)
+            lhs, rhs = (a + b) * (a - b), a * a - b * b
+            assert lhs == rhs and hash(lhs) == hash(rhs)
+            assert a.powi(3) == a * a * a and hash(a.powi(3)) == hash(a * a * a)
+
+    def test_coefficients_are_exact(self, rng):
+        s = QSeries.rational([F(1, 3), F(2, 3), F(1, 6)], 1)
+        assert s.coeffs == (F(1, 3), F(2, 3), F(1, 6))
+        assert all(type(c) is F for c in s.coeffs)
+        assert s.scale(6).coeffs == (2, 4, 1)
+        for _ in range(20):
+            a, b = random_rational_series(rng, 3), random_rational_series(rng, 3)
+            assert (a * b).coeffs == reference_product(a, b).coeffs
+            if b.coeffs[0] != 0:
+                assert (a / b).coeffs == reference_quotient(a, b).coeffs
+
+    def test_jacobi_identity_at_order_200(self):
+        assert jacobi_identity_check(200).is_zero()
+        assert not jacobi_identity_check(200, perturb=True).is_zero()
 
 
 class TestApplySeries:
