@@ -292,19 +292,8 @@ class GradedPoly:
             return NotImplemented
         if other.spec != self.spec:
             raise UsageError("polynomials from different rings")
-        cap = self.spec.cap
         out: dict[int, dict[int, int]] = {}
-        for d1, b1 in self._buckets.items():
-            for d2, b2 in other._buckets.items():
-                d = d1 + d2
-                if d > cap:
-                    continue
-                tgt = out.setdefault(d, {})
-                get = tgt.get
-                for k1, n1 in b1.items():
-                    for k2, n2 in b2.items():
-                        k = k1 + k2
-                        tgt[k] = get(k, 0) + n1 * n2
+        _mul_into(out, self._buckets, other._buckets, self.spec.cap)
         return GradedPoly._make(self.spec, self._den * other._den, out)
 
     __rmul__ = __mul__
@@ -380,24 +369,29 @@ def sum_of_products(spec: RingSpec, pairs, scale: Fraction | int = 1) -> GradedP
             raise UsageError("polynomials from different rings")
         d = a._den * b._den
         den = den // math.gcd(den, d) * d
-    cap = spec.cap
     out: dict[int, dict[int, int]] = {}
     for a, b in live:
-        m = den // (a._den * b._den) * scale.numerator
-        for d1, b1 in a._buckets.items():
-            if m != 1:
-                b1 = {k: n * m for k, n in b1.items()}
-            for d2, b2 in b._buckets.items():
-                d = d1 + d2
-                if d > cap:
-                    continue
-                tgt = out.setdefault(d, {})
-                get = tgt.get
-                for k1, n1 in b1.items():
-                    for k2, n2 in b2.items():
-                        k = k1 + k2
-                        tgt[k] = get(k, 0) + n1 * n2
+        _mul_into(out, a._buckets, b._buckets, spec.cap, den // (a._den * b._den) * scale.numerator)
     return GradedPoly._make(spec, den * scale.denominator, out)
+
+
+def _mul_into(out: dict[int, dict[int, int]], a_buckets: dict[int, dict[int, int]],
+              b_buckets: dict[int, dict[int, int]], cap: int, m: int = 1) -> None:
+    """Add m times the product of two bucketed numerator dicts into `out`,
+    dropping every degree above cap; packed keys add as exponent vectors do."""
+    for d1, b1 in a_buckets.items():
+        if m != 1:
+            b1 = {k: n * m for k, n in b1.items()}
+        for d2, b2 in b_buckets.items():
+            d = d1 + d2
+            if d > cap:
+                continue
+            tgt = out.setdefault(d, {})
+            get = tgt.get
+            for k1, n1 in b1.items():
+                for k2, n2 in b2.items():
+                    k = k1 + k2
+                    tgt[k] = get(k, 0) + n1 * n2
 
 
 def taylor_exp(nterms: int) -> list[Fraction]:
@@ -515,7 +509,8 @@ class QSeries:
                 den, [c.numerator * (den // c.denominator) for c in coeffs] + [0] * pad)
             self._coeffs = None
         else:
-            if any(not isinstance(c, GradedPoly) or c.spec != ring for c in coeffs):
+            if any(not isinstance(c, GradedPoly) or (c.spec is not ring and c.spec != ring)
+                   for c in coeffs):
                 raise UsageError("a ring q-series takes elements of its own ring only")
             self._den = self._nums = None
             self._coeffs = tuple(coeffs) + (GradedPoly.zero(ring),) * pad
@@ -553,17 +548,14 @@ class QSeries:
     @classmethod
     def binomial(cls, c, half_exp: int, order: int) -> "QSeries":
         """1 + c * q^(half_exp/2), for a rational or ring-element c and half_exp >= 1."""
-        if order < 0:
-            raise UsageError("truncation order must be >= 0")
-        width = 2 * order + 1
         if isinstance(c, GradedPoly):
-            coeffs = [GradedPoly.one(c.spec)] + [GradedPoly.zero(c.spec)] * (width - 1)
-            if half_exp < width:
+            coeffs = [GradedPoly.one(c.spec)] + [GradedPoly.zero(c.spec)] * (2 * order)
+            if half_exp <= 2 * order:
                 coeffs[half_exp] = c
             return cls(coeffs, order, c.spec)
         c = Fraction(c)
-        nums = [c.denominator] + [0] * (width - 1)
-        if half_exp < width:
+        nums = [c.denominator] + [0] * (2 * order)
+        if half_exp <= 2 * order:
             nums[half_exp] = c.numerator
         return cls._of_nums(c.denominator, nums, order)
 

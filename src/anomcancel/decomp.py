@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import GradedPoly, QSeries, sum_of_products
+from .algebra import GradedPoly, QSeries
 from .bundles import (
     FAMILY_FORMS,
     GeometrySpec,
@@ -104,18 +104,9 @@ def decompose(series: QSeries, k: int) -> DecompResult:
                 val = val - h[r] * br
         lead = basis[m].coeffs[m]
         h.append(val * (1 / lead))
-    ring = series.ring
-    if ring is None:
-        residual = series
-        for r, hr in enumerate(h):
-            residual = residual - basis[r] * hr
-    else:
-        # residual_n = series_n - sum_r h_r basis_r[n], one fused sum per coefficient
-        one = GradedPoly.one(ring)
-        residual = QSeries([
-            sum_of_products(ring, [(c, one)] + [(hr, GradedPoly.constant(ring, -b.coeffs[n]))
-                                                for hr, b in zip(h, basis)])
-            for n, c in enumerate(series.coeffs)], order, ring)
+    residual = series
+    for r, hr in enumerate(h):
+        residual = residual - basis[r] * hr
     return DecompResult(h=tuple(h), residual=residual)
 
 
