@@ -129,7 +129,9 @@ class GradedPoly:
         return cls(spec, 1, {})
 
     @classmethod
-    def constant(cls, spec: RingSpec, value) -> "GradedPoly":
+    def constant(cls, spec: RingSpec, value: Fraction | int) -> "GradedPoly":
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            raise UsageError(f"a ring constant is an int or a Fraction, not {value!r}")
         value = Fraction(value)
         if value == 0:
             return cls.zero(spec)
@@ -336,35 +338,29 @@ def apply_series(coeffs: Sequence[Fraction], x: GradedPoly) -> GradedPoly:
         needed = x.spec.cap // x.min_degree() + 1
     if len(coeffs) < needed:
         raise UsageError(f"series needs at least {needed} coefficients for this argument")
-    acc = GradedPoly.constant(x.spec, coeffs[0])
-    power = GradedPoly.one(x.spec)
-    for n in range(1, needed):
-        power = power * x
-        if power.is_zero:
-            break
-        c = coeffs[n]
-        if c == 1:
-            acc = acc + power
-        elif c == -1:
-            acc = acc - power
-        elif c != 0:
-            acc = acc + power * c
-    return acc
+    powers = [GradedPoly.one(x.spec)]
+    while len(powers) < needed and not powers[-1].is_zero:
+        powers.append(powers[-1] * x)
+    return sum_of_products(x.spec, zip(powers, coeffs))
 
 
 def sum_of_products(spec: RingSpec, pairs, scale: Fraction | int = 1) -> GradedPoly:
-    """scale * sum of a * b over the (a, b) in `pairs`, ring elements of `spec`.
+    """scale * sum of a * b over the (a, b) in `pairs`: a is a ring element of
+    `spec`, b one too or a rational number.
 
     Every product is taken over one common denominator and added into one
     bucket dict, so the result is normalised once, not once per product and
     once per partial sum as a loop of `*` and `+` would do.
     """
     scale = Fraction(scale)
-    live = [(a, b) for a, b in pairs if a._buckets and b._buckets]
+    live = [(a, b) for a, b in pairs
+            if a._buckets and (b._buckets if isinstance(b, GradedPoly) else b)]
     if not live or not scale:
         return GradedPoly.zero(spec)
     den = 1
-    for a, b in live:
+    for i, (a, b) in enumerate(live):
+        if not isinstance(b, GradedPoly):
+            live[i] = a, b = a, GradedPoly.constant(spec, b)
         if (a.spec is not spec and a.spec != spec) or (b.spec is not spec and b.spec != spec):
             raise UsageError("polynomials from different rings")
         d = a._den * b._den
@@ -542,12 +538,10 @@ class QSeries:
         return cls([first], order, ring)
 
     @classmethod
-    def zero_series(cls, order: int, ring: RingSpec | None = None) -> "QSeries":
-        return cls([], order, ring)
-
-    @classmethod
     def binomial(cls, c, half_exp: int, order: int) -> "QSeries":
         """1 + c * q^(half_exp/2), for a rational or ring-element c and half_exp >= 1."""
+        if half_exp < 1:
+            raise UsageError("a binomial needs half_exp >= 1")
         if isinstance(c, GradedPoly):
             coeffs = [GradedPoly.one(c.spec)] + [GradedPoly.zero(c.spec)] * (2 * order)
             if half_exp <= 2 * order:
@@ -801,7 +795,7 @@ class QSeries:
         weighted: list[tuple[int, GradedPoly]] = []   # (m, m L_m), L_m != 0
         for n in range(1, len(f)):
             # the pair (g_n, -n), scaled by -1/n like the sum, is the g_n term
-            pairs = [(g[n], GradedPoly.constant(ring, -n))]
+            pairs = [(g[n], -n)]
             pairs += [(wl, g[n - m]) for m, wl in weighted]
             out.append(sum_of_products(ring, pairs, Fraction(-1, n)))
             if not out[n].is_zero:
@@ -838,14 +832,14 @@ def power_sums(elementary: Sequence[GradedPoly], n_max: int) -> tuple[GradedPoly
     `elementary` lists e_i = p_i for i = 1, 2, ..; e_i is zero past the list.
     Newton's identities: s_n = sum_(i<n) (-1)^(i-1) e_i s_(n-i) + (-1)^(n-1) n e_n.
     """
+    spec = elementary[0].spec
+    signed = [e if i % 2 else -e for i, e in enumerate(elementary, start=1)]
     sums: list[GradedPoly] = []
     for n in range(1, n_max + 1):
-        s = elementary[n - 1] * ((-1) ** (n - 1) * n) if n <= len(elementary) \
-            else GradedPoly.zero(elementary[0].spec)
-        for i in range(1, min(n, len(elementary) + 1)):
-            term = elementary[i - 1] * sums[n - i - 1]
-            s = s + term if i % 2 else s - term
-        sums.append(s)
+        pairs = [(signed[i - 1], sums[n - i - 1]) for i in range(1, min(n, len(elementary) + 1))]
+        if n <= len(elementary):
+            pairs.append((signed[n - 1], n))
+        sums.append(sum_of_products(spec, pairs))
     return tuple(sums)
 
 
@@ -875,30 +869,20 @@ def _over_families(terms: Sequence[tuple[Sequence, Sequence[GradedPoly], int]],
     """out[h] = sum over (parts, sums, e) of e * sum_(n >= 1) parts[n][h] * s_n.
 
     parts[0], the part free of the root, must vanish.  Parts are `width` wide,
-    or one wide for a term constant in q.  Terms over the same family share
-    one weighted sum of its power sums.
+    or one wide for a term constant in q.
     """
-    families: list[tuple[Sequence[GradedPoly], list[list[Fraction]]]] = []
+    pairs: list[list[tuple[GradedPoly, Fraction]]] = [[] for _ in range(width)]
     for parts, sums, e in terms:
         if len(parts) != len(sums) + 1 or len(parts[0]) not in (1, width):
             raise UsageError("per-root series and power sums differ in cap or q-order")
         if any(parts[0]):
             raise UsageError("a per-root series must be trivial at the root 0")
-        weights = next((w for s, w in families if s is sums), None)
-        if weights is None:
-            weights = [[Fraction(0)] * width for _ in sums]
-            families.append((sums, weights))
-        for n, part in enumerate(parts[1:]):
+        for s, part in zip(sums, parts[1:]):
             for h, c in enumerate(part):
                 if c:
-                    weights[n][h] += c * e
-    out = [GradedPoly.zero(terms[0][1][0].spec)] * width
-    for sums, weights in families:
-        for s, row in zip(sums, weights):
-            for h, c in enumerate(row):
-                if c:
-                    out[h] = out[h] + s * c
-    return out
+                    pairs[h].append((s, c * e))
+    spec = terms[0][1][0].spec
+    return [sum_of_products(spec, p) for p in pairs]
 
 
 def family_sum(f: GradedPoly, sums: Sequence[GradedPoly]) -> GradedPoly:
@@ -1068,14 +1052,15 @@ def ideal_reduce(p: GradedPoly, relation: GradedPoly, leading: str) -> GradedPol
     if any(exps[g] for exps, _ in rest.iter_terms()):
         raise UsageError("malformed relation: remainder still involves the leading generator")
 
+    # p = sum_t P_t g^t, with t read off the packed keys, and the result is sum_t P_t R^t
+    shift, dg = _SHIFT * g, spec.degrees[g]
+    parts: dict[int, dict[int, dict[int, int]]] = {}
+    for d, b in p._buckets.items():
+        for key, n in b.items():
+            t = (key >> shift) & _MASK
+            parts.setdefault(t, {}).setdefault(d - t * dg, {})[key - (t << shift)] = n
     rest_pows = [GradedPoly.one(spec)]
-    for _ in range(spec.cap // spec.degrees[g]):
+    while len(rest_pows) <= max(parts, default=0):
         rest_pows.append(rest_pows[-1] * rest)
-
-    out = GradedPoly.zero(spec)
-    for exps, coeff in p.iter_terms():
-        base = list(exps)
-        t, base[g] = base[g], 0
-        mono = GradedPoly.from_terms(spec, {tuple(base): coeff})
-        out = out + (mono * rest_pows[t] if t else mono)
-    return out
+    return sum_of_products(spec, [(GradedPoly._make(spec, p._den, buckets), rest_pows[t])
+                                  for t, buckets in parts.items()])

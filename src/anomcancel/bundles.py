@@ -36,6 +36,7 @@ from .algebra import (
     half_over_sinh_half_root,
     one_root_ring,
     power_sums,
+    sum_of_products,
     symmetrise,
 )
 from .errors import UsageError
@@ -328,16 +329,16 @@ def e2_expm1_over_z(spec: GeometrySpec, order: int) -> QSeries:
     ring = spec.ring()
     z = p1_combo(spec)
     scaled = modular_form(ModularFormId.E2, order).scale(FAMILY_FORMS[spec.family].e2_coefficient)
-    result = QSeries.zero_series(order, ring)
-    zpow = GradedPoly.one(ring)       # z^(n-1) / n!
-    ppow = QSeries.one(order)
-    for n in range(1, ring.cap // 4 + 2):
-        zpow = zpow * Fraction(1, n) if n == 1 else zpow * z * Fraction(1, n)
+    terms = []
+    zpow, ppow = GradedPoly.one(ring), scaled      # z^(n-1) / n! and (c E2)^n at n = 1
+    for n in range(2, ring.cap // 4 + 3):
+        terms.append((zpow, ppow.coeffs))
+        zpow = zpow * z * Fraction(1, n)
         if zpow.is_zero:
             break
         ppow = ppow * scaled
-        result = result + QSeries([zpow * c for c in ppow.coeffs], order, ring)
-    return result
+    return QSeries([sum_of_products(ring, [(zp, pc[h]) for zp, pc in terms])
+                    for h in range(2 * order + 1)], order, ring)
 
 
 # ---------------------------------------------------------------------------

@@ -270,6 +270,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _expand_rows(args: argparse.Namespace) -> tuple[list[tuple[str, str]], int]:
     """The rows to print and the q-order to report with them."""
     n = args.q_order
+    if n < 0:
+        raise UsageError("--q-order must be >= 0")
     given = _given_geometry(args)
     if args.which is not None and args.object != "theta-bundle":
         raise UsageError("--which applies to --object theta-bundle only")

@@ -25,6 +25,7 @@ from .algebra import (
     apply_series,
     ideal_reduce,
     one_root_ring,
+    sum_of_products,
     symmetrise,
     taylor_exp,
 )
@@ -209,15 +210,13 @@ def _theorem_sides(spec: GeometrySpec,
     if perturb:
         coef[0] = coef[0] * 2
 
-    lhs = lead.degree_part(cap)
-    for r, br in enumerate(b_res.h):
-        lhs = lhs - (weight * br).degree_part(cap) * coef[r]
+    # sum_r coef_r (weight * b_r) is one product: weight times the summed b_r
+    ring = spec.ring()
+    b_sum = sum_of_products(ring, zip(b_res.h, coef))
+    lhs = lead.degree_part(cap) - (weight * b_sum).degree_part(cap)
 
     pref = e2_expm1_over_z(spec, 0).coeffs[0]
-    correction = GradedPoly.zero(spec.ring())
-    for r, betar in enumerate(beta_res.h):
-        correction = correction + betar * coef[r]
-    correction = correction - (pref * lead).degree_part(cap - 4)
+    correction = sum_of_products(ring, zip(beta_res.h, coef)) - (pref * lead).degree_part(cap - 4)
     rhs = z * correction
 
     data = {"b": b_res, "beta": beta_res, "correction": correction}

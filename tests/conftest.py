@@ -1,6 +1,7 @@
 """Shared helpers: random ring elements and series, generator substitutions,
-derivatives in a root, the per-term reference loops for the q-series kernels,
-and the root-ring oracle for the Pontryagin-ring engine."""
+derivatives in a root, the per-term reference loops for the q-series kernels
+and for the other ring-valued sums, and the root-ring oracle for the
+Pontryagin-ring engine."""
 
 import random
 import sys
@@ -23,7 +24,16 @@ from anomcancel.algebra import (
     taylor_exp,
     taylor_log1p,
 )
-from anomcancel.bundles import FAMILY_FORMS, Family, QFormId, Route, _exterior_block
+from anomcancel.bundles import (
+    FAMILY_FORMS,
+    Family,
+    QFormId,
+    Route,
+    _exterior_block,
+    lead_weight,
+    p1_combo,
+)
+from anomcancel.decomp import BrBetarKind, extract_br_betar
 from anomcancel.errors import InvertError, UsageError
 from anomcancel.theta import ModularFormId, ThetaKind, modular_form, theta_ratio
 
@@ -185,6 +195,115 @@ def reference_exp(series: QSeries) -> QSeries:
     return QSeries(out, series.order, ring)
 
 
+# ---------------------------------------------------------------------------
+# Per-term reference loops for the other ring-valued sums: `apply_series`,
+# `power_sums`, the symmetriser's sum over families, `ideal_reduce`,
+# `e2_expm1_over_z` and the theorem sides, as one `*` and one `+` per term.
+# The engine accumulates each through one `sum_of_products`.
+
+
+def reference_apply_series(coeffs, x: GradedPoly) -> GradedPoly:
+    """sum_n coeffs[n] x^n for a nilpotent x."""
+    acc = GradedPoly.constant(x.spec, coeffs[0])
+    power = GradedPoly.one(x.spec)
+    for c in coeffs[1:]:
+        power = power * x
+        if power.is_zero:
+            break
+        acc = acc + power * c
+    return acc
+
+
+def reference_power_sums(elementary, n_max: int) -> tuple:
+    """Newton: s_n = sum_(i<n) (-1)^(i-1) e_i s_(n-i) + (-1)^(n-1) n e_n."""
+    sums = []
+    for n in range(1, n_max + 1):
+        s = elementary[n - 1] * ((-1) ** (n - 1) * n) if n <= len(elementary) \
+            else GradedPoly.zero(elementary[0].spec)
+        for i in range(1, min(n, len(elementary) + 1)):
+            term = elementary[i - 1] * sums[n - i - 1]
+            s = s + term if i % 2 else s - term
+        sums.append(s)
+    return tuple(sums)
+
+
+def reference_over_families(terms, width: int) -> list:
+    """out[h] = sum over (parts, sums, e) of e * sum_(n >= 1) parts[n][h] * s_n,
+    with the rows over one family (the same `sums` object) first merged into
+    one rational weight table."""
+    families = []
+    for parts, sums, e in terms:
+        weights = next((w for s, w in families if s is sums), None)
+        if weights is None:
+            weights = [[Fraction(0)] * width for _ in sums]
+            families.append((sums, weights))
+        for n, part in enumerate(parts[1:]):
+            for h, c in enumerate(part):
+                weights[n][h] += c * e
+    out = [GradedPoly.zero(terms[0][1][0].spec)] * width
+    for sums, weights in families:
+        for s, row in zip(sums, weights):
+            for h, c in enumerate(row):
+                if c:
+                    out[h] = out[h] + s * c
+    return out
+
+
+def reference_ideal_reduce(p: GradedPoly, relation: GradedPoly, leading: str) -> GradedPoly:
+    """Each term of p rebuilt on its own, its g^t replaced by R^t, and added up."""
+    spec = p.spec
+    g = spec.index(leading)
+    c = relation.coefficient([int(i == g) for i in range(len(spec.gens))])
+    rest = GradedPoly.generator(spec, leading) - relation * (1 / c)
+    rest_pows = [GradedPoly.one(spec)]
+    for _ in range(spec.cap // spec.degrees[g]):
+        rest_pows.append(rest_pows[-1] * rest)
+    out = GradedPoly.zero(spec)
+    for exps, coeff in p.iter_terms():
+        base = list(exps)
+        t, base[g] = base[g], 0
+        out = out + GradedPoly.from_terms(spec, {tuple(base): coeff}) * rest_pows[t]
+    return out
+
+
+def reference_e2_expm1_over_z(spec, order: int) -> QSeries:
+    """sum_(n >= 1) z^(n-1) / n! (c E2)^n, one ring series added per n."""
+    ring = spec.ring()
+    z = p1_combo(spec)
+    scaled = modular_form(ModularFormId.E2, order).scale(FAMILY_FORMS[spec.family].e2_coefficient)
+    result = QSeries([], order, ring)
+    zpow = GradedPoly.one(ring)
+    ppow = QSeries.one(order)
+    for n in range(1, ring.cap // 4 + 2):
+        zpow = zpow * Fraction(1, n) if n == 1 else zpow * z * Fraction(1, n)
+        if zpow.is_zero:
+            break
+        ppow = ppow * scaled
+        result = result + QSeries([zpow * c for c in ppow.coeffs], order, ring)
+    return result
+
+
+def reference_theorem_sides(spec, perturb: bool = False) -> tuple:
+    """lhs and rhs of the main identity with one product weight * b_r per r."""
+    k = spec.k
+    cap = 4 * k
+    lead, weight = lead_weight(spec)
+    b_res = extract_br_betar(spec, BrBetarKind.B_R)
+    beta_res = extract_br_betar(spec, BrBetarKind.BETA_R)
+    coef = [Fraction(2) ** ((spec.a - spec.b) * spec.l + k - 6 * r) for r in range(k // 2 + 1)]
+    if perturb:
+        coef[0] = coef[0] * 2
+    lhs = lead.degree_part(cap)
+    for r, br in enumerate(b_res.h):
+        lhs = lhs - (weight * br).degree_part(cap) * coef[r]
+    pref = reference_e2_expm1_over_z(spec, 0).coeffs[0]
+    correction = GradedPoly.zero(spec.ring())
+    for r, betar in enumerate(beta_res.h):
+        correction = correction + betar * coef[r]
+    correction = correction - (pref * lead).degree_part(cap - 4)
+    return lhs, p1_combo(spec) * correction
+
+
 def truncate(series: QSeries, order: int) -> QSeries:
     """The series cut down to a lower truncation order."""
     assert order <= series.order
@@ -331,7 +450,7 @@ def _root_e2_series(spec, order: int, first: int) -> QSeries:
     ring = root_ring(spec)
     z = _root_z(spec)
     e2 = modular_form(ModularFormId.E2, order).scale(FAMILY_FORMS[spec.family].e2_coefficient)
-    out = QSeries.zero_series(order, ring)
+    out = QSeries([], order, ring)
     fact = Fraction(1)
     for n in range(first, ring.cap // 4 + 2):
         fact = fact * max(n, 1)

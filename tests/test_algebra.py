@@ -10,8 +10,12 @@ from anomcancel.algebra import (
     GradedPoly,
     QSeries,
     RingSpec,
+    _even_parts,
+    _log_parts,
+    _over_families,
     apply_series,
     cosh_half_root,
+    family_sum,
     ideal_reduce,
     one_root_ring,
     pontryagin_all,
@@ -34,8 +38,12 @@ from conftest import (
     random_rational_series,
     random_ring_series,
     random_sparse_series,
+    reference_apply_series,
     reference_exp,
+    reference_ideal_reduce,
     reference_log,
+    reference_over_families,
+    reference_power_sums,
     reference_product,
     reference_quotient,
     scale_gens,
@@ -261,6 +269,19 @@ class TestQSeriesConstructor:
             with pytest.raises(UsageError):
                 QSeries([x, bad], 1, SPEC)
 
+    def test_binomial(self):
+        x = gens()[0]
+        one, zero = GradedPoly.one(SPEC), GradedPoly.zero(SPEC)
+        assert QSeries.binomial(F(2, 3), 1, 2).coeffs == (1, F(2, 3), 0, 0, 0)
+        assert QSeries.binomial(-1, 4, 2) == QSeries.rational([1, 0, 0, 0, -1], 2)
+        assert QSeries.binomial(x, 4, 2).coeffs == (one, zero, zero, zero, x)
+        assert QSeries.binomial(F(2, 3), 5, 2) == QSeries.one(2)
+        assert QSeries.binomial(x, 5, 2) == QSeries.one(2, SPEC)
+        for c in (F(2, 3), 3, x):
+            for half_exp in (0, -1, -4):
+                with pytest.raises(UsageError):
+                    QSeries.binomial(c, half_exp, 2)
+
     def test_accepted_coefficients(self):
         assert QSeries([1, F(1, 2)], 1).coeffs == (1, F(1, 2), 0)
         x = gens()[0]
@@ -278,17 +299,26 @@ class TestFusedKernel:
         return any(c.denominator != 1 for p in series.coeffs for _, c in p.iter_terms())
 
     def test_sum_of_products(self, rng):
+        # a pair's second factor is a ring element, a Fraction or an int
         for _ in range(50):
-            pairs = [(random_poly(rng, SPEC), random_poly(rng, SPEC))
-                     for _ in range(rng.randint(0, 4))]
+            pairs = [(random_poly(rng, SPEC), rng.choice([random_poly(rng, SPEC),
+                                                          random_fraction(rng), rng.randint(-3, 3)]))
+                     for _ in range(rng.randint(0, 5))]
             scale = random_fraction(rng)
             expected = GradedPoly.zero(SPEC)
             for a, b in pairs:
                 expected = expected + a * b
             assert sum_of_products(SPEC, pairs, scale) == expected * scale
-        other = GradedPoly.one(RingSpec(gens=(("y", 2),), cap=4))
-        with pytest.raises(UsageError):
-            sum_of_products(SPEC, [(gens()[0], other)])
+        x = gens()[0]
+        assert sum_of_products(SPEC, [(x, 0), (x * x, F(2, 3)), (x, F(0))]) == x * x * F(2, 3)
+        # a float or a bool is not an exact scalar; a pair from another ring is refused
+        for bad in (0.5, True):
+            with pytest.raises(UsageError):
+                sum_of_products(SPEC, [(x, bad)])
+        other = GradedPoly.generator(RingSpec(gens=(("y", 2),), cap=4), "y")
+        for pairs in ([(x, other)], [(other, x)], [(other, 2)], [(x, 1), (other, F(1, 3))]):
+            with pytest.raises(UsageError):
+                sum_of_products(SPEC, pairs)
 
     def test_product(self, rng):
         n = self.ORDER
@@ -391,6 +421,66 @@ class TestApplySeries:
             apply_series([F(1)], gens()[0])
 
 
+class TestAccumulateSites:
+    """Each ring-valued sum the engine forms through one `sum_of_products`,
+    against the per-term loop of conftest it replaced."""
+
+    P = RingSpec(gens=(("p1", 4), ("p2", 8), ("q1", 4)), cap=12)
+
+    def test_apply_series(self, rng):
+        for _ in range(40):
+            x = random_nilpotent(rng, SPEC, rng.randint(0, 4))
+            coeffs = [rng.choice([0, 1, -1, random_fraction(rng)]) for _ in range(SPEC.cap + 1)]
+            assert apply_series(coeffs, x) == reference_apply_series(coeffs, x)
+
+    def test_power_sums(self, rng):
+        for _ in range(20):
+            elementary = [random_poly(rng, self.P) for _ in range(rng.randint(1, 4))]
+            n_max = rng.randint(1, 5)
+            assert power_sums(elementary, n_max) == reference_power_sums(elementary, n_max)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_ideal_reduce(self, rng, position):
+        # the leading generator g at each key position, p carrying g^0 .. g^3
+        others = [("a", 2), ("b", 4)]
+        spec = RingSpec(gens=tuple(others[:position] + [("g", 4)] + others[position:]), cap=12)
+        g = GradedPoly.generator(spec, "g")
+        a, b = GradedPoly.generator(spec, "a"), GradedPoly.generator(spec, "b")
+        for _ in range(20):
+            rest = random_fraction(rng) + a * a * random_fraction(rng) + b * random_fraction(rng)
+            relation = (g - rest) * rng.choice([1, -2, F(3, 5)])
+            p = random_poly(rng, spec, terms=6, max_exp=3) + g ** 3 * random_fraction(rng)
+            got = ideal_reduce(p, relation, leading="g")
+            assert got == reference_ideal_reduce(p, relation, leading="g")
+            assert all(exps[position] == 0 for exps, _ in got.iter_terms())
+
+    def random_even_factor(self, rng):
+        """1 + an even nilpotent polynomial in the one root w, cap 8."""
+        w = GradedPoly.generator(one_root_ring(8), "w")
+        return 1 + w * w * random_fraction(rng) + w ** 4 * random_fraction(rng)
+
+    def test_family_sum_and_rows_that_repeat_a_family(self, rng):
+        spec = RingSpec(gens=self.P.gens, cap=8)
+        p1, p2, q1 = gens(spec)
+        sums_tm = power_sums([p1, p2], 2)
+        sums_v = power_sums([q1], 2)
+        ring = one_root_ring(8)
+        for _ in range(10):
+            f = self.random_even_factor(rng) - 1
+            parts = _even_parts(QSeries.from_poly(f, 0))
+            assert family_sum(f, sums_tm) == reference_over_families([(parts, sums_tm, 1)], 1)[0]
+            rows = [(self.random_even_factor(rng), sums_tm, rng.randint(-2, 2)),
+                    (QSeries([self.random_even_factor(rng)]
+                             + [self.random_even_factor(rng) - 1 for _ in range(4)], 2, ring),
+                     sums_tm, rng.randint(-2, 2)),
+                    (self.random_even_factor(rng), sums_v, rng.randint(-2, 2)),
+                    (self.random_even_factor(rng), sums_tm, rng.randint(-2, 2))]
+            terms = [(_log_parts(f), s, e) for f, s, e in rows]
+            want = reference_over_families(terms, 5)
+            assert _over_families(terms, 5) == want
+            assert symmetrise(rows) == QSeries(want, 2, spec).exp()
+
+
 class TestSymmetriseRows:
     """Polynomial rows, q-series rows and an exponent go through one exp."""
 
@@ -413,7 +503,7 @@ class TestSymmetriseRows:
     def test_orders_must_agree(self):
         poly_row, series_row = self.rows()
         with pytest.raises(UsageError):
-            symmetrise([poly_row, series_row], QSeries.zero_series(2, self.P))
+            symmetrise([poly_row, series_row], QSeries([], 2, self.P))
         with pytest.raises(UsageError):
             symmetrise([series_row, (QSeries.one(2, one_root_ring(8)), series_row[1], 1)])
 

@@ -38,6 +38,7 @@ from conftest import (
     in_pontryagin,
     paper_form,
     permute_gens,
+    reference_e2_expm1_over_z,
     root_ch_theta_bundle,
     roots_of,
     scale_gens,
@@ -205,6 +206,13 @@ class TestQForms:
         want = (apply_series(taylor_exp(5), z * F(1, 24))
                 * genus_form(spec) * ch_spinor_pow(spec, 2))
         assert got == want
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_e2_expm1_over_z_against_the_per_power_loop(self, family):
+        for k in range(1, 5):
+            spec = GeometrySpec(k=k, l=2, a=1, b=0, family=family)
+            for order in (0, 2):
+                assert e2_expm1_over_z(spec, order) == reference_e2_expm1_over_z(spec, order)
 
     def test_double_route_documented_case(self):
         spec = GeometrySpec(k=1, l=1, a=1, b=0, family=Family.AB)

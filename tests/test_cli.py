@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from anomcancel import bundles, verifier
-from anomcancel.cli import main
+from anomcancel.cli import _MODULAR_OBJECTS, main
 from anomcancel.errors import SymmetryError
 
 
@@ -349,6 +349,15 @@ class TestExpandValidation:
         code, out, err = run_cli(capsys, "expand", "--object", obj, "--which", "1")
         assert code == 2 and out == ""
         assert "--which applies to --object theta-bundle only" in err
+
+    @pytest.mark.parametrize("obj", sorted(_MODULAR_OBJECTS) + ["theta-bundle", "br", "betar"])
+    def test_negative_q_order(self, capsys, obj):
+        for value in ("-1", "-5"):
+            code, out, err = run_cli(capsys, "expand", "--object", obj, "--q-order", value,
+                                     "--format", "json")
+            assert code == 2 and out == ""
+            assert "--q-order must be >= 0" in err
+        assert run_cli(capsys, "expand", "--object", obj, "--q-order", "0")[0] == 0
 
     def test_theta_bundle_defaults_to_the_second_bundle(self, capsys):
         argv = ("expand", "--object", "theta-bundle", "--q-order", "1")

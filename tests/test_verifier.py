@@ -17,7 +17,7 @@ from anomcancel.verifier import (
 )
 from anomcancel.verifier import _theorem_sides
 
-from conftest import scale_gens
+from conftest import reference_theorem_sides, scale_gens
 
 
 AB = lambda k, l, a, b: GeometrySpec(k=k, l=l, a=a, b=b, family=Family.AB)
@@ -213,6 +213,15 @@ class TestInvariants:
         assert lhs_scaled == lhs * t ** (2 * spec.k)
         assert rhs_scaled == rhs * t ** (2 * spec.k)
         assert (lhs_scaled - rhs_scaled).is_zero
+
+    @pytest.mark.parametrize("make", [lambda k: AB(k, 3, 2, 1), lambda k: XI(k, 2, 1, 1),
+                                      lambda k: TWO(k, 3)], ids=["ab", "ab-xi", "two-line"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_theorem_sides_against_the_per_r_loop(self, make, k):
+        spec = make(k)
+        for perturb in (False, True):
+            lhs, rhs, _ = _theorem_sides(spec, perturb)
+            assert (lhs, rhs) == reference_theorem_sides(spec, perturb)
 
     def test_specialization_coherence_k1(self):
         # the k = 1 theorem instance implies the dimension-4 corollary:
