@@ -12,7 +12,6 @@ from .algebra import (
     QSeries,
     RingSpec,
     apply_series,
-    family_sum,
     ideal_reduce,
     one_root_ring,
     pontryagin_all,
@@ -60,7 +59,7 @@ __all__ = [
     "Report", "RingSpec", "Route", "SymmetryError", "ThetaKind",
     "UsageError", "apply_series", "basis_series", "ch_spinor_pow",
     "ch_theta_bundle", "closed_form_checks", "decompose", "default_grid",
-    "extract_br_betar", "family_sum", "genus_form", "ideal_reduce",
+    "extract_br_betar", "genus_form", "ideal_reduce",
     "jacobi_identity_check", "modular_form", "one_root_ring", "p1_combo",
     "pontryagin_all", "power_sums", "q_form", "run_suite", "symmetrise",
     "theta_eval", "theta_ratio", "transformation_residuals", "verify_case",

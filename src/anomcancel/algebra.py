@@ -17,7 +17,8 @@ dense array indexed by half-steps: integer numerators over one common
 denominator for a rational series, `GradedPoly`s for a ring series.  Products
 and quotients run over the nonzero coefficients only, and each ring-valued
 output coefficient of a product, quotient, `exp` or `log` is one fused
-`sum_of_products`, normalised once.
+`sum_of_products`, normalised once; a rational quotient runs over the ring
+with no generators.
 """
 
 from __future__ import annotations
@@ -303,16 +304,7 @@ class GradedPoly:
     def __pow__(self, e: int) -> "GradedPoly":
         if not isinstance(e, int):
             raise UsageError("polynomial exponent must be an integer")
-        if e < 0:
-            return self.inv() ** (-e)
-        result = GradedPoly.one(self.spec)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, GradedPoly.one(self.spec))
 
     def inv(self) -> "GradedPoly":
         """Inverse in the truncated ring; needs an invertible constant term."""
@@ -322,6 +314,20 @@ class GradedPoly:
         # self = c (1 + nil) with nil nilpotent, so 1/self = (1/c) sum (-nil)^n.
         geometric = [(-1) ** n for n in range(self.spec.cap + 1)]
         return apply_series(geometric, self * (1 / c) - 1) * (1 / c)
+
+
+def _power(base, e: int, one):
+    """base^e by square-and-multiply from `one`; a negative e inverts base first."""
+    if e < 0:
+        base, e = base.inv(), -e
+    result = one
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
 
 
 def apply_series(coeffs: Sequence[Fraction], x: GradedPoly) -> GradedPoly:
@@ -473,6 +479,10 @@ def _normal(den: int, nums) -> tuple[int, tuple[int, ...]]:
     return den // g, tuple(n // g for n in nums)
 
 
+# The ring with no generators: a rational quotient runs as a ring quotient of constants.
+_SCALARS = RingSpec(gens=(), cap=2)
+
+
 class QSeries:
     """Power series in q^(1/2) truncated at integer order N (half-index 2N).
 
@@ -527,10 +537,6 @@ class QSeries:
         return self._coeffs
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def rational(cls, coeffs: Sequence[Fraction | int], order: int) -> "QSeries":
-        return cls([Fraction(c) for c in coeffs], order)
 
     @classmethod
     def one(cls, order: int, ring: RingSpec | None = None) -> "QSeries":
@@ -683,56 +689,32 @@ class QSeries:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "QSeries":
-        """Exact quotient: out_n = (a_n - sum_(j>=1, b_j != 0) b_j out_(n-j)) / b_0."""
+        """Exact quotient: out_n = (a_n - sum_(j>=1, b_j != 0) b_j out_(n-j)) / b_0.
+
+        Rational operands divide as constants of the ring with no generators.
+        """
         if not isinstance(other, QSeries):
             return NotImplemented
         ring = self._check(other)
         if ring is None:
-            return self._rational_quotient(other)
+            quotient = self.to_ring(_SCALARS) / other.to_ring(_SCALARS)
+            return QSeries([c.constant_term() for c in quotient._coeffs], self.order)
         a, b = self.to_ring(ring), other.to_ring(ring)
         b0 = b._coeffs[0]
         if b0 == 0:
             raise InvertError("constant term is zero; series not invertible")
-        one = GradedPoly.one(ring)
-        if b0 == 1:
-            lead, minus = a._coeffs, [(j, -bj) for j, bj in b._nonzero()[1:]]
-        else:
-            # out_n = a_n / b_0 - sum_(j>=1) (b_j / b_0) out_(n-j)
-            r0 = b0.inv()
-            lead = [c * r0 for c in a._coeffs]
-            minus = [(j, -(bj * r0)) for j, bj in b._nonzero()[1:]]
+        # out_n = a_n / b_0 - sum_(j>=1) (b_j / b_0) out_(n-j)
+        r0 = GradedPoly.one(ring) if b0 == 1 else b0.inv()
+        minus = [(j, -(bj * r0)) for j, bj in b._nonzero()[1:]]
         out: list[GradedPoly] = []
-        for n, an in enumerate(lead):
-            pairs = [(an, one)]
+        for n, an in enumerate(a._coeffs):
+            pairs = [(an, r0)]
             for j, mbj in minus:
                 if j > n:
                     break
                 pairs.append((mbj, out[n - j]))
             out.append(sum_of_products(ring, pairs))
         return QSeries(out, self.order, ring)
-
-    def _rational_quotient(self, other: "QSeries") -> "QSeries":
-        """self / other on the numerators.  With a = A/Da, b = B/Db and the
-        quotient's c_n = C_n / (Da B_0^(n+1)), sum_j b_j c_(n-j) = a_n reads
-        C_n = A_n Db B_0^n - sum_(j>=1) B_j B_0^(j-1) C_(n-j), all integers."""
-        B = other._nums
-        b0 = B[0]
-        if not b0:
-            raise InvertError("constant term is zero; series not invertible")
-        weights = [(j, bj * b0 ** (j - 1)) for j, bj in enumerate(B) if j and bj]
-        out: list[int] = []
-        lead = other._den
-        for n, an in enumerate(self._nums):
-            s = an * lead
-            for j, w in weights:
-                if j > n:
-                    break
-                s -= w * out[n - j]
-            out.append(s)
-            lead *= b0
-        top = len(out) - 1
-        return QSeries._of_nums(self._den * b0 ** (top + 1),
-                                [c * b0 ** (top - n) for n, c in enumerate(out)], self.order)
 
     def scale(self, c: Fraction | int) -> "QSeries":
         c = Fraction(c)
@@ -748,17 +730,7 @@ class QSeries:
         """Integer power; negative exponents go through inv()."""
         if not isinstance(e, int):
             raise UsageError("series exponent must be an integer")
-        base = self
-        if e < 0:
-            base = self.inv()
-            e = -e
-        result = QSeries.one(self.order, self.ring)
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, QSeries.one(self.order, self.ring))
 
     def shift(self, half_steps: int) -> "QSeries":
         """Multiply by q^(half_steps/2); negative shifts must not drop terms."""
@@ -883,14 +855,6 @@ def _over_families(terms: Sequence[tuple[Sequence, Sequence[GradedPoly], int]],
                     pairs[h].append((s, c * e))
     spec = terms[0][1][0].spec
     return [sum_of_products(spec, p) for p in pairs]
-
-
-def family_sum(f: GradedPoly, sums: Sequence[GradedPoly]) -> GradedPoly:
-    """sum over a family's roots of an even per-root f with f(0) = 0: sum_n a_n s_n.
-
-    `sums` are the family's power sums s_n of squared roots (`power_sums`).
-    """
-    return _over_families([(_even_parts(QSeries.from_poly(f, 0)), sums, 1)], 1)[0]
 
 
 def symmetrise(factors: Sequence[tuple[GradedPoly | QSeries, Sequence[GradedPoly], int]],

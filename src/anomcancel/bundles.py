@@ -21,6 +21,7 @@ into one exp over the Chern roots of TM, of V and of the Euler roots.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -32,7 +33,6 @@ from .algebra import (
     RingSpec,
     cosh_half_root,
     exp_root,
-    family_sum,
     half_over_sinh_half_root,
     one_root_ring,
     power_sums,
@@ -134,6 +134,10 @@ class GeometrySpec:
     family: Family = Family.AB
 
     def __post_init__(self) -> None:
+        for name in ("k", "l", "a", "b"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise UsageError(f"{name} must be an integer, not {value!r}")
         if self.k < 1 or self.l < 1:
             raise UsageError("k and l must be positive integers")
         if self.family is Family.TWO_LINE and (self.a, self.b) != (1, 0):
@@ -224,20 +228,17 @@ def lead_weight(spec: GeometrySpec) -> tuple[GradedPoly, GradedPoly]:
 
 
 def ch_tilde_roots(spec: GeometrySpec, label: str) -> GradedPoly:
-    """ch of (complexified bundle minus its rank): the sum over the roots that
-    `label` names of e^root + e^-root - 2."""
-    cap = 4 * spec.k
-    return family_sum(exp_root(cap, +1) + exp_root(cap, -1) - 2, spec.power_sums(label))
-
-
-def ch_v_tilde(spec: GeometrySpec) -> GradedPoly:
-    return ch_tilde_roots(spec, "V")
+    """ch of (complexified bundle minus its rank): the sum over the roots w that
+    `label` names of e^w + e^-w - 2 = sum_(n>=1) 2 w^(2n) / (2n)!, so
+    sum_n 2 s_n / (2n)! in the power sums s_n of their squares."""
+    return sum_of_products(spec.ring(), [(s, Fraction(2, math.factorial(2 * n)))
+                                         for n, s in enumerate(spec.power_sums(label), start=1)])
 
 
 def twist_bundle(spec: GeometrySpec) -> GradedPoly:
     """ch of the bundle in the r = 1 coefficients: (b-a) V~, plus 3 xi~ in the
     xi family; 2 xi~ + xi'~ - V~ in the two-line family."""
-    chv = ch_v_tilde(spec)
+    chv = ch_tilde_roots(spec, "V")
     if spec.has_xi_prime:
         return ch_tilde_roots(spec, "u") * 2 + ch_tilde_roots(spec, "u'") - chv
     out = chv * (spec.b - spec.a)

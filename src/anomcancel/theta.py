@@ -282,8 +282,13 @@ def sqrt_tau_over_i(tau: complex) -> complex:
     return cmath.sqrt(tau / 1j)
 
 
-def transformation_residuals(tau: complex, v: complex, theta_terms: int = 60,
-                             e2_terms: int = 40, perturb: bool = False) -> dict[str, float]:
+# Product factors of every theta evaluation and q-powers of every E2
+# evaluation in the transformation laws.
+THETA_TERMS = 60
+E2_TERMS = 40
+
+
+def transformation_residuals(tau: complex, v: complex, perturb: bool = False) -> dict[str, float]:
     """Absolute residuals of the theta / E2 / delta-eps transformation laws.
 
     Keys cover the T and S laws of the four theta functions and theta', the
@@ -300,7 +305,7 @@ def transformation_residuals(tau: complex, v: complex, theta_terms: int = 60,
     eighth = cmath.exp(1j * cmath.pi / 4)
 
     def th(kind, vv, tt):
-        return theta_eval(kind, vv, tt, theta_terms)
+        return theta_eval(kind, vv, tt, THETA_TERMS)
 
     s_tau = -1 / tau
 
@@ -313,20 +318,20 @@ def transformation_residuals(tau: complex, v: complex, theta_terms: int = 60,
     res["theta2_S"] = abs(th(ThetaKind.THETA2, v, s_tau) - root * gauss * th(ThetaKind.THETA1, tau * v, tau))
     res["theta3_T"] = abs(th(ThetaKind.THETA3, v, tau + 1) - th(ThetaKind.THETA2, v, tau))
     res["theta3_S"] = abs(th(ThetaKind.THETA3, v, s_tau) - root * gauss * th(ThetaKind.THETA3, tau * v, tau))
-    res["thetaprime_T"] = abs(theta_prime_eval(v, tau + 1, theta_terms)
-                              - eighth * theta_prime_eval(v, tau, theta_terms))
-    res["thetaprime0_S"] = abs(theta_prime_eval(0, s_tau, theta_terms)
-                               - (1 / 1j) * root * tau * theta_prime_eval(0, tau, theta_terms))
-    res["jacobi_identity"] = abs(theta_prime_eval(0, tau, theta_terms)
+    res["thetaprime_T"] = abs(theta_prime_eval(v, tau + 1, THETA_TERMS)
+                              - eighth * theta_prime_eval(v, tau, THETA_TERMS))
+    res["thetaprime0_S"] = abs(theta_prime_eval(0, s_tau, THETA_TERMS)
+                               - (1 / 1j) * root * tau * theta_prime_eval(0, tau, THETA_TERMS))
+    res["jacobi_identity"] = abs(theta_prime_eval(0, tau, THETA_TERMS)
                                  - cmath.pi * th(ThetaKind.THETA1, 0, tau)
                                  * th(ThetaKind.THETA2, 0, tau) * th(ThetaKind.THETA3, 0, tau))
     anomaly = 0 if perturb else 6j * tau / cmath.pi
-    res["e2_S"] = abs(e2_eval(s_tau, e2_terms) - (tau * tau * e2_eval(tau, e2_terms) - anomaly))
+    res["e2_S"] = abs(e2_eval(s_tau, E2_TERMS) - (tau * tau * e2_eval(tau, E2_TERMS) - anomaly))
 
-    d1 = modular_form_eval(ModularFormId.DELTA1, tau, theta_terms)
-    e1 = modular_form_eval(ModularFormId.EPS1, tau, theta_terms)
-    res["delta2_S"] = abs(modular_form_eval(ModularFormId.DELTA2, s_tau, theta_terms) - tau ** 2 * d1)
-    res["eps2_S"] = abs(modular_form_eval(ModularFormId.EPS2, s_tau, theta_terms) - tau ** 4 * e1)
+    d1 = modular_form_eval(ModularFormId.DELTA1, tau, THETA_TERMS)
+    e1 = modular_form_eval(ModularFormId.EPS1, tau, THETA_TERMS)
+    res["delta2_S"] = abs(modular_form_eval(ModularFormId.DELTA2, s_tau, THETA_TERMS) - tau ** 2 * d1)
+    res["eps2_S"] = abs(modular_form_eval(ModularFormId.EPS2, s_tau, THETA_TERMS) - tau ** 4 * e1)
 
     weight_cases = [
         ("delta1", ModularFormId.DELTA1, 2, GAMMA0_2_GENERATORS),
@@ -337,7 +342,7 @@ def transformation_residuals(tau: complex, v: complex, theta_terms: int = 60,
     for label, form, weight, gens in weight_cases:
         for gname, mat in gens.items():
             _, _, c, d = mat
-            lhs = modular_form_eval(form, moebius(mat, tau), theta_terms)
-            rhs = (c * tau + d) ** weight * modular_form_eval(form, tau, theta_terms)
+            lhs = modular_form_eval(form, moebius(mat, tau), THETA_TERMS)
+            rhs = (c * tau + d) ** weight * modular_form_eval(form, tau, THETA_TERMS)
             res[f"{label}_w{weight}_{gname}"] = abs(lhs - rhs)
     return res

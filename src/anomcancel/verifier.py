@@ -35,7 +35,7 @@ from .bundles import (
     GeometrySpec,
     QFormId,
     Route,
-    ch_v_tilde,
+    ch_tilde_roots,
     e2_expm1_over_z,
     genus_form,
     lead_weight,
@@ -269,7 +269,7 @@ def _case_cor33(req: CaseRequest) -> Outcome:
     spec = req.spec
     a, b, l = spec.a, spec.b, spec.l
     da, db = lead_weight(spec)
-    chv = ch_v_tilde(spec)
+    chv = ch_tilde_roots(spec, "V")
     z = p1_combo(spec)
     pref = e2_expm1_over_z(spec, 0).coeffs[0]
     c0 = _two_pow((a - b) * l)

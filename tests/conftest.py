@@ -83,7 +83,7 @@ def random_nilpotent(rng: random.Random, spec: RingSpec, terms: int = 3) -> Grad
 
 
 def random_rational_series(rng: random.Random, order: int) -> QSeries:
-    return QSeries.rational([random_fraction(rng) for _ in range(2 * order + 1)], order)
+    return QSeries([random_fraction(rng) for _ in range(2 * order + 1)], order)
 
 
 def random_ring_series(rng: random.Random, spec: RingSpec, order: int,

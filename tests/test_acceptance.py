@@ -102,8 +102,7 @@ def test_criterion_02_jacobi_identity_q20():
 
 def test_criterion_03_numeric_transformation_laws():
     def run():
-        res = transformation_residuals(0.25 + 1.1j, 0.13 + 0.07j,
-                                       theta_terms=60, e2_terms=40)
+        res = transformation_residuals(0.25 + 1.1j, 0.13 + 0.07j)
         for name, value in res.items():
             tol = 1e-9 if name.startswith(("theta", "jacobi")) else 1e-8
             if value >= tol:

@@ -15,7 +15,6 @@ from anomcancel.algebra import (
     _over_families,
     apply_series,
     cosh_half_root,
-    family_sum,
     ideal_reduce,
     one_root_ring,
     pontryagin_all,
@@ -118,14 +117,14 @@ class TestGradedPoly:
 
 class TestQSeriesArith:
     def test_difference_of_squares(self):
-        s = QSeries.rational([1, 1], 3)
-        t = QSeries.rational([1, -1], 3)
-        assert s * t == QSeries.rational([1, 0, -1], 3)
+        s = QSeries([1, 1], 3)
+        t = QSeries([1, -1], 3)
+        assert s * t == QSeries([1, 0, -1], 3)
 
     def test_geometric_inverse(self):
-        one_minus_q = QSeries.rational([1, 0, -1], 5)
+        one_minus_q = QSeries([1, 0, -1], 5)
         geo = one_minus_q.inv()
-        assert geo == QSeries.rational([1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1], 5)
+        assert geo == QSeries([1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1], 5)
 
     def test_powi_against_brute_force(self):
         # prod_{j=1..4} (1 - q^j), cubed; oracle is plain integer convolution
@@ -152,8 +151,7 @@ class TestQSeriesArith:
 
         series = QSeries.one(7)
         for j in range(1, 5):
-            series = series * QSeries.rational(
-                [1] + [0] * (2 * j - 1) + [-1], 7)
+            series = series * QSeries([1] + [0] * (2 * j - 1) + [-1], 7)
         engine = series.powi(3)
         for i in range(8):
             assert engine.coeffs[2 * i] == cubed[i]
@@ -161,28 +159,28 @@ class TestQSeriesArith:
                 assert engine.coeffs[2 * i + 1] == 0
 
     def test_negative_powi_uses_inverse(self):
-        s = QSeries.rational([1, 2, 3], 4)
+        s = QSeries([1, 2, 3], 4)
         assert s.powi(-2) == s.inv() * s.inv()
 
     def test_shift(self):
-        s = QSeries.rational([1, 2, 3], 2)
+        s = QSeries([1, 2, 3], 2)
         shifted = s.shift(2)
-        assert shifted == QSeries.rational([0, 0, 1, 2, 3], 2)
-        assert shifted.shift(-2) == QSeries.rational([1, 2, 3, 0, 0], 2)
+        assert shifted == QSeries([0, 0, 1, 2, 3], 2)
+        assert shifted.shift(-2) == QSeries([1, 2, 3, 0, 0], 2)
         with pytest.raises(UsageError):
             s.shift(-1)
 
     def test_order_mismatch_rejected(self):
         with pytest.raises(UsageError):
-            QSeries.rational([1], 2) + QSeries.rational([1], 3)
+            QSeries([1], 2) + QSeries([1], 3)
 
     def test_inversion_requires_unit(self):
         with pytest.raises(InvertError):
-            QSeries.rational([0, 1], 2).inv()
+            QSeries([0, 1], 2).inv()
 
     def test_ring_and_rational_mix(self):
         w1 = gens()[0]
-        rational = QSeries.rational([2, 1], 2)
+        rational = QSeries([2, 1], 2)
         ring_series = QSeries.from_poly(w1, 2)
         mixed = rational * ring_series
         assert mixed.coeffs[0] == w1 * 2
@@ -235,7 +233,7 @@ class TestSparseKernels:
         n = self.ORDER
         a = random_ring_series(rng, SPEC, n)
         with pytest.raises(InvertError):
-            a / QSeries.rational([0, 1], n)
+            a / QSeries([0, 1], n)
         nilpotent = QSeries([random_nilpotent(rng, SPEC), GradedPoly.one(SPEC)], n, SPEC)
         with pytest.raises(InvertError):
             a / nilpotent
@@ -273,7 +271,7 @@ class TestQSeriesConstructor:
         x = gens()[0]
         one, zero = GradedPoly.one(SPEC), GradedPoly.zero(SPEC)
         assert QSeries.binomial(F(2, 3), 1, 2).coeffs == (1, F(2, 3), 0, 0, 0)
-        assert QSeries.binomial(-1, 4, 2) == QSeries.rational([1, 0, 0, 0, -1], 2)
+        assert QSeries.binomial(-1, 4, 2) == QSeries([1, 0, 0, 0, -1], 2)
         assert QSeries.binomial(x, 4, 2).coeffs == (one, zero, zero, zero, x)
         assert QSeries.binomial(F(2, 3), 5, 2) == QSeries.one(2)
         assert QSeries.binomial(x, 5, 2) == QSeries.one(2, SPEC)
@@ -341,7 +339,7 @@ class TestFusedKernel:
             non_unit = QSeries([one * F(rng.choice([-3, 2, 5]), rng.randint(1, 4))
                                 + random_nilpotent(rng, SPEC)] + tail, n, SPEC)
             r = random_rational_series(rng, n)
-            rational = QSeries.rational([F(rng.choice([-2, 3]), 7)] + list(r.coeffs[1:]), n)
+            rational = QSeries([F(rng.choice([-2, 3]), 7)] + list(r.coeffs[1:]), n)
             for x, y in [(a, unit), (a, near_unit), (a, non_unit), (a, rational), (r, non_unit),
                          (rational, rational)]:
                 assert x / y == reference_quotient(x, y)
@@ -374,10 +372,10 @@ class TestRationalStore:
                 assert s.coeffs == tuple(F(n, s._den) for n in s._nums)
 
     def test_equal_series_built_two_ways(self, rng):
-        x = QSeries.rational([F(1, 2), F(1, 3), 0, F(-5, 6)], 2)
-        y = QSeries.rational([3, 2, 0, -5], 2).scale(F(1, 6))
+        x = QSeries([F(1, 2), F(1, 3), 0, F(-5, 6)], 2)
+        y = QSeries([3, 2, 0, -5], 2).scale(F(1, 6))
         assert x == y and hash(x) == hash(y)
-        geometric = QSeries.rational([1, 0, -1], 3).inv()
+        geometric = QSeries([1, 0, -1], 3).inv()
         assert geometric == QSeries([1, 0, 1, 0, 1, 0, 1], 3)
         for _ in range(20):
             a, b = random_rational_series(rng, 3), random_rational_series(rng, 3)
@@ -386,7 +384,7 @@ class TestRationalStore:
             assert a.powi(3) == a * a * a and hash(a.powi(3)) == hash(a * a * a)
 
     def test_coefficients_are_exact(self, rng):
-        s = QSeries.rational([F(1, 3), F(2, 3), F(1, 6)], 1)
+        s = QSeries([F(1, 3), F(2, 3), F(1, 6)], 1)
         assert s.coeffs == (F(1, 3), F(2, 3), F(1, 6))
         assert all(type(c) is F for c in s.coeffs)
         assert s.scale(6).coeffs == (2, 4, 1)
@@ -459,7 +457,7 @@ class TestAccumulateSites:
         w = GradedPoly.generator(one_root_ring(8), "w")
         return 1 + w * w * random_fraction(rng) + w ** 4 * random_fraction(rng)
 
-    def test_family_sum_and_rows_that_repeat_a_family(self, rng):
+    def test_one_wide_parts_and_rows_that_repeat_a_family(self, rng):
         spec = RingSpec(gens=self.P.gens, cap=8)
         p1, p2, q1 = gens(spec)
         sums_tm = power_sums([p1, p2], 2)
@@ -468,7 +466,8 @@ class TestAccumulateSites:
         for _ in range(10):
             f = self.random_even_factor(rng) - 1
             parts = _even_parts(QSeries.from_poly(f, 0))
-            assert family_sum(f, sums_tm) == reference_over_families([(parts, sums_tm, 1)], 1)[0]
+            one_wide = [(parts, sums_tm, 1)]
+            assert _over_families(one_wide, 1) == reference_over_families(one_wide, 1)
             rows = [(self.random_even_factor(rng), sums_tm, rng.randint(-2, 2)),
                     (QSeries([self.random_even_factor(rng)]
                              + [self.random_even_factor(rng) - 1 for _ in range(4)], 2, ring),

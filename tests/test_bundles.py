@@ -24,7 +24,7 @@ from anomcancel.bundles import (
     Route,
     ch_spinor_pow,
     ch_theta_bundle,
-    ch_v_tilde,
+    ch_tilde_roots,
     e2_expm1_over_z,
     genus_form,
     p1_combo,
@@ -66,6 +66,12 @@ class TestGeometrySpec:
     def test_positivity_validation(self):
         with pytest.raises(UsageError):
             GeometrySpec(k=0, l=1)
+
+    @pytest.mark.parametrize("name, value", [("k", True), ("k", 1.5), ("l", False), ("l", 2.0),
+                                             ("a", 1.5), ("a", True), ("b", "x"), ("b", None)])
+    def test_geometry_integers_must_be_ints(self, name, value):
+        with pytest.raises(UsageError, match=f"{name} must be an integer, not {value!r}"):
+            GeometrySpec(**{"k": 1, "l": 1, name: value})
 
 
 class TestGenusForms:
@@ -136,7 +142,7 @@ class TestThetaBundles:
         for (a, b, l) in [(1, 0, 1), (2, 1, 2), (-1, 2, 3), (0, 0, 2)]:
             spec = GeometrySpec(k=1, l=l, a=a, b=b, family=Family.AB)
             got = ch_theta_bundle(2, spec, 2).coeffs[1]
-            assert got == ch_v_tilde(spec) * (b - a)
+            assert got == ch_tilde_roots(spec, "V") * (b - a)
 
     def test_rank_consistency(self):
         # all generators to zero: every q-coefficient is an integer rank

@@ -12,7 +12,6 @@ from anomcancel.algebra import (
     QSeries,
     cosh_half_root,
     exp_root,
-    family_sum,
     half_over_sinh_half_root,
     one_root_ring,
     power_sums,
@@ -25,6 +24,7 @@ from anomcancel.bundles import (
     QFormId,
     Route,
     _exterior_block,
+    ch_tilde_roots,
     q_form,
 )
 from anomcancel.errors import SymmetryError, UsageError
@@ -78,14 +78,15 @@ def test_symmetriser_of_several_families(k, l):
     assert symmetrise([(f, spec.power_sums(label), e) for f, label, e in factors]) == want
 
 
-@pytest.mark.parametrize("k, l", SIZES)
-def test_family_sum_equals_root_sum(k, l):
-    spec = GeometrySpec(k=k, l=l, a=1, b=0, family=Family.AB_XI)
-    cap = 4 * k
-    f = exp_root(cap, +1) + exp_root(cap, -1) - 2
-    for label in ("TM", "V", "u"):
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_ch_tilde_roots_equals_root_sum(family, k):
+    # the power-sum form against e^w + e^-w - 2 summed root by root
+    spec = GeometrySpec(k=k, l=2, family=family)
+    f = exp_root(4 * k, +1) + exp_root(4 * k, -1) - 2
+    for label in ("TM", "V", *FAMILY_FORMS[family].euler_roots):
         want = in_pontryagin(root_sum(spec, f, label), spec)
-        assert family_sum(f, spec.power_sums(label)) == want
+        assert ch_tilde_roots(spec, label) == want, label
 
 
 FORM_CASES = [
@@ -123,8 +124,6 @@ def test_symmetriser_rejects_bad_per_root_series():
         symmetrise([(exp_root(8, +1), spec.power_sums("TM"), 1)])   # odd in w
     with pytest.raises(UsageError):
         symmetrise([(cosh_half_root(4), spec.power_sums("TM"), 1)])  # another cap
-    with pytest.raises(UsageError):
-        family_sum(cosh_half_root(8), spec.power_sums("V"))         # f(0) != 0
     with pytest.raises(UsageError):
         spec.power_sums("u")                                        # no xi in family ab
     with pytest.raises(UsageError):

@@ -181,7 +181,7 @@ class TestNumeric:
         assert abs(lhs - rhs) < 1e-9
 
     def test_transformation_law_table(self):
-        res = transformation_residuals(TAU, V, theta_terms=60, e2_terms=40)
+        res = transformation_residuals(TAU, V)
         for name, value in res.items():
             tol = 1e-9 if name.startswith(("theta", "jacobi")) else 1e-8
             assert value < tol, f"{name}: {value}"

@@ -167,6 +167,11 @@ class TestValidation:
         with pytest.raises(UsageError):
             verify_case(CaseId.THM31)
 
+    def test_boolean_dimension_refused_before_the_case_runs(self):
+        # True == 1, so a bool k would run THM31 at k = 1 and report "k": true
+        with pytest.raises(UsageError, match="k must be an integer, not True"):
+            verify_case(CaseId.THM31, GeometrySpec(k=True, l=1))
+
     @pytest.mark.parametrize("tolerance", [-5.0, 1e-6, float("nan")])
     def test_tolerance_on_a_case_that_reads_none(self, tolerance):
         with pytest.raises(UsageError, match="COR32 takes no tolerance"):
@@ -263,3 +268,13 @@ class TestSuite:
         assert cases == set(CaseId)
         thm31 = [r for r in grid if r.case is CaseId.THM31]
         assert len(thm31) == 2 * 3 * 12
+
+
+def test_every_export_resolves():
+    import anomcancel
+
+    for name in anomcancel.__all__:
+        assert hasattr(anomcancel, name), name
+    namespace: dict = {}
+    exec("from anomcancel import *", namespace)
+    assert set(anomcancel.__all__) <= set(namespace)
