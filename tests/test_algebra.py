@@ -457,7 +457,7 @@ class TestAccumulateSites:
         w = GradedPoly.generator(one_root_ring(8), "w")
         return 1 + w * w * random_fraction(rng) + w ** 4 * random_fraction(rng)
 
-    def test_one_wide_parts_and_rows_that_repeat_a_family(self, rng):
+    def test_family_sum_and_rows_that_repeat_a_family(self, rng):
         spec = RingSpec(gens=self.P.gens, cap=8)
         p1, p2, q1 = gens(spec)
         sums_tm = power_sums([p1, p2], 2)

@@ -78,15 +78,16 @@ def test_symmetriser_of_several_families(k, l):
     assert symmetrise([(f, spec.power_sums(label), e) for f, label, e in factors]) == want
 
 
-@pytest.mark.parametrize("family", list(Family))
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_ch_tilde_roots_equals_root_sum(family, k):
-    # the power-sum form against e^w + e^-w - 2 summed root by root
-    spec = GeometrySpec(k=k, l=2, family=family)
+@pytest.mark.parametrize("k, l", SIZES + [(4, 2)])
+def test_family_sum_equals_root_sum(k, l):
+    # ch_tilde_roots sums e^w + e^-w - 2 over a family's roots from its power
+    # sums; the oracle sums it root by root
     f = exp_root(4 * k, +1) + exp_root(4 * k, -1) - 2
-    for label in ("TM", "V", *FAMILY_FORMS[family].euler_roots):
-        want = in_pontryagin(root_sum(spec, f, label), spec)
-        assert ch_tilde_roots(spec, label) == want, label
+    for family in Family:
+        spec = GeometrySpec(k=k, l=l, family=family)
+        for label in ("TM", "V", *FAMILY_FORMS[family].euler_roots):
+            want = in_pontryagin(root_sum(spec, f, label), spec)
+            assert ch_tilde_roots(spec, label) == want, (family, label)
 
 
 FORM_CASES = [
