@@ -223,28 +223,27 @@ class GradedPoly:
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        names = self.spec.names
+        names, den = self.spec.names, self._den
         parts = []
-        for exps, coeff in self.iter_terms():
-            factors = []
-            for name, e in zip(names, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            mono = "*".join(factors)
-            if not mono:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append(mono)
-            elif coeff == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{coeff}*{mono}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        for d in sorted(self._buckets):
+            b = self._buckets[d]
+            for key in sorted(b):
+                num = b[key]
+                factors, i = [], 0
+                while key:
+                    e = key & _MASK
+                    if e:
+                        factors.append(names[i] if e == 1 else f"{names[i]}^{e}")
+                    key >>= _SHIFT
+                    i += 1
+                g = math.gcd(num, den)
+                n, m = abs(num) // g, den // g
+                coeff = str(n) if m == 1 else f"{n}/{m}"
+                mono = "*".join(factors)
+                parts.append(" - " if num < 0 else " + ")
+                parts.append(coeff if not mono else mono if n == m == 1 else f"{coeff}*{mono}")
+        out = "".join(parts)
+        return out[3:] if out[1] == "+" else "-" + out[3:]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -993,38 +992,25 @@ def _convert_families(p: GradedPoly,
 
 
 # ---------------------------------------------------------------------------
-# Reduction modulo a single relation
+# Reduction modulo leading - image
 
 
-def ideal_reduce(p: GradedPoly, relation: GradedPoly, leading: str) -> GradedPoly:
-    """Normal form of p modulo a relation g - R linear in g = `leading`, R free of g.
-
-    The relation is normalized so its g coefficient is 1, and every g^t in p
-    is rewritten to R^t: the result is free of g, and p - result lies in the
-    ideal generated by the relation.
-    """
+def ideal_reduce(p: GradedPoly, leading: str, image: str) -> GradedPoly:
+    """Normal form of p modulo leading - image, two generators of one degree:
+    every leading^t becomes image^t.  The two exponents of a monomial sum to at
+    most cap / degree, which `RingSpec` keeps within one packed field."""
     spec = p.spec
-    if relation.spec != spec:
-        raise UsageError("relation lives in a different ring")
-    if relation.is_zero:
-        raise UsageError("relation must be nonzero")
-    g = spec.index(leading)
-    c = relation.coefficient([int(i == g) for i in range(len(spec.gens))])
-    if c == 0:
-        raise UsageError(f"relation has no {leading} term")
-    rest = GradedPoly.generator(spec, leading) - relation * (1 / c)
-    if any(exps[g] for exps, _ in rest.iter_terms()):
-        raise UsageError("malformed relation: remainder still involves the leading generator")
-
-    # p = sum_t P_t g^t, with t read off the packed keys, and the result is sum_t P_t R^t
-    shift, dg = _SHIFT * g, spec.degrees[g]
-    parts: dict[int, dict[int, dict[int, int]]] = {}
+    g, h = spec.index(leading), spec.index(image)
+    if g == h:
+        raise UsageError(f"cannot reduce {leading!r} modulo itself")
+    if spec.degrees[g] != spec.degrees[h]:
+        raise UsageError(f"{leading!r} and {image!r} have different degrees")
+    gs, hs = _SHIFT * g, _SHIFT * h
+    out: dict[int, dict[int, int]] = {}
     for d, b in p._buckets.items():
+        tgt = out[d] = {}
         for key, n in b.items():
-            t = (key >> shift) & _MASK
-            parts.setdefault(t, {}).setdefault(d - t * dg, {})[key - (t << shift)] = n
-    rest_pows = [GradedPoly.one(spec)]
-    while len(rest_pows) <= max(parts, default=0):
-        rest_pows.append(rest_pows[-1] * rest)
-    return sum_of_products(spec, [(GradedPoly._make(spec, p._den, buckets), rest_pows[t])
-                                  for t, buckets in parts.items()])
+            t = (key >> gs) & _MASK
+            key += (t << hs) - (t << gs)
+            tgt[key] = tgt.get(key, 0) + n
+    return GradedPoly._make(spec, p._den, out)

@@ -134,6 +134,8 @@ class GeometrySpec:
     family: Family = Family.AB
 
     def __post_init__(self) -> None:
+        if not isinstance(self.family, Family):
+            raise UsageError(f"family must be a Family, not {self.family!r}")
         for name in ("k", "l", "a", "b"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -219,12 +221,14 @@ def _genus_rows(spec: GeometrySpec, which: int) -> tuple[list, Fraction]:
     return rows, Fraction(2) ** (e * spec.l)
 
 
-def lead_weight(spec: GeometrySpec) -> tuple[GradedPoly, GradedPoly]:
-    """Genus-times-spinor forms multiplying the family's first (lead) and second
-    (weight) twisted bundle: A-hat times the a-th or b-th spinor power, times
-    the family's Euler-cosh factors (`FamilyForms.euler_cosh`)."""
-    return tuple(symmetrise(rows) * two
-                 for rows, two in (_genus_rows(spec, 1), _genus_rows(spec, 2)))
+def lead_weight(spec: GeometrySpec, which: int) -> GradedPoly:
+    """Genus-times-spinor form multiplying the family's first (lead, which = 1)
+    or second (weight, 2) twisted bundle: A-hat times the a-th or b-th spinor
+    power, times the family's Euler-cosh factors (`FamilyForms.euler_cosh`)."""
+    if which not in (1, 2):
+        raise UsageError("which must be 1 or 2")
+    rows, two = _genus_rows(spec, which)
+    return symmetrise(rows) * two
 
 
 def ch_tilde_roots(spec: GeometrySpec, label: str) -> GradedPoly:
@@ -255,11 +259,6 @@ def p1_combo(spec: GeometrySpec) -> GradedPoly:
     if spec.family is Family.TWO_LINE:
         return spec.power_sums("u")[0] - spec.power_sums("u'")[0]
     return spec.power_sums("TM")[0] - spec.power_sums("V")[0] * (spec.a + 2 * spec.b)
-
-
-def p1_relation(spec: GeometrySpec) -> GradedPoly:
-    """p1(TM) - p1(V), the relation the two-line identities are reduced modulo."""
-    return spec.power_sums("TM")[0] - spec.power_sums("V")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +367,7 @@ def _q_form_bundle(form: QFormId, spec: GeometrySpec, order: int) -> QSeries:
     if form is QFormId.LEAD:
         rows, two = _genus_rows(spec, 1)
         return symmetrise(rows + _block_rows(spec, 1, order), _e2_exponent(spec, order)).scale(two)
-    base = lead_weight(spec)[1] * ch_theta_bundle(2, spec, order)
+    base = lead_weight(spec, 2) * ch_theta_bundle(2, spec, order)
     if form is QFormId.MAIN:
         return base
     return e2_expm1_over_z(spec, order) * base

@@ -158,7 +158,7 @@ def _beta_closed_forms(spec: GeometrySpec) -> list[ClosedFormCheck]:
     k = spec.k
     deg = 4 * k - 4
     sign = Fraction(-1) ** k
-    base = e2_expm1_over_z(spec, 0).coeffs[0] * lead_weight(spec)[1]
+    base = e2_expm1_over_z(spec, 0).coeffs[0] * lead_weight(spec, 2)
     checks = [("beta0", (("printed", base.degree_part(deg) * sign),), "printed")]
     if k >= 2:
         def beta(w: GradedPoly) -> GradedPoly:

@@ -40,7 +40,6 @@ from .bundles import (
     genus_form,
     lead_weight,
     p1_combo,
-    p1_relation,
     q_form,
     twist_bundle,
 )
@@ -201,7 +200,7 @@ def _theorem_sides(spec: GeometrySpec,
     k = spec.k
     cap = 4 * k
     z = p1_combo(spec)
-    lead, weight = lead_weight(spec)
+    lead, weight = lead_weight(spec, 1), lead_weight(spec, 2)
     b_res = extract_br_betar(spec, BrBetarKind.B_R)
     beta_res = extract_br_betar(spec, BrBetarKind.BETA_R)
 
@@ -229,7 +228,7 @@ def _case_theorem(req: CaseRequest) -> Outcome:
     diff = lhs - rhs
     notes = []
     if spec.family is Family.TWO_LINE:
-        diff = ideal_reduce(diff, p1_relation(spec), leading="p1(TM)")
+        diff = ideal_reduce(diff, "p1(TM)", "p1(V)")
         notes.append("difference reduced modulo p1(TM) - p1(V)")
     ok = diff.is_zero
     quantities = [(f"ch(b_{r})", str(br)) for r, br in enumerate(data["b"].h)]
@@ -245,7 +244,7 @@ def _case_theorem(req: CaseRequest) -> Outcome:
 def _case_cor32(req: CaseRequest) -> Outcome:
     spec = req.spec
     a, b, l = spec.a, spec.b, spec.l
-    da, db = lead_weight(spec)
+    da, db = lead_weight(spec, 1), lead_weight(spec, 2)
     z = p1_combo(spec)
     const = _two_pow(a * l - 3)
     if req.perturb:
@@ -268,7 +267,7 @@ def _case_cor32(req: CaseRequest) -> Outcome:
 def _case_cor33(req: CaseRequest) -> Outcome:
     spec = req.spec
     a, b, l = spec.a, spec.b, spec.l
-    da, db = lead_weight(spec)
+    da, db = lead_weight(spec, 1), lead_weight(spec, 2)
     chv = ch_tilde_roots(spec, "V")
     z = p1_combo(spec)
     pref = e2_expm1_over_z(spec, 0).coeffs[0]
@@ -290,14 +289,14 @@ def _case_cor33(req: CaseRequest) -> Outcome:
 def _case_cor42(req: CaseRequest) -> Outcome:
     spec = req.spec
     l = spec.l
-    lead, weight = lead_weight(spec)
+    lead, weight = lead_weight(spec, 1), lead_weight(spec, 2)
     z = p1_combo(spec)
     const = _two_pow(l - 2)
     if req.perturb:
         const = const * 2
     lhs = lead.degree_part(4) + weight.degree_part(4) * _two_pow(l + 1)
     rhs = z * (-const)
-    diff = ideal_reduce(lhs - rhs, p1_relation(spec), leading="p1(TM)")
+    diff = ideal_reduce(lhs - rhs, "p1(TM)", "p1(V)")
     quantities = (("constant", f"-2^({l}-2) = {-const}"),
                   ("p1_combo", str(z)))
     notes = ("difference reduced modulo p1(TM) - p1(V)",)
@@ -307,7 +306,7 @@ def _case_cor42(req: CaseRequest) -> Outcome:
 def _case_cor43(req: CaseRequest) -> Outcome:
     spec = req.spec
     l = spec.l
-    lead, weight = lead_weight(spec)
+    lead, weight = lead_weight(spec, 1), lead_weight(spec, 2)
     chw = twist_bundle(spec)
     z = p1_combo(spec)
     pref = e2_expm1_over_z(spec, 0).coeffs[0]
@@ -318,7 +317,7 @@ def _case_cor43(req: CaseRequest) -> Outcome:
            - (weight * chw).degree_part(8) * c1)
     bracket = weight * _two_pow(l) + (weight * chw) * c1 - lead
     rhs = z * (pref * bracket).degree_part(4)
-    diff = ideal_reduce(lhs - rhs, p1_relation(spec), leading="p1(TM)")
+    diff = ideal_reduce(lhs - rhs, "p1(TM)", "p1(V)")
     notes = ("difference reduced modulo p1(TM) - p1(V); the Euler-square of xi' is "
              "used for its first Pontryagin class; the bracket carries the "
              "ch(2xi~+xi'~-V~) term with coefficient +2^(l-4)",)

@@ -1,7 +1,7 @@
 """Shared helpers: random ring elements and series, generator substitutions,
-derivatives in a root, the per-term reference loops for the q-series kernels
-and for the other ring-valued sums, and the root-ring oracle for the
-Pontryagin-ring engine."""
+derivatives in a root, the per-term reference loops for the q-series kernels,
+for the other ring-valued sums and for the text of a ring element, and the
+root-ring oracle for the Pontryagin-ring engine."""
 
 import random
 import sys
@@ -197,9 +197,10 @@ def reference_exp(series: QSeries) -> QSeries:
 
 # ---------------------------------------------------------------------------
 # Per-term reference loops for the other ring-valued sums: `apply_series`,
-# `power_sums`, the symmetriser's sum over families, `ideal_reduce`,
-# `e2_expm1_over_z` and the theorem sides, as one `*` and one `+` per term.
-# The engine accumulates each through one `sum_of_products`.
+# `power_sums`, the symmetriser's sum over families, `e2_expm1_over_z` and
+# the theorem sides, as one `*` and one `+` per term; the engine accumulates
+# each through one `sum_of_products`.  `ideal_reduce` renames one generator
+# in the packed keys; its reference reduces modulo any relation linear in it.
 
 
 def reference_apply_series(coeffs, x: GradedPoly) -> GradedPoly:
@@ -266,6 +267,34 @@ def reference_ideal_reduce(p: GradedPoly, relation: GradedPoly, leading: str) ->
     return out
 
 
+def reference_poly_str(p: GradedPoly) -> str:
+    """The text of a ring element built from its `Fraction` terms, one
+    `_unpack`ed exponent tuple each."""
+    if p.is_zero:
+        return "0"
+    parts = []
+    for exps, coeff in p.iter_terms():
+        factors = []
+        for name, e in zip(p.spec.names, exps):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        mono = "*".join(factors)
+        if not mono:
+            parts.append(str(coeff))
+        elif coeff == 1:
+            parts.append(mono)
+        elif coeff == -1:
+            parts.append(f"-{mono}")
+        else:
+            parts.append(f"{coeff}*{mono}")
+    out = parts[0]
+    for part in parts[1:]:
+        out += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
+    return out
+
+
 def reference_e2_expm1_over_z(spec, order: int) -> QSeries:
     """sum_(n >= 1) z^(n-1) / n! (c E2)^n, one ring series added per n."""
     ring = spec.ring()
@@ -287,7 +316,7 @@ def reference_theorem_sides(spec, perturb: bool = False) -> tuple:
     """lhs and rhs of the main identity with one product weight * b_r per r."""
     k = spec.k
     cap = 4 * k
-    lead, weight = lead_weight(spec)
+    lead, weight = lead_weight(spec, 1), lead_weight(spec, 2)
     b_res = extract_br_betar(spec, BrBetarKind.B_R)
     beta_res = extract_br_betar(spec, BrBetarKind.BETA_R)
     coef = [Fraction(2) ** ((spec.a - spec.b) * spec.l + k - 6 * r) for r in range(k // 2 + 1)]

@@ -42,6 +42,7 @@ from conftest import (
     reference_ideal_reduce,
     reference_log,
     reference_over_families,
+    reference_poly_str,
     reference_power_sums,
     reference_product,
     reference_quotient,
@@ -113,6 +114,26 @@ class TestGradedPoly:
         assert permute_gens(p, {"w1": "w2", "w2": "w1"}) == w2 ** 2 * w1 + v1 * 2
         assert set_gens_zero(p, ["w1"]) == v1 * 2
         assert derivative(p, "w1") == w1 * w2 * 2
+
+    def test_text_matches_reference(self, rng):
+        # coefficients +-1, other integers and fractions of either sign, over
+        # a shared denominator or not; a constant and zero on their own
+        w1 = gens()[0]
+        fixed = [GradedPoly.zero(SPEC), GradedPoly.one(SPEC), GradedPoly.constant(SPEC, F(-3, 2)),
+                 -w1, w1 * F(-1, 2) + 1, w1 ** 3 - w1 * 7 - 1]
+        for p in fixed:
+            assert str(p) == reference_poly_str(p)
+        assert [str(p) for p in fixed[:4]] == ["0", "1", "-3/2", "-w1"]
+        for spec in (SPEC, PSPEC):
+            n = len(spec.gens)
+            for _ in range(100):
+                terms = {tuple(rng.randint(0, 3) for _ in range(n)):
+                         rng.choice([1, -1, rng.randint(-40, 40), random_fraction(rng, 12)])
+                         for _ in range(rng.randint(1, 6))}
+                if rng.random() < 0.3:
+                    terms[(0,) * n] = random_fraction(rng)
+                p = GradedPoly.from_terms(spec, terms) * rng.choice([1, -1, F(1, 6)])
+                assert str(p) == reference_poly_str(p)
 
 
 class TestQSeriesArith:
@@ -420,8 +441,9 @@ class TestApplySeries:
 
 
 class TestAccumulateSites:
-    """Each ring-valued sum the engine forms through one `sum_of_products`,
-    against the per-term loop of conftest it replaced."""
+    """Each ring-valued sum the engine forms through one `sum_of_products`, and
+    `ideal_reduce`'s rename of one generator, against its per-term reference
+    loop in conftest."""
 
     P = RingSpec(gens=(("p1", 4), ("p2", 8), ("q1", 4)), cap=12)
 
@@ -439,17 +461,15 @@ class TestAccumulateSites:
 
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_ideal_reduce(self, rng, position):
-        # the leading generator g at each key position, p carrying g^0 .. g^3
+        # the renamed generator g at each key position, p carrying g^0 .. g^3;
+        # the reference reduces modulo the relation g - b by substitution
         others = [("a", 2), ("b", 4)]
         spec = RingSpec(gens=tuple(others[:position] + [("g", 4)] + others[position:]), cap=12)
-        g = GradedPoly.generator(spec, "g")
-        a, b = GradedPoly.generator(spec, "a"), GradedPoly.generator(spec, "b")
+        g, b = GradedPoly.generator(spec, "g"), GradedPoly.generator(spec, "b")
         for _ in range(20):
-            rest = random_fraction(rng) + a * a * random_fraction(rng) + b * random_fraction(rng)
-            relation = (g - rest) * rng.choice([1, -2, F(3, 5)])
             p = random_poly(rng, spec, terms=6, max_exp=3) + g ** 3 * random_fraction(rng)
-            got = ideal_reduce(p, relation, leading="g")
-            assert got == reference_ideal_reduce(p, relation, leading="g")
+            got = ideal_reduce(p, "g", "b")
+            assert got == reference_ideal_reduce(p, g - b, "g")
             assert all(exps[position] == 0 for exps, _ in got.iter_terms())
 
     def random_even_factor(self, rng):
@@ -611,32 +631,32 @@ PSPEC = RingSpec(gens=(("u", 2), ("p1(TM)", 4), ("p2(TM)", 8), ("p1(V)", 4)), ca
 class TestIdealReduce:
     """Reduction modulo p1(TM) - p1(V), the relation the verifier uses."""
 
-    def relation(self):
-        _, p1, _, q1 = gens(PSPEC)
-        return p1 - q1
-
     def test_generator_reduces_to_zero(self):
-        rel = self.relation()
-        assert ideal_reduce(rel, rel, leading="p1(TM)").is_zero
+        _, p1, _, q1 = gens(PSPEC)
+        assert ideal_reduce(p1 - q1, "p1(TM)", "p1(V)").is_zero
 
     def test_linear_relation(self):
         # p1(TM) - p1(V) in a Pontryagin ring: p1(TM) is replaced by p1(V)
         u, p1, p2, q1 = gens(PSPEC)
-        rel = self.relation()
-        assert ideal_reduce(p1 * p1 * 3 - p2 + u * p1, rel, leading="p1(TM)") \
+        assert ideal_reduce(p1 * p1 * 3 - p2 + u * p1, "p1(TM)", "p1(V)") \
             == q1 * q1 * 3 - p2 + u * q1
-        assert ideal_reduce(p1 * 2 + 1, rel * 5, leading="p1(TM)") == q1 * 2 + 1
-        with pytest.raises(UsageError):
-            ideal_reduce(p1, rel, leading="p2(TM)")
+        assert ideal_reduce(p1 * q1 * F(2, 3) + 1, "p1(TM)", "p1(V)") == q1 * q1 * F(2, 3) + 1
+        assert ideal_reduce(p1 * 2 - q1 * 2, "p1(V)", "p1(TM)").is_zero
 
     def test_malformed_relation(self):
-        u, p1, _, q1 = gens(PSPEC)
-        with pytest.raises(UsageError):
-            ideal_reduce(p1, p1 + p1 * u, leading="p1(TM)")  # remainder keeps p1(TM)
-        with pytest.raises(UsageError):
-            ideal_reduce(p1, GradedPoly.zero(PSPEC), leading="p1(TM)")
-        with pytest.raises(UsageError):
-            ideal_reduce(u, u * u - q1, leading="u")          # not linear in u
+        # leading - image is a relation only between two distinct known
+        # generators of one degree
+        p1 = gens(PSPEC)[1]
+        with pytest.raises(UsageError, match="unknown generator 'p3"):
+            ideal_reduce(p1, "p3(TM)", "p1(V)")
+        with pytest.raises(UsageError, match="unknown generator 'p3"):
+            ideal_reduce(p1, "p1(TM)", "p3(V)")
+        with pytest.raises(UsageError, match="modulo itself"):
+            ideal_reduce(p1, "p1(TM)", "p1(TM)")
+        with pytest.raises(UsageError, match="different degrees"):
+            ideal_reduce(p1, "p2(TM)", "p1(V)")
+        with pytest.raises(UsageError, match="different degrees"):
+            ideal_reduce(p1, "u", "p1(TM)")
 
 
 class TestProperties:
@@ -696,11 +716,8 @@ class TestProperties:
             assert pp.expand() == p
 
     def test_ideal_reduce_is_idempotent_homomorphism(self, rng):
-        _, p1, _, q1 = gens(PSPEC)
-        rel = p1 - q1
-
         def reduce(x):
-            return ideal_reduce(x, rel, leading="p1(TM)")
+            return ideal_reduce(x, "p1(TM)", "p1(V)")
 
         for _ in range(self.N_CASES):
             p = random_poly(rng, PSPEC)

@@ -27,6 +27,7 @@ from anomcancel.bundles import (
     ch_tilde_roots,
     e2_expm1_over_z,
     genus_form,
+    lead_weight,
     p1_combo,
     q_form,
 )
@@ -73,6 +74,11 @@ class TestGeometrySpec:
         with pytest.raises(UsageError, match=f"{name} must be an integer, not {value!r}"):
             GeometrySpec(**{"k": 1, "l": 1, name: value})
 
+    @pytest.mark.parametrize("value", ["ab", "two-line", None, 1])
+    def test_family_must_be_a_family(self, value):
+        with pytest.raises(UsageError, match=f"family must be a Family, not {value!r}"):
+            GeometrySpec(k=1, l=1, family=value)
+
 
 class TestGenusForms:
     def test_all_roots_zero_gives_one(self):
@@ -96,6 +102,15 @@ class TestGenusForms:
         e_p2[ring.index("p2(TM)")] = 1
         assert a_hat.coefficient(e_p1sq) == F(7, 5760)
         assert a_hat.coefficient(e_p2) == F(-4, 5760)
+
+    def test_lead_and_weight(self):
+        # in the ab family each is A-hat times a spinor power: a for the lead, b for the weight
+        spec = GeometrySpec(k=2, l=2, a=2, b=-1, family=Family.AB)
+        assert lead_weight(spec, 1) == genus_form(spec) * ch_spinor_pow(spec, 2)
+        assert lead_weight(spec, 2) == genus_form(spec) * ch_spinor_pow(spec, -1)
+        for which in (0, 3):
+            with pytest.raises(UsageError, match="which must be 1 or 2"):
+                lead_weight(spec, which)
 
 
 class TestSpinorPowers:
