@@ -31,8 +31,8 @@ from .bundles import (
 )
 from .decomp import (
     BrBetarKind,
-    DecompResult,
     Group,
+    basis_combination,
     basis_series,
     closed_form_checks,
     decompose,
@@ -53,13 +53,13 @@ from .verifier import CaseId, CaseRequest, Report, default_grid, run_suite, veri
 __version__ = "0.1.0"
 
 __all__ = [
-    "BrBetarKind", "CaseId", "CaseRequest", "DecompResult", "DomainError",
+    "BrBetarKind", "CaseId", "CaseRequest", "DomainError",
     "Family", "GeometrySpec", "GradedPoly", "Group",
     "InvertError", "ModularFormId", "PontryaginPoly", "QFormId", "QSeries",
     "Report", "RingSpec", "Route", "SymmetryError", "ThetaKind",
-    "UsageError", "apply_series", "basis_series", "ch_spinor_pow",
-    "ch_theta_bundle", "closed_form_checks", "decompose", "default_grid",
-    "extract_br_betar", "genus_form", "ideal_reduce",
+    "UsageError", "apply_series", "basis_combination", "basis_series",
+    "ch_spinor_pow", "ch_theta_bundle", "closed_form_checks", "decompose",
+    "default_grid", "extract_br_betar", "genus_form", "ideal_reduce",
     "jacobi_identity_check", "modular_form", "one_root_ring", "p1_combo",
     "pontryagin_all", "power_sums", "q_form", "run_suite", "symmetrise",
     "theta_eval", "theta_ratio", "transformation_residuals", "verify_case",

@@ -284,10 +284,10 @@ def _expand_rows(args: argparse.Namespace) -> tuple[list[tuple[str, str]], int]:
     else:
         spec = _geometry(given, Family.AB)
         kind = BrBetarKind(args.object)
-        result = extract_br_betar(spec, kind)
+        h = extract_br_betar(spec, kind)
         prefix = "b" if kind is BrBetarKind.B_R else "beta"
-        rows = [(f"{prefix}_{r}", str(h)) for r, h in enumerate(result.h)]
-        for check in closed_form_checks(spec, kind, result):
+        rows = [(f"{prefix}_{r}", str(hr)) for r, hr in enumerate(h)]
+        for check in closed_form_checks(spec, kind, h):
             rows.append((f"{check.name} readings", ",".join(check.matches) or "none"))
         # the h_r do not depend on the q-order; report at least the verify default k + 2
         return rows, max(n, spec.k + 2)

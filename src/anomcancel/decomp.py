@@ -5,8 +5,8 @@ ring-valued) combination of the basis series (8 delta2)^(k-2r) eps2^r with
 0 <= r <= [k/2].  The leading coefficients of that basis form a triangular
 system, so the combination coefficients h_r are read off the lowest
 [k/2]+1 half-integer q-orders by forward substitution; every higher order is
-then a falsifiable check, and a zero residual through the full truncation
-order is the computational witness of modularity.
+then a falsifiable check, and a zero residual `series - basis_combination(...)`
+through the full truncation order is the computational witness of modularity.
 
 The same machinery extracts the virtual-bundle coefficients (b-type, all
 cohomological degrees at once) and the form coefficients (beta-type, from the
@@ -49,18 +49,6 @@ class BrBetarKind(Enum):
     BETA_R = "betar"    # form coefficients of the CORRECTION form
 
 
-@dataclass(frozen=True)
-class DecompResult:
-    """Coefficients over the weight-2k basis plus the full residual series."""
-
-    h: tuple
-    residual: QSeries
-
-    @property
-    def is_exact(self) -> bool:
-        return self.residual.is_zero()
-
-
 @lru_cache(maxsize=None)
 def basis_series(k: int, r: int, group: Group, order: int) -> QSeries:
     """(8 delta)^(k-2r) eps^r over the requested subgroup's form pair."""
@@ -75,6 +63,15 @@ def basis_series(k: int, r: int, group: Group, order: int) -> QSeries:
     return delta.scale(8).powi(k - 2 * r) * eps.powi(r)
 
 
+def basis_combination(k: int, h: tuple, group: Group, order: int) -> QSeries:
+    """sum_r h_r (8 delta)^(k-2r) eps^r over the requested subgroup's form pair."""
+    total = None
+    for r, hr in enumerate(h):
+        term = basis_series(k, r, group, order) * hr
+        total = term if total is None else total + term
+    return total
+
+
 def coefficient_order(k: int) -> int:
     """The least truncation order N with 2N >= k//2: its half-indices 0..2N reach
     k//2, the last one `decompose` reads.  Every series operation is causal in q
@@ -83,12 +80,13 @@ def coefficient_order(k: int) -> int:
     return (k // 2 + 1) // 2
 
 
-def decompose(series: QSeries, k: int) -> DecompResult:
+def decompose(series: QSeries, k: int) -> tuple:
     """Solve for h_r against the (8 delta2)^(k-2r) eps2^r basis.
 
     h_r are fixed by the coefficients of q^0 .. q^([k/2]/2) alone (the basis
     leading-term matrix is unitriangular up to the common sign (-1)^k); the
-    residual keeps the full difference through the series' truncation order.
+    residual `series - basis_combination(k, h, Group.GAMMA_UPPER0, order)` is
+    left to the caller that reads it.
     """
     order = series.order
     m_max = k // 2
@@ -104,10 +102,7 @@ def decompose(series: QSeries, k: int) -> DecompResult:
                 val = val - h[r] * br
         lead = basis[m].coeffs[m]
         h.append(val * (1 / lead))
-    residual = series
-    for r, hr in enumerate(h):
-        residual = residual - basis[r] * hr
-    return DecompResult(h=tuple(h), residual=residual)
+    return tuple(h)
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +169,8 @@ def _beta_closed_forms(spec: GeometrySpec) -> list[ClosedFormCheck]:
     return checks
 
 
-def extract_br_betar(spec: GeometrySpec, which: BrBetarKind) -> DecompResult:
-    """Extract the b-type or beta-type coefficients.
+def extract_br_betar(spec: GeometrySpec, which: BrBetarKind) -> tuple:
+    """Extract the b-type or beta-type coefficients h_r.
 
     b-type decomposes the full bundle character (all cohomological degrees);
     beta-type decomposes the degree-(4k-4) slice of the E2-corrected form.
@@ -192,7 +187,7 @@ def extract_br_betar(spec: GeometrySpec, which: BrBetarKind) -> DecompResult:
 
 
 def closed_form_checks(spec: GeometrySpec, which: BrBetarKind,
-                       result: DecompResult) -> list[ClosedFormCheck]:
+                       h: tuple) -> list[ClosedFormCheck]:
     """Compare the r = 0, 1 coefficients that `extract_br_betar` gave with
     their candidate closed forms."""
     if which is BrBetarKind.B_R:
@@ -202,4 +197,4 @@ def closed_form_checks(spec: GeometrySpec, which: BrBetarKind,
     else:
         raise UsageError(f"unknown coefficient kind {which!r}")
     return [ClosedFormCheck(name=name, computed=computed, candidates=cands, expected=expected)
-            for (name, cands, expected), computed in zip(templates, result.h)]
+            for (name, cands, expected), computed in zip(templates, h)]

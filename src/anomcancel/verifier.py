@@ -46,7 +46,7 @@ from .bundles import (
 from .decomp import (
     BrBetarKind,
     Group,
-    basis_series,
+    basis_combination,
     closed_form_checks,
     coefficient_order,
     decompose,
@@ -201,8 +201,8 @@ def _theorem_sides(spec: GeometrySpec,
     cap = 4 * k
     z = p1_combo(spec)
     lead, weight = lead_weight(spec, 1), lead_weight(spec, 2)
-    b_res = extract_br_betar(spec, BrBetarKind.B_R)
-    beta_res = extract_br_betar(spec, BrBetarKind.BETA_R)
+    b = extract_br_betar(spec, BrBetarKind.B_R)
+    beta = extract_br_betar(spec, BrBetarKind.BETA_R)
 
     # (a - b) l is l in the two-line family, whose twists are fixed at (1, 0)
     coef = [_two_pow((spec.a - spec.b) * spec.l + k - 6 * r) for r in range(k // 2 + 1)]
@@ -211,14 +211,14 @@ def _theorem_sides(spec: GeometrySpec,
 
     # sum_r coef_r (weight * b_r) is one product: weight times the summed b_r
     ring = spec.ring()
-    b_sum = sum_of_products(ring, zip(b_res.h, coef))
+    b_sum = sum_of_products(ring, zip(b, coef))
     lhs = lead.degree_part(cap) - (weight * b_sum).degree_part(cap)
 
     pref = e2_expm1_over_z(spec, 0).coeffs[0]
-    correction = sum_of_products(ring, zip(beta_res.h, coef)) - (pref * lead).degree_part(cap - 4)
+    correction = sum_of_products(ring, zip(beta, coef)) - (pref * lead).degree_part(cap - 4)
     rhs = z * correction
 
-    data = {"b": b_res, "beta": beta_res, "correction": correction}
+    data = {"b": b, "beta": beta, "correction": correction}
     return lhs, rhs, data
 
 
@@ -231,8 +231,8 @@ def _case_theorem(req: CaseRequest) -> Outcome:
         diff = ideal_reduce(diff, "p1(TM)", "p1(V)")
         notes.append("difference reduced modulo p1(TM) - p1(V)")
     ok = diff.is_zero
-    quantities = [(f"ch(b_{r})", str(br)) for r, br in enumerate(data["b"].h)]
-    quantities += [(f"beta_{r}", str(betar)) for r, betar in enumerate(data["beta"].h)]
+    quantities = [(f"ch(b_{r})", str(br)) for r, br in enumerate(data["b"])]
+    quantities += [(f"beta_{r}", str(betar)) for r, betar in enumerate(data["beta"])]
     quantities.append(("correction_form", str(data["correction"])))
     return ok, _poly_residual(diff), tuple(quantities), tuple(notes)
 
@@ -256,7 +256,7 @@ def _case_cor32(req: CaseRequest) -> Outcome:
     # statement (sign of the r = 0 bundle coefficient, constant correction form)
     _, _, data = _theorem_sides(spec)
     ring = spec.ring()
-    coherent = (data["b"].h[0] == GradedPoly.constant(ring, -1)
+    coherent = (data["b"][0] == GradedPoly.constant(ring, -1)
                 and data["correction"] == GradedPoly.constant(ring, -_two_pow(a * l - 3)))
     quantities = (("constant", f"-2^({a}*{l}-3) = {-const}"),
                   ("p1_combo", str(z)),
@@ -336,17 +336,16 @@ def _case_transfer(req: CaseRequest) -> Outcome:
         side = q_form(QFormId.MAIN, Route.BUNDLE, spec, order).degree_slice(4 * k)
     else:
         side = _gamma_upper_side(spec, order)
-    dec = decompose(side, k)
-    recon = None
-    for r, hr in enumerate(dec.h):
-        term = basis_series(k, r, Group.GAMMA0, order) * hr
-        recon = term if recon is None else recon + term
-    recon = recon.scale(_two_pow((spec.a - spec.b) * spec.l))
+    h = decompose(side, k)
+    witness = side - basis_combination(k, h, Group.GAMMA_UPPER0, order)
+    recon = basis_combination(k, h, Group.GAMMA0, order).scale(
+        _two_pow((spec.a - spec.b) * spec.l))
     q1_top = q_form(QFormId.LEAD, Route.BUNDLE, spec, order).degree_slice(4 * k)
     transfer_diff = recon - q1_top
-    ok = dec.is_exact and transfer_diff.is_zero()
-    resid = dec.residual if not dec.is_exact else transfer_diff
-    quantities = tuple((f"h_{r}", str(hr)) for r, hr in enumerate(dec.h))
+    exact = witness.is_zero()
+    ok = exact and transfer_diff.is_zero()
+    resid = transfer_diff if exact else witness
+    quantities = tuple((f"h_{r}", str(hr)) for r, hr in enumerate(h))
     notes = ("decomposition residual zero and weight-transfer series equality",)
     return ok, _series_residual(resid), quantities, notes
 
@@ -385,8 +384,7 @@ def _case_closed_forms(req: CaseRequest) -> Outcome:
     quantities = []
     notes = []
     for kind, label in zip(BrBetarKind, FAMILY_FORMS[spec.family].names[2:]):
-        result = extract_br_betar(spec, kind)
-        for c in closed_form_checks(spec, kind, result):
+        for c in closed_form_checks(spec, kind, extract_br_betar(spec, kind)):
             if req.perturb:
                 # negative control: a damaged coefficient matches no candidate
                 c = replace(c, computed=c.computed + 1)
@@ -418,11 +416,11 @@ def _case_hlz(req: CaseRequest) -> Outcome:
                 + apply_series(taylor_exp(nterms), -w_half))
     spinor = symmetrise([(per_root * Fraction(1, 2), spec.power_sums("V"), 1)]) * _two_pow(l)
     lhs_special = (ahat * spinor).degree_part(cap)
-    for r, br in enumerate(data["b"].h):
+    for r, br in enumerate(data["b"]):
         lhs_special = lhs_special - (ahat * br).degree_part(cap) * _two_pow(l + k - 6 * r)
     pref = e2_expm1_over_z(spec, 0).coeffs[0]
     corr = GradedPoly.zero(ring)
-    for r, betar in enumerate(data["beta"].h):
+    for r, betar in enumerate(data["beta"]):
         corr = corr + betar * _two_pow(l + k - 6 * r)
     corr = corr - (pref * ahat * spinor).degree_part(cap - 4)
     rhs_special = p1_combo(spec) * corr

@@ -33,7 +33,13 @@ from anomcancel.bundles import (
     lead_weight,
     p1_combo,
 )
-from anomcancel.decomp import BrBetarKind, extract_br_betar
+from anomcancel.decomp import (
+    BrBetarKind,
+    Group,
+    basis_combination,
+    decompose,
+    extract_br_betar,
+)
 from anomcancel.errors import InvertError, UsageError
 from anomcancel.theta import ModularFormId, ThetaKind, modular_form, theta_ratio
 
@@ -317,20 +323,27 @@ def reference_theorem_sides(spec, perturb: bool = False) -> tuple:
     k = spec.k
     cap = 4 * k
     lead, weight = lead_weight(spec, 1), lead_weight(spec, 2)
-    b_res = extract_br_betar(spec, BrBetarKind.B_R)
-    beta_res = extract_br_betar(spec, BrBetarKind.BETA_R)
+    b = extract_br_betar(spec, BrBetarKind.B_R)
+    beta = extract_br_betar(spec, BrBetarKind.BETA_R)
     coef = [Fraction(2) ** ((spec.a - spec.b) * spec.l + k - 6 * r) for r in range(k // 2 + 1)]
     if perturb:
         coef[0] = coef[0] * 2
     lhs = lead.degree_part(cap)
-    for r, br in enumerate(b_res.h):
+    for r, br in enumerate(b):
         lhs = lhs - (weight * br).degree_part(cap) * coef[r]
     pref = reference_e2_expm1_over_z(spec, 0).coeffs[0]
     correction = GradedPoly.zero(spec.ring())
-    for r, betar in enumerate(beta_res.h):
+    for r, betar in enumerate(beta):
         correction = correction + betar * coef[r]
     correction = correction - (pref * lead).degree_part(cap - 4)
     return lhs, p1_combo(spec) * correction
+
+
+def modularity_residual(series: QSeries, k: int) -> QSeries:
+    """The series less its combination over the (8 delta2)^(k-2r) eps2^r basis;
+    zero through the truncation order witnesses a weight-2k form."""
+    h = decompose(series, k)
+    return series - basis_combination(k, h, Group.GAMMA_UPPER0, series.order)
 
 
 def truncate(series: QSeries, order: int) -> QSeries:

@@ -46,6 +46,7 @@ from anomcancel.verifier import CaseId, verify_case
 
 from conftest import (
     in_pontryagin,
+    modularity_residual,
     permute_gens,
     random_poly,
     random_rational_series,
@@ -141,21 +142,21 @@ def test_criterion_05_decomposition_modularity_witness():
                     order = k + 2
                     # the modular combination built on the second twisted
                     # bundle decomposes with zero residual through q^(k+2)
-                    joint = decompose(gamma_upper_side(spec, order), k)
-                    if not joint.is_exact:
+                    joint = modularity_residual(gamma_upper_side(spec, order), k)
+                    if not joint.is_zero():
                         return False
                     # its bundle character alone reproduces the basis through
                     # the determination order (the defining congruence) ...
-                    raw = decompose(ch_theta_bundle(2, spec, order), k)
+                    raw = modularity_residual(ch_theta_bundle(2, spec, order), k)
                     for m in range(k // 2 + 1):
-                        if not raw.residual.coeffs[m].is_zero:
+                        if not raw.coeffs[m].is_zero:
                             return False
                     # ... and the negative control (no E2 correction, z != 0)
                     # leaves a nonzero residual
                     top = q_form(QFormId.MAIN, Route.BUNDLE, spec, order) \
                         .degree_slice(4 * k)
-                    control = decompose(top, k)
-                    if control.is_exact:
+                    control = modularity_residual(top, k)
+                    if control.is_zero():
                         return False
         return True
 
@@ -359,8 +360,8 @@ def test_criterion_12_property_suites():
             for r, c in enumerate(coeffs):
                 term = basis_series(2, r, Group.GAMMA_UPPER0, 3) * c
                 series = term if series is None else series + term
-            result = decompose(series, 2)
-            if tuple(result.h) != tuple(coeffs) or not result.is_exact:
+            if (decompose(series, 2) != tuple(coeffs)
+                    or not modularity_residual(series, 2).is_zero()):
                 return False
         return True
 

@@ -62,6 +62,20 @@ class TestVerifyCommand:
         assert code == 2
         assert "choose one of" in err
 
+    # every per-root factor lives on one_root_ring(4k), whose degree-2 root
+    # packs at most 63 powers: k = 32 is refused before any arithmetic
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--case", "THM31", "--family", "ab"),
+        ("verify", "--case", "THM34", "--family", "ab-xi"),
+        ("verify", "--case", "THM41", "--family", "two-line"),
+        ("verify", "--case", "EQ318_TRANSFER", "--family", "ab"),
+        ("expand", "--object", "br"),
+    ])
+    def test_packing_limit_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--k", "32", "--l", "3")
+        assert code == 2 and out == ""
+        assert "degree cap too large for packed exponents" in err
+
     def test_failing_case_exit_code(self, capsys, tmp_path):
         config = {
             "cases": [

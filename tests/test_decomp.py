@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from anomcancel import decomp
 from anomcancel.algebra import GradedPoly, QSeries
 from anomcancel.bundles import (
     Family,
@@ -26,7 +27,7 @@ from anomcancel.decomp import (
 )
 from anomcancel.errors import UsageError
 
-from conftest import random_poly
+from conftest import modularity_residual, random_poly
 
 
 def gamma_upper_side(spec, order):
@@ -65,10 +66,9 @@ class TestDecompose:
     def test_basis_reproduces_itself(self):
         for k, r0 in [(1, 0), (2, 1), (4, 2)]:
             series = basis_series(k, r0, Group.GAMMA_UPPER0, 4)
-            result = decompose(series, k)
-            for r, h in enumerate(result.h):
+            for r, h in enumerate(decompose(series, k)):
                 assert h == (1 if r == r0 else 0)
-            assert result.is_exact
+            assert modularity_residual(series, k).is_zero()
 
     def test_round_trip_with_ring_coefficients(self, rng):
         spec = GeometrySpec(k=2, l=1, a=1, b=0, family=Family.AB)
@@ -80,9 +80,8 @@ class TestDecompose:
             for r, c in enumerate(coeffs):
                 term = basis_series(2, r, Group.GAMMA_UPPER0, order) * c
                 series = term if series is None else series + term
-            result = decompose(series, 2)
-            assert tuple(result.h) == tuple(coeffs)
-            assert result.is_exact
+            assert decompose(series, 2) == tuple(coeffs)
+            assert modularity_residual(series, 2).is_zero()
 
     def test_order_too_small(self):
         with pytest.raises(UsageError):
@@ -91,10 +90,12 @@ class TestDecompose:
     @pytest.mark.parametrize("order", [1, 3, 5])
     def test_order_is_the_series_order(self, order):
         # the residual runs through the series' own truncation order
-        series = basis_series(2, 1, Group.GAMMA_UPPER0, order)
-        result = decompose(series + QSeries([0] * (2 * order) + [1], order), 2)
-        assert result.h == (0, 1) and result.residual.order == order
-        assert result.residual.first_nonzero() == 2 * order
+        series = basis_series(2, 1, Group.GAMMA_UPPER0, order) \
+            + QSeries([0] * (2 * order) + [1], order)
+        assert decompose(series, 2) == (0, 1)
+        residual = modularity_residual(series, 2)
+        assert residual.order == order
+        assert residual.first_nonzero() == 2 * order
 
 
 def br_betar_series(spec, which, order):
@@ -107,19 +108,27 @@ def br_betar_series(spec, which, order):
 class TestCoefficientOrder:
     @pytest.mark.parametrize("family", list(Family))
     @pytest.mark.parametrize("k", range(1, 6))
-    def test_h_do_not_depend_on_the_order(self, family, k):
+    def test_h_do_not_depend_on_the_order(self, family, k, monkeypatch):
         # extract_br_betar builds at coefficient_order(k), the least N with 2N >= k//2,
         # one order below which decompose refuses; a deeper truncation gives the same h_r
+        built = []
+
+        def recording_decompose(series, k):
+            built.append(series.order)
+            return decompose(series, k)
+
+        monkeypatch.setattr(decomp, "decompose", recording_decompose)
         low = coefficient_order(k)
         assert 2 * (low - 1) < k // 2 <= 2 * low
         a, b = (1, 0) if family is Family.TWO_LINE else (2, 1)
         for l in (1, 2, 3):
             spec = GeometrySpec(k=k, l=l, a=a, b=b, family=family)
             for which in BrBetarKind:
-                result = extract_br_betar(spec, which)
-                assert result.residual.order == low
+                built.clear()
+                h = extract_br_betar(spec, which)
+                assert built == [low]
                 for order in (k + 2, k + 4):
-                    assert decompose(br_betar_series(spec, which, order), k).h == result.h
+                    assert decompose(br_betar_series(spec, which, order), k) == h
                 if low > 0:
                     with pytest.raises(UsageError, match="truncation order too small"):
                         decompose(br_betar_series(spec, which, low - 1), k)
@@ -128,27 +137,27 @@ class TestCoefficientOrder:
 class TestClosedForms:
     def test_b0_at_k1(self):
         spec = GeometrySpec(k=1, l=1, a=1, b=0, family=Family.AB)
-        result = extract_br_betar(spec, BrBetarKind.B_R)
-        checks = closed_form_checks(spec, BrBetarKind.B_R, result)
-        assert result.h[0] == GradedPoly.constant(spec.ring(), -1)
+        h = extract_br_betar(spec, BrBetarKind.B_R)
+        checks = closed_form_checks(spec, BrBetarKind.B_R, h)
+        assert h[0] == GradedPoly.constant(spec.ring(), -1)
         assert checks[0].passed and "printed" in checks[0].matches
 
     def test_b1_at_k2_single_twist(self):
         spec = GeometrySpec(k=2, l=1, a=1, b=0, family=Family.AB)
-        result = extract_br_betar(spec, BrBetarKind.B_R)
-        checks = closed_form_checks(spec, BrBetarKind.B_R, result)
+        h = extract_br_betar(spec, BrBetarKind.B_R)
+        checks = closed_form_checks(spec, BrBetarKind.B_R, h)
         want = ch_tilde_roots(spec, "V") * (-1) - 48
-        assert result.h[1] == want
+        assert h[1] == want
         h1 = checks[1]
         assert {"printed-literal", "printed-distributed", "generalized"} <= set(h1.matches)
 
     def test_b1_general_twist_needs_b_term(self):
         spec = GeometrySpec(k=2, l=1, a=2, b=1, family=Family.AB)
-        result = extract_br_betar(spec, BrBetarKind.B_R)
-        checks = closed_form_checks(spec, BrBetarKind.B_R, result)
+        h = extract_br_betar(spec, BrBetarKind.B_R)
+        checks = closed_form_checks(spec, BrBetarKind.B_R, h)
         h1 = checks[1]
         assert h1.matches == ("generalized",)
-        assert result.h[1] == ch_tilde_roots(spec, "V") * (1 - 2) - 48
+        assert h[1] == ch_tilde_roots(spec, "V") * (1 - 2) - 48
 
     def test_beta_closed_forms(self):
         spec = GeometrySpec(k=2, l=2, a=1, b=1, family=Family.AB)
@@ -176,30 +185,27 @@ class TestClosedForms:
         spec = GeometrySpec(k=1, l=1, a=1, b=0, family=Family.AB)
         with pytest.raises(UsageError, match="unknown coefficient kind"):
             extract_br_betar(spec, which)
-        result = extract_br_betar(spec, BrBetarKind.BETA_R)
+        h = extract_br_betar(spec, BrBetarKind.BETA_R)
         with pytest.raises(UsageError, match="unknown coefficient kind"):
-            closed_form_checks(spec, which, result)
+            closed_form_checks(spec, which, h)
 
 
 class TestModularityWitness:
     def test_joint_combination_has_zero_residual(self):
         for (k, l, a, b) in [(1, 1, 1, 0), (2, 1, 1, 0), (2, 2, -1, 2), (1, 3, 2, 1)]:
             spec = GeometrySpec(k=k, l=l, a=a, b=b, family=Family.AB)
-            result = decompose(gamma_upper_side(spec, k + 2), k)
-            assert result.is_exact, (k, l, a, b)
+            assert modularity_residual(gamma_upper_side(spec, k + 2), k).is_zero(), (k, l, a, b)
 
     def test_negative_control_without_correction(self):
         for (k, l, a, b) in [(1, 1, 1, 0), (2, 2, 2, 1), (1, 1, 0, 0)]:
             spec = GeometrySpec(k=k, l=l, a=a, b=b, family=Family.AB)
             top = q_form(QFormId.MAIN, Route.BUNDLE, spec, k + 2).degree_slice(4 * k)
-            result = decompose(top, k)
-            assert not result.is_exact, (k, l, a, b)
+            assert not modularity_residual(top, k).is_zero(), (k, l, a, b)
 
     def test_xi_family_combination_has_zero_residual(self):
         for (k, l, a, b) in [(1, 1, 1, 0), (2, 2, 2, 1)]:
             spec = GeometrySpec(k=k, l=l, a=a, b=b, family=Family.AB_XI)
-            result = decompose(gamma_upper_side(spec, k + 2), k)
-            assert result.is_exact, (k, l, a, b)
+            assert modularity_residual(gamma_upper_side(spec, k + 2), k).is_zero(), (k, l, a, b)
 
     def test_two_line_combination_needs_the_ideal(self):
         from anomcancel.algebra import ideal_reduce
@@ -207,28 +213,26 @@ class TestModularityWitness:
         for (k, l) in [(1, 1), (2, 2)]:
             spec = GeometrySpec(k=k, l=l, a=1, b=0, family=Family.TWO_LINE)
             series = gamma_upper_side(spec, k + 2)
-            raw = decompose(series, k)
-            assert not raw.is_exact, (k, l)
+            assert not modularity_residual(series, k).is_zero(), (k, l)
             reduced = series.map(lambda p: ideal_reduce(p, "p1(TM)", "p1(V)"))
-            assert decompose(reduced, k).is_exact, (k, l)
+            assert modularity_residual(reduced, k).is_zero(), (k, l)
 
     def test_raw_bundle_character_is_not_modular(self):
         # the full character itself satisfies the defining congruence only up
         # to the determination order; beyond it the residual is nonzero
         spec = GeometrySpec(k=1, l=1, a=1, b=0, family=Family.AB)
-        result = decompose(ch_theta_bundle(2, spec, 3), 1)
+        residual = modularity_residual(ch_theta_bundle(2, spec, 3), 1)
         for m in range(spec.k // 2 + 1):
-            assert result.residual.coeffs[m].is_zero
-        assert not result.is_exact
-        assert result.residual.first_nonzero() == 1
+            assert residual.coeffs[m].is_zero
+        assert not residual.is_zero()
+        assert residual.first_nonzero() == 1
 
     def test_transfer_to_gamma0_basis(self):
         for (k, l, a, b) in [(1, 1, 1, 0), (2, 2, 2, 1)]:
             spec = GeometrySpec(k=k, l=l, a=a, b=b, family=Family.AB)
             order = k + 2
-            result = decompose(gamma_upper_side(spec, order), k)
             recon = None
-            for r, h in enumerate(result.h):
+            for r, h in enumerate(decompose(gamma_upper_side(spec, order), k)):
                 term = basis_series(k, r, Group.GAMMA0, order) * h
                 recon = term if recon is None else recon + term
             recon = recon.scale(F(2) ** ((a - b) * l))

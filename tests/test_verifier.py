@@ -113,6 +113,30 @@ class TestNegativeControls:
         assert report.verdict == "fail"
         assert (report.residual_q, report.residual_degree) == where
 
+    # a damaged Gamma_0(2) basis leaves the Gamma^0(2) decomposition exact, so
+    # EQ318 reports where the transferred series misses the top of Q1
+    @pytest.mark.parametrize("spec, where", [
+        (AB(1, 1, 1, 0), (0, 4)),
+        (AB(2, 1, 1, 0), (0, 8)),
+        (AB(3, 2, 2, 1), (0, 12)),
+    ])
+    def test_transfer_failure_with_exact_decomposition(self, spec, where, cold_caches,
+                                                       monkeypatch):
+        from anomcancel import decomp
+
+        intact = verify_case(CaseId.EQ318_TRANSFER, spec)
+        basis_series = decomp.basis_series
+
+        def doubled_gamma0(k, r, group, order):
+            series = basis_series(k, r, group, order)
+            return series.scale(2) if group is decomp.Group.GAMMA0 else series
+
+        monkeypatch.setattr(decomp, "basis_series", doubled_gamma0)
+        report = verify_case(CaseId.EQ318_TRANSFER, spec)
+        assert report.verdict == "fail"
+        assert (report.residual_q, report.residual_degree) == where
+        assert intact.passed and report.quantities == intact.quantities
+
     def test_perturbed_numeric_breaks_the_e2_law_only(self):
         # the control drops the 6 i tau / pi term of the E2 S law
         quantities = dict(verify_case(CaseId.NUMERIC_MODULARITY, perturb=True).quantities)
@@ -233,8 +257,8 @@ class TestInvariants:
         # ch(b_0) = -1 and the correction form is the constant -2^(al-3)
         from anomcancel.decomp import BrBetarKind, extract_br_betar
         spec = AB(1, 2, 2, 1)
-        result = extract_br_betar(spec, BrBetarKind.B_R)
-        assert result.h[0] == GradedPoly.constant(spec.ring(), -1)
+        b = extract_br_betar(spec, BrBetarKind.B_R)
+        assert b[0] == GradedPoly.constant(spec.ring(), -1)
         _, _, data = _theorem_sides(spec)
         expect = GradedPoly.constant(
             spec.ring(), -F(2) ** (spec.a * spec.l - 3))
