@@ -6,11 +6,12 @@ silently truncated above the degree cap, which models the vanishing of
 cohomology above the manifold dimension.  Per-root factors are series in the
 single root w of a one-root ring; `symmetrise` multiplies them over their
 root families, times exp of an additive exponent E, as one exp(E + sum e c_n
-s_n), with c_n the coefficients of a factor's log in w^2 and s_n the family's
-power sums of squared roots written in its p_i.  All coefficients are exact
-rationals: internally a polynomial is stored as a common positive
-denominator plus integer numerators keyed by bit-packed exponent vectors,
-bucketed by total degree, so that multiplication is pure integer work.
+s_n), with c_n the coefficients of a factor's log in w^2 (`_log_parts`, or a
+closed form) and s_n the family's power sums of squared roots written in its
+p_i.  All coefficients are exact rationals: internally a polynomial is stored
+as a common positive denominator plus integer numerators keyed by bit-packed
+exponent vectors, bucketed by total degree, so that multiplication is pure
+integer work.
 
 Formal power series in q^(1/2) (`QSeries`) hold their coefficients in a
 dense array indexed by half-steps: integer numerators over one common
@@ -358,21 +359,27 @@ def sum_of_products(spec: RingSpec, pairs, scale: Fraction | int = 1) -> GradedP
     once per partial sum as a loop of `*` and `+` would do.
     """
     scale = Fraction(scale)
-    live = [(a, b) for a, b in pairs
-            if a._buckets and (b._buckets if isinstance(b, GradedPoly) else b)]
+    live, den = [], 1
+    for a, b in pairs:
+        poly = isinstance(b, GradedPoly)
+        if not poly and (isinstance(b, bool) or not isinstance(b, (int, Fraction))):
+            raise UsageError(f"a ring constant is an int or a Fraction, not {b!r}")
+        if ((a.spec is not spec and a.spec != spec)
+                or (poly and b.spec is not spec and b.spec != spec)):
+            raise UsageError("polynomials from different rings")
+        if a._buckets and (b._buckets if poly else b):
+            d = a._den * (b._den if poly else b.denominator)
+            den = den // math.gcd(den, d) * d
+            live.append((a, b, d))
     if not live or not scale:
         return GradedPoly.zero(spec)
-    den = 1
-    for i, (a, b) in enumerate(live):
-        if not isinstance(b, GradedPoly):
-            live[i] = a, b = a, GradedPoly.constant(spec, b)
-        if (a.spec is not spec and a.spec != spec) or (b.spec is not spec and b.spec != spec):
-            raise UsageError("polynomials from different rings")
-        d = a._den * b._den
-        den = den // math.gcd(den, d) * d
     out: dict[int, dict[int, int]] = {}
-    for a, b in live:
-        _mul_into(out, a._buckets, b._buckets, spec.cap, den // (a._den * b._den) * scale.numerator)
+    for a, b, d in live:
+        m = den // d * scale.numerator
+        if isinstance(b, GradedPoly):
+            _mul_into(out, a._buckets, b._buckets, spec.cap, m)
+        else:   # a rational b adds m times its numerator times a, with no copy of a
+            _mul_into(out, {0: {0: m * b.numerator}}, a._buckets, spec.cap)
     return GradedPoly._make(spec, den * scale.denominator, out)
 
 
@@ -840,41 +847,50 @@ def _over_families(terms: Sequence[tuple[Sequence, Sequence[GradedPoly], int]],
     """out[h] = sum over (parts, sums, e) of e * sum_(n >= 1) parts[n][h] * s_n.
 
     parts[0], the part free of the root, must vanish.  Parts are `width` wide,
-    or one wide for a term constant in q.
+    or one wide for a term constant in q.  The terms over one family (the
+    same `sums` object) first merge into one weight per (n, h), an integer
+    over one denominator common to every term.
     """
-    pairs: list[list[tuple[GradedPoly, Fraction]]] = [[] for _ in range(width)]
+    families: dict[int, tuple[Sequence[GradedPoly], list]] = {}
     for parts, sums, e in terms:
         if len(parts) != len(sums) + 1 or len(parts[0]) not in (1, width):
             raise UsageError("per-root series and power sums differ in cap or q-order")
         if any(parts[0]):
             raise UsageError("a per-root series must be trivial at the root 0")
-        for s, part in zip(sums, parts[1:]):
-            for h, c in enumerate(part):
-                if c:
-                    pairs[h].append((s, c * e))
+        if e:
+            families.setdefault(id(sums), (sums, []))[1].append((parts, e))
+    den = math.lcm(*(c.denominator for _, rows in families.values()
+                     for parts, _ in rows for part in parts for c in part))
+    pairs: list[list[tuple[GradedPoly, int]]] = [[] for _ in range(width)]
+    for sums, rows in families.values():
+        for n, s in enumerate(sums, start=1):
+            nums = [0] * width
+            for parts, e in rows:
+                for h, c in enumerate(parts[n]):
+                    if c:
+                        nums[h] += c.numerator * (den // c.denominator) * e
+            for h, num in enumerate(nums):
+                pairs[h].append((s, num))
     spec = terms[0][1][0].spec
-    return [sum_of_products(spec, p) for p in pairs]
+    return [sum_of_products(spec, p, Fraction(1, den)) for p in pairs]
 
 
-def symmetrise(factors: Sequence[tuple[GradedPoly | QSeries, Sequence[GradedPoly], int]],
-               exponent: QSeries | None = None):
-    """exp(exponent) times the product over factors (f, sums, e) of the
+def symmetrise(rows: Sequence[tuple[Sequence, Sequence[GradedPoly], int]],
+               order: int | None = None, exponent: QSeries | None = None):
+    """exp(exponent) times the product over rows (parts, sums, e) of the
     product over the family's roots of f(root)^e, as one exp.
 
-    Each f is an even per-root factor on a one-root ring with f(0) = 1, a
-    polynomial (constant in q) or a q-series, so its log is sum_n c_n w^(2n)
-    and the product is exp(exponent + sum e c_n s_n), with s_n the family's
-    power sums (`sums`).  The result is a q-series when any f or the
-    exponent (ring-valued, nilpotent at q^0) is one, else a polynomial.
+    Each f is an even per-root factor with f(0) = 1, given by the even parts
+    of its log = sum_n c_n w^(2n) (`_log_parts`, or a closed form): parts[n][h]
+    is the q^(h/2) coefficient of c_n.  The product is exp(exponent + sum e c_n
+    s_n), with s_n the family's power sums (`sums`): a q-series truncated at
+    `order`, whose parts are 2 order + 1 wide or one wide for an f constant in
+    q, or a polynomial when order is None.
     """
-    series = [f for f, _, _ in factors if isinstance(f, QSeries)]
-    if exponent is not None:
-        series.append(exponent)
-    order = series[0].order if series else 0
-    logs = QSeries(_over_families([(_log_parts(f), sums, e) for f, sums, e in factors],
-                                  2 * order + 1), order, factors[0][1][0].spec)
+    width = 1 if order is None else 2 * order + 1
+    logs = QSeries(_over_families(rows, width), order or 0, rows[0][1][0].spec)
     result = (logs if exponent is None else logs + exponent).exp()
-    return result if series else result.coeffs[0]
+    return result.coeffs[0] if order is None else result
 
 
 # ---------------------------------------------------------------------------

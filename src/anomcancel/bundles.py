@@ -8,14 +8,15 @@ Chern characters of the three twisted tensor-product families:
 * TWO_LINE -- two rank-two bundles xi, xi' with the (a, b) = (1, 0) shape.
 
 Each assembled characteristic q-series (`q_form`) can be produced through
-two independent routes: BUNDLE multiplies the symmetric/exterior-power
-generating functions of the constituent bundles, THETA multiplies per-root
-Jacobi theta quotients with the matching power-of-two normalization.  Their
-exact agreement is the central correctness property of the package.
+two independent routes: BUNDLE reads the log of each per-root factor of the
+symmetric/exterior-power generating functions off its closed form in Adams
+operations, THETA multiplies out Jacobi's products for the per-root theta
+quotients, with the matching power-of-two normalization.  Their exact
+agreement is the central correctness property of the package.
 
 Every form lives in the Pontryagin ring of `GeometrySpec.ring()`: each route
-builds its per-root series once on a one-root ring, and one `symmetrise` turns
-a form's rows of them, with the E2 exponent c * E2 * z where the form has one,
+gives the log of each per-root factor once, and one `symmetrise` turns a
+form's rows of them, with the E2 exponent c * E2 * z where the form has one,
 into one exp over the Chern roots of TM, of V and of the Euler roots.
 """
 
@@ -31,8 +32,8 @@ from .algebra import (
     GradedPoly,
     QSeries,
     RingSpec,
+    _log_parts,
     cosh_half_root,
-    exp_root,
     half_over_sinh_half_root,
     one_root_ring,
     power_sums,
@@ -64,7 +65,7 @@ class Route(Enum):
 
 # A recipe names Chern roots "V" (those of the rank-2l bundle), "u" (xi) or
 # "u'" (xi'), and an exponent as an int or a twist integer "a" / "b".  A
-# BUNDLE block (roots, grid, sign, exponent) is the per-root `_exterior_block`
+# BUNDLE block (roots, grid, sign, exponent) is the factor `_exterior_log` logs,
 # raised to the exponent and multiplied over the roots; an Euler-cosh factor
 # (roots, exponent) is cosh(u/2)^exponent over the roots.  A THETA form (groups,
 # two) multiplies, for each (roots, ((kind, exponent), ...)) group and each of
@@ -171,6 +172,7 @@ class GeometrySpec:
 
 @lru_cache(maxsize=None)
 def _ring_for(k: int, l: int, euler_roots: tuple[str, ...]) -> RingSpec:
+    one_root_ring(4 * k)   # refuses, before any arithmetic, a k too large to pack
     # p_i with 4i above the cap 4k, or past a family's root count, is zero
     gens = [(name, 2) for name in euler_roots]
     gens += [(f"p{i}(TM)", 4 * i) for i in range(1, k + 1)]
@@ -195,7 +197,8 @@ def _power_sums(ring: RingSpec, label: str) -> tuple[GradedPoly, ...]:
 
 def genus_form(spec: GeometrySpec) -> GradedPoly:
     """A-hat genus of the tangent roots: the product of (w/2)/sinh(w/2)."""
-    return symmetrise([(half_over_sinh_half_root(4 * spec.k), spec.power_sums("TM"), 1)])
+    return symmetrise([(_log_parts(half_over_sinh_half_root(4 * spec.k)),
+                        spec.power_sums("TM"), 1)])
 
 
 def ch_spinor_pow(spec: GeometrySpec, e: int) -> GradedPoly:
@@ -205,7 +208,7 @@ def ch_spinor_pow(spec: GeometrySpec, e: int) -> GradedPoly:
     the truncated ring.
     """
     # the factor 2^e of every root, gathered into one constant
-    cosh = symmetrise([(cosh_half_root(4 * spec.k), spec.power_sums("V"), e)])
+    cosh = symmetrise([(_log_parts(cosh_half_root(4 * spec.k)), spec.power_sums("V"), e)])
     return cosh * Fraction(2) ** (e * spec.l)
 
 
@@ -214,9 +217,9 @@ def _genus_rows(spec: GeometrySpec, which: int) -> tuple[list, Fraction]:
     over V for e = a or b, the Euler-cosh factors; and its factor 2^(e l)."""
     cap = 4 * spec.k
     e = spec.a if which == 1 else spec.b
-    rows = [(half_over_sinh_half_root(cap), spec.power_sums("TM"), 1),
-            (cosh_half_root(cap), spec.power_sums("V"), e)]
-    rows += [(cosh_half_root(cap), spec.power_sums(roots), x)
+    rows = [(_log_parts(half_over_sinh_half_root(cap)), spec.power_sums("TM"), 1),
+            (_log_parts(cosh_half_root(cap)), spec.power_sums("V"), e)]
+    rows += [(_log_parts(cosh_half_root(cap)), spec.power_sums(roots), x)
              for roots, x in FAMILY_FORMS[spec.family].euler_cosh[which - 1]]
     return rows, Fraction(2) ** (e * spec.l)
 
@@ -262,28 +265,25 @@ def p1_combo(spec: GeometrySpec) -> GradedPoly:
 
 
 # ---------------------------------------------------------------------------
-# Generating-function blocks (BUNDLE route), per root on the one-root ring
+# Generating-function blocks (BUNDLE route), per root as closed-form logs
 
 
 @lru_cache(maxsize=None)
-def _exterior_block(cap: int, grid: str, sign: int, order: int) -> QSeries:
-    """One root's factor of the product over the exponent grid of ch Lambda_t
-    of a reduced bundle: prod_t (1 + t e^w)(1 + t e^-w) / (1 + t)^2.
-
-    grid 'int' walks t = sign * q^m (m >= 1), grid 'half' walks
-    t = sign * q^(m - 1/2).
-    """
-    res = QSeries.one(order, one_root_ring(cap))
-    m = 1
-    while True:
-        h = 2 * m if grid == "int" else 2 * m - 1
-        if h > 2 * order:
-            break
-        res = res * (QSeries.binomial(exp_root(cap, +1) * sign, h, order)
-                     * QSeries.binomial(exp_root(cap, -1) * sign, h, order))
-        res = res / QSeries.binomial(sign, h, order).powi(2)
-        m += 1
-    return res
+def _exterior_log(cap: int, grid: str, sign: int, order: int) -> tuple[tuple[Fraction, ...], ...]:
+    """`_log_parts` of one root's factor of the product over the exponent grid
+    of ch Lambda_t of a reduced bundle, prod_t (1 + t e^w)(1 + t e^-w) / (1 + t)^2,
+    read off the sum of Adams operations sum_t sum_(m>=1) (-1)^(m+1) t^m / m *
+    (e^(mw) + e^(-mw) - 2), where e^(mw) + e^(-mw) - 2 = sum_n 2 m^(2n) w^(2n) / (2n)!;
+    grid 'int' walks t = sign * q^j (j >= 1), grid 'half' walks t = sign * q^(j - 1/2)."""
+    width = 2 * order + 1
+    nums = [[0] * width for _ in range(cap // 4 + 1)]   # parts[n] times (2n)!
+    for h in range(2 if grid == "int" else 1, width, 2):
+        for m in range(1, (width - 1) // h + 1):
+            c = 2 * (-1) ** (m + 1) * sign ** m
+            for n in range(1, cap // 4 + 1):
+                nums[n][m * h] += c * m ** (2 * n - 1)
+    return tuple(tuple(Fraction(x, math.factorial(2 * n)) for x in row)
+                 for n, row in enumerate(nums))
 
 
 @lru_cache(maxsize=None)
@@ -293,16 +293,16 @@ def ch_theta_bundle(which: int, spec: GeometrySpec, order: int) -> QSeries:
         raise UsageError("which must be 1 or 2")
     if order < 0:
         raise UsageError("truncation order must be >= 0")
-    return symmetrise(_block_rows(spec, which, order))
+    return symmetrise(_block_rows(spec, which, order), order)
 
 
 def _block_rows(spec: GeometrySpec, which: int, order: int) -> list:
-    """The per-root rows of the first or second twisted bundle's character; the
-    tangent row, prod_n ch S_(q^n)(TM~), inverts the exterior block at t = -q^n."""
+    """The per-root log rows of the first or second twisted bundle's character;
+    the tangent row, prod_n ch S_(q^n)(TM~), inverts the exterior block at t = -q^n."""
     cap = 4 * spec.k
-    rows = [(_exterior_block(cap, "int", -1, order), spec.power_sums("TM"), -1)]
+    rows = [(_exterior_log(cap, "int", -1, order), spec.power_sums("TM"), -1)]
     for roots, grid, sign, e in FAMILY_FORMS[spec.family].blocks[which - 1]:
-        rows.append((_exterior_block(cap, grid, sign, order), spec.power_sums(roots),
+        rows.append((_exterior_log(cap, grid, sign, order), spec.power_sums(roots),
                      spec.twist(e)))
     return rows
 
@@ -366,7 +366,8 @@ def q_form(form: QFormId, route: Route, spec: GeometrySpec, order: int) -> QSeri
 def _q_form_bundle(form: QFormId, spec: GeometrySpec, order: int) -> QSeries:
     if form is QFormId.LEAD:
         rows, two = _genus_rows(spec, 1)
-        return symmetrise(rows + _block_rows(spec, 1, order), _e2_exponent(spec, order)).scale(two)
+        return symmetrise(rows + _block_rows(spec, 1, order), order,
+                          _e2_exponent(spec, order)).scale(two)
     base = lead_weight(spec, 2) * ch_theta_bundle(2, spec, order)
     if form is QFormId.MAIN:
         return base
@@ -375,10 +376,11 @@ def _q_form_bundle(form: QFormId, spec: GeometrySpec, order: int) -> QSeries:
 
 def _q_form_theta(form: QFormId, spec: GeometrySpec, order: int) -> QSeries:
     cap = 4 * spec.k
-    factors = [(theta_ratio(ThetaKind.THETA, cap, order), spec.power_sums("TM"), 1)]
+    rows = [(_log_parts(theta_ratio(ThetaKind.THETA, cap, order)), spec.power_sums("TM"), 1)]
     groups, two = FAMILY_FORMS[spec.family].theta[0 if form is QFormId.LEAD else 1]
     for roots, kinds in groups:
         for kind, e in kinds:
-            factors.append((theta_ratio(kind, cap, order), spec.power_sums(roots), spec.twist(e)))
-    res = symmetrise(factors, _e2_exponent(spec, order))
+            rows.append((_log_parts(theta_ratio(kind, cap, order)), spec.power_sums(roots),
+                         spec.twist(e)))
+    res = symmetrise(rows, order, _e2_exponent(spec, order))
     return res.scale(Fraction(2) ** (spec.twist(two) * spec.l))

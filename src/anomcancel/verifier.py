@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Iterator
 from .algebra import (
     GradedPoly,
     QSeries,
+    _log_parts,
     apply_series,
     ideal_reduce,
     one_root_ring,
@@ -413,8 +414,8 @@ def _case_hlz(req: CaseRequest) -> Outcome:
     ahat = genus_form(spec)
     w_half = GradedPoly.generator(one_root_ring(cap), "w") * Fraction(1, 2)
     per_root = (apply_series(taylor_exp(nterms), w_half)
-                + apply_series(taylor_exp(nterms), -w_half))
-    spinor = symmetrise([(per_root * Fraction(1, 2), spec.power_sums("V"), 1)]) * _two_pow(l)
+                + apply_series(taylor_exp(nterms), -w_half)) * Fraction(1, 2)
+    spinor = symmetrise([(_log_parts(per_root), spec.power_sums("V"), 1)]) * _two_pow(l)
     lhs_special = (ahat * spinor).degree_part(cap)
     for r, br in enumerate(data["b"]):
         lhs_special = lhs_special - (ahat * br).degree_part(cap) * _two_pow(l + k - 6 * r)

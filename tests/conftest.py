@@ -29,7 +29,6 @@ from anomcancel.bundles import (
     Family,
     QFormId,
     Route,
-    _exterior_block,
     lead_weight,
     p1_combo,
 )
@@ -501,6 +500,26 @@ def _root_e2_series(spec, order: int, first: int) -> QSeries:
 
 
 @lru_cache(maxsize=None)
+def exterior_block(cap: int, grid: str, sign: int, order: int) -> QSeries:
+    """One root's factor of the product over the exponent grid of ch Lambda_t
+    of a reduced bundle, prod_t (1 + t e^w)(1 + t e^-w) / (1 + t)^2, multiplied
+    out binomial by binomial; the engine reads its log off a closed form
+    (`_exterior_log`).  grid 'int' walks t = sign * q^m (m >= 1), grid 'half'
+    walks t = sign * q^(m - 1/2)."""
+    res = QSeries.one(order, one_root_ring(cap))
+    m = 1
+    while True:
+        h = 2 * m if grid == "int" else 2 * m - 1
+        if h > 2 * order:
+            break
+        res = res * (QSeries.binomial(exp_root(cap, +1) * sign, h, order)
+                     * QSeries.binomial(exp_root(cap, -1) * sign, h, order))
+        res = res / QSeries.binomial(sign, h, order).powi(2)
+        m += 1
+    return res
+
+
+@lru_cache(maxsize=None)
 def symmetric_block(cap: int, order: int) -> QSeries:
     """One root's factor of prod_n ch S_(q^n) of the reduced complexified
     tangent bundle: prod_n (1 - q^n)^2 / ((1 - e^w q^n)(1 - e^-w q^n)), built
@@ -519,7 +538,7 @@ def root_ch_theta_bundle(which: int, spec, order: int) -> QSeries:
     cap = 4 * spec.k
     factors = [(symmetric_block(cap, order), "TM", 1)]
     for label, grid, sign, e in FAMILY_FORMS[spec.family].blocks[which - 1]:
-        factors.append((_exterior_block(cap, grid, sign, order), label, spec.twist(e)))
+        factors.append((exterior_block(cap, grid, sign, order), label, spec.twist(e)))
     return root_product(spec, factors)
 
 

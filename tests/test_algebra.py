@@ -497,7 +497,7 @@ class TestAccumulateSites:
             terms = [(_log_parts(f), s, e) for f, s, e in rows]
             want = reference_over_families(terms, 5)
             assert _over_families(terms, 5) == want
-            assert symmetrise(rows) == QSeries(want, 2, spec).exp()
+            assert symmetrise(terms, 2) == QSeries(want, 2, spec).exp()
 
 
 class TestSymmetriseRows:
@@ -509,22 +509,31 @@ class TestSymmetriseRows:
         w = GradedPoly.generator(one_root_ring(8), "w")
         sums = power_sums(gens(self.P), 2)
         series = QSeries([cosh_half_root(8), w * w, w ** 4 * F(1, 3)], 1, w.spec)
-        return (cosh_half_root(8), sums, 2), (series, sums, -1)
+        return (_log_parts(cosh_half_root(8)), sums, 2), (_log_parts(series), sums, -1)
 
     def test_one_exp_is_the_product_of_the_parts(self):
         poly_row, series_row = self.rows()
         p1, p2 = gens(self.P)
         exponent = QSeries([p1 * F(1, 24), p2, p1 * p1 * 3], 1, self.P)
-        got = symmetrise([poly_row, series_row], exponent)
-        want = symmetrise([poly_row]) * symmetrise([series_row]) * exponent.exp()
+        got = symmetrise([poly_row, series_row], 1, exponent)
+        want = symmetrise([poly_row]) * symmetrise([series_row], 1) * exponent.exp()
         assert got == want
+
+    def test_order_none_is_a_polynomial_and_order_zero_a_series(self):
+        poly_row, _ = self.rows()
+        poly = symmetrise([poly_row])
+        assert isinstance(poly, GradedPoly)
+        assert symmetrise([poly_row], 0) == QSeries.from_poly(poly, 0)
 
     def test_orders_must_agree(self):
         poly_row, series_row = self.rows()
         with pytest.raises(UsageError):
-            symmetrise([poly_row, series_row], QSeries([], 2, self.P))
+            symmetrise([poly_row, series_row], 1, QSeries([], 2, self.P))
         with pytest.raises(UsageError):
-            symmetrise([series_row, (QSeries.one(2, one_root_ring(8)), series_row[1], 1)])
+            symmetrise([series_row, (_log_parts(QSeries.one(2, one_root_ring(8))),
+                                     series_row[1], 1)], 1)
+        with pytest.raises(UsageError):
+            symmetrise([poly_row, series_row])      # a q-series row needs an order
 
 
 class TestPontryagin:

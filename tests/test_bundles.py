@@ -10,6 +10,7 @@ from anomcancel import bundles, theta
 from anomcancel.algebra import (
     GradedPoly,
     QSeries,
+    _log_parts,
     apply_series,
     cosh_half_root,
     one_root_ring,
@@ -31,11 +32,12 @@ from anomcancel.bundles import (
     p1_combo,
     q_form,
 )
-from anomcancel.bundles import _e2_exponent
+from anomcancel.bundles import _e2_exponent, _exterior_log
 from anomcancel.errors import UsageError
 from anomcancel.verifier import CaseId, verify_case
 
 from conftest import (
+    exterior_block,
     in_pontryagin,
     paper_form,
     permute_gens,
@@ -63,6 +65,14 @@ class TestGeometrySpec:
         ring = spec.ring()
         assert ring.cap == 8
         assert ring.names == ("u", "p1(TM)", "p2(TM)", "p1(V)", "p2(V)")
+
+    @pytest.mark.parametrize("family", list(Family), ids=lambda family: family.value)
+    def test_ring_refuses_a_k_the_one_root_ring_cannot_pack(self, family):
+        # the AB ring alone, of degree-4 generators, would pack k = 32; its
+        # per-root factors, of degree 2, cannot
+        assert GeometrySpec(k=31, l=3, family=family).ring().cap == 124
+        with pytest.raises(UsageError, match="degree cap too large for packed exponents"):
+            GeometrySpec(k=32, l=3, family=family).ring()
 
     def test_positivity_validation(self):
         with pytest.raises(UsageError):
@@ -149,7 +159,7 @@ class TestThetaBundles:
 
     def test_zero_twists_leave_only_tangent_block(self):
         spec = GeometrySpec(k=1, l=2, a=0, b=0, family=Family.AB)
-        expect = symmetrise([(symmetric_block(4, 3), spec.power_sums("TM"), 1)])
+        expect = symmetrise([(_log_parts(symmetric_block(4, 3)), spec.power_sums("TM"), 1)], 3)
         assert ch_theta_bundle(1, spec, 3) == expect
         assert ch_theta_bundle(2, spec, 3) == expect
 
@@ -192,12 +202,15 @@ class TestThetaBundles:
 
     def test_symmetric_exterior_duality(self):
         # ch S_t(E~) * ch Lambda_(-t)(E~) = 1 grid point by grid point, so the
-        # product of one root's blocks over the whole integer grid is 1
-        from anomcancel.bundles import _exterior_block
+        # product of one root's blocks over the whole integer grid is 1, and
+        # the engine's tangent row, the closed-form exterior log at t = -q^n
+        # taken with exponent -1, is the symmetric block's log
         ring = one_root_ring(4)
         s_block = symmetric_block(4, 3)
-        lam_block = _exterior_block(4, "int", -1, 3)
+        lam_block = exterior_block(4, "int", -1, 3)
         assert s_block * lam_block == QSeries.one(3, ring)
+        assert _log_parts(s_block) == tuple(tuple(-c for c in part)
+                                            for part in _exterior_log(4, "int", -1, 3))
 
 
 class TestP1Combo:
@@ -282,7 +295,7 @@ class TestQForms:
     def test_xi_family_cosh_weighting(self):
         spec = GeometrySpec(k=1, l=1, a=1, b=0, family=Family.AB_XI)
         q2 = q_form(QFormId.MAIN, Route.BUNDLE, spec, 2)
-        cosh_u = symmetrise([(cosh_half_root(4), spec.power_sums("u"), 1)])
+        cosh_u = symmetrise([(_log_parts(cosh_half_root(4)), spec.power_sums("u"), 1)])
         expect = (genus_form(spec) * cosh_u
                   * ch_spinor_pow(spec, 0)) * ch_theta_bundle(2, spec, 2)
         assert q2 == expect
@@ -309,7 +322,7 @@ class TestRouteIndependence:
 
     @pytest.mark.parametrize("form, spec", CASES)
     def test_theta_route_uses_no_bundle_block(self, form, spec, cold_caches, monkeypatch):
-        monkeypatch.setattr(bundles, "_exterior_block", self.refuse)
+        monkeypatch.setattr(bundles, "_exterior_log", self.refuse)
         assert not q_form(form, Route.THETA, spec, 2).is_zero()
 
 
@@ -352,6 +365,30 @@ class TestRouteMutations:
         theta[which] = (((roots, ((kind, spec.twist(e) + 1), *kinds)), *rest), two)
         monkeypatch.setitem(FAMILY_FORMS, spec.family, replace(row, theta=tuple(theta)))
         assert self.verdicts(spec) == self.expect(row, which)
+
+    # AB at (a, b) = (1, 0): the int grid at t = +q^n feeds only the lead
+    # bundle, the half grid at t = -q^(n-1/2) only the second, and the tangent
+    # row, the int grid at t = -q^n, both
+    @pytest.mark.parametrize("grid, sign, which", [("int", +1, (0,)), ("half", -1, (1,)),
+                                                   ("int", -1, (0, 1))])
+    def test_closed_form_coefficient(self, grid, sign, which, cold_caches, monkeypatch):
+        # one Adams coefficient off by one in the BUNDLE route's closed form
+        # is caught by THETA's literal Jacobi products
+        exterior_log = bundles._exterior_log
+
+        def off_by_one(cap, g, s, order):
+            parts = exterior_log(cap, g, s, order)
+            if (g, s) != (grid, sign):
+                return parts
+            h = 2 if grid == "int" else 1
+            return (parts[0], parts[1][:h] + (parts[1][h] + 1,) + parts[1][h + 1:], *parts[2:])
+
+        monkeypatch.setattr(bundles, "_exterior_log", off_by_one)
+        spec = GeometrySpec(k=1, l=2, a=1, b=0, family=Family.AB)
+        row = FAMILY_FORMS[spec.family]
+        names = (row.names[0], f"{row.names[1]}_joint")
+        assert self.verdicts(spec) == (False, {name: "MISMATCH" if i in which else "equal"
+                                               for i, name in enumerate(names)})
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.family.value)
     def test_unchanged_recipes_agree(self, spec, cold_caches):

@@ -10,6 +10,7 @@ import pytest
 from anomcancel.algebra import (
     GradedPoly,
     QSeries,
+    _log_parts,
     cosh_half_root,
     exp_root,
     half_over_sinh_half_root,
@@ -23,7 +24,7 @@ from anomcancel.bundles import (
     GeometrySpec,
     QFormId,
     Route,
-    _exterior_block,
+    _exterior_log,
     ch_tilde_roots,
     q_form,
 )
@@ -31,6 +32,7 @@ from anomcancel.errors import SymmetryError, UsageError
 from anomcancel.theta import ThetaKind, theta_ratio
 
 from conftest import (
+    exterior_block,
     in_pontryagin,
     paper_form,
     root_product,
@@ -46,10 +48,20 @@ def per_root_factors(cap: int, order: int):
     """(name, per-root series) of every factor kind the engine symmetrises."""
     out = [("ahat", half_over_sinh_half_root(cap)), ("cosh_half", cosh_half_root(cap)),
            ("symmetric_block", symmetric_block(cap, order))]
-    out += [(f"exterior_{grid}_{sign:+d}", _exterior_block(cap, grid, sign, order))
+    out += [(f"exterior_{grid}_{sign:+d}", exterior_block(cap, grid, sign, order))
             for grid in ("int", "half") for sign in (+1, -1)]
     out += [(kind.value, theta_ratio(kind, cap, order)) for kind in ThetaKind]
     return out
+
+
+def row(f, sums, e):
+    """The symmetriser's row of a per-root factor f: the even parts of its log."""
+    return _log_parts(f), sums, e
+
+
+def order_of(f):
+    """The q-order a symmetrised f comes back at: None for a polynomial f."""
+    return f.order if isinstance(f, QSeries) else None
 
 
 SIZES = [(k, l) for k in (1, 2, 3) for l in (1, 2)]
@@ -61,7 +73,7 @@ def test_symmetriser_equals_root_product(k, l):
     for name, f in per_root_factors(4 * k, ORDER):
         for label, e in (("TM", 1), ("V", -2), ("u", 3)):
             want = in_pontryagin(root_product(spec, [(f, label, e)]), spec)
-            got = symmetrise([(f, spec.power_sums(label), e)])
+            got = symmetrise([row(f, spec.power_sums(label), e)], order_of(f))
             assert got == want, (name, label, e)
 
 
@@ -71,11 +83,22 @@ def test_symmetriser_of_several_families(k, l):
     spec = GeometrySpec(k=k, l=l, a=1, b=0, family=Family.TWO_LINE)
     cap = 4 * k
     factors = [(symmetric_block(cap, ORDER), "TM", 1),
-               (_exterior_block(cap, "half", -1, ORDER), "V", 2),
-               (_exterior_block(cap, "int", +1, ORDER), "u", -2),
-               (_exterior_block(cap, "half", +1, ORDER), "u'", 1)]
+               (exterior_block(cap, "half", -1, ORDER), "V", 2),
+               (exterior_block(cap, "int", +1, ORDER), "u", -2),
+               (exterior_block(cap, "half", +1, ORDER), "u'", 1)]
     want = in_pontryagin(root_product(spec, factors), spec)
-    assert symmetrise([(f, spec.power_sums(label), e) for f, label, e in factors]) == want
+    rows = [row(f, spec.power_sums(label), e) for f, label, e in factors]
+    assert symmetrise(rows, ORDER) == want
+
+
+@pytest.mark.parametrize("grid", ["int", "half"])
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_exterior_log_is_the_log_of_the_exterior_block(grid, sign):
+    # the engine's closed form against the log of the block multiplied out
+    for cap in (4, 8, 12, 16):
+        for order in range(10):
+            want = _log_parts(exterior_block(cap, grid, sign, order))
+            assert _exterior_log(cap, grid, sign, order) == want, (cap, order)
 
 
 @pytest.mark.parametrize("k, l", SIZES + [(4, 2)])
@@ -122,17 +145,17 @@ def test_symmetriser_rejects_bad_per_root_series():
     spec = GeometrySpec(k=2, l=1)
     w = GradedPoly.generator(one_root_ring(8), "w")
     with pytest.raises(SymmetryError):
-        symmetrise([(exp_root(8, +1), spec.power_sums("TM"), 1)])   # odd in w
+        symmetrise([row(exp_root(8, +1), spec.power_sums("TM"), 1)])   # odd in w
     with pytest.raises(UsageError):
-        symmetrise([(cosh_half_root(4), spec.power_sums("TM"), 1)])  # another cap
+        symmetrise([row(cosh_half_root(4), spec.power_sums("TM"), 1)])  # another cap
     with pytest.raises(UsageError):
         spec.power_sums("u")                                        # no xi in family ab
     with pytest.raises(UsageError):
-        symmetrise([(cosh_half_root(8) * 2, spec.power_sums("V"), 1)])     # f(0) = 2
+        symmetrise([row(cosh_half_root(8) * 2, spec.power_sums("V"), 1)])     # f(0) = 2
     one_plus_q = QSeries.binomial(GradedPoly.one(one_root_ring(8)), 2, 2)
     with pytest.raises(UsageError):
-        symmetrise([(one_plus_q, spec.power_sums("V"), 1)])  # f(0) = 1 + q
-    assert symmetrise([(w * w + 1, spec.power_sums("V"), 0)]) == GradedPoly.one(spec.ring())
+        symmetrise([row(one_plus_q, spec.power_sums("V"), 1)], 2)  # f(0) = 1 + q
+    assert symmetrise([row(w * w + 1, spec.power_sums("V"), 0)]) == GradedPoly.one(spec.ring())
 
 
 def test_series_log_and_exp_are_inverse():

@@ -20,19 +20,19 @@ sp = pytest.importorskip("sympy")
 
 from sympy.polys.rings import ring  # noqa: E402
 
-from anomcancel.algebra import GradedPoly, one_root_ring  # noqa: E402
+from anomcancel.algebra import GradedPoly, QSeries, one_root_ring  # noqa: E402
 from anomcancel.bundles import (  # noqa: E402
     FAMILY_FORMS,
     Family,
     GeometrySpec,
     QFormId,
     Route,
-    _exterior_block,
+    _exterior_log,
     q_form,
 )
 from anomcancel.theta import ModularFormId, ThetaKind, modular_form, theta_ratio  # noqa: E402
 
-from conftest import paper_form, symmetric_block  # noqa: E402
+from conftest import exterior_block, paper_form, symmetric_block  # noqa: E402
 
 CAP, ORDER = 8, 4
 W_MAX, T_MAX = CAP // 2, 2 * ORDER  # highest powers of w (degree 2) and of t = q^(1/2)
@@ -76,12 +76,21 @@ def _engine(series):
     return out
 
 
+def _exp_of_parts(parts):
+    """exp of the per-root series whose log has the even parts `parts`."""
+    ring = one_root_ring(CAP)
+    log = [GradedPoly.from_terms(ring, {(2 * n,): part[h] for n, part in enumerate(parts)})
+           for h in range(2 * ORDER + 1)]
+    return QSeries(log, ORDER, ring).exp()
+
+
 def test_symmetric_block():
-    # the tests' reference, and the engine's tangent row: the exterior block's inverse
+    # the tests' reference, and the inverse of the exterior block at t = -q^n,
+    # whose closed-form log, negated, is the engine's tangent row
     factors = [(SYMMETRIC, 1, 2 * n) for n in range(1, ORDER + 1)]
     want = _product(sp.Integer(1), factors)
     assert _engine(symmetric_block(CAP, ORDER)) == want
-    assert _engine(_exterior_block(CAP, "int", -1, ORDER).inv()) == want
+    assert _engine(exterior_block(CAP, "int", -1, ORDER).inv()) == want
 
 
 @pytest.mark.parametrize("grid", ["int", "half"])
@@ -89,7 +98,10 @@ def test_symmetric_block():
 def test_exterior_block(grid, sign):
     steps = range(2, T_MAX + 1, 2) if grid == "int" else range(1, T_MAX + 1, 2)
     factors = [(EXTERIOR, sign, h) for h in steps]
-    assert _engine(_exterior_block(CAP, grid, sign, ORDER)) == _product(sp.Integer(1), factors)
+    want = _product(sp.Integer(1), factors)
+    assert _engine(exterior_block(CAP, grid, sign, ORDER)) == want
+    # the engine never multiplies the block out: it reads the log off a closed form
+    assert _engine(_exp_of_parts(_exterior_log(CAP, grid, sign, ORDER))) == want
 
 
 # Jacobi's product formulas, divided by their value at w = 0 (for theta, w
