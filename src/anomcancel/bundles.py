@@ -145,6 +145,11 @@ class GeometrySpec:
             raise UsageError("k and l must be positive integers")
         if self.family is Family.TWO_LINE and (self.a, self.b) != (1, 0):
             raise UsageError("the two-line-bundle family fixes (a, b) = (1, 0)")
+        # coefficients grow like 2^(|twist| * l): a fixed bound, like k <= 31, keeps
+        # their arithmetic and their decimal text bounded
+        span = max(abs(self.a), abs(self.b)) * self.l
+        if span > 4096:
+            raise UsageError(f"max(|a|, |b|) * l must be at most 4096, not {span}")
 
     @property
     def has_xi(self) -> bool:

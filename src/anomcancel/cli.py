@@ -22,11 +22,7 @@ from .verifier import CASES, CaseId, CaseRequest, Report, check_tolerance, defau
 
 _FAMILIES = sorted(f.value for f in Family)
 
-_MODULAR_OBJECTS = {
-    "delta1": ModularFormId.DELTA1, "eps1": ModularFormId.EPS1,
-    "delta2": ModularFormId.DELTA2, "eps2": ModularFormId.EPS2,
-    "e2": ModularFormId.E2,
-}
+_MODULAR_OBJECTS = {form.value: form for form in ModularFormId}
 
 # Suite-file keys and the JSON type each must have.
 _TYPE_NAMES = {list: "an array", str: "a string", int: "an integer",

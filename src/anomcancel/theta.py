@@ -4,9 +4,11 @@ Symbolic side: theta quotients with a nilpotent degree-2 ring generator as
 argument, written in the hyperbolic normalization (argument w = 2*pi*i*x so
 that sin(pi*x) becomes sinh(w/2) up to constants and e^(2*pi*i*x) becomes
 e^w).  Every series then has exact rational coefficients and pi never enters
-symbolic data.  The four modular forms delta_i / eps_i are assembled from
-fourth powers of theta constants, and E2 is the weight-2 quasimodular
-Eisenstein series 1 - 24 sum sigma_1(n) q^n.
+symbolic data.  Each quotient is theta_i(w)/theta_i(0) (for theta, w theta'(0)
+/ theta(w)), read off one Jacobi product, `_theta_product`, at x = e^(+-w) and
+x = 1; the four modular forms delta_i / eps_i are assembled from fourth powers
+of the theta constants, the product at x = 1, and E2 is the weight-2
+quasimodular Eisenstein series 1 - 24 sum sigma_1(n) q^n.
 
 Numeric side: literal double-precision evaluation of the theta products
 (including the 2 q^(1/8) prefactors) used to test the transformation laws
@@ -65,24 +67,6 @@ def sigma1(n: int) -> int:
 # Symbolic theta quotients
 
 
-def _geometric_inverse(poly: GradedPoly, half_exp: int, order: int) -> QSeries:
-    """(1 - poly * q^(half_exp/2))^(-1) as a geometric series: the THETA
-    route builds it apart from the BUNDLE route's division, keeping them independent."""
-    spec = poly.spec
-    width = 2 * order + 1
-    coeffs = [GradedPoly.zero(spec)] * width
-    coeffs[0] = GradedPoly.one(spec)
-    power = GradedPoly.one(spec)
-    i = 1
-    while i * half_exp < width:
-        power = power * poly
-        if power.is_zero:
-            break
-        coeffs[i * half_exp] = power
-        i += 1
-    return QSeries(coeffs, order, spec)
-
-
 # Jacobi's products take a factor (1 + sign t) at each t = q^(h/2) of a grid:
 # h = 2j ('int') or h = 2j - 1 ('half'), j >= 1.  Beside these, each product has
 # a factor (1 - q^j) per j, and theta and theta1 a lead 2 q^(1/8) sin / cos(pi v).
@@ -90,15 +74,30 @@ _THETA_GRIDS = {ThetaKind.THETA: ("int", -1), ThetaKind.THETA1: ("int", +1),
                 ThetaKind.THETA2: ("half", -1), ThetaKind.THETA3: ("half", +1)}
 
 
+def _theta_product(kind: ThetaKind, order: int, x: GradedPoly | int = 1,
+                   x_inv: GradedPoly | int = 1) -> QSeries:
+    """prod_j (1 - q^j)(1 + sign x t_j)(1 + sign x_inv t_j) over the grid points
+    t_j of `_THETA_GRIDS`: theta_i(v) without its lead factor, at x = e^(2 pi i v)
+    and x_inv = 1/x.  At x = x_inv = 1 it is the theta constant theta_i(0)
+    without its 2 q^(1/8) prefactor (theta'(0) / (2 pi q^(1/8)) for THETA)."""
+    grid, sign = _THETA_GRIDS[kind]
+    res = QSeries.one(order)
+    for j in range(1, order + 1):
+        h = 2 * j if grid == "int" else 2 * j - 1
+        res = res * QSeries.binomial(-1, 2 * j, order) * QSeries.binomial(x * sign, h, order) \
+            * QSeries.binomial(x_inv * sign, h, order)
+    return res
+
+
 @lru_cache(maxsize=None)
 def theta_ratio(kind: ThetaKind, cap: int, order: int) -> QSeries:
     """Normalized theta quotient with a nilpotent argument.
 
-    For THETA this is w * theta'(0)/theta(w); for the other kinds it is
-    theta_i(w)/theta_i(0).  The q^(1/8) prefactors cancel in every quotient,
-    so the result lives on the half-integer q grid with coefficients that are
-    polynomials in w, the root of the one-root ring of this (even, positive)
-    degree cap (`one_root_ring`).
+    For THETA this is w * theta'(0)/theta(w), for the other kinds theta_i(w)/
+    theta_i(0): each is one division of `_theta_product` at x = e^(+-w) and at
+    x = 1.  The q^(1/8) prefactors cancel, so the result lives on the half-integer
+    q grid with coefficients that are polynomials in w, the root of the one-root
+    ring of this (even, positive) degree cap (`one_root_ring`).
     """
     if cap < 2 or cap % 2:
         raise UsageError(f"degree cap must be even and positive, not {cap}")
@@ -106,41 +105,16 @@ def theta_ratio(kind: ThetaKind, cap: int, order: int) -> QSeries:
         raise UsageError("truncation order must be >= 0")
     if kind not in _THETA_GRIDS:
         raise UsageError(f"unknown theta kind {kind!r}")
-    spec = one_root_ring(cap)
-    ew = exp_root(cap, +1)
-    ewi = exp_root(cap, -1)
-    grid, sign = _THETA_GRIDS[kind]
-    lead = {ThetaKind.THETA: half_over_sinh_half_root, ThetaKind.THETA1: cosh_half_root}.get(kind)
-    lead = GradedPoly.one(spec) if lead is None else lead(cap)
-    # lead * prod_t (1 + sign e^w t)(1 + sign e^-w t) / (1 + sign t)^2; THETA takes that
-    # quotient's inverse, through `_geometric_inverse` rather than a series division
-    res = QSeries.from_poly(lead, order)
-    for j in range(1, order + 1):
-        h = 2 * j if grid == "int" else 2 * j - 1
-        const = QSeries.binomial(sign, h, order).powi(2)
-        if kind is ThetaKind.THETA:
-            res = res * const * _geometric_inverse(ew * -sign, h, order) \
-                * _geometric_inverse(ewi * -sign, h, order)
-        else:
-            res = res * QSeries.binomial(ew * sign, h, order) \
-                * QSeries.binomial(ewi * sign, h, order) / const
-    return res
+    at_w = _theta_product(kind, order, exp_root(cap, +1), exp_root(cap, -1))
+    at_zero = _theta_product(kind, order)
+    if kind is ThetaKind.THETA:
+        return QSeries.from_poly(half_over_sinh_half_root(cap), order) * (at_zero / at_w)
+    lead = cosh_half_root(cap) if kind is ThetaKind.THETA1 else GradedPoly.one(one_root_ring(cap))
+    return QSeries.from_poly(lead, order) * (at_w / at_zero)
 
 
 # ---------------------------------------------------------------------------
 # Modular forms as rational q-series
-
-
-def _theta_const(kind: ThetaKind, order: int) -> QSeries:
-    """theta_i(0) without its 2 q^(1/8) prefactor: prod_j (1 - q^j)(1 + sign t_j)^2
-    over the grid points t_j of `_THETA_GRIDS`."""
-    grid, sign = _THETA_GRIDS[kind]
-    res = QSeries.one(order)
-    for j in range(1, order + 1):
-        h = 2 * j if grid == "int" else 2 * j - 1
-        res = res * QSeries.binomial(-1, 2 * j, order)
-        res = res * QSeries.binomial(sign, h, order).powi(2)
-    return res
 
 
 @lru_cache(maxsize=None)
@@ -150,7 +124,7 @@ def _theta_const_fourth(kind: ThetaKind, order: int) -> QSeries:
     theta1(0)^4 = 16 q^(1/2) prod((1-q^j)(1+q^j)^2)^4 lands on the half grid;
     theta2(0)^4 and theta3(0)^4 carry no prefactor.
     """
-    fourth = _theta_const(kind, order).powi(4)
+    fourth = _theta_product(kind, order).powi(4)
     return fourth.shift(1).scale(16) if kind is ThetaKind.THETA1 else fourth
 
 
@@ -188,10 +162,10 @@ def jacobi_identity_check(order: int, perturb: bool = False) -> QSeries:
     nonzero residual.
     """
     lhs = QSeries.one(order)
-    for j in range(1, order + 2):
+    for j in range(1, order + 1):
         lhs = lhs * QSeries.binomial(-1, 2 * j, order).powi(2 if perturb else 3)
-    rhs = (_theta_const(ThetaKind.THETA1, order) * _theta_const(ThetaKind.THETA2, order)
-           * _theta_const(ThetaKind.THETA3, order))
+    rhs = (_theta_product(ThetaKind.THETA1, order) * _theta_product(ThetaKind.THETA2, order)
+           * _theta_product(ThetaKind.THETA3, order))
     return lhs - rhs
 
 

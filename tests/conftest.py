@@ -40,6 +40,7 @@ from anomcancel.decomp import (
     extract_br_betar,
 )
 from anomcancel.errors import InvertError, UsageError
+from anomcancel import theta
 from anomcancel.theta import ModularFormId, ThetaKind, modular_form, theta_ratio
 
 
@@ -530,6 +531,46 @@ def symmetric_block(cap: int, order: int) -> QSeries:
         res = res * QSeries.binomial(-1, h, order).powi(2)
         res = res / (QSeries.binomial(-exp_root(cap, +1), h, order)
                      * QSeries.binomial(-exp_root(cap, -1), h, order))
+    return res
+
+
+def _geometric_inverse(poly: GradedPoly, half_exp: int, order: int) -> QSeries:
+    """(1 - poly * q^(half_exp/2))^(-1) as a geometric series, power by power."""
+    spec = poly.spec
+    width = 2 * order + 1
+    coeffs = [GradedPoly.zero(spec)] * width
+    coeffs[0] = GradedPoly.one(spec)
+    power = GradedPoly.one(spec)
+    i = 1
+    while i * half_exp < width:
+        power = power * poly
+        if power.is_zero:
+            break
+        coeffs[i * half_exp] = power
+        i += 1
+    return QSeries(coeffs, order, spec)
+
+
+def reference_theta_ratio(kind: ThetaKind, cap: int, order: int) -> QSeries:
+    """theta_ratio built factor by factor, with the (1 - q^j) factors cancelled
+    by hand: lead * prod_t (1 + sign e^w t)(1 + sign e^-w t) / (1 + sign t)^2
+    over the grid points t of `_THETA_GRIDS`, one division per point; THETA
+    takes that quotient's inverse through geometric series, with no series
+    division.  The engine divides two whole Jacobi products once."""
+    ew, ewi = exp_root(cap, +1), exp_root(cap, -1)
+    grid, sign = theta._THETA_GRIDS[kind]
+    lead = {ThetaKind.THETA: half_over_sinh_half_root, ThetaKind.THETA1: cosh_half_root}.get(kind)
+    lead = GradedPoly.one(one_root_ring(cap)) if lead is None else lead(cap)
+    res = QSeries.from_poly(lead, order)
+    for j in range(1, order + 1):
+        h = 2 * j if grid == "int" else 2 * j - 1
+        const = QSeries.binomial(sign, h, order).powi(2)
+        if kind is ThetaKind.THETA:
+            res = res * const * _geometric_inverse(ew * -sign, h, order) \
+                * _geometric_inverse(ewi * -sign, h, order)
+        else:
+            res = res * QSeries.binomial(ew * sign, h, order) \
+                * QSeries.binomial(ewi * sign, h, order) / const
     return res
 
 

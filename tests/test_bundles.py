@@ -74,6 +74,18 @@ class TestGeometrySpec:
         with pytest.raises(UsageError, match="degree cap too large for packed exponents"):
             GeometrySpec(k=32, l=3, family=family).ring()
 
+    # coefficients grow like 2^(|twist| * l); each family takes max(|a|, |b|) * l
+    # up to 4096 and refuses one more
+    @pytest.mark.parametrize("family, at_bound, past_bound", [
+        pytest.param(Family.AB, dict(l=1, a=4096, b=-4096), dict(l=1, a=4097, b=0), id="ab"),
+        pytest.param(Family.AB_XI, dict(l=2048, a=0, b=-2), dict(l=4097, a=1, b=-1), id="ab-xi"),
+        pytest.param(Family.TWO_LINE, dict(l=4096), dict(l=4097), id="two-line"),
+    ])
+    def test_twist_bound(self, family, at_bound, past_bound):
+        assert GeometrySpec(k=2, family=family, **at_bound).ring().cap == 8
+        with pytest.raises(UsageError, match="must be at most 4096, not 4097"):
+            GeometrySpec(k=2, family=family, **past_bound)
+
     def test_positivity_validation(self):
         with pytest.raises(UsageError):
             GeometrySpec(k=0, l=1)

@@ -76,6 +76,17 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert "degree cap too large for packed exponents" in err
 
+    # max(|a|, |b|) * l > 4096 is refused before any arithmetic; at 4096 the cases pass
+    @pytest.mark.parametrize("case", ["THM31", "THM34", "EQ318_TRANSFER", "DOUBLE_ROUTE"])
+    def test_twist_bound(self, capsys, case):
+        code, out, err = run_cli(capsys, "verify", "--case", case,
+                                 "--k", "2", "--l", "256", "--a", "256", "--b", "1")
+        assert code == 2 and out == ""
+        assert "max(|a|, |b|) * l must be at most 4096, not 65536" in err
+        for geometry in (("--l", "1", "--a", "4096", "--b", "-4096"),
+                         ("--l", "4096", "--a", "1", "--b", "-1")):
+            assert run_cli(capsys, "verify", "--case", case, "--k", "2", *geometry)[0] == 0
+
     def test_failing_case_exit_code(self, capsys, tmp_path):
         config = {
             "cases": [
@@ -272,6 +283,8 @@ class TestSuiteValidation:
         pytest.param({"case": "HLZ_SPECIAL", "b": 1}, id="HLZ_SPECIAL at b = 1"),
         pytest.param({"case": "DOUBLE_ROUTE", "family": "ab-xi"}, id="DOUBLE_ROUTE on ab-xi"),
         pytest.param({"case": "THM34", "family": "ab"}, id="THM34 on ab"),
+        pytest.param({"case": "THM31", "k": 2, "l": 256, "a": 256, "b": 1},
+                     id="twist past the bound"),
     ])
     def test_refused_before_any_case_runs(self, capsys, tmp_path, monkeypatch, bad):
         calls = []

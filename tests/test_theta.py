@@ -34,7 +34,7 @@ from anomcancel.theta import (
 )
 from anomcancel.verifier import CaseId, verify_case
 
-from conftest import scale_gens, set_gens_zero, theta_logderiv_ratio
+from conftest import reference_theta_ratio, scale_gens, set_gens_zero, theta_logderiv_ratio
 
 SPEC = RingSpec(gens=(("w", 2),), cap=8)
 W = GradedPoly.generator(SPEC, "w")
@@ -64,6 +64,14 @@ class TestThetaRatios:
             got = theta_ratio(kind, SPEC.cap, 2)
             assert got.coeffs[0] == GradedPoly.one(SPEC)
             assert not got.coeffs[1].is_zero  # genuine q^(1/2) content
+
+    # every even cap 2..16 and both ends of the order range 0..24; the sympy
+    # oracle stops at cap 8, order 4
+    @pytest.mark.parametrize("cap, order", [(2, 0), (2, 24), (4, 1), (6, 2), (8, 3), (10, 5),
+                                            (12, 8), (14, 13), (16, 0), (16, 24)])
+    @pytest.mark.parametrize("kind", list(ThetaKind), ids=lambda kind: kind.name)
+    def test_equals_the_factor_by_factor_reference(self, kind, cap, order):
+        assert theta_ratio(kind, cap, order) == reference_theta_ratio(kind, cap, order)
 
     def test_argument_validation(self):
         # the cap of a one-root ring is even and positive; the order is >= 0
