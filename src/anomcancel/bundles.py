@@ -51,11 +51,17 @@ class Family(Enum):
 
 
 class QFormId(Enum):
-    """An assembled form by its role; `GeometrySpec.family` picks the family's form."""
+    """An assembled form by its role; `GeometrySpec.family` picks the family's form.
+
+    JOINT is the modular combination MAIN + z * CORRECTION, z = `p1_combo`
+    ('Q2 + z * Q2bar', 'P2 + z * P3'), whose modularity gives the
+    generalized cancellation formulas.
+    """
 
     LEAD = "lead"              # E2-prefixed character of the first bundle: Q1, Q1^xi, P1
     MAIN = "main"              # character of the second bundle: Q2, Q2^xi, P2
     CORRECTION = "correction"  # E2 correction of the second bundle: Q2bar, Q3^xi, P3
+    JOINT = "joint"            # MAIN + z * CORRECTION
 
 
 class Route(Enum):
@@ -87,7 +93,7 @@ class FamilyForms:
     e2_coefficient: Fraction       # c in exp(c * E2 * z)
     euler_cosh: tuple        # Euler-cosh factors of the lead and of the weight
     blocks: tuple            # BUNDLE: blocks of bundles 1 and 2, in multiplication order
-    theta: tuple | None      # THETA: forms of the lead and the joint main; None: no formula
+    theta: tuple | None      # THETA: forms of LEAD and JOINT; None: no formula
     printed_readings: bool   # the paper prints r = 1 closed forms: twist_bundle at b = 0
 
 
@@ -354,14 +360,14 @@ def q_form(form: QFormId, route: Route, spec: GeometrySpec, order: int) -> QSeri
     """Full-degree q-series of one assembled characteristic form of `spec.family`.
 
     Degree extraction (top component or one below) is deliberately left to
-    the callers so that all grading bookkeeping lives in one place.  On the
-    THETA route MAIN denotes the modular combination MAIN + z * CORRECTION
-    ('Q2 + z * Q2bar', 'P2 + z * P3') that the theta quotients express.
+    the callers so that all grading bookkeeping lives in one place.  The
+    BUNDLE route builds every form; the theta quotients express LEAD and
+    JOINT only, so the THETA route refuses MAIN and CORRECTION.
     """
     if not isinstance(form, QFormId):
         raise UsageError(f"unknown form {form!r}")
     if route is Route.THETA:
-        if FAMILY_FORMS[spec.family].theta is None or form is QFormId.CORRECTION:
+        if FAMILY_FORMS[spec.family].theta is None or form not in (QFormId.LEAD, QFormId.JOINT):
             raise UsageError(f"no theta-quotient expression for {form.name} in {spec.family.value}")
         return _q_form_theta(form, spec, order)
     return _q_form_bundle(form, spec, order)
@@ -373,10 +379,15 @@ def _q_form_bundle(form: QFormId, spec: GeometrySpec, order: int) -> QSeries:
         rows, two = _genus_rows(spec, 1)
         return symmetrise(rows + _block_rows(spec, 1, order), order,
                           _e2_exponent(spec, order)).scale(two)
-    base = lead_weight(spec, 2) * ch_theta_bundle(2, spec, order)
+    main = lead_weight(spec, 2) * ch_theta_bundle(2, spec, order)
     if form is QFormId.MAIN:
-        return base
-    return e2_expm1_over_z(spec, order) * base
+        return main
+    # (exp(c E2 z) - 1) / z, not exp of the E2 exponent the THETA route reads
+    expm1_over_z = e2_expm1_over_z(spec, order)
+    if form is QFormId.CORRECTION:
+        return expm1_over_z * main
+    # main + z * correction as one product, so no full-size correction is held
+    return (expm1_over_z * p1_combo(spec) + QSeries.one(order, spec.ring())) * main
 
 
 def _q_form_theta(form: QFormId, spec: GeometrySpec, order: int) -> QSeries:

@@ -177,15 +177,6 @@ def _two_pow(e: int) -> Fraction:
     return Fraction(2) ** e
 
 
-def _gamma_upper_side(spec: GeometrySpec, order: int) -> QSeries:
-    """Top-degree series of the modular combination on the b-even side."""
-    cap = 4 * spec.k
-    z = p1_combo(spec)
-    top = q_form(QFormId.MAIN, Route.BUNDLE, spec, order).degree_slice(cap)
-    low = q_form(QFormId.CORRECTION, Route.BUNDLE, spec, order).degree_slice(cap - 4)
-    return top + low * z
-
-
 # ---------------------------------------------------------------------------
 # Theorem assemblies
 
@@ -219,7 +210,7 @@ def _theorem_sides(spec: GeometrySpec,
     correction = sum_of_products(ring, zip(beta, coef)) - (pref * lead).degree_part(cap - 4)
     rhs = z * correction
 
-    data = {"b": b, "beta": beta, "correction": correction}
+    data = {"b": b, "beta": beta, "correction": correction, "lead": lead, "weight": weight}
     return lhs, rhs, data
 
 
@@ -245,7 +236,10 @@ def _case_theorem(req: CaseRequest) -> Outcome:
 def _case_cor32(req: CaseRequest) -> Outcome:
     spec = req.spec
     a, b, l = spec.a, spec.b, spec.l
-    da, db = lead_weight(spec, 1), lead_weight(spec, 2)
+    # specialization coherence: the k = 1 theorem data must imply exactly this
+    # statement (sign of the r = 0 bundle coefficient, constant correction form)
+    _, _, data = _theorem_sides(spec)
+    da, db = data["lead"], data["weight"]
     z = p1_combo(spec)
     const = _two_pow(a * l - 3)
     if req.perturb:
@@ -253,9 +247,6 @@ def _case_cor32(req: CaseRequest) -> Outcome:
     lhs = da.degree_part(4) + db.degree_part(4) * _two_pow((a - b) * l + 1)
     rhs = z * (-const)
     diff = lhs - rhs
-    # specialization coherence: the k = 1 theorem data must imply exactly this
-    # statement (sign of the r = 0 bundle coefficient, constant correction form)
-    _, _, data = _theorem_sides(spec)
     ring = spec.ring()
     coherent = (data["b"][0] == GradedPoly.constant(ring, -1)
                 and data["correction"] == GradedPoly.constant(ring, -_two_pow(a * l - 3)))
@@ -276,8 +267,9 @@ def _case_cor33(req: CaseRequest) -> Outcome:
     c1 = _two_pow((a - b) * l - 4) * (b - a)
     if req.perturb:
         c0 = c0 * 2
-    lhs = da.degree_part(8) - db.degree_part(8) * c0 - (db * chv).degree_part(8) * c1
-    bracket = db * c0 + (db * chv) * c1 - da
+    db_chv = db * chv
+    lhs = da.degree_part(8) - db.degree_part(8) * c0 - db_chv.degree_part(8) * c1
+    bracket = db * c0 + db_chv * c1 - da
     rhs = z * (pref * bracket).degree_part(4)
     diff = lhs - rhs
     notes = ("identity checked with the coefficient 2^((a-b)l-4)(b-a) on the ch(V~) "
@@ -314,9 +306,10 @@ def _case_cor43(req: CaseRequest) -> Outcome:
     c1 = _two_pow(l - 4)
     if req.perturb:
         c1 = c1 * 2
+    weight_chw = weight * chw
     lhs = (lead.degree_part(8) - weight.degree_part(8) * _two_pow(l)
-           - (weight * chw).degree_part(8) * c1)
-    bracket = weight * _two_pow(l) + (weight * chw) * c1 - lead
+           - weight_chw.degree_part(8) * c1)
+    bracket = weight * _two_pow(l) + weight_chw * c1 - lead
     rhs = z * (pref * bracket).degree_part(4)
     diff = ideal_reduce(lhs - rhs, "p1(TM)", "p1(V)")
     notes = ("difference reduced modulo p1(TM) - p1(V); the Euler-square of xi' is "
@@ -333,10 +326,9 @@ def _case_cor43(req: CaseRequest) -> Outcome:
 def _case_transfer(req: CaseRequest) -> Outcome:
     spec, order = req.spec, req.order
     k = spec.k
-    if req.perturb:
-        side = q_form(QFormId.MAIN, Route.BUNDLE, spec, order).degree_slice(4 * k)
-    else:
-        side = _gamma_upper_side(spec, order)
+    # perturbed: MAIN alone, without its E2 correction, is not modular
+    form = QFormId.MAIN if req.perturb else QFormId.JOINT
+    side = q_form(form, Route.BUNDLE, spec, order).degree_slice(4 * k)
     h = decompose(side, k)
     witness = side - basis_combination(k, h, Group.GAMMA_UPPER0, order)
     recon = basis_combination(k, h, Group.GAMMA0, order).scale(
@@ -354,19 +346,12 @@ def _case_transfer(req: CaseRequest) -> Outcome:
 def _case_double_route(req: CaseRequest) -> Outcome:
     spec, order = req.spec, req.order
     lead, main, _, _ = FAMILY_FORMS[spec.family].names
-    z = p1_combo(spec)
-    pairs = [
-        (lead, q_form(QFormId.LEAD, Route.BUNDLE, spec, order),
-         q_form(QFormId.LEAD, Route.THETA, spec, order)),
-        (f"{main}_joint",
-         q_form(QFormId.MAIN, Route.BUNDLE, spec, order)
-         + q_form(QFormId.CORRECTION, Route.BUNDLE, spec, order) * z,
-         q_form(QFormId.MAIN, Route.THETA, spec, order)),
-    ]
     ok = True
     first = (None, None)
     quantities = []
-    for name, bundle_side, theta_side in pairs:
+    for name, form in ((lead, QFormId.LEAD), (f"{main}_joint", QFormId.JOINT)):
+        bundle_side = q_form(form, Route.BUNDLE, spec, order)
+        theta_side = q_form(form, Route.THETA, spec, order)
         if req.perturb:
             theta_side = theta_side.scale(2)
         diff = bundle_side - theta_side
@@ -416,14 +401,15 @@ def _case_hlz(req: CaseRequest) -> Outcome:
     per_root = (apply_series(taylor_exp(nterms), w_half)
                 + apply_series(taylor_exp(nterms), -w_half)) * Fraction(1, 2)
     spinor = symmetrise([(_log_parts(per_root), spec.power_sums("V"), 1)]) * _two_pow(l)
-    lhs_special = (ahat * spinor).degree_part(cap)
+    ahat_spinor = ahat * spinor
+    lhs_special = ahat_spinor.degree_part(cap)
     for r, br in enumerate(data["b"]):
         lhs_special = lhs_special - (ahat * br).degree_part(cap) * _two_pow(l + k - 6 * r)
     pref = e2_expm1_over_z(spec, 0).coeffs[0]
     corr = GradedPoly.zero(ring)
     for r, betar in enumerate(data["beta"]):
         corr = corr + betar * _two_pow(l + k - 6 * r)
-    corr = corr - (pref * ahat * spinor).degree_part(cap - 4)
+    corr = corr - (pref * ahat_spinor).degree_part(cap - 4)
     rhs_special = p1_combo(spec) * corr
     if req.perturb:
         rhs_special = rhs_special * 2

@@ -613,9 +613,13 @@ def root_q_form(form, route, spec, order: int) -> QSeries:
 
 # The paper's names of each family's LEAD, MAIN and CORRECTION forms; the ids
 # of the tests parametrised over forms print them, as QFormId.Q1 and so on.
+# JOINT, MAIN + z * CORRECTION, prints under MAIN's name, as DOUBLE_ROUTE
+# names its quantity Q2_joint or P2_joint.
 PAPER_FORMS = {Family.AB: ("Q1", "Q2", "Q2BAR"), Family.AB_XI: ("Q1_XI", "Q2_XI", "Q3_XI"),
                Family.TWO_LINE: ("P1", "P2", "P3")}
 
 
 def paper_form(spec, form) -> str:
+    if form is QFormId.JOINT:
+        form = QFormId.MAIN
     return PAPER_FORMS[spec.family][list(QFormId).index(form)]

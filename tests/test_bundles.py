@@ -270,11 +270,26 @@ class TestQForms:
         z = p1_combo(spec)
         bundle = (q_form(QFormId.MAIN, Route.BUNDLE, spec, 3)
                   + q_form(QFormId.CORRECTION, Route.BUNDLE, spec, 3) * z)
-        assert bundle == q_form(QFormId.MAIN, Route.THETA, spec, 3)
+        assert bundle == q_form(QFormId.JOINT, Route.THETA, spec, 3)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_joint_is_main_plus_z_correction(self, family):
+        a, b = (1, 0) if family is Family.TWO_LINE else (2, 1)
+        for k in (1, 2, 3):
+            spec = GeometrySpec(k=k, l=2, a=a, b=b, family=family)
+            z = p1_combo(spec)
+            for order in (0, 3):
+                main = q_form(QFormId.MAIN, Route.BUNDLE, spec, order)
+                correction = q_form(QFormId.CORRECTION, Route.BUNDLE, spec, order)
+                assert q_form(QFormId.JOINT, Route.BUNDLE, spec, order) == main + correction * z
 
     def test_theta_route_rejects_unsupported_ids(self):
-        with pytest.raises(UsageError):
-            q_form(QFormId.CORRECTION, Route.THETA, AB11, 2)
+        # the theta quotients express LEAD and JOINT only
+        two = GeometrySpec(k=1, l=1, a=1, b=0, family=Family.TWO_LINE)
+        for spec in (AB11, two):
+            for form in (QFormId.MAIN, QFormId.CORRECTION):
+                with pytest.raises(UsageError, match=f"expression for {form.name} in"):
+                    q_form(form, Route.THETA, spec, 2)
         xi = GeometrySpec(k=1, l=1, a=1, b=0, family=Family.AB_XI)
         with pytest.raises(UsageError):
             q_form(QFormId.LEAD, Route.THETA, xi, 2)
@@ -319,8 +334,8 @@ class TestRouteIndependence:
     AB = GeometrySpec(k=1, l=2, a=2, b=1, family=Family.AB)
     TWO = GeometrySpec(k=1, l=2, a=1, b=0, family=Family.TWO_LINE)
     CASES = [pytest.param(form, spec, id=f"QFormId.{paper_form(spec, form)}-spec{i}")
-             for i, (form, spec) in enumerate([(QFormId.LEAD, AB), (QFormId.MAIN, AB),
-                                               (QFormId.LEAD, TWO), (QFormId.MAIN, TWO)])]
+             for i, (form, spec) in enumerate([(QFormId.LEAD, AB), (QFormId.JOINT, AB),
+                                               (QFormId.LEAD, TWO), (QFormId.JOINT, TWO)])]
 
     @staticmethod
     def refuse(*args, **kwargs):
@@ -340,8 +355,10 @@ class TestRouteIndependence:
 
 class TestRouteMutations:
     """One changed exponent in either route's recipe makes DOUBLE_ROUTE report
-    MISMATCH on the form it builds: the routes share `symmetrise` and the E2
-    exponent, so only their recipes keep them apart."""
+    MISMATCH on the form it builds: the routes share `symmetrise`, and their
+    lead forms share the E2 exponent, so only their recipes keep those apart.
+    The joint form's E2 factor is `e2_expm1_over_z` on the BUNDLE route and
+    the exp of that exponent on the THETA route."""
 
     SPECS = [GeometrySpec(k=1, l=2, a=2, b=1, family=Family.AB),
              GeometrySpec(k=1, l=2, a=1, b=0, family=Family.TWO_LINE)]
@@ -401,6 +418,16 @@ class TestRouteMutations:
         names = (row.names[0], f"{row.names[1]}_joint")
         assert self.verdicts(spec) == (False, {name: "MISMATCH" if i in which else "equal"
                                                for i, name in enumerate(names)})
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.family.value)
+    def test_bundle_joint_e2_factor(self, spec, cold_caches, monkeypatch):
+        # the BUNDLE route's joint form reads its E2 factor from e2_expm1_over_z
+        # alone, so scaling it leaves the lead forms equal
+        expm1_over_z = bundles.e2_expm1_over_z
+        monkeypatch.setattr(bundles, "e2_expm1_over_z",
+                            lambda spec, order: expm1_over_z(spec, order).scale(F(25, 24)))
+        row = FAMILY_FORMS[spec.family]
+        assert self.verdicts(spec) == self.expect(row, 1)
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.family.value)
     def test_unchanged_recipes_agree(self, spec, cold_caches):

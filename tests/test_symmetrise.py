@@ -120,7 +120,7 @@ FORM_CASES = [
                            (Family.TWO_LINE, (1, 0)))
     for form, route in ((QFormId.LEAD, Route.BUNDLE), (QFormId.MAIN, Route.BUNDLE),
                         (QFormId.CORRECTION, Route.BUNDLE),
-                        (QFormId.LEAD, Route.THETA), (QFormId.MAIN, Route.THETA))
+                        (QFormId.LEAD, Route.THETA), (QFormId.JOINT, Route.THETA))
     if route is Route.BUNDLE or FAMILY_FORMS[family].theta is not None
 ]
 FORM_CASES = [pytest.param(*case, id=f"spec{i}-QFormId.{paper_form(case[0], case[1])}-{case[2]}")

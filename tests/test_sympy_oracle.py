@@ -316,15 +316,15 @@ def _engine_over_roots(spec, series):
     return roots.cut(out)
 
 
-LEAD, MAIN, CORRECTION = QFormId
+LEAD, MAIN, CORRECTION, JOINT = QFormId
 BUNDLE, THETA = Route
 ASSEMBLED = [
     (GeometrySpec(k=1, l=2, a=2, b=1, family=Family.AB), 3,
-     ((LEAD, BUNDLE), (MAIN, BUNDLE), (CORRECTION, BUNDLE), (LEAD, THETA), (MAIN, THETA))),
+     ((LEAD, BUNDLE), (MAIN, BUNDLE), (CORRECTION, BUNDLE), (LEAD, THETA), (JOINT, THETA))),
     (GeometrySpec(k=1, l=1, a=-1, b=2, family=Family.AB_XI), 3,
      ((LEAD, BUNDLE), (CORRECTION, BUNDLE))),
     (GeometrySpec(k=1, l=1, a=1, b=0, family=Family.TWO_LINE), 3,
-     ((LEAD, BUNDLE), (CORRECTION, BUNDLE), (LEAD, THETA), (MAIN, THETA))),
+     ((LEAD, BUNDLE), (CORRECTION, BUNDLE), (LEAD, THETA), (JOINT, THETA))),
     (GeometrySpec(k=2, l=1, a=1, b=0, family=Family.AB), 2,
      ((LEAD, BUNDLE), (LEAD, THETA))),
 ]

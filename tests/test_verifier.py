@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from anomcancel import bundles, decomp, verifier
 from anomcancel.algebra import GradedPoly
 from anomcancel.bundles import FAMILY_FORMS, Family, GeometrySpec
 from anomcancel.errors import UsageError
@@ -272,6 +273,31 @@ class TestInvariants:
         second = run_suite(list(reversed(reqs)))
         strip = lambda rep: (rep.case, rep.spec, rep.verdict, rep.quantities)
         assert [strip(r) for r in first] == [strip(r) for r in second]
+
+
+class TestBuildCounts:
+    """How often a cold case symmetrises a genus-times-spinor form: COR32 reads
+    the lead and the weight `_theorem_sides` built, so only the beta_r build the
+    weight again; DOUBLE_ROUTE and EQ318_TRANSFER build the weight once, for JOINT."""
+
+    @pytest.mark.parametrize("case, spec, calls", [
+        (CaseId.COR32, AB(1, 2, 2, 1), 3),
+        (CaseId.DOUBLE_ROUTE, AB(2, 2, 2, 1), 1),
+        (CaseId.DOUBLE_ROUTE, TWO(2, 2), 1),
+        (CaseId.EQ318_TRANSFER, AB(2, 2, 2, 1), 1),
+    ], ids=["COR32", "DOUBLE_ROUTE-ab", "DOUBLE_ROUTE-two-line", "EQ318_TRANSFER"])
+    def test_lead_weight_calls(self, case, spec, calls, cold_caches, monkeypatch):
+        lead_weight = bundles.lead_weight
+        seen = []
+
+        def counted(spec, which):
+            seen.append(which)
+            return lead_weight(spec, which)
+
+        for module in (bundles, decomp, verifier):
+            monkeypatch.setattr(module, "lead_weight", counted)
+        assert verify_case(case, spec).passed
+        assert len(seen) == calls
 
 
 class TestSuite:
