@@ -7,11 +7,11 @@ Chern characters of the three twisted tensor-product families:
 * AB_XI    -- same with an extra rank-two oriented bundle xi mixed in;
 * TWO_LINE -- two rank-two bundles xi, xi' with the (a, b) = (1, 0) shape.
 
-Each assembled characteristic q-series (`q_form`) can be produced through
-two independent routes: BUNDLE reads the log of each per-root factor of the
-symmetric/exterior-power generating functions off its closed form in Adams
-operations, THETA multiplies out Jacobi's products for the per-root theta
-quotients, with the matching power-of-two normalization.  Their exact
+The lead and the joint characteristic q-series (`q_form`) are each produced
+through two independent routes: BUNDLE reads the log of each per-root factor
+of the symmetric/exterior-power generating functions off its closed form in
+Adams operations, THETA multiplies out Jacobi's products for the per-root
+theta quotients, with the matching power-of-two normalization.  Their exact
 agreement is the central correctness property of the package.
 
 Every form lives in the Pontryagin ring of `GeometrySpec.ring()`: each route
