@@ -166,8 +166,9 @@ class GeometrySpec:
         return "u'" in FAMILY_FORMS[self.family].euler_roots
 
     def ring(self) -> RingSpec:
-        """Euler roots u, u' (degree 2), then p_1..p_k(TM), then p_1..p_min(l,k)(V)."""
-        return _ring_for(self.k, self.l, FAMILY_FORMS[self.family].euler_roots)
+        """Euler roots u, u' (degree 2), then p_1..p_k(TM), then p_1..p_min(l,k)(V);
+        one object for every l >= k, so the caches keyed on it are shared."""
+        return _ring_for(self.k, min(self.l, self.k), FAMILY_FORMS[self.family].euler_roots)
 
     def power_sums(self, label: str) -> tuple[GradedPoly, ...]:
         """s_n, n = 1..k, the sums of the 2n-th powers of the Chern roots that
@@ -182,12 +183,12 @@ class GeometrySpec:
 
 
 @lru_cache(maxsize=None)
-def _ring_for(k: int, l: int, euler_roots: tuple[str, ...]) -> RingSpec:
+def _ring_for(k: int, v_classes: int, euler_roots: tuple[str, ...]) -> RingSpec:
     one_root_ring(4 * k)   # refuses, before any arithmetic, a k too large to pack
     # p_i with 4i above the cap 4k, or past a family's root count, is zero
     gens = [(name, 2) for name in euler_roots]
     gens += [(f"p{i}(TM)", 4 * i) for i in range(1, k + 1)]
-    gens += [(f"p{i}(V)", 4 * i) for i in range(1, min(l, k) + 1)]
+    gens += [(f"p{i}(V)", 4 * i) for i in range(1, v_classes + 1)]
     return RingSpec(gens=tuple(gens), cap=4 * k)
 
 
@@ -223,16 +224,23 @@ def ch_spinor_pow(spec: GeometrySpec, e: int) -> GradedPoly:
     return cosh * Fraction(2) ** (e * spec.l)
 
 
-def _genus_rows(spec: GeometrySpec, which: int) -> tuple[list, Fraction]:
-    """Rows of the lead (which = 1) or weight (2) form: A-hat over TM, cosh(v/2)^e
-    over V for e = a or b, the Euler-cosh factors; and its factor 2^(e l)."""
-    cap = 4 * spec.k
-    e = spec.a if which == 1 else spec.b
-    rows = [(_log_parts(half_over_sinh_half_root(cap)), spec.power_sums("TM"), 1),
-            (_log_parts(cosh_half_root(cap)), spec.power_sums("V"), e)]
-    rows += [(_log_parts(cosh_half_root(cap)), spec.power_sums(roots), x)
-             for roots, x in FAMILY_FORMS[spec.family].euler_cosh[which - 1]]
-    return rows, Fraction(2) ** (e * spec.l)
+def _genus_rows(ring: RingSpec, family: Family, which: int, e: int) -> list:
+    """Rows of the lead (which = 1) or weight (2) form of `family` with spinor
+    power e = a or b: A-hat over TM, cosh(v/2)^e over V, the Euler-cosh factors."""
+    cosh = _log_parts(cosh_half_root(ring.cap))
+    rows = [(_log_parts(half_over_sinh_half_root(ring.cap)), _power_sums(ring, "TM"), 1),
+            (cosh, _power_sums(ring, "V"), e)]
+    rows += [(cosh, _power_sums(ring, roots), x)
+             for roots, x in FAMILY_FORMS[family].euler_cosh[which - 1]]
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _genus_exp(ring: RingSpec, family: Family, which: int, e: int) -> GradedPoly:
+    """The lead or weight form before its factor 2^(e l), cached on the inputs
+    it reads: specs that differ only in an l past k, or in the twist the form
+    does not read, share one build."""
+    return symmetrise(_genus_rows(ring, family, which, e))
 
 
 def lead_weight(spec: GeometrySpec, which: int) -> GradedPoly:
@@ -241,8 +249,8 @@ def lead_weight(spec: GeometrySpec, which: int) -> GradedPoly:
     power, times the family's Euler-cosh factors (`FamilyForms.euler_cosh`)."""
     if which not in (1, 2):
         raise UsageError("which must be 1 or 2")
-    rows, two = _genus_rows(spec, which)
-    return symmetrise(rows) * two
+    e = spec.a if which == 1 else spec.b
+    return _genus_exp(spec.ring(), spec.family, which, e) * Fraction(2) ** (e * spec.l)
 
 
 def ch_tilde_roots(spec: GeometrySpec, label: str) -> GradedPoly:
@@ -297,24 +305,32 @@ def _exterior_log(cap: int, grid: str, sign: int, order: int) -> tuple[tuple[Fra
                  for n, row in enumerate(nums))
 
 
-@lru_cache(maxsize=None)
 def ch_theta_bundle(which: int, spec: GeometrySpec, order: int) -> QSeries:
     """Chern character of the first or second twisted tensor-product bundle."""
     if which not in (1, 2):
         raise UsageError("which must be 1 or 2")
     if order < 0:
         raise UsageError("truncation order must be >= 0")
-    return symmetrise(_block_rows(spec, which, order), order)
+    return _bundle_exp(spec.ring(), spec.family, which, spec.a, spec.b, order)
 
 
-def _block_rows(spec: GeometrySpec, which: int, order: int) -> list:
-    """The per-root log rows of the first or second twisted bundle's character;
-    the tangent row, prod_n ch S_(q^n)(TM~), inverts the exterior block at t = -q^n."""
-    cap = 4 * spec.k
-    rows = [(_exterior_log(cap, "int", -1, order), spec.power_sums("TM"), -1)]
-    for roots, grid, sign, e in FAMILY_FORMS[spec.family].blocks[which - 1]:
-        rows.append((_exterior_log(cap, grid, sign, order), spec.power_sums(roots),
-                     spec.twist(e)))
+@lru_cache(maxsize=None)
+def _bundle_exp(ring: RingSpec, family: Family, which: int, a: int, b: int,
+                order: int) -> QSeries:
+    """`ch_theta_bundle`, cached on the inputs it reads: the ring, not k and l."""
+    return symmetrise(_block_rows(ring, family, which, a, b, order), order)
+
+
+def _block_rows(ring: RingSpec, family: Family, which: int, a: int, b: int,
+                order: int) -> list:
+    """The per-root log rows of the first or second twisted bundle's character
+    at twists (a, b); the tangent row, prod_n ch S_(q^n)(TM~), inverts the
+    exterior block at t = -q^n."""
+    twists = {"a": a, "b": b}
+    rows = [(_exterior_log(ring.cap, "int", -1, order), _power_sums(ring, "TM"), -1)]
+    for roots, grid, sign, e in FAMILY_FORMS[family].blocks[which - 1]:
+        rows.append((_exterior_log(ring.cap, grid, sign, order), _power_sums(ring, roots),
+                     twists.get(e, e)))
     return rows
 
 
@@ -328,7 +344,6 @@ def _e2_exponent(spec: GeometrySpec, order: int) -> QSeries:
     return modular_form(ModularFormId.E2, order).scale(c) * p1_combo(spec)
 
 
-@lru_cache(maxsize=None)
 def e2_expm1_over_z(spec: GeometrySpec, order: int) -> QSeries:
     """(exp(c * E2 * z) - 1) / z, a well-defined series in the nilpotent z.
 
@@ -337,9 +352,14 @@ def e2_expm1_over_z(spec: GeometrySpec, order: int) -> QSeries:
     the degree cap.  At order 0, where E2 = 1, its one coefficient is the
     q-independent (e^(c z) - 1) / z.
     """
-    ring = spec.ring()
-    z = p1_combo(spec)
-    scaled = modular_form(ModularFormId.E2, order).scale(FAMILY_FORMS[spec.family].e2_coefficient)
+    return _e2_expm1(p1_combo(spec), FAMILY_FORMS[spec.family].e2_coefficient, order)
+
+
+@lru_cache(maxsize=None)
+def _e2_expm1(z: GradedPoly, c: Fraction, order: int) -> QSeries:
+    """`e2_expm1_over_z`, cached on the inputs it reads: z, which carries its ring, and c."""
+    ring = z.spec
+    scaled = modular_form(ModularFormId.E2, order).scale(c)
     terms = []
     zpow, ppow = GradedPoly.one(ring), scaled      # z^(n-1) / n! and (c E2)^n at n = 1
     for n in range(2, ring.cap // 4 + 3):
@@ -376,9 +396,9 @@ def q_form(form: QFormId, route: Route, spec: GeometrySpec, order: int) -> QSeri
 @lru_cache(maxsize=None)
 def _q_form_bundle(form: QFormId, spec: GeometrySpec, order: int) -> QSeries:
     if form is QFormId.LEAD:
-        rows, two = _genus_rows(spec, 1)
-        return symmetrise(rows + _block_rows(spec, 1, order), order,
-                          _e2_exponent(spec, order)).scale(two)
+        ring, family, a = spec.ring(), spec.family, spec.a
+        rows = _genus_rows(ring, family, 1, a) + _block_rows(ring, family, 1, a, spec.b, order)
+        return symmetrise(rows, order, _e2_exponent(spec, order)).scale(Fraction(2) ** (a * spec.l))
     main = lead_weight(spec, 2) * ch_theta_bundle(2, spec, order)
     if form is QFormId.MAIN:
         return main

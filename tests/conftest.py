@@ -583,10 +583,20 @@ def root_ch_theta_bundle(which: int, spec, order: int) -> QSeries:
     return root_product(spec, factors)
 
 
+def check_form_route(form, route, spec) -> None:
+    """Refuse, as `q_form` does, a form and route the engine does not build:
+    THETA expresses LEAD and JOINT only, and only where the family has a recipe."""
+    if not isinstance(form, QFormId) or not isinstance(route, Route):
+        raise UsageError(f"unknown form or route {form!r}, {route!r}")
+    if route is Route.THETA and (FAMILY_FORMS[spec.family].theta is None
+                                 or form not in (QFormId.LEAD, QFormId.JOINT)):
+        raise UsageError(f"no theta-quotient expression for {form.name} in {spec.family.value}")
+
+
 def root_q_form(form, route, spec, order: int) -> QSeries:
     """q_form in the root ring, on the BUNDLE route or the THETA route."""
+    check_form_route(form, route, spec)
     cap = 4 * spec.k
-    ring = root_ring(spec)
     if route is Route.THETA:
         groups, two = FAMILY_FORMS[spec.family].theta[0 if form is QFormId.LEAD else 1]
         factors = [(theta_ratio(ThetaKind.THETA, cap, order), "TM", 1)]
@@ -608,7 +618,10 @@ def root_q_form(form, route, spec, order: int) -> QSeries:
     if form is QFormId.LEAD:
         return _root_e2_series(spec, order, 0) * lead * root_ch_theta_bundle(1, spec, order)
     base = root_ch_theta_bundle(2, spec, order) * weight
-    return base if form is QFormId.MAIN else _root_e2_series(spec, order, 1) * base
+    if form is QFormId.MAIN:
+        return base
+    # CORRECTION is (exp(c E2 z) - 1) / z times MAIN; JOINT, MAIN + z CORRECTION, exp(c E2 z) times it
+    return _root_e2_series(spec, order, 1 if form is QFormId.CORRECTION else 0) * base
 
 
 # The paper's names of each family's LEAD, MAIN and CORRECTION forms; the ids

@@ -434,3 +434,82 @@ class TestRouteMutations:
         row = FAMILY_FORMS[spec.family]
         assert self.verdicts(spec) == (True, {row.names[0]: "equal",
                                               f"{row.names[1]}_joint": "equal"})
+
+
+# Specs that share a ring: p_i(V) stops at min(l, k), so k = 1 at l = 1..3 and
+# k = 2 at l = 2, 3 each read one ring.  Each twist pair shares an exponent
+# with another: a = 1, b = 0, a = 2; (0, 1) leads with the weight's exponent
+# of (1, 0) and (2, 2) leads with its own weight's.
+SHARED_TWISTS = ((1, 0), (1, 2), (2, 0), (0, 1), (2, 2))
+SHARED_RINGS = ((1, (1, 2, 3)), (2, (2, 3)))
+SHARED_RING_SPECS = [GeometrySpec(k=k, l=l, a=a, b=b, family=family)
+                     for family in (Family.AB, Family.AB_XI)
+                     for k, ls in SHARED_RINGS for l in ls for a, b in SHARED_TWISTS] + [
+                    GeometrySpec(k=k, l=l, family=Family.TWO_LINE)
+                    for k, ls in SHARED_RINGS for l in ls]
+
+
+class TestFormCaches:
+    """The genus, bundle and E2 forms are cached on the ring and the twists
+    they read, not on the spec: specs that share those share one build, and
+    every cached form equals an uncached build from its rows."""
+
+    @pytest.mark.parametrize("family", list(Family), ids=lambda family: family.value)
+    def test_specs_past_k_share_one_ring(self, family):
+        for k, ls in SHARED_RINGS:
+            rings = [GeometrySpec(k=k, l=l, family=family).ring() for l in ls]
+            assert all(ring is rings[0] for ring in rings)
+            assert [n for n in rings[0].names if n.endswith("(V)")] == [
+                f"p{i}(V)" for i in range(1, k + 1)]
+        assert GeometrySpec(k=2, l=1, family=family).ring() != GeometrySpec(
+            k=2, l=2, family=family).ring()
+
+    def test_cached_forms_equal_uncached_builds(self, cold_caches):
+        # one pass from cold: each spec after the first of its ring reads
+        # entries that the specs before it built
+        for spec in SHARED_RING_SPECS:
+            ring = spec.ring()
+            for which, e in ((1, spec.a), (2, spec.b)):
+                rows = bundles._genus_rows(ring, spec.family, which, e)
+                assert lead_weight(spec, which) == symmetrise(rows) * F(2) ** (e * spec.l), spec
+                for order in (0, 2):
+                    rows = bundles._block_rows(ring, spec.family, which, spec.a, spec.b, order)
+                    assert ch_theta_bundle(which, spec, order) == symmetrise(rows, order), spec
+            for order in (0, 2):
+                assert e2_expm1_over_z(spec, order) == reference_e2_expm1_over_z(spec, order), spec
+
+    def test_the_key_names_the_family(self, cold_caches):
+        # a spec's ring names its family's Euler roots, but the key holds the
+        # family itself: over the two-line ring every family's recipe reads
+        # roots it has, and the lead and bundle recipes differ between families
+        ring = GeometrySpec(k=2, l=2, family=Family.TWO_LINE).ring()
+        for family in Family:
+            for which in (1, 2):
+                rows = bundles._genus_rows(ring, family, which, 1)
+                assert bundles._genus_exp(ring, family, which, 1) == symmetrise(rows), family
+                rows = bundles._block_rows(ring, family, which, 1, 0, 1)
+                assert bundles._bundle_exp(ring, family, which, 1, 0, 1) == symmetrise(rows, 1)
+
+    def test_the_e2_key_holds_the_coefficient(self, cold_caches):
+        # AB and AB_XI share c = 1/24, so no spec sets c apart from z; the
+        # scaling (exp(2c E2 z) - 1) / z = 2 (exp(c E2 2z) - 1) / (2z) does
+        for spec in (GeometrySpec(k=2, l=2, a=2, b=1), GeometrySpec(k=2, l=1, family=Family.TWO_LINE)):
+            z, c = p1_combo(spec), FAMILY_FORMS[spec.family].e2_coefficient
+            assert bundles._e2_expm1(z, c, 2) == reference_e2_expm1_over_z(spec, 2)
+            assert bundles._e2_expm1(z, 2 * c, 2) == bundles._e2_expm1(z * 2, c, 2).scale(2)
+
+    def test_weight_symmetrised_once_per_twist(self, cold_caches, monkeypatch):
+        # THM31 at k = 1 over l = 1..3 and b = 0..2 reads three rings that are
+        # one ring, so it builds the lead once and the weight once per b
+        genus_rows = bundles._genus_rows
+        built = []
+
+        def counted(ring, family, which, e):
+            built.append((which, e))
+            return genus_rows(ring, family, which, e)
+
+        monkeypatch.setattr(bundles, "_genus_rows", counted)
+        for l in (1, 2, 3):
+            for b in (0, 1, 2):
+                assert verify_case(CaseId.THM31, GeometrySpec(k=1, l=l, a=1, b=b)).passed
+        assert sorted(built) == [(1, 1), (2, 0), (2, 1), (2, 2)]

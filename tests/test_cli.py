@@ -110,7 +110,7 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "--suite", str(path))
         assert code == 2
 
-    def test_symmetry_error_is_internal_error(self, capsys, monkeypatch):
+    def test_symmetry_error_is_internal_error(self, capsys, monkeypatch, cold_caches):
         # a per-root series that is not symmetric is a bug, not a usage error
         def broken(*args, **kwargs):
             raise SymmetryError("back-substitution mismatch")
@@ -120,7 +120,7 @@ class TestVerifyCommand:
         assert "back-substitution mismatch" in err
         assert "Traceback" not in err
 
-    def test_debug_prints_internal_traceback(self, capsys, monkeypatch):
+    def test_debug_prints_internal_traceback(self, capsys, monkeypatch, cold_caches):
         def broken(*args, **kwargs):
             raise SymmetryError("back-substitution mismatch")
         monkeypatch.setattr(bundles, "symmetrise", broken)

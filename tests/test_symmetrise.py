@@ -133,6 +133,14 @@ def test_q_form_equals_root_ring(spec, form, route):
     assert q_form(form, route, spec, ORDER) == want
 
 
+@pytest.mark.parametrize("spec", [
+    pytest.param(spec, id=f"{spec.family.value}-k{spec.k}-l{spec.l}-a{spec.a}-b{spec.b}")
+    for spec in dict.fromkeys(case.values[0] for case in FORM_CASES)])
+def test_bundle_joint_equals_root_ring(spec):
+    want = in_pontryagin(root_q_form(QFormId.JOINT, Route.BUNDLE, spec, ORDER), spec)
+    assert q_form(QFormId.JOINT, Route.BUNDLE, spec, ORDER) == want
+
+
 def test_power_sums_by_newton():
     # three squared roots x1, x2, x3 = 1, 2, 3: e = (6, 11, 6), s_n = 1 + 2^n + 3^n
     ring = GeometrySpec(k=4, l=1).ring()

@@ -30,9 +30,16 @@ from anomcancel.bundles import (  # noqa: E402
     _exterior_log,
     q_form,
 )
+from anomcancel.errors import UsageError  # noqa: E402
 from anomcancel.theta import ModularFormId, ThetaKind, modular_form, theta_ratio  # noqa: E402
 
-from conftest import exterior_block, paper_form, symmetric_block  # noqa: E402
+from conftest import (  # noqa: E402
+    check_form_route,
+    exterior_block,
+    paper_form,
+    root_q_form,
+    symmetric_block,
+)
 
 CAP, ORDER = 8, 4
 W_MAX, T_MAX = CAP // 2, 2 * ORDER  # highest powers of w (degree 2) and of t = q^(1/2)
@@ -281,6 +288,7 @@ def _e2_series(roots, first):
 
 
 def _oracle_form(spec, form, route, order):
+    check_form_route(form, route, spec)
     roots = Roots(spec, order)
     if route is Route.THETA:
         rows, two = _theta_rows(roots, form)
@@ -289,7 +297,10 @@ def _oracle_form(spec, form, route, order):
         product = roots.product(_genus_rows(roots, 1) + _block_rows(roots, 1))
         return roots.cut(_e2_series(roots, 0) * product)
     base = roots.product(_genus_rows(roots, 2) + _block_rows(roots, 2))
-    return base if form is QFormId.MAIN else roots.cut(_e2_series(roots, 1) * base)
+    if form is QFormId.MAIN:
+        return base
+    # CORRECTION: (exp(c E2 z) - 1) / z times MAIN; JOINT: exp(c E2 z) times MAIN
+    return roots.cut(_e2_series(roots, 1 if form is QFormId.CORRECTION else 0) * base)
 
 
 def _engine_over_roots(spec, series):
@@ -338,3 +349,40 @@ ASSEMBLED = [
 def test_assembled_q_form(spec, order, form, route):
     got = _engine_over_roots(spec, q_form(form, route, spec, order))
     assert got == _oracle_form(spec, form, route, order)
+
+
+# JOINT on the BUNDLE route is MAIN + z CORRECTION as one product with
+# 1 + z (exp(c E2 z) - 1) / z; the oracle builds it as exp(c E2 z) MAIN, as
+# `conftest.root_q_form` does (`test_symmetrise.py`)
+BUNDLE_JOINT = [
+    (GeometrySpec(k=1, l=2, a=2, b=1, family=Family.AB), 3),
+    (GeometrySpec(k=1, l=1, a=-1, b=2, family=Family.AB_XI), 3),
+    (GeometrySpec(k=1, l=1, a=1, b=0, family=Family.TWO_LINE), 3),
+    (GeometrySpec(k=2, l=1, a=1, b=2, family=Family.AB), 2),
+    (GeometrySpec(k=2, l=2, a=1, b=0, family=Family.TWO_LINE), 1),
+]
+
+
+@pytest.mark.parametrize("spec, order", [
+    pytest.param(spec, order, id=f"{spec.family.value}-k{spec.k}-l{spec.l}")
+    for spec, order in BUNDLE_JOINT])
+def test_bundle_joint_q_form(spec, order):
+    got = _engine_over_roots(spec, q_form(JOINT, BUNDLE, spec, order))
+    assert got == _oracle_form(spec, JOINT, BUNDLE, order)
+    # JOINT differs from CORRECTION: the oracle does not fall back on it
+    assert _oracle_form(spec, CORRECTION, BUNDLE, order) != _oracle_form(spec, JOINT, BUNDLE, order)
+
+
+@pytest.mark.parametrize("spec, form, route", [
+    (GeometrySpec(k=1, l=1), MAIN, THETA),
+    (GeometrySpec(k=1, l=1), CORRECTION, THETA),
+    (GeometrySpec(k=1, l=1, family=Family.TWO_LINE), MAIN, THETA),
+    (GeometrySpec(k=1, l=1, family=Family.AB_XI), LEAD, THETA),
+    (GeometrySpec(k=1, l=1, family=Family.AB_XI), JOINT, THETA),
+    (GeometrySpec(k=1, l=1), "joint", BUNDLE),
+], ids=["ab-MAIN", "ab-CORRECTION", "two-line-MAIN", "ab-xi-LEAD", "ab-xi-JOINT", "not-a-form"])
+def test_oracles_refuse_what_the_engine_refuses(spec, form, route):
+    for build in (q_form, lambda *args: _oracle_form(args[2], args[0], args[1], args[3]),
+                  root_q_form):
+        with pytest.raises(UsageError):
+            build(form, route, spec, 1)

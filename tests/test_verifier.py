@@ -7,6 +7,7 @@ import pytest
 from anomcancel import bundles, decomp, verifier
 from anomcancel.algebra import GradedPoly
 from anomcancel.bundles import FAMILY_FORMS, Family, GeometrySpec
+from anomcancel.cli import report_to_dict
 from anomcancel.errors import UsageError
 from anomcancel.verifier import (
     CASES,
@@ -18,7 +19,7 @@ from anomcancel.verifier import (
 )
 from anomcancel.verifier import _theorem_sides
 
-from conftest import reference_theorem_sides, scale_gens
+from conftest import _clear_caches, reference_theorem_sides, scale_gens
 
 
 AB = lambda k, l, a, b: GeometrySpec(k=k, l=l, a=a, b=b, family=Family.AB)
@@ -273,6 +274,25 @@ class TestInvariants:
         second = run_suite(list(reversed(reqs)))
         strip = lambda rep: (rep.case, rep.spec, rep.verdict, rep.quantities)
         assert [strip(r) for r in first] == [strip(r) for r in second]
+
+    def test_reports_do_not_depend_on_case_order(self, cold_caches):
+        # the k = 1 ab cases of the grid share rings and twists, so forms one
+        # case caches are read by others; each order runs from cold
+        reqs = [r for r in default_grid()
+                if r.spec is not None and r.spec.k == 1 and r.spec.family is Family.AB]
+
+        def reports(order):
+            _clear_caches()
+            out = {}
+            for r in order:
+                rep = report_to_dict(verify_case(r.case, r.spec, r.q_order, r.perturb))
+                del rep["millis"]
+                out[r.case, r.spec, r.q_order] = rep
+            return out
+
+        forward = reports(reqs)
+        assert len(forward) == len(reqs) > 100
+        assert reports(reversed(reqs)) == forward
 
 
 class TestBuildCounts:
