@@ -201,7 +201,7 @@ class GradedPoly:
         b = self._buckets.get(deg)
         if not b:
             return GradedPoly.zero(self.spec)
-        return GradedPoly(self.spec, self._den, {deg: dict(b)})
+        return GradedPoly._make(self.spec, self._den, {deg: dict(b)})
 
     def min_degree(self) -> int:
         return min(self._buckets) if self._buckets else 0
@@ -210,7 +210,7 @@ class GradedPoly:
         if isinstance(other, GradedPoly):
             return (self.spec == other.spec and self._den == other._den
                     and self._buckets == other._buckets)
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return self == GradedPoly.constant(self.spec, other)
         return NotImplemented
 
@@ -535,6 +535,13 @@ class QSeries:
         s._den, s._nums = _normal(den, nums)
         return s
 
+    @staticmethod
+    def _of_coeffs(coeffs: list[GradedPoly], order: int, ring: RingSpec) -> "QSeries":
+        """A ring series from 2N+1 elements of `ring`, taken as they are."""
+        s = object.__new__(QSeries)
+        s.order, s.ring, s._coeffs, s._den, s._nums = order, ring, tuple(coeffs), None, None
+        return s
+
     @property
     def coeffs(self) -> tuple:
         if self._coeffs is None:
@@ -591,9 +598,13 @@ class QSeries:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        if self.ring is None:
-            return hash((self._den, self._nums, self.order))
-        return hash((self.coeffs, self.order, self.ring))
+        # a ring series of constants equals the rational series of them, so it hashes as that
+        coeffs = self.coeffs
+        if self.ring is not None:
+            if any(c._buckets.keys() - {0} for c in coeffs):
+                return hash((coeffs, self.order, self.ring))
+            coeffs = tuple(c.constant_term() for c in coeffs)
+        return hash((coeffs, self.order))
 
     def __repr__(self) -> str:
         shown = []
@@ -821,7 +832,19 @@ def power_sums(elementary: Sequence[GradedPoly], n_max: int) -> tuple[GradedPoly
     return tuple(sums)
 
 
-def _even_parts(f: QSeries) -> list[list[Fraction]]:
+class LogParts(tuple):
+    """A per-root log's even parts: row n holds the Fraction coefficients of
+    w^(2n) q^(h/2), and `nums` the same rows as integers over one `den`."""
+
+    def __new__(cls, rows):
+        self = super().__new__(cls, map(tuple, rows))
+        self.den = math.lcm(*(c.denominator for row in self for c in row))
+        self.nums = tuple(tuple(c.numerator * (self.den // c.denominator) for c in row)
+                          for row in self)
+        return self
+
+
+def _even_parts(f: QSeries) -> LogParts:
     """parts[n][h]: the coefficient of w^(2n) q^(h/2) in f, a series on a one-root ring."""
     ring = f.ring
     if ring is None or len(ring.gens) != 1 or ring.degrees[0] != 2:
@@ -832,50 +855,66 @@ def _even_parts(f: QSeries) -> list[list[Fraction]]:
             if e % 2:
                 raise SymmetryError("odd power of the root; per-root series not even")
             parts[e // 2][h] = value
-    return parts
+    return LogParts(parts)
 
 
 @lru_cache(maxsize=None)
-def _log_parts(f: GradedPoly | QSeries) -> tuple[tuple[Fraction, ...], ...]:
+def _log_parts(f: GradedPoly | QSeries) -> LogParts:
     """`_even_parts` of log f; a polynomial f, constant in q, has parts one wide."""
     series = QSeries.from_poly(f, 0) if isinstance(f, GradedPoly) else f
-    return tuple(map(tuple, _even_parts(series.log())))
+    return _even_parts(series.log())
 
 
-def _over_families(terms: Sequence[tuple[Sequence, Sequence[GradedPoly], int]],
-                   width: int) -> list[GradedPoly]:
-    """out[h] = sum over (parts, sums, e) of e * sum_(n >= 1) parts[n][h] * s_n.
+def _over_families(terms: Sequence[tuple[LogParts, Sequence[GradedPoly], int]],
+                   width: int, exponent: QSeries | None = None) -> list[GradedPoly]:
+    """out[h] = exponent[h] + sum over (parts, sums, e) of e * sum_(n >= 1) parts[n][h] * s_n.
 
-    parts[0], the part free of the root, must vanish.  Parts are `width` wide,
-    or one wide for a term constant in q.  The terms over one family (the
-    same `sums` object) first merge into one weight per (n, h), an integer
-    over one denominator common to every term.
+    Each `LogParts` is `width` wide, or one wide for a term constant in q, with
+    parts[0], the part free of the root, zero.  The terms over one family (the
+    same `sums` object) merge into one integer weight per (n, h); each weight
+    times its s_n, and each coefficient of the optional `width`-wide exponent,
+    add into one bucket dict per h over one denominator, normalised once.
     """
+    spec = terms[0][1][0].spec
     families: dict[int, tuple[Sequence[GradedPoly], list]] = {}
     for parts, sums, e in terms:
-        if len(parts) != len(sums) + 1 or len(parts[0]) not in (1, width):
-            raise UsageError("per-root series and power sums differ in cap or q-order")
-        if any(parts[0]):
+        if (not isinstance(parts, LogParts) or len(parts) != len(sums) + 1
+                or len(parts[0]) not in (1, width)):
+            raise UsageError("per-root parts must be a LogParts at the power sums' cap and the q-order")
+        if any(parts.nums[0]):
             raise UsageError("a per-root series must be trivial at the root 0")
+        if sums[0].spec is not spec and sums[0].spec != spec:
+            raise UsageError("polynomials from different rings")
         if e:
             families.setdefault(id(sums), (sums, []))[1].append((parts, e))
-    den = math.lcm(*(c.denominator for _, rows in families.values()
-                     for parts, _ in rows for part in parts for c in part))
-    pairs: list[list[tuple[GradedPoly, int]]] = [[] for _ in range(width)]
+    if exponent is not None and 2 * exponent.order + 1 != width:
+        raise UsageError("q-series truncation orders differ")
+    added = () if exponent is None else exponent.to_ring(spec)._coeffs
+    den = math.lcm(*(parts.den for _, rows in families.values() for parts, _ in rows))
+    top = math.lcm(den * math.lcm(*(s._den for sums, _ in families.values() for s in sums)),
+                   *(c._den for c in added))
+    out = [{deg: {key: x * (top // c._den) for key, x in b.items()} for deg, b in c._buckets.items()}
+           for c in added] or [{} for _ in range(width)]
     for sums, rows in families.values():
-        for n, s in enumerate(sums, start=1):
-            nums = [0] * width
-            for parts, e in rows:
-                for h, c in enumerate(parts[n]):
-                    if c:
-                        nums[h] += c.numerator * (den // c.denominator) * e
-            for h, num in enumerate(nums):
-                pairs[h].append((s, num))
-    spec = terms[0][1][0].spec
-    return [sum_of_products(spec, p, Fraction(1, den)) for p in pairs]
+        weights = [[0] * width for _ in sums]
+        for parts, e in rows:
+            m = e * (den // parts.den)
+            for weight, nums in zip(weights, parts.nums[1:]):
+                for h, c in enumerate(nums):
+                    weight[h] += c * m
+        for s, weight in zip(sums, weights):
+            m = top // (den * s._den)
+            live = [(out[h], w * m) for h, w in enumerate(weight) if w]
+            for deg, b in s._buckets.items():
+                for tgt, w in live:
+                    bucket = tgt.setdefault(deg, {})
+                    get = bucket.get
+                    for key, x in b.items():
+                        bucket[key] = get(key, 0) + w * x
+    return [GradedPoly._make(spec, top, buckets) for buckets in out]
 
 
-def symmetrise(rows: Sequence[tuple[Sequence, Sequence[GradedPoly], int]],
+def symmetrise(rows: Sequence[tuple[LogParts, Sequence[GradedPoly], int]],
                order: int | None = None, exponent: QSeries | None = None):
     """exp(exponent) times the product over rows (parts, sums, e) of the
     product over the family's roots of f(root)^e, as one exp.
@@ -888,8 +927,8 @@ def symmetrise(rows: Sequence[tuple[Sequence, Sequence[GradedPoly], int]],
     q, or a polynomial when order is None.
     """
     width = 1 if order is None else 2 * order + 1
-    logs = QSeries(_over_families(rows, width), order or 0, rows[0][1][0].spec)
-    result = (logs if exponent is None else logs + exponent).exp()
+    logs = _over_families(rows, width, exponent)
+    result = QSeries._of_coeffs(logs, order or 0, logs[0].spec).exp()
     return result.coeffs[0] if order is None else result
 
 

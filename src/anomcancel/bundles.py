@@ -30,6 +30,7 @@ from functools import lru_cache
 
 from .algebra import (
     GradedPoly,
+    LogParts,
     QSeries,
     RingSpec,
     _log_parts,
@@ -288,7 +289,7 @@ def p1_combo(spec: GeometrySpec) -> GradedPoly:
 
 
 @lru_cache(maxsize=None)
-def _exterior_log(cap: int, grid: str, sign: int, order: int) -> tuple[tuple[Fraction, ...], ...]:
+def _exterior_log(cap: int, grid: str, sign: int, order: int) -> LogParts:
     """`_log_parts` of one root's factor of the product over the exponent grid
     of ch Lambda_t of a reduced bundle, prod_t (1 + t e^w)(1 + t e^-w) / (1 + t)^2,
     read off the sum of Adams operations sum_t sum_(m>=1) (-1)^(m+1) t^m / m *
@@ -301,8 +302,8 @@ def _exterior_log(cap: int, grid: str, sign: int, order: int) -> tuple[tuple[Fra
             c = 2 * (-1) ** (m + 1) * sign ** m
             for n in range(1, cap // 4 + 1):
                 nums[n][m * h] += c * m ** (2 * n - 1)
-    return tuple(tuple(Fraction(x, math.factorial(2 * n)) for x in row)
-                 for n, row in enumerate(nums))
+    return LogParts([Fraction(x, math.factorial(2 * n)) for x in row]
+                    for n, row in enumerate(nums))
 
 
 def ch_theta_bundle(which: int, spec: GeometrySpec, order: int) -> QSeries:

@@ -205,7 +205,8 @@ def reference_exp(series: QSeries) -> QSeries:
 # Per-term reference loops for the other ring-valued sums: `apply_series`,
 # `power_sums`, the symmetriser's sum over families, `e2_expm1_over_z` and
 # the theorem sides, as one `*` and one `+` per term; the engine accumulates
-# each through one `sum_of_products`.  `ideal_reduce` renames one generator
+# each through one `sum_of_products`, and the sum over families straight into
+# integer buckets (`_over_families`).  `ideal_reduce` renames one generator
 # in the packed keys; its reference reduces modulo any relation linear in it.
 
 

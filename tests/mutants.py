@@ -1,0 +1,150 @@
+"""A catalogue of mutants the tier-1 tests must kill, and its runner.
+
+Usage (from the repository root):
+
+    python3 tests/mutants.py              # every mutant
+    python3 tests/mutants.py NAME ...     # the named mutants only
+
+Each entry changes one exact snippet of one source file.  The runner copies
+`src/`, `tests/` and `pyproject.toml` to a temporary directory and requires
+the unmutated copy to pass the union of the entries' test subsets.  Then, one
+mutant at a time, it replaces the snippet in the copy, requires `pytest -x`
+over the entry's subset (all of tier-1 when it has none) to fail, and puts
+the file back.  An entry whose snippet does not occur exactly once is refused, so a
+refactor that moves the code must update the catalogue rather than silently
+drop a mutant.  A mutant is killed when pytest exits 1, with a failing test;
+the exit code is 1 if an entry was refused or a mutant was not killed.
+
+A surviving mutant is reported, not deleted: mend it with a test, or with a
+stated argument that it is equivalent to the program.
+
+This file is not a test module: pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str                     # relative to the repository root
+    snippet: str                  # must occur exactly once in the file
+    replacement: str
+    tests: tuple[str, ...] = ()   # pytest paths or node ids; () runs all of tier-1
+
+
+CATALOGUE = (
+    # the BUNDLE route's closed-form exterior log (caught by THETA's literal products)
+    Mutant("exterior-log-sign-power", "src/anomcancel/bundles.py",
+           "c = 2 * (-1) ** (m + 1) * sign ** m", "c = 2 * (-1) ** (m + 1) * sign",
+           ("tests/test_symmetrise.py", "tests/test_bundles.py")),
+    Mutant("exterior-log-adams-power", "src/anomcancel/bundles.py",
+           "c * m ** (2 * n - 1)", "c * m ** (2 * n)",
+           ("tests/test_symmetrise.py", "tests/test_bundles.py")),
+    # the THETA route's Jacobi product at x and 1/x
+    Mutant("theta-product-x-for-x-inv", "src/anomcancel/theta.py",
+           "QSeries.binomial(x_inv * sign, h, order)", "QSeries.binomial(x * sign, h, order)",
+           ("tests/test_theta.py", "tests/test_bundles.py")),
+    # COR32's constant 2^(a l - 3)
+    Mutant("cor32-constant", "src/anomcancel/verifier.py",
+           "const = _two_pow(a * l - 3)", "const = _two_pow(a * l - 2)",
+           ("tests/test_verifier.py",)),
+    # the integer log assembly of `symmetrise`
+    Mutant("assembly-exponent-not-folded", "src/anomcancel/algebra.py",
+           "added = () if exponent is None else exponent.to_ring(spec)._coeffs", "added = ()",
+           ("tests/test_algebra.py",)),
+    Mutant("assembly-row-weight-denominator", "src/anomcancel/algebra.py",
+           "m = e * (den // parts.den)", "m = e",
+           ("tests/test_algebra.py",)),
+    Mutant("assembly-power-sum-denominator", "src/anomcancel/algebra.py",
+           "m = top // (den * s._den)", "m = top // den",
+           ("tests/test_algebra.py",)),
+    Mutant("assembly-later-family-row-dropped", "src/anomcancel/algebra.py",
+           "families.setdefault(id(sums), (sums, []))[1].append((parts, e))",
+           "families.setdefault(id(sums), (sums, [(parts, e)]))",
+           ("tests/test_algebra.py",)),
+    # canonical form and the equality contract
+    Mutant("degree-part-not-normalised", "src/anomcancel/algebra.py",
+           "return GradedPoly._make(self.spec, self._den, {deg: dict(b)})",
+           "return GradedPoly(self.spec, self._den, {deg: dict(b)})",
+           ("tests/test_algebra.py",)),
+    Mutant("poly-equals-bool", "src/anomcancel/algebra.py",
+           "if isinstance(other, (int, Fraction)) and not isinstance(other, bool):",
+           "if isinstance(other, (int, Fraction)):",
+           ("tests/test_algebra.py",)),
+    Mutant("series-hash-keeps-ring", "src/anomcancel/algebra.py",
+           "if any(c._buckets.keys() - {0} for c in coeffs):", "if True:",
+           ("tests/test_algebra.py",)),
+)
+
+
+def _copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc", "*.egg-info")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _pytest(tree: Path, tests: tuple[str, ...]) -> int:
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def _subset(mutants) -> tuple[str, ...]:
+    """The union of the mutants' subsets, or () for all of tier-1."""
+    if any(not m.tests for m in mutants):
+        return ()
+    return tuple(sorted({t for m in mutants for t in m.tests}))
+
+
+def main(argv: list[str]) -> int:
+    names = {m.name for m in CATALOGUE}
+    unknown = [n for n in argv if n not in names]
+    if unknown:
+        print("unknown mutants:", ", ".join(unknown), file=sys.stderr)
+        return 2
+    mutants = [m for m in CATALOGUE if not argv or m.name in argv]
+    refused = [m.name for m in mutants
+               if (ROOT / m.file).read_text(encoding="utf-8").count(m.snippet) != 1]
+    for name in refused:
+        print(f"REFUSED  {name}: its snippet does not occur exactly once")
+    if refused:
+        return 1
+    survived = []
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        tree = Path(tmp)
+        _copy_tree(tree)
+        if _pytest(tree, _subset(mutants)) != 0:
+            print("the unmutated tree fails its tests; no mutant was run")
+            return 1
+        for m in mutants:
+            target = tree / m.file
+            original = target.read_text(encoding="utf-8")
+            target.write_text(original.replace(m.snippet, m.replacement), encoding="utf-8")
+            start = time.perf_counter()
+            code = _pytest(tree, m.tests)
+            target.write_text(original, encoding="utf-8")
+            # exit 1 is a failing test; any other code (an import or collection
+            # error, no test run) shows nothing about the tests
+            verdict = "killed" if code == 1 else "SURVIVED" if code == 0 else f"ERROR {code}"
+            if verdict != "killed":
+                survived.append(m.name)
+            print(f"{verdict:<9}{m.name} ({time.perf_counter() - start:.1f} s)", flush=True)
+    print(f"{len(mutants) - len(survived)} of {len(mutants)} mutants killed")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

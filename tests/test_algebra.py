@@ -8,6 +8,7 @@ import pytest
 
 from anomcancel.algebra import (
     GradedPoly,
+    LogParts,
     QSeries,
     RingSpec,
     _even_parts,
@@ -90,6 +91,23 @@ class TestGradedPoly:
         assert p.degree_part(4) == w1 ** 2 + w1 * w2 * 2 + w2 ** 2
         assert p.degree_part(2) == w1 * 3
         assert p.degree_part(0).constant_term() == 5
+
+    def test_degree_part_is_canonical(self):
+        spec = RingSpec(gens=(("x", 2), ("y", 4)), cap=8)
+        x, y = gens(spec)
+        part = (x * F(1, 2) + y).degree_part(4)
+        assert part == y and hash(part) == hash(y) and part - y == 0
+        series = QSeries([x * F(1, 2) + y, y * 3 + x * F(1, 4)], 1, spec)
+        sliced = series.degree_slice(4)
+        want = QSeries([y, y * 3], 1, spec)
+        assert sliced == want and hash(sliced) == hash(want)
+
+    def test_equality_with_other_types(self):
+        one = GradedPoly.one(SPEC)
+        assert one == 1 and one == F(1) and one != 2
+        # a bool, a string or None is no ring constant: unequal, not an error
+        assert (one == True) is False and (one != True) is True
+        assert one != "1" and one != None and one != 1.0
 
     def test_inverse_round_trip(self, rng):
         for _ in range(50):
@@ -404,6 +422,18 @@ class TestRationalStore:
             assert lhs == rhs and hash(lhs) == hash(rhs)
             assert a.powi(3) == a * a * a and hash(a.powi(3)) == hash(a * a * a)
 
+    def test_rational_and_ring_series_hash_alike(self, rng):
+        # a rational series equals its image in a ring, so the two hash alike
+        a = QSeries([1], 2)
+        assert a == a.to_ring(SPEC) and hash(a) == hash(a.to_ring(SPEC))
+        assert len({a, a.to_ring(SPEC)}) == 1
+        for _ in range(20):
+            r = random_rational_series(rng, 3)
+            ring = r.to_ring(SPEC)
+            assert r == ring and ring == r and hash(r) == hash(ring)
+            bumped = ring + QSeries.from_poly(gens()[0], 3)
+            assert bumped != r and r != bumped
+
     def test_coefficients_are_exact(self, rng):
         s = QSeries([F(1, 3), F(2, 3), F(1, 6)], 1)
         assert s.coeffs == (F(1, 3), F(2, 3), F(1, 6))
@@ -498,6 +528,83 @@ class TestAccumulateSites:
             want = reference_over_families(terms, 5)
             assert _over_families(terms, 5) == want
             assert symmetrise(terms, 2) == QSeries(want, 2, spec).exp()
+
+
+class TestIntegerAssembly:
+    """`_over_families` merges each family's rows into integer weights and adds
+    them, with the exponent's coefficients, into one bucket dict per
+    half-index.  It must equal the per-term Fraction reference followed by the
+    series add, and `symmetrise` that followed by `exp`."""
+
+    P = RingSpec(gens=(("u", 2), ("p1", 4), ("p2", 8)), cap=8)
+
+    def families(self):
+        u, p1, p2 = gens(self.P)
+        return (power_sums([p1, p2], 2), power_sums([u * u], 2),
+                power_sums([p1 * F(1, 6), p2 * F(-2, 15)], 2))   # denominators above 1
+
+    @staticmethod
+    def random_parts(rng, width):
+        """Rows n = 1, 2 of fractions with mixed denominators, some zero, under a zero row 0."""
+        rows = [[F(0)] * width]
+        for _ in range(2):
+            rows.append([random_fraction(rng, rng.choice((3, 10, 40))) if rng.random() < 0.7
+                         else F(0) for _ in range(width)])
+        return LogParts(rows)
+
+    def random_terms(self, rng, width):
+        """One-wide and full-width rows, two rows on the first family, a row with e = 0."""
+        fams = self.families()
+        terms = [(self.random_parts(rng, width), fams[0], rng.choice((-2, -1, 1, 3))),
+                 (self.random_parts(rng, 1), fams[0], rng.choice((-1, 2))),
+                 (self.random_parts(rng, width), fams[2], rng.choice((-1, 1, 2))),
+                 (self.random_parts(rng, width), fams[1], 0)]
+        terms += [(self.random_parts(rng, rng.choice((1, width))), rng.choice(fams),
+                   rng.randint(-2, 2)) for _ in range(rng.randint(0, 3))]
+        rng.shuffle(terms)
+        return terms
+
+    def exponents(self, rng, order):
+        """None, a rational exponent and a ring exponent, each nilpotent at q^0."""
+        width = 2 * order + 1
+        rational = QSeries([0] + [random_fraction(rng) for _ in range(width - 1)], order)
+        ring = QSeries([random_nilpotent(rng, self.P)]
+                       + [random_poly(rng, self.P) for _ in range(width - 1)], order, self.P)
+        return None, rational, ring
+
+    @pytest.mark.parametrize("order", [0, 1, 3])
+    def test_equals_reference_then_add_then_exp(self, rng, order):
+        width = 2 * order + 1
+        for _ in range(6):
+            terms = self.random_terms(rng, width)
+            logs = QSeries(reference_over_families(terms, width), order, self.P)
+            for exponent in self.exponents(rng, order):
+                want = logs if exponent is None else logs + exponent
+                assert _over_families(terms, width, exponent) == list(want.coeffs)
+                assert symmetrise(terms, order, exponent) == want.exp()
+                if order == 0:
+                    assert symmetrise(terms, None, exponent) == want.exp().coeffs[0]
+
+    def test_refusals(self, rng):
+        sums = self.families()[0]
+        parts = self.random_parts(rng, 3)
+        with pytest.raises(UsageError):     # another cap: one power sum short
+            _over_families([(parts, sums[:1], 1)], 3)
+        with pytest.raises(UsageError):     # another q-order: 3 wide in a sum 5 wide
+            _over_families([(parts, sums, 1)], 5)
+        with pytest.raises(UsageError):     # nonzero parts[0], even at e = 0
+            _over_families([(LogParts([[F(1, 2), 0, 0], *parts[1:]]), sums, 0)], 3)
+        with pytest.raises(UsageError):     # plain rows, not a LogParts table
+            _over_families([(tuple(parts), sums, 1)], 3)
+        other = power_sums(gens(RingSpec(gens=(("p1", 4), ("p2", 8)), cap=8)), 2)
+        with pytest.raises(UsageError):     # power sums of two rings
+            _over_families([(parts, sums, 1), (parts, other, 1)], 3)
+        with pytest.raises(UsageError):     # an exponent of another order
+            symmetrise([(parts, sums, 1)], 1, QSeries([], 2, self.P))
+        with pytest.raises(UsageError):     # an exponent over another ring
+            symmetrise([(parts, sums, 1)], 1, QSeries([], 1, SPEC))
+        with pytest.raises(UsageError):     # an exponent with a constant at q^0
+            symmetrise([(parts, sums, 1)], 1, QSeries([1], 1))
 
 
 class TestSymmetriseRows:

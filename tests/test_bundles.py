@@ -9,6 +9,7 @@ import pytest
 from anomcancel import bundles, theta
 from anomcancel.algebra import (
     GradedPoly,
+    LogParts,
     QSeries,
     _log_parts,
     apply_series,
@@ -410,7 +411,8 @@ class TestRouteMutations:
             if (g, s) != (grid, sign):
                 return parts
             h = 2 if grid == "int" else 1
-            return (parts[0], parts[1][:h] + (parts[1][h] + 1,) + parts[1][h + 1:], *parts[2:])
+            return LogParts((parts[0], parts[1][:h] + (parts[1][h] + 1,) + parts[1][h + 1:],
+                             *parts[2:]))
 
         monkeypatch.setattr(bundles, "_exterior_log", off_by_one)
         spec = GeometrySpec(k=1, l=2, a=1, b=0, family=Family.AB)

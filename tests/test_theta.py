@@ -1,6 +1,8 @@
 """Theta quotients, modular forms, and the numeric transformation laws."""
 
 import cmath
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -32,7 +34,7 @@ from anomcancel.theta import (
     theta_ratio,
     transformation_residuals,
 )
-from anomcancel.verifier import CaseId, verify_case
+from anomcancel.verifier import QUASIMODULAR_TOL, THETA_LAW_TOL, CaseId, verify_case
 
 from conftest import reference_theta_ratio, scale_gens, set_gens_zero, theta_logderiv_ratio
 
@@ -193,6 +195,19 @@ class TestNumeric:
         for name, value in res.items():
             tol = 1e-9 if name.startswith(("theta", "jacobi")) else 1e-8
             assert value < tol, f"{name}: {value}"
+
+    def test_transformation_laws_at_seeded_points(self):
+        # NUMERIC_MODULARITY reports one pinned point; the laws hold at random
+        # points of the fundamental domain up to Im tau = 1.5 as well
+        rng = random.Random(20261019)
+        for _ in range(6):
+            x = rng.uniform(-0.5, 0.5)
+            tau = complex(x, rng.uniform(math.sqrt(1 - x * x), 1.5))
+            v = complex(rng.uniform(-0.25, 0.25), rng.uniform(-0.25, 0.25))
+            assert abs(tau.real) <= 0.5 and abs(tau) >= 1 and tau.imag <= 1.5
+            for name, value in transformation_residuals(tau, v).items():
+                tol = THETA_LAW_TOL if name.startswith(("theta", "jacobi")) else QUASIMODULAR_TOL
+                assert value < tol, (tau, v, name, value)
 
     def test_weight_checks_have_trivial_character(self):
         # the ratio f(g tau) / ((c tau + d)^k f(tau)) is 1 at two sample points
