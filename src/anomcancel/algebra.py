@@ -215,6 +215,9 @@ class GradedPoly:
         return NotImplemented
 
     def __hash__(self):
+        # a constant, zero included, equals its number, so it hashes as that number
+        if not self._buckets.keys() - {0}:
+            return hash(self.constant_term())
         return hash((self.spec, self._den,
                      tuple(sorted((d, tuple(sorted(b.items()))) for d, b in self._buckets.items()))))
 
@@ -598,13 +601,9 @@ class QSeries:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        # a ring series of constants equals the rational series of them, so it hashes as that
-        coeffs = self.coeffs
-        if self.ring is not None:
-            if any(c._buckets.keys() - {0} for c in coeffs):
-                return hash((coeffs, self.order, self.ring))
-            coeffs = tuple(c.constant_term() for c in coeffs)
-        return hash((coeffs, self.order))
+        # a ring series of constants equals the rational series of them; its
+        # coefficients hash as their numbers, so the two series hash alike
+        return hash((self.coeffs, self.order))
 
     def __repr__(self) -> str:
         shown = []

@@ -51,10 +51,20 @@ CATALOGUE = (
     Mutant("exterior-log-adams-power", "src/anomcancel/bundles.py",
            "c * m ** (2 * n - 1)", "c * m ** (2 * n)",
            ("tests/test_symmetrise.py", "tests/test_bundles.py")),
-    # the THETA route's Jacobi product at x and 1/x
+    # the THETA route's Jacobi product at x and 1/x (ring elements: series products)
     Mutant("theta-product-x-for-x-inv", "src/anomcancel/theta.py",
            "QSeries.binomial(x_inv * sign, h, order)", "QSeries.binomial(x * sign, h, order)",
            ("tests/test_theta.py", "tests/test_bundles.py")),
+    # the same product at integer x = x_inv (the theta constants: in-place shift-adds)
+    Mutant("theta-constant-bottom-up", "src/anomcancel/theta.py",
+           "for n in range(2 * order, s - 1, -1):", "for n in range(s, 2 * order + 1):",
+           ("tests/test_theta.py::TestThetaConstantsOracle",)),
+    Mutant("theta-constant-skips-lowest-shift", "src/anomcancel/theta.py",
+           "range(2 * order, s - 1, -1)", "range(2 * order, s, -1)",
+           ("tests/test_theta.py::TestThetaConstantsOracle",)),
+    Mutant("theta-constant-eta-factor-dropped", "src/anomcancel/theta.py",
+           "((-1, 2 * j), (sign * x, h), (sign * x_inv, h))", "((sign * x, h), (sign * x_inv, h))",
+           ("tests/test_theta.py::TestThetaConstantsOracle",)),
     # COR32's constant 2^(a l - 3)
     Mutant("cor32-constant", "src/anomcancel/verifier.py",
            "const = _two_pow(a * l - 3)", "const = _two_pow(a * l - 2)",
@@ -83,8 +93,11 @@ CATALOGUE = (
            "if isinstance(other, (int, Fraction)):",
            ("tests/test_algebra.py",)),
     Mutant("series-hash-keeps-ring", "src/anomcancel/algebra.py",
-           "if any(c._buckets.keys() - {0} for c in coeffs):", "if True:",
+           "return hash((self.coeffs, self.order))", "return hash((self.coeffs, self.order, self.ring))",
            ("tests/test_algebra.py",)),
+    Mutant("poly-constant-hash-keeps-ring", "src/anomcancel/algebra.py",
+           "if not self._buckets.keys() - {0}:", "if False:",
+           ("tests/test_algebra.py::TestGradedPoly::test_constants_hash_as_their_numbers",)),
 )
 
 

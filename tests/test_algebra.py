@@ -109,6 +109,13 @@ class TestGradedPoly:
         assert (one == True) is False and (one != True) is True
         assert one != "1" and one != None and one != 1.0
 
+    def test_constants_hash_as_their_numbers(self):
+        # a constant equals its number, so the two hash alike and a set keeps one
+        for value in (0, 1, -3, F(1, 3), F(-7, 2)):
+            const = GradedPoly.constant(SPEC, value)
+            assert const == value and hash(const) == hash(value)
+            assert len({const, value}) == 1
+
     def test_inverse_round_trip(self, rng):
         for _ in range(50):
             p = random_poly(rng, SPEC) + rng.randint(1, 5)

@@ -168,6 +168,40 @@ class TestJacobiQSeries:
         assert residual.first_nonzero() <= 4
 
 
+def triple_product_sum(kind: ThetaKind, order: int) -> QSeries:
+    """Jacobi's product at x = 1 as its triple-product sum, half-index h for q^(h/2)."""
+    width = 2 * order + 1
+    nums = [0] * width
+    for n in range(-width, width):
+        if kind is ThetaKind.THETA and n >= 0 and n * (n + 1) < width:
+            nums[n * (n + 1)] += (-1) ** n * (2 * n + 1)
+        elif kind is ThetaKind.THETA1 and n >= 0 and n * (n + 1) < width:
+            nums[n * (n + 1)] += 1
+        elif kind in (ThetaKind.THETA2, ThetaKind.THETA3) and n * n < width:
+            nums[n * n] += (-1) ** abs(n) if kind is ThetaKind.THETA2 else 1
+    return QSeries(nums, order)
+
+
+class TestThetaConstantsOracle:
+    """The products at x = 1 against their triple-product sums, a second algorithm."""
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 80])
+    @pytest.mark.parametrize("kind", list(ThetaKind), ids=lambda kind: kind.name)
+    def test_product_equals_its_sum(self, kind, order):
+        assert theta._theta_product(kind, order) == triple_product_sum(kind, order)
+
+    def test_sums_read_as_printed(self):
+        # theta2(0) = 1 - 2 q^(1/2) + 2 q^2 - ..., theta1(0) / 2 q^(1/8) = 1 + q + q^3 + ...
+        assert triple_product_sum(ThetaKind.THETA2, 2).coeffs == (1, -2, 0, 0, 2)
+        assert triple_product_sum(ThetaKind.THETA1, 3).coeffs == (1, 0, 1, 0, 0, 0, 1)
+        assert triple_product_sum(ThetaKind.THETA, 3).coeffs == (1, 0, -3, 0, 0, 0, 5)
+
+    @pytest.mark.parametrize("kind", list(ThetaKind), ids=lambda kind: kind.name)
+    def test_negative_order_refused(self, kind):
+        with pytest.raises(UsageError):
+            theta._theta_product(kind, -1)
+
+
 class TestNumeric:
     def test_theta_vanishes_at_origin(self):
         assert theta_eval(ThetaKind.THETA, 0, TAU, 40) == 0
