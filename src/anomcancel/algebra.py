@@ -304,6 +304,10 @@ class GradedPoly:
 
     __rmul__ = __mul__
 
+    def mul_part(self, other: "GradedPoly", deg: int) -> "GradedPoly":
+        """(self * other).degree_part(deg), without building the other degrees."""
+        return sum_of_products(self.spec, [(self, other)], 1, deg, deg)
+
     def __pow__(self, e: int) -> "GradedPoly":
         if not isinstance(e, int):
             raise UsageError("polynomial exponent must be an integer")
@@ -353,9 +357,11 @@ def apply_series(coeffs: Sequence[Fraction], x: GradedPoly) -> GradedPoly:
     return sum_of_products(x.spec, zip(powers, coeffs))
 
 
-def sum_of_products(spec: RingSpec, pairs, scale: Fraction | int = 1) -> GradedPoly:
+def sum_of_products(spec: RingSpec, pairs, scale: Fraction | int = 1,
+                    lo: int = 0, hi: int | None = None) -> GradedPoly:
     """scale * sum of a * b over the (a, b) in `pairs`: a is a ring element of
-    `spec`, b one too or a rational number.
+    `spec`, b one too or a rational number.  Only the degrees lo..hi (hi
+    defaults to the cap) are built.
 
     Every product is taken over one common denominator and added into one
     bucket dict, so the result is normalised once, not once per product and
@@ -376,26 +382,28 @@ def sum_of_products(spec: RingSpec, pairs, scale: Fraction | int = 1) -> GradedP
             live.append((a, b, d))
     if not live or not scale:
         return GradedPoly.zero(spec)
+    hi = spec.cap if hi is None else min(hi, spec.cap)
     out: dict[int, dict[int, int]] = {}
     for a, b, d in live:
         m = den // d * scale.numerator
         if isinstance(b, GradedPoly):
-            _mul_into(out, a._buckets, b._buckets, spec.cap, m)
+            _mul_into(out, a._buckets, b._buckets, hi, m, lo)
         else:   # a rational b adds m times its numerator times a, with no copy of a
-            _mul_into(out, {0: {0: m * b.numerator}}, a._buckets, spec.cap)
+            _mul_into(out, {0: {0: m * b.numerator}}, a._buckets, hi, 1, lo)
     return GradedPoly._make(spec, den * scale.denominator, out)
 
 
 def _mul_into(out: dict[int, dict[int, int]], a_buckets: dict[int, dict[int, int]],
-              b_buckets: dict[int, dict[int, int]], cap: int, m: int = 1) -> None:
+              b_buckets: dict[int, dict[int, int]], hi: int, m: int = 1, lo: int = 0) -> None:
     """Add m times the product of two bucketed numerator dicts into `out`,
-    dropping every degree above cap; packed keys add as exponent vectors do."""
+    skipping every bucket pair whose degree falls outside lo..hi; packed keys
+    add as exponent vectors do."""
     for d1, b1 in a_buckets.items():
         if m != 1:
             b1 = {k: n * m for k, n in b1.items()}
         for d2, b2 in b_buckets.items():
             d = d1 + d2
-            if d > cap:
+            if d > hi or d < lo:
                 continue
             tgt = out.setdefault(d, {})
             get = tgt.get
@@ -680,8 +688,8 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         ring = self._check(other)
-        width = 2 * self.order + 1
         if ring is None:
+            width = 2 * self.order + 1
             out = [0] * width
             terms = [(j, y) for j, y in enumerate(other._nums) if y]
             for i, x in enumerate(self._nums):
@@ -691,8 +699,24 @@ class QSeries:
                             break
                         out[i + j] += x * y
             return QSeries._of_nums(self._den * other._den, out, self.order)
-        # every pair (a_i, b_j) goes to the bucket of its index i + j; each
-        # output coefficient is then one fused sum of products
+        return self.mul_window(other)
+
+    __rmul__ = __mul__
+
+    def mul_window(self, other: "QSeries | GradedPoly", lo: int = 0,
+                   hi: int | None = None) -> "QSeries":
+        """The degrees lo..hi (hi defaults to the cap) of the ring product
+        self * other, without building the others: `mul_window(b, d, d)` is
+        `(self * b).degree_slice(d)`.
+
+        Every pair (a_i, b_j) goes to the bucket of its index i + j; each
+        output coefficient is then one fused sum of products."""
+        if isinstance(other, GradedPoly):
+            other = QSeries.from_poly(other, self.order)
+        ring = self._check(other)
+        if ring is None:
+            raise UsageError("degree slice needs ring coefficients")
+        width = 2 * self.order + 1
         pairs = [[] for _ in range(width)]
         terms = other.to_ring(ring)._nonzero()
         for i, ca in self.to_ring(ring)._nonzero():
@@ -700,9 +724,7 @@ class QSeries:
                 if i + j >= width:
                     break
                 pairs[i + j].append((ca, cb))
-        return QSeries([sum_of_products(ring, p) for p in pairs], self.order, ring)
-
-    __rmul__ = __mul__
+        return QSeries([sum_of_products(ring, p, 1, lo, hi) for p in pairs], self.order, ring)
 
     def __truediv__(self, other) -> "QSeries":
         """Exact quotient: out_n = (a_n - sum_(j>=1, b_j != 0) b_j out_(n-j)) / b_0.

@@ -377,38 +377,45 @@ def _e2_expm1(z: GradedPoly, c: Fraction, order: int) -> QSeries:
 # Assembled characteristic q-series
 
 
-def q_form(form: QFormId, route: Route, spec: GeometrySpec, order: int) -> QSeries:
-    """Full-degree q-series of one assembled characteristic form of `spec.family`.
+def q_form(form: QFormId, route: Route, spec: GeometrySpec, order: int,
+           degree: int | None = None) -> QSeries:
+    """Full-degree q-series of one assembled characteristic form of `spec.family`,
+    or with `degree` its slice of that degree alone.
 
-    Degree extraction (top component or one below) is deliberately left to
-    the callers so that all grading bookkeeping lives in one place.  The
-    BUNDLE route builds every form; the theta quotients express LEAD and
-    JOINT only, so the THETA route refuses MAIN and CORRECTION.
+    Which degree a caller reads (top component or one below) is left to the
+    callers.  The BUNDLE route builds every form, and builds only the sliced
+    degree of the last product of MAIN, CORRECTION and JOINT; the theta
+    quotients express LEAD and JOINT only, so the THETA route refuses MAIN
+    and CORRECTION, and slices its whole forms.
     """
     if not isinstance(form, QFormId):
         raise UsageError(f"unknown form {form!r}")
     if route is Route.THETA:
         if FAMILY_FORMS[spec.family].theta is None or form not in (QFormId.LEAD, QFormId.JOINT):
             raise UsageError(f"no theta-quotient expression for {form.name} in {spec.family.value}")
-        return _q_form_theta(form, spec, order)
-    return _q_form_bundle(form, spec, order)
+        whole = _q_form_theta(form, spec, order)
+        return whole if degree is None else whole.degree_slice(degree)
+    return _q_form_bundle(form, spec, order, degree)
 
 
 @lru_cache(maxsize=None)
-def _q_form_bundle(form: QFormId, spec: GeometrySpec, order: int) -> QSeries:
+def _q_form_bundle(form: QFormId, spec: GeometrySpec, order: int, degree: int | None) -> QSeries:
     if form is QFormId.LEAD:
         ring, family, a = spec.ring(), spec.family, spec.a
         rows = _genus_rows(ring, family, 1, a) + _block_rows(ring, family, 1, a, spec.b, order)
-        return symmetrise(rows, order, _e2_exponent(spec, order)).scale(Fraction(2) ** (a * spec.l))
-    main = lead_weight(spec, 2) * ch_theta_bundle(2, spec, order)
+        lead = symmetrise(rows, order, _e2_exponent(spec, order)).scale(Fraction(2) ** (a * spec.l))
+        return lead if degree is None else lead.degree_slice(degree)
+    bundle, weight = ch_theta_bundle(2, spec, order), lead_weight(spec, 2)
     if form is QFormId.MAIN:
-        return main
+        return bundle * weight if degree is None else bundle.mul_window(weight, degree, degree)
+    # a last product read at `degree` reads main in the degrees up to it only
+    main = bundle * weight if degree is None else bundle.mul_window(weight, 0, degree)
     # (exp(c E2 z) - 1) / z, not exp of the E2 exponent the THETA route reads
-    expm1_over_z = e2_expm1_over_z(spec, order)
-    if form is QFormId.CORRECTION:
-        return expm1_over_z * main
-    # main + z * correction as one product, so no full-size correction is held
-    return (expm1_over_z * p1_combo(spec) + QSeries.one(order, spec.ring())) * main
+    factor = e2_expm1_over_z(spec, order)
+    if form is QFormId.JOINT:
+        # main + z * correction as one product, so no full-size correction is held
+        factor = factor * p1_combo(spec) + QSeries.one(order, spec.ring())
+    return factor * main if degree is None else factor.mul_window(main, degree, degree)
 
 
 def _q_form_theta(form: QFormId, spec: GeometrySpec, order: int) -> QSeries:

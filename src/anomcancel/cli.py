@@ -18,7 +18,8 @@ from .bundles import Family, GeometrySpec, ch_theta_bundle
 from .decomp import BrBetarKind, closed_form_checks, extract_br_betar
 from .errors import UsageError
 from .theta import ModularFormId, modular_form
-from .verifier import CASES, CaseId, CaseRequest, Report, check_tolerance, default_grid, run_suite
+from .verifier import (CASES, MAX_Q_ORDER, CaseId, CaseRequest, Report, check_tolerance,
+                       default_grid, run_suite)
 
 _FAMILIES = sorted(f.value for f in Family)
 
@@ -268,6 +269,8 @@ def _expand_rows(args: argparse.Namespace) -> tuple[list[tuple[str, str]], int]:
     n = args.q_order
     if n < 0:
         raise UsageError("--q-order must be >= 0")
+    if n > MAX_Q_ORDER:
+        raise UsageError(f"--q-order must be at most {MAX_Q_ORDER}, not {n}")
     given = _given_geometry(args)
     if args.which is not None and args.object != "theta-bundle":
         raise UsageError("--which applies to --object theta-bundle only")

@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import GradedPoly, QSeries
+from .algebra import _SCALARS, GradedPoly, QSeries, sum_of_products
 from .bundles import (
     FAMILY_FORMS,
     GeometrySpec,
@@ -92,17 +92,16 @@ def decompose(series: QSeries, k: int) -> tuple:
     m_max = k // 2
     if order < coefficient_order(k):
         raise UsageError("truncation order too small to determine the coefficients")
-    basis = [basis_series(k, r, Group.GAMMA_UPPER0, order) for r in range(m_max + 1)]
-    h: list = []
+    basis = [basis_series(k, r, Group.GAMMA_UPPER0, order).coeffs for r in range(m_max + 1)]
+    # a rational series is solved as constants of the ring with no generators
+    ring = series.ring or _SCALARS
+    s = series.to_ring(ring).coeffs
+    h: list[GradedPoly] = []
     for m in range(m_max + 1):
-        val = series.coeffs[m]
-        for r in range(m):
-            br = basis[r].coeffs[m]
-            if br != 0:
-                val = val - h[r] * br
-        lead = basis[m].coeffs[m]
-        h.append(val * (1 / lead))
-    return tuple(h)
+        # h_m = (s_m - sum_(r<m) basis_r[m] h_r) / basis_m[m], one fused sum
+        pairs = [(s[m], 1)] + [(h[r], -basis[r][m]) for r in range(m)]
+        h.append(sum_of_products(ring, pairs, 1 / basis[m][m]))
+    return tuple(h) if series.ring is not None else tuple(c.constant_term() for c in h)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +156,7 @@ def _beta_closed_forms(spec: GeometrySpec) -> list[ClosedFormCheck]:
     checks = [("beta0", (("printed", base.degree_part(deg) * sign),), "printed")]
     if k >= 2:
         def beta(w: GradedPoly) -> GradedPoly:
-            return (base * (w - 24 * k)).degree_part(deg) * sign
+            return base.mul_part(w - 24 * k, deg) * sign
         general = twist_bundle(spec)
         cands = [("generalized", beta(general))]
         if FAMILY_FORMS[spec.family].printed_readings:
@@ -180,7 +179,7 @@ def extract_br_betar(spec: GeometrySpec, which: BrBetarKind) -> tuple:
     if which is BrBetarKind.B_R:
         series = ch_theta_bundle(2, spec, order)
     elif which is BrBetarKind.BETA_R:
-        series = q_form(QFormId.CORRECTION, Route.BUNDLE, spec, order).degree_slice(4 * spec.k - 4)
+        series = q_form(QFormId.CORRECTION, Route.BUNDLE, spec, order, degree=4 * spec.k - 4)
     else:
         raise UsageError(f"unknown coefficient kind {which!r}")
     return decompose(series, spec.k)

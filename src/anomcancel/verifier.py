@@ -77,6 +77,9 @@ NUMERIC_TAU = 0.25 + 1.1j
 NUMERIC_V = 0.13 + 0.07j
 THETA_LAW_TOL = 1e-9
 QUASIMODULAR_TOL = 1e-8
+# q-series work grows with the q-order without limit: a fixed bound, like k <= 31
+# and the twist bound, refuses a runaway order before any arithmetic
+MAX_Q_ORDER = 2000
 
 
 @dataclass(frozen=True)
@@ -125,6 +128,8 @@ class CaseRequest:
             raise UsageError(f"{case.value} reads no q-series and takes no q-order")
         if q is not None and (not isinstance(q, int) or isinstance(q, bool) or q < 0):
             raise UsageError(f"q-order must be an integer >= 0, not {q!r}")
+        if q is not None and q > MAX_Q_ORDER:
+            raise UsageError(f"q-order must be at most {MAX_Q_ORDER}, not {q}")
         # b_r / beta_r are built at coefficient_order(k), whatever q is given; the floor keeps
         # two integer q-orders past it for EQ318_TRANSFER and DOUBLE_ROUTE, which compare series.
         if spec is not None and self.order < coefficient_order(spec.k) + 2:
@@ -204,10 +209,10 @@ def _theorem_sides(spec: GeometrySpec,
     # sum_r coef_r (weight * b_r) is one product: weight times the summed b_r
     ring = spec.ring()
     b_sum = sum_of_products(ring, zip(b, coef))
-    lhs = lead.degree_part(cap) - (weight * b_sum).degree_part(cap)
+    lhs = lead.degree_part(cap) - weight.mul_part(b_sum, cap)
 
     pref = e2_expm1_over_z(spec, 0).coeffs[0]
-    correction = sum_of_products(ring, zip(beta, coef)) - (pref * lead).degree_part(cap - 4)
+    correction = sum_of_products(ring, zip(beta, coef)) - pref.mul_part(lead, cap - 4)
     rhs = z * correction
 
     data = {"b": b, "beta": beta, "correction": correction, "lead": lead, "weight": weight}
@@ -267,10 +272,10 @@ def _case_cor33(req: CaseRequest) -> Outcome:
     c1 = _two_pow((a - b) * l - 4) * (b - a)
     if req.perturb:
         c0 = c0 * 2
-    db_chv = db * chv
-    lhs = da.degree_part(8) - db.degree_part(8) * c0 - db_chv.degree_part(8) * c1
-    bracket = db * c0 + db_chv * c1 - da
-    rhs = z * (pref * bracket).degree_part(4)
+    lhs = da.degree_part(8) - db.degree_part(8) * c0 - db.mul_part(chv, 8) * c1
+    # pref * bracket in degree 4 reads the bracket in degrees 0 and 4, and db * chv is 0 in degree 0
+    bracket = db * c0 + db.mul_part(chv, 4) * c1 - da
+    rhs = z * pref.mul_part(bracket, 4)
     diff = lhs - rhs
     notes = ("identity checked with the coefficient 2^((a-b)l-4)(b-a) on the ch(V~) "
              "term on both sides; the b = 0, (a-b)l = 4 instance reproduces the "
@@ -306,11 +311,11 @@ def _case_cor43(req: CaseRequest) -> Outcome:
     c1 = _two_pow(l - 4)
     if req.perturb:
         c1 = c1 * 2
-    weight_chw = weight * chw
     lhs = (lead.degree_part(8) - weight.degree_part(8) * _two_pow(l)
-           - weight_chw.degree_part(8) * c1)
-    bracket = weight * _two_pow(l) + weight_chw * c1 - lead
-    rhs = z * (pref * bracket).degree_part(4)
+           - weight.mul_part(chw, 8) * c1)
+    # as in COR33, weight * chw is read in degrees 4 and 8 only
+    bracket = weight * _two_pow(l) + weight.mul_part(chw, 4) * c1 - lead
+    rhs = z * pref.mul_part(bracket, 4)
     diff = ideal_reduce(lhs - rhs, "p1(TM)", "p1(V)")
     notes = ("difference reduced modulo p1(TM) - p1(V); the Euler-square of xi' is "
              "used for its first Pontryagin class; the bracket carries the "
@@ -404,12 +409,12 @@ def _case_hlz(req: CaseRequest) -> Outcome:
     ahat_spinor = ahat * spinor
     lhs_special = ahat_spinor.degree_part(cap)
     for r, br in enumerate(data["b"]):
-        lhs_special = lhs_special - (ahat * br).degree_part(cap) * _two_pow(l + k - 6 * r)
+        lhs_special = lhs_special - ahat.mul_part(br, cap) * _two_pow(l + k - 6 * r)
     pref = e2_expm1_over_z(spec, 0).coeffs[0]
     corr = GradedPoly.zero(ring)
     for r, betar in enumerate(data["beta"]):
         corr = corr + betar * _two_pow(l + k - 6 * r)
-    corr = corr - (pref * ahat_spinor).degree_part(cap - 4)
+    corr = corr - pref.mul_part(ahat_spinor, cap - 4)
     rhs_special = p1_combo(spec) * corr
     if req.perturb:
         rhs_special = rhs_special * 2

@@ -36,6 +36,7 @@ from anomcancel.decomp import (
     BrBetarKind,
     Group,
     basis_combination,
+    basis_series,
     decompose,
     extract_br_betar,
 )
@@ -338,6 +339,21 @@ def reference_theorem_sides(spec, perturb: bool = False) -> tuple:
         correction = correction + betar * coef[r]
     correction = correction - (pref * lead).degree_part(cap - 4)
     return lhs, p1_combo(spec) * correction
+
+
+def reference_decompose(series: QSeries, k: int) -> tuple:
+    """The h_r by forward substitution, one `*` and one `-` per basis term."""
+    order = series.order
+    basis = [basis_series(k, r, Group.GAMMA_UPPER0, order) for r in range(k // 2 + 1)]
+    h: list = []
+    for m in range(k // 2 + 1):
+        val = series.coeffs[m]
+        for r in range(m):
+            br = basis[r].coeffs[m]
+            if br != 0:
+                val = val - h[r] * br
+        h.append(val * (1 / basis[m].coeffs[m]))
+    return tuple(h)
 
 
 def modularity_residual(series: QSeries, k: int) -> QSeries:

@@ -83,6 +83,23 @@ CATALOGUE = (
            "families.setdefault(id(sums), (sums, []))[1].append((parts, e))",
            "families.setdefault(id(sums), (sums, [(parts, e)]))",
            ("tests/test_algebra.py",)),
+    # the degree window of the ring-product kernel, and the degrees it is read at
+    Mutant("window-lower-bound-ignored", "src/anomcancel/algebra.py",
+           "if d > hi or d < lo:", "if d > hi:",
+           ("tests/test_algebra.py",)),
+    Mutant("window-upper-bound-ignored", "src/anomcancel/algebra.py",
+           "hi = spec.cap if hi is None else min(hi, spec.cap)", "hi = spec.cap",
+           ("tests/test_algebra.py",)),
+    Mutant("beta-r-read-at-top-degree", "src/anomcancel/decomp.py",
+           "spec, order, degree=4 * spec.k - 4)", "spec, order, degree=4 * spec.k)",
+           ("tests/test_decomp.py",)),
+    Mutant("fused-decompose-basis-sign", "src/anomcancel/decomp.py",
+           "[(h[r], -basis[r][m]) for r in range(m)]", "[(h[r], basis[r][m]) for r in range(m)]",
+           ("tests/test_decomp.py",)),
+    # the q-order bound, refused before any arithmetic
+    Mutant("q-order-bound-dropped", "src/anomcancel/verifier.py",
+           "if q is not None and q > MAX_Q_ORDER:", "if False:",
+           ("tests/test_verifier.py", "tests/test_cli.py")),
     # canonical form and the equality contract
     Mutant("degree-part-not-normalised", "src/anomcancel/algebra.py",
            "return GradedPoly._make(self.spec, self._den, {deg: dict(b)})",

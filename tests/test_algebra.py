@@ -364,6 +364,51 @@ class TestFusedKernel:
             with pytest.raises(UsageError):
                 sum_of_products(SPEC, pairs)
 
+    def test_windowed_sum_of_products(self, rng):
+        # the window lo..hi keeps those degrees of the full sum, and no other;
+        # an empty window (lo > hi, or lo above the cap) gives zero
+        for _ in range(50):
+            pairs = [(random_poly(rng, SPEC, 6), rng.choice([random_poly(rng, SPEC, 6),
+                                                             random_fraction(rng)]))
+                     for _ in range(rng.randint(1, 4))]
+            scale = random_fraction(rng)
+            full = sum_of_products(SPEC, pairs, scale)
+            lo, hi = rng.randint(-2, SPEC.cap + 2), rng.randint(-2, SPEC.cap + 4)
+            expected = GradedPoly.zero(SPEC)
+            for d in range(lo, hi + 1):
+                expected = expected + full.degree_part(d)
+            assert sum_of_products(SPEC, pairs, scale, lo=lo, hi=hi) == expected
+        assert sum_of_products(SPEC, pairs, scale, hi=SPEC.cap) == full
+
+    def test_poly_mul_part(self, rng):
+        # every degree, odd ones (empty) and those above the cap or below 0 included
+        for _ in range(30):
+            a, b = random_poly(rng, SPEC, 6), random_poly(rng, SPEC, 6)
+            for d in range(-2, SPEC.cap + 4):
+                assert a.mul_part(b, d) == (a * b).degree_part(d)
+        with pytest.raises(UsageError):
+            a.mul_part(GradedPoly.one(RingSpec(gens=(("y", 2),), cap=4)), 2)
+
+    def test_series_mul_window(self, rng):
+        n = self.ORDER
+        for _ in range(10):
+            a, b = random_ring_series(rng, SPEC, n), random_ring_series(rng, SPEC, n)
+            r, p = random_rational_series(rng, n), random_poly(rng, SPEC, 6)
+            for x, y in [(a, b), (a, r), (r, b), (a, p), (r, p)]:
+                whole = x * y
+                for d in range(-2, SPEC.cap + 4):
+                    assert x.mul_window(y, d, d) == whole.degree_slice(d)
+                lo, hi = rng.randint(-2, SPEC.cap + 2), rng.randint(-2, SPEC.cap + 4)
+                window = QSeries.one(n, SPEC).scale(0)
+                for d in range(lo, hi + 1):
+                    window = window + whole.degree_slice(d)
+                assert x.mul_window(y, lo, hi) == window
+                assert x.mul_window(y) == whole and x.mul_window(y, hi=SPEC.cap) == whole
+        with pytest.raises(UsageError, match="degree slice needs ring coefficients"):
+            r.mul_window(r, 0, 0)
+        with pytest.raises(UsageError, match="truncation orders differ"):
+            a.mul_window(random_ring_series(rng, SPEC, n + 1), 0, 0)
+
     def test_product(self, rng):
         n = self.ORDER
         for _ in range(20):

@@ -284,6 +284,20 @@ class TestQForms:
                 correction = q_form(QFormId.CORRECTION, Route.BUNDLE, spec, order)
                 assert q_form(QFormId.JOINT, Route.BUNDLE, spec, order) == main + correction * z
 
+    @pytest.mark.parametrize("family", list(Family))
+    def test_windowed_form_is_the_slice_of_the_whole(self, family):
+        # q_form(..., degree=d) builds degree d alone; it must equal the whole form's slice
+        a, b = (1, 0) if family is Family.TWO_LINE else (2, 1)
+        routes = [Route.BUNDLE] + [Route.THETA] * (FAMILY_FORMS[family].theta is not None)
+        for k in range(1, 5):
+            spec = GeometrySpec(k=k, l=3, a=a, b=b, family=family)
+            for route in routes:
+                for form in (QFormId if route is Route.BUNDLE else (QFormId.LEAD, QFormId.JOINT)):
+                    whole = q_form(form, route, spec, 2)
+                    for d in (4 * k, 4 * k - 4, 4 * k - 2, 4 * k + 4):
+                        part = q_form(form, route, spec, 2, degree=d)
+                        assert part == whole.degree_slice(d), (form, route, k, d)
+
     def test_theta_route_rejects_unsupported_ids(self):
         # the theta quotients express LEAD and JOINT only
         two = GeometrySpec(k=1, l=1, a=1, b=0, family=Family.TWO_LINE)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from anomcancel import bundles, verifier
+from anomcancel import bundles, cli, verifier
 from anomcancel.cli import _MODULAR_OBJECTS, main
 from anomcancel.errors import SymmetryError
 
@@ -56,6 +56,17 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "--case", "THM99")
         assert code == 2
         assert "unknown case" in err
+
+    def test_q_order_past_the_bound_is_usage_error(self, capsys, tmp_path):
+        past = str(verifier.MAX_Q_ORDER + 1)
+        suite = tmp_path / "deep.json"
+        suite.write_text(json.dumps({"cases": [{"case": "JACOBI_QSERIES", "qOrder": int(past)}]}))
+        for argv in (("--case", "JACOBI_QSERIES", "--q-order", past),
+                     ("--case", "THM31", "--k", "2", "--q-order", past),
+                     ("--suite", str(suite))):
+            code, out, err = run_cli(capsys, "verify", *argv)
+            assert code == 2 and out == ""
+            assert f"q-order must be at most {verifier.MAX_Q_ORDER}, not {past}" in err
 
     def test_no_selector_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify")
@@ -385,6 +396,17 @@ class TestExpandValidation:
             assert code == 2 and out == ""
             assert "--q-order must be >= 0" in err
         assert run_cli(capsys, "expand", "--object", obj, "--q-order", "0")[0] == 0
+
+    @pytest.mark.parametrize("obj", sorted(_MODULAR_OBJECTS) + ["theta-bundle", "br", "betar"])
+    def test_q_order_past_the_bound(self, capsys, obj, monkeypatch):
+        # refused before any arithmetic: no series is built
+        monkeypatch.setattr(cli, "modular_form", None)
+        monkeypatch.setattr(cli, "ch_theta_bundle", None)
+        monkeypatch.setattr(cli, "extract_br_betar", None)
+        code, out, err = run_cli(capsys, "expand", "--object", obj,
+                                 "--q-order", str(verifier.MAX_Q_ORDER + 1))
+        assert code == 2 and out == ""
+        assert f"--q-order must be at most {verifier.MAX_Q_ORDER}" in err
 
     def test_theta_bundle_defaults_to_the_second_bundle(self, capsys):
         argv = ("expand", "--object", "theta-bundle", "--q-order", "1")

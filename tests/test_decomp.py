@@ -27,7 +27,7 @@ from anomcancel.decomp import (
 )
 from anomcancel.errors import UsageError
 
-from conftest import modularity_residual, random_poly
+from conftest import modularity_residual, random_poly, reference_decompose
 
 
 def gamma_upper_side(spec, order):
@@ -82,6 +82,21 @@ class TestDecompose:
                 series = term if series is None else series + term
             assert decompose(series, 2) == tuple(coeffs)
             assert modularity_residual(series, 2).is_zero()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_fused_solve_equals_the_loop(self, k, rng):
+        # any series, modular or not, on a ring and rationally; a rational
+        # series gives Fraction coefficients, as the loop does
+        ring = GeometrySpec(k=k, l=2, a=2, b=1, family=Family.AB_XI).ring()
+        for _ in range(10):
+            order = coefficient_order(k) + rng.randint(0, 1)
+            width = 2 * order + 1
+            ring_series = QSeries([random_poly(rng, ring) for _ in range(width)], order, ring)
+            rational = QSeries([F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(width)], order)
+            for series in (ring_series, rational):
+                h = decompose(series, k)
+                assert h == reference_decompose(series, k)
+                assert all(isinstance(c, GradedPoly if series.ring else F) for c in h)
 
     def test_order_too_small(self):
         with pytest.raises(UsageError):

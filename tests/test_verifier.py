@@ -11,6 +11,7 @@ from anomcancel.cli import report_to_dict
 from anomcancel.errors import UsageError
 from anomcancel.verifier import (
     CASES,
+    MAX_Q_ORDER,
     CaseId,
     CaseRequest,
     default_grid,
@@ -217,6 +218,18 @@ class TestValidation:
                 verify_case(CaseId.JACOBI_QSERIES, q_order=q_order)
             with pytest.raises(UsageError, match="q-order must be an integer >= 0"):
                 verify_case(CaseId.THM31, AB(2, 1, 1, 0), q_order=q_order)
+
+    @pytest.mark.parametrize("case, spec", [(CaseId.JACOBI_QSERIES, None),
+                                            (CaseId.DOUBLE_ROUTE, AB(1, 1, 1, 0)),
+                                            (CaseId.THM41, GeometrySpec(k=2, l=1, family=Family.TWO_LINE))])
+    def test_q_order_bound(self, case, spec):
+        # refused past the bound before any arithmetic; at the bound the request
+        # is only built, since running it is a long case
+        with pytest.raises(UsageError, match=f"q-order must be at most {MAX_Q_ORDER}, "
+                                             f"not {MAX_Q_ORDER + 1}"):
+            CaseRequest(case, spec, MAX_Q_ORDER + 1)
+        assert CaseRequest(case, spec, MAX_Q_ORDER).order == MAX_Q_ORDER
+        assert MAX_Q_ORDER >= 400   # CI runs JACOBI_QSERIES at q-order 400
 
     @pytest.mark.parametrize("k", range(1, 65))
     def test_q_order_guard_matches_half_index_bound(self, k):
