@@ -6,12 +6,13 @@ silently truncated above the degree cap, which models the vanishing of
 cohomology above the manifold dimension.  Per-root factors are series in the
 single root w of a one-root ring; `symmetrise` multiplies them over their
 root families, times exp of an additive exponent E, as one exp(E + sum e c_n
-s_n), with c_n the coefficients of a factor's log in w^2 (`_log_parts`, or a
-closed form) and s_n the family's power sums of squared roots written in its
-p_i.  All coefficients are exact rationals: internally a polynomial is stored
-as a common positive denominator plus integer numerators keyed by bit-packed
-exponent vectors, bucketed by total degree, so that multiplication is pure
-integer work.
+s_n), with c_n the coefficients of a factor's log in w^2, one integer
+`LogParts` table (`_log_parts`, uncached, or a closed form; `bundles` caches
+each table on the factor's name, never on a ring value), and s_n the family's
+power sums of squared roots written in its p_i.  All coefficients are exact
+rationals: internally a polynomial is stored as a common positive denominator
+plus integer numerators keyed by bit-packed exponent vectors, bucketed by total
+degree, so that multiplication is pure integer work.
 
 Formal power series in q^(1/2) (`QSeries`) hold their coefficients in a
 dense array indexed by half-steps: integer numerators over one common
@@ -423,21 +424,18 @@ def one_root_ring(cap: int) -> RingSpec:
     return RingSpec(gens=(("w", 2),), cap=cap)
 
 
-@lru_cache(maxsize=None)
 def exp_root(cap: int, sign: int) -> GradedPoly:
     """exp(+w) or exp(-w) on the one-root ring of this cap."""
     w = GradedPoly.generator(one_root_ring(cap), "w")
     return apply_series(taylor_exp(cap // 2 + 1), w if sign > 0 else -w)
 
 
-@lru_cache(maxsize=None)
 def cosh_half_root(cap: int) -> GradedPoly:
     """cosh(w/2) on the one-root ring of this cap."""
     w = GradedPoly.generator(one_root_ring(cap), "w")
     return apply_series(taylor_cosh_half(cap // 2 + 1), w)
 
 
-@lru_cache(maxsize=None)
 def half_over_sinh_half_root(cap: int) -> GradedPoly:
     """(w/2)/sinh(w/2), the A-hat factor of one root, on the one-root ring of this cap."""
     w = GradedPoly.generator(one_root_ring(cap), "w")
@@ -445,27 +443,13 @@ def half_over_sinh_half_root(cap: int) -> GradedPoly:
 
 
 def taylor_cosh_half(nterms: int) -> list[Fraction]:
-    """cosh(z/2) = sum z^(2n) / (4^n (2n)!)."""
-    out = []
-    for n in range(nterms):
-        if n % 2 == 0:
-            m = n // 2
-            out.append(Fraction(1, 4 ** m * math.factorial(n)))
-        else:
-            out.append(Fraction(0))
-    return out
+    """cosh(z/2) = sum z^(2n) / (4^n (2n)!): 1 / (2^n n!) at even n, 0 at odd n."""
+    return [Fraction((n + 1) % 2, 2 ** n * math.factorial(n)) for n in range(nterms)]
 
 
 def taylor_sinh_half_over_half(nterms: int) -> list[Fraction]:
-    """sinh(z/2) / (z/2) = sum z^(2n) / (4^n (2n+1)!)."""
-    out = []
-    for n in range(nterms):
-        if n % 2 == 0:
-            m = n // 2
-            out.append(Fraction(1, 4 ** m * math.factorial(n + 1)))
-        else:
-            out.append(Fraction(0))
-    return out
+    """sinh(z/2) / (z/2) = sum z^(2n) / (4^n (2n+1)!): 1 / (2^n (n+1)!) at even n."""
+    return [Fraction((n + 1) % 2, 2 ** n * math.factorial(n + 1)) for n in range(nterms)]
 
 
 def taylor_log1p(nterms: int) -> list[Fraction]:
@@ -853,33 +837,38 @@ def power_sums(elementary: Sequence[GradedPoly], n_max: int) -> tuple[GradedPoly
     return tuple(sums)
 
 
-class LogParts(tuple):
-    """A per-root log's even parts: row n holds the Fraction coefficients of
-    w^(2n) q^(h/2), and `nums` the same rows as integers over one `den`."""
+@dataclass(frozen=True)
+class LogParts:
+    """A per-root log's even parts as one integer table: nums[n][h] / den is the
+    coefficient of w^(2n) q^(h/2).  gcd(den, nums) = 1 with den > 0, so equal
+    tables compare equal."""
 
-    def __new__(cls, rows):
-        self = super().__new__(cls, map(tuple, rows))
-        self.den = math.lcm(*(c.denominator for row in self for c in row))
-        self.nums = tuple(tuple(c.numerator * (self.den // c.denominator) for c in row)
-                          for row in self)
-        return self
+    den: int
+    nums: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        g = math.gcd(self.den, *(x for row in self.nums for x in row))
+        object.__setattr__(self, "den", self.den // g)
+        object.__setattr__(self, "nums", tuple(tuple(x // g for x in row) for row in self.nums))
 
 
 def _even_parts(f: QSeries) -> LogParts:
-    """parts[n][h]: the coefficient of w^(2n) q^(h/2) in f, a series on a one-root ring."""
+    """The even parts of f, a series on a one-root ring, over its coefficients' lcm denominator."""
     ring = f.ring
     if ring is None or len(ring.gens) != 1 or ring.degrees[0] != 2:
         raise UsageError("a per-root series lives on a ring of one degree-2 root")
-    parts = [[Fraction(0)] * len(f.coeffs) for _ in range(ring.cap // 4 + 1)]
-    for h, c in enumerate(f.coeffs):
-        for (e,), value in c.iter_terms():
-            if e % 2:
-                raise SymmetryError("odd power of the root; per-root series not even")
-            parts[e // 2][h] = value
-    return LogParts(parts)
+    coeffs = f.coeffs
+    den = math.lcm(*(c._den for c in coeffs))
+    nums = [[0] * len(coeffs) for _ in range(ring.cap // 4 + 1)]
+    for h, c in enumerate(coeffs):
+        for b in c._buckets.values():
+            for e, x in b.items():      # the packed key of w^e is e
+                if e % 2:
+                    raise SymmetryError("odd power of the root; per-root series not even")
+                nums[e // 2][h] = x * (den // c._den)
+    return LogParts(den, nums)
 
 
-@lru_cache(maxsize=None)
 def _log_parts(f: GradedPoly | QSeries) -> LogParts:
     """`_even_parts` of log f; a polynomial f, constant in q, has parts one wide."""
     series = QSeries.from_poly(f, 0) if isinstance(f, GradedPoly) else f
@@ -888,19 +877,20 @@ def _log_parts(f: GradedPoly | QSeries) -> LogParts:
 
 def _over_families(terms: Sequence[tuple[LogParts, Sequence[GradedPoly], int]],
                    width: int, exponent: QSeries | None = None) -> list[GradedPoly]:
-    """out[h] = exponent[h] + sum over (parts, sums, e) of e * sum_(n >= 1) parts[n][h] * s_n.
+    """out[h] = exponent[h] + sum over (parts, sums, e) of e * sum_(n >= 1) c_n[h] s_n.
 
-    Each `LogParts` is `width` wide, or one wide for a term constant in q, with
-    parts[0], the part free of the root, zero.  The terms over one family (the
-    same `sums` object) merge into one integer weight per (n, h); each weight
-    times its s_n, and each coefficient of the optional `width`-wide exponent,
-    add into one bucket dict per h over one denominator, normalised once.
+    c_n[h] = parts.nums[n][h] / parts.den.  Each `LogParts` is `width` wide, or
+    one wide for a term constant in q, with row 0, free of the root, zero.  The
+    terms over one family (the same `sums` object) merge into one integer
+    weight per (n, h); each weight times its s_n, and each coefficient of the
+    optional `width`-wide exponent, add into one bucket dict per h over one
+    denominator, normalised once.
     """
     spec = terms[0][1][0].spec
     families: dict[int, tuple[Sequence[GradedPoly], list]] = {}
     for parts, sums, e in terms:
-        if (not isinstance(parts, LogParts) or len(parts) != len(sums) + 1
-                or len(parts[0]) not in (1, width)):
+        if (not isinstance(parts, LogParts) or len(parts.nums) != len(sums) + 1
+                or len(parts.nums[0]) not in (1, width)):
             raise UsageError("per-root parts must be a LogParts at the power sums' cap and the q-order")
         if any(parts.nums[0]):
             raise UsageError("a per-root series must be trivial at the root 0")
@@ -940,12 +930,12 @@ def symmetrise(rows: Sequence[tuple[LogParts, Sequence[GradedPoly], int]],
     """exp(exponent) times the product over rows (parts, sums, e) of the
     product over the family's roots of f(root)^e, as one exp.
 
-    Each f is an even per-root factor with f(0) = 1, given by the even parts
-    of its log = sum_n c_n w^(2n) (`_log_parts`, or a closed form): parts[n][h]
-    is the q^(h/2) coefficient of c_n.  The product is exp(exponent + sum e c_n
-    s_n), with s_n the family's power sums (`sums`): a q-series truncated at
-    `order`, whose parts are 2 order + 1 wide or one wide for an f constant in
-    q, or a polynomial when order is None.
+    Each f is an even per-root factor with f(0) = 1, given by the `LogParts`
+    table of its log = sum_n c_n w^(2n) (`_log_parts`, or a closed form):
+    parts.nums[n][h] / parts.den is the q^(h/2) coefficient of c_n.  The
+    product is exp(exponent + sum e c_n s_n), with s_n the family's power sums
+    (`sums`): a q-series truncated at `order`, whose parts are 2 order + 1 wide
+    or one wide for an f constant in q, or a polynomial when order is None.
     """
     width = 1 if order is None else 2 * order + 1
     logs = _over_families(rows, width, exponent)

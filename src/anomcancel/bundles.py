@@ -28,21 +28,20 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
+from . import algebra, theta
 from .algebra import (
     GradedPoly,
     LogParts,
     QSeries,
     RingSpec,
     _log_parts,
-    cosh_half_root,
-    half_over_sinh_half_root,
     one_root_ring,
     power_sums,
     sum_of_products,
     symmetrise,
 )
 from .errors import UsageError
-from .theta import ModularFormId, ThetaKind, modular_form, theta_ratio
+from .theta import ModularFormId, ThetaKind, modular_form
 
 
 class Family(Enum):
@@ -204,14 +203,25 @@ def _power_sums(ring: RingSpec, label: str) -> tuple[GradedPoly, ...]:
     return power_sums(elementary, ring.cap // 4)
 
 
+@lru_cache(maxsize=None)
+def _root_log(factor: str | ThetaKind, cap: int, order: int = 0) -> LogParts:
+    """The log table of a per-root factor, cached on its name and small arguments:
+    "ahat" ((w/2)/sinh(w/2)) and "cosh" (cosh(w/2)) on the cap, a theta quotient
+    on (kind, cap, order).  Builders are called through their modules, so a
+    patched or traced one is seen; BUNDLE blocks keep `_exterior_log`'s cache."""
+    if isinstance(factor, ThetaKind):
+        return _log_parts(theta.theta_ratio(factor, cap, order))
+    build = {"ahat": algebra.half_over_sinh_half_root, "cosh": algebra.cosh_half_root}[factor]
+    return _log_parts(build(cap))
+
+
 # ---------------------------------------------------------------------------
 # q-independent characteristic forms
 
 
 def genus_form(spec: GeometrySpec) -> GradedPoly:
     """A-hat genus of the tangent roots: the product of (w/2)/sinh(w/2)."""
-    return symmetrise([(_log_parts(half_over_sinh_half_root(4 * spec.k)),
-                        spec.power_sums("TM"), 1)])
+    return symmetrise([(_root_log("ahat", 4 * spec.k), spec.power_sums("TM"), 1)])
 
 
 def ch_spinor_pow(spec: GeometrySpec, e: int) -> GradedPoly:
@@ -221,15 +231,15 @@ def ch_spinor_pow(spec: GeometrySpec, e: int) -> GradedPoly:
     the truncated ring.
     """
     # the factor 2^e of every root, gathered into one constant
-    cosh = symmetrise([(_log_parts(cosh_half_root(4 * spec.k)), spec.power_sums("V"), e)])
+    cosh = symmetrise([(_root_log("cosh", 4 * spec.k), spec.power_sums("V"), e)])
     return cosh * Fraction(2) ** (e * spec.l)
 
 
 def _genus_rows(ring: RingSpec, family: Family, which: int, e: int) -> list:
     """Rows of the lead (which = 1) or weight (2) form of `family` with spinor
     power e = a or b: A-hat over TM, cosh(v/2)^e over V, the Euler-cosh factors."""
-    cosh = _log_parts(cosh_half_root(ring.cap))
-    rows = [(_log_parts(half_over_sinh_half_root(ring.cap)), _power_sums(ring, "TM"), 1),
+    cosh = _root_log("cosh", ring.cap)
+    rows = [(_root_log("ahat", ring.cap), _power_sums(ring, "TM"), 1),
             (cosh, _power_sums(ring, "V"), e)]
     rows += [(cosh, _power_sums(ring, roots), x)
              for roots, x in FAMILY_FORMS[family].euler_cosh[which - 1]]
@@ -295,15 +305,14 @@ def _exterior_log(cap: int, grid: str, sign: int, order: int) -> LogParts:
     read off the sum of Adams operations sum_t sum_(m>=1) (-1)^(m+1) t^m / m *
     (e^(mw) + e^(-mw) - 2), where e^(mw) + e^(-mw) - 2 = sum_n 2 m^(2n) w^(2n) / (2n)!;
     grid 'int' walks t = sign * q^j (j >= 1), grid 'half' walks t = sign * q^(j - 1/2)."""
-    width = 2 * order + 1
-    nums = [[0] * width for _ in range(cap // 4 + 1)]   # parts[n] times (2n)!
+    width, top = 2 * order + 1, math.factorial(2 * (cap // 4))
+    nums = [[0] * width for _ in range(cap // 4 + 1)]   # row n of the table times top
     for h in range(2 if grid == "int" else 1, width, 2):
         for m in range(1, (width - 1) // h + 1):
             c = 2 * (-1) ** (m + 1) * sign ** m
             for n in range(1, cap // 4 + 1):
-                nums[n][m * h] += c * m ** (2 * n - 1)
-    return LogParts([Fraction(x, math.factorial(2 * n)) for x in row]
-                    for n, row in enumerate(nums))
+                nums[n][m * h] += c * m ** (2 * n - 1) * (top // math.factorial(2 * n))
+    return LogParts(top, nums)
 
 
 def ch_theta_bundle(which: int, spec: GeometrySpec, order: int) -> QSeries:
@@ -420,11 +429,10 @@ def _q_form_bundle(form: QFormId, spec: GeometrySpec, order: int, degree: int | 
 
 def _q_form_theta(form: QFormId, spec: GeometrySpec, order: int) -> QSeries:
     cap = 4 * spec.k
-    rows = [(_log_parts(theta_ratio(ThetaKind.THETA, cap, order)), spec.power_sums("TM"), 1)]
+    rows = [(_root_log(ThetaKind.THETA, cap, order), spec.power_sums("TM"), 1)]
     groups, two = FAMILY_FORMS[spec.family].theta[0 if form is QFormId.LEAD else 1]
     for roots, kinds in groups:
         for kind, e in kinds:
-            rows.append((_log_parts(theta_ratio(kind, cap, order)), spec.power_sums(roots),
-                         spec.twist(e)))
+            rows.append((_root_log(kind, cap, order), spec.power_sums(roots), spec.twist(e)))
     res = symmetrise(rows, order, _e2_exponent(spec, order))
     return res.scale(Fraction(2) ** (spec.twist(two) * spec.l))

@@ -3,6 +3,7 @@ derivatives in a root, the per-term reference loops for the q-series kernels,
 for the other ring-valued sums and for the text of a ring element, and the
 root-ring oracle for the Pontryagin-ring engine."""
 
+import math
 import random
 import sys
 from fractions import Fraction
@@ -13,6 +14,7 @@ import pytest
 
 from anomcancel.algebra import (
     GradedPoly,
+    LogParts,
     QSeries,
     RingSpec,
     apply_series,
@@ -236,6 +238,19 @@ def reference_power_sums(elementary, n_max: int) -> tuple:
     return tuple(sums)
 
 
+def fraction_rows(parts: LogParts) -> tuple:
+    """A `LogParts` table as rows of `Fraction`s: row n holds the coefficients
+    of w^(2n) q^(h/2), h = 0, 1, ..."""
+    return tuple(tuple(Fraction(x, parts.den) for x in row) for row in parts.nums)
+
+
+def log_parts_of(rows) -> LogParts:
+    """The `LogParts` table of rows of `Fraction`s or ints."""
+    rows = [[Fraction(c) for c in row] for row in rows]
+    den = math.lcm(*(c.denominator for row in rows for c in row))
+    return LogParts(den, [[c.numerator * (den // c.denominator) for c in row] for row in rows])
+
+
 def reference_over_families(terms, width: int) -> list:
     """out[h] = sum over (parts, sums, e) of e * sum_(n >= 1) parts[n][h] * s_n,
     with the rows over one family (the same `sums` object) first merged into
@@ -246,7 +261,7 @@ def reference_over_families(terms, width: int) -> list:
         if weights is None:
             weights = [[Fraction(0)] * width for _ in sums]
             families.append((sums, weights))
-        for n, part in enumerate(parts[1:]):
+        for n, part in enumerate(fraction_rows(parts)[1:]):
             for h, c in enumerate(part):
                 weights[n][h] += c * e
     out = [GradedPoly.zero(terms[0][1][0].spec)] * width

@@ -43,6 +43,26 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...] = ()   # pytest paths or node ids; () runs all of tier-1
 
 
+def _key_without(position: int, name: str) -> str:
+    """Source for `name`'s cache, keyed on its arguments without the one at
+    `position`: the first build for a key serves every value of that argument."""
+    return f"""def _key_drop(fn):
+    memo = {{}}
+
+    def cached(*args):
+        key = args[:{position}] + args[{position} + 1:]
+        if key not in memo:
+            memo[key] = fn(*args)
+        return memo[key]
+
+    cached.cache_clear = memo.clear
+    return cached
+
+
+@_key_drop
+def {name}("""
+
+
 CATALOGUE = (
     # the BUNDLE route's closed-form exterior log (caught by THETA's literal products)
     Mutant("exterior-log-sign-power", "src/anomcancel/bundles.py",
@@ -115,6 +135,36 @@ CATALOGUE = (
     Mutant("poly-constant-hash-keeps-ring", "src/anomcancel/algebra.py",
            "if not self._buckets.keys() - {0}:", "if False:",
            ("tests/test_algebra.py::TestGradedPoly::test_constants_hash_as_their_numbers",)),
+    Mutant("log-parts-not-normalised", "src/anomcancel/algebra.py",
+           "g = math.gcd(self.den, *(x for row in self.nums for x in row))", "g = 1",
+           ("tests/test_algebra.py", "tests/test_symmetrise.py")),
+    # the cache keys: the per-root tables on the factor and its small arguments,
+    # the genus and bundle forms on every input they read
+    Mutant("root-table-key-without-order", "src/anomcancel/bundles.py",
+           "@lru_cache(maxsize=None)\ndef _root_log(", _key_without(2, "_root_log"),
+           ("tests/test_bundles.py",)),
+    Mutant("root-table-key-without-kind", "src/anomcancel/bundles.py",
+           "@lru_cache(maxsize=None)\ndef _root_log(", _key_without(0, "_root_log"),
+           ("tests/test_bundles.py",)),
+    Mutant("bundle-exp-key-without-order", "src/anomcancel/bundles.py",
+           "@lru_cache(maxsize=None)\ndef _bundle_exp(", _key_without(5, "_bundle_exp"),
+           ("tests/test_bundles.py",)),
+    Mutant("genus-exp-key-without-e", "src/anomcancel/bundles.py",
+           "@lru_cache(maxsize=None)\ndef _genus_exp(", _key_without(3, "_genus_exp"),
+           ("tests/test_bundles.py",)),
+    # the two routes sharing code: each computes the same value, so only the
+    # route-independence tests tell them from the program.  THETA's tangent row
+    # as A-hat over the inverse exterior block at t = -q^n; BUNDLE's joint form
+    # as exp of the E2 exponent the THETA route reads
+    Mutant("theta-rows-read-exterior-log", "src/anomcancel/bundles.py",
+           'rows = [(_root_log(ThetaKind.THETA, cap, order), spec.power_sums("TM"), 1)]',
+           'rows = [(_root_log("ahat", cap), spec.power_sums("TM"), 1),\n'
+           '            (_exterior_log(cap, "int", -1, order), spec.power_sums("TM"), -1)]',
+           ("tests/test_bundles.py::TestRouteIndependence",)),
+    Mutant("bundle-joint-via-e2-exponent", "src/anomcancel/bundles.py",
+           "factor = factor * p1_combo(spec) + QSeries.one(order, spec.ring())",
+           "factor = _e2_exponent(spec, order).exp()",
+           ("tests/test_bundles.py::TestRouteMutations",)),
 )
 
 

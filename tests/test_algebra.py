@@ -31,6 +31,8 @@ from anomcancel.theta import jacobi_identity_check
 
 from conftest import (
     derivative,
+    fraction_rows,
+    log_parts_of,
     permute_gens,
     random_fraction,
     random_nilpotent,
@@ -602,7 +604,7 @@ class TestIntegerAssembly:
         for _ in range(2):
             rows.append([random_fraction(rng, rng.choice((3, 10, 40))) if rng.random() < 0.7
                          else F(0) for _ in range(width)])
-        return LogParts(rows)
+        return log_parts_of(rows)
 
     def random_terms(self, rng, width):
         """One-wide and full-width rows, two rows on the first family, a row with e = 0."""
@@ -637,6 +639,18 @@ class TestIntegerAssembly:
                 if order == 0:
                     assert symmetrise(terms, None, exponent) == want.exp().coeffs[0]
 
+    def test_equal_tables_compare_equal(self):
+        # a table is held over the least denominator, however it was given
+        table = LogParts(12, [[0, 6], [4, -8]])
+        assert (table.den, table.nums) == (6, ((0, 3), (2, -4)))
+        assert table == LogParts(6, ((0, 3), (2, -4)))
+        assert hash(table) == hash(LogParts(18, [[0, 9], [6, -12]]))
+        assert fraction_rows(table) == ((0, F(1, 2)), (F(1, 3), F(-2, 3)))
+        # the same series' log, its coefficients held over other denominators
+        w = GradedPoly.generator(one_root_ring(8), "w")
+        f = 1 + w * w * F(1, 3) + w ** 4 * F(1, 5)
+        assert _log_parts(f) == _log_parts(QSeries.from_poly(f * 6, 0).scale(F(1, 6)))
+
     def test_refusals(self, rng):
         sums = self.families()[0]
         parts = self.random_parts(rng, 3)
@@ -645,9 +659,10 @@ class TestIntegerAssembly:
         with pytest.raises(UsageError):     # another q-order: 3 wide in a sum 5 wide
             _over_families([(parts, sums, 1)], 5)
         with pytest.raises(UsageError):     # nonzero parts[0], even at e = 0
-            _over_families([(LogParts([[F(1, 2), 0, 0], *parts[1:]]), sums, 0)], 3)
+            bad = log_parts_of([[F(1, 2), 0, 0], *fraction_rows(parts)[1:]])
+            _over_families([(bad, sums, 0)], 3)
         with pytest.raises(UsageError):     # plain rows, not a LogParts table
-            _over_families([(tuple(parts), sums, 1)], 3)
+            _over_families([(fraction_rows(parts), sums, 1)], 3)
         other = power_sums(gens(RingSpec(gens=(("p1", 4), ("p2", 8)), cap=8)), 2)
         with pytest.raises(UsageError):     # power sums of two rings
             _over_families([(parts, sums, 1), (parts, other, 1)], 3)
@@ -683,6 +698,15 @@ class TestSymmetriseRows:
         poly = symmetrise([poly_row])
         assert isinstance(poly, GradedPoly)
         assert symmetrise([poly_row], 0) == QSeries.from_poly(poly, 0)
+
+    def test_a_rational_series_is_refused_after_an_equal_ring_series(self):
+        # a ring series of constants equals the rational series of them and
+        # hashes alike; logging the one must not make the other loggable
+        ring_one = QSeries.one(2, one_root_ring(8))
+        assert ring_one == QSeries.one(2) and hash(ring_one) == hash(QSeries.one(2))
+        _log_parts(ring_one)
+        with pytest.raises(UsageError):
+            _log_parts(QSeries.one(2))
 
     def test_orders_must_agree(self):
         poly_row, series_row = self.rows()

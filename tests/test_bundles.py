@@ -1,11 +1,14 @@
 """Genus forms, spinor powers, twisted bundle characters, double-route forms."""
 
+import importlib
+import pkgutil
 import random
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
+import anomcancel
 from anomcancel import bundles, theta
 from anomcancel.algebra import (
     GradedPoly,
@@ -14,6 +17,7 @@ from anomcancel.algebra import (
     _log_parts,
     apply_series,
     cosh_half_root,
+    half_over_sinh_half_root,
     one_root_ring,
     symmetrise,
     taylor_exp,
@@ -35,10 +39,12 @@ from anomcancel.bundles import (
 )
 from anomcancel.bundles import _e2_exponent, _exterior_log
 from anomcancel.errors import UsageError
+from anomcancel.theta import ThetaKind, theta_ratio
 from anomcancel.verifier import CaseId, verify_case
 
 from conftest import (
     exterior_block,
+    fraction_rows,
     in_pontryagin,
     paper_form,
     permute_gens,
@@ -222,8 +228,8 @@ class TestThetaBundles:
         s_block = symmetric_block(4, 3)
         lam_block = exterior_block(4, "int", -1, 3)
         assert s_block * lam_block == QSeries.one(3, ring)
-        assert _log_parts(s_block) == tuple(tuple(-c for c in part)
-                                            for part in _exterior_log(4, "int", -1, 3))
+        assert fraction_rows(_log_parts(s_block)) == tuple(
+            tuple(-c for c in part) for part in fraction_rows(_exterior_log(4, "int", -1, 3)))
 
 
 class TestP1Combo:
@@ -359,13 +365,34 @@ class TestRouteIndependence:
     @pytest.mark.parametrize("form, spec", CASES)
     def test_bundle_route_uses_no_theta_quotient(self, form, spec, cold_caches, monkeypatch):
         monkeypatch.setattr(theta, "theta_ratio", self.refuse)
-        monkeypatch.setattr(bundles, "theta_ratio", self.refuse)
         assert not q_form(form, Route.BUNDLE, spec, 2).is_zero()
 
     @pytest.mark.parametrize("form, spec", CASES)
     def test_theta_route_uses_no_bundle_block(self, form, spec, cold_caches, monkeypatch):
         monkeypatch.setattr(bundles, "_exterior_log", self.refuse)
         assert not q_form(form, Route.THETA, spec, 2).is_zero()
+
+    @staticmethod
+    def tables_cached(keys):
+        """Whether the per-root table cache holds exactly `keys`: as many
+        entries as keys, and reading each key again is a hit."""
+        before = bundles._root_log.cache_info()
+        for key in keys:
+            bundles._root_log(*key)
+        after = bundles._root_log.cache_info()
+        return before.currsize == len(set(keys)) and after.misses == before.misses
+
+    @pytest.mark.parametrize("form, spec", CASES)
+    def test_theta_route_caches_theta_quotient_tables_only(self, form, spec, cold_caches):
+        q_form(form, Route.THETA, spec, 2)
+        groups, _ = FAMILY_FORMS[spec.family].theta[0 if form is QFormId.LEAD else 1]
+        kinds = {ThetaKind.THETA} | {kind for _, pairs in groups for kind, _ in pairs}
+        assert self.tables_cached([(kind, 4 * spec.k, 2) for kind in kinds])
+
+    @pytest.mark.parametrize("form, spec", CASES)
+    def test_bundle_route_caches_genus_tables_only(self, form, spec, cold_caches):
+        q_form(form, Route.BUNDLE, spec, 2)
+        assert self.tables_cached([("ahat", 4 * spec.k), ("cosh", 4 * spec.k)])
 
 
 class TestRouteMutations:
@@ -425,8 +452,9 @@ class TestRouteMutations:
             if (g, s) != (grid, sign):
                 return parts
             h = 2 if grid == "int" else 1
-            return LogParts((parts[0], parts[1][:h] + (parts[1][h] + 1,) + parts[1][h + 1:],
-                             *parts[2:]))
+            first = parts.nums[1]
+            return LogParts(parts.den, (parts.nums[0], first[:h] + (first[h] + parts.den,)
+                                        + first[h + 1:], *parts.nums[2:]))
 
         monkeypatch.setattr(bundles, "_exterior_log", off_by_one)
         spec = GeometrySpec(k=1, l=2, a=1, b=0, family=Family.AB)
@@ -529,3 +557,44 @@ class TestFormCaches:
             for b in (0, 1, 2):
                 assert verify_case(CaseId.THM31, GeometrySpec(k=1, l=l, a=1, b=b)).passed
         assert sorted(built) == [(1, 1), (2, 0), (2, 1), (2, 2)]
+
+
+class TestPerRootTables:
+    """Every per-root log table is cached on the factor it names and its small
+    arguments, never on a ring value."""
+
+    def test_theta_tables_by_kind_cap_and_order(self, cold_caches):
+        # each key is its own table, equal to the log of its theta quotient
+        keys = [(kind, cap, order) for kind in ThetaKind for cap in (8, 12) for order in (4, 5)]
+        tables = [bundles._root_log(*key) for key in keys]
+        assert len(set(tables)) == len(keys)
+        for key, table in zip(keys, tables):
+            assert table == _log_parts(theta_ratio(*key)), key
+
+    def test_genus_tables_by_factor_and_cap(self, cold_caches):
+        for cap in (4, 8, 12):
+            assert bundles._root_log("ahat", cap) == _log_parts(half_over_sinh_half_root(cap))
+            assert bundles._root_log("cosh", cap) == _log_parts(cosh_half_root(cap))
+        assert bundles._root_log("ahat", 8) != bundles._root_log("cosh", 8)
+
+    def test_every_module_level_cache_by_name(self):
+        # a new cache, or one gone, changes this list by name
+        found = set()
+        for info in pkgutil.iter_modules(anomcancel.__path__):
+            module = importlib.import_module(f"anomcancel.{info.name}")
+            found |= {f"{module.__name__}.{obj.__qualname__}" for obj in vars(module).values()
+                      if hasattr(obj, "cache_clear") and obj.__module__ == module.__name__}
+        assert found == {
+            "anomcancel.algebra.one_root_ring",
+            "anomcancel.bundles._ring_for",
+            "anomcancel.bundles._power_sums",
+            "anomcancel.bundles._root_log",
+            "anomcancel.bundles._genus_exp",
+            "anomcancel.bundles._exterior_log",
+            "anomcancel.bundles._bundle_exp",
+            "anomcancel.bundles._e2_expm1",
+            "anomcancel.bundles._q_form_bundle",
+            "anomcancel.decomp.basis_series",
+            "anomcancel.theta._theta_const_fourth",
+            "anomcancel.theta.modular_form",
+        }

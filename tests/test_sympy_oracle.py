@@ -36,6 +36,7 @@ from anomcancel.theta import ModularFormId, ThetaKind, modular_form, theta_ratio
 from conftest import (  # noqa: E402
     check_form_route,
     exterior_block,
+    fraction_rows,
     paper_form,
     root_q_form,
     symmetric_block,
@@ -86,7 +87,8 @@ def _engine(series):
 def _exp_of_parts(parts):
     """exp of the per-root series whose log has the even parts `parts`."""
     ring = one_root_ring(CAP)
-    log = [GradedPoly.from_terms(ring, {(2 * n,): part[h] for n, part in enumerate(parts)})
+    rows = fraction_rows(parts)
+    log = [GradedPoly.from_terms(ring, {(2 * n,): part[h] for n, part in enumerate(rows)})
            for h in range(2 * ORDER + 1)]
     return QSeries(log, ORDER, ring).exp()
 
