@@ -5,14 +5,14 @@ classes and the Pontryagin classes p_i of degree 4i); every product is
 silently truncated above the degree cap, which models the vanishing of
 cohomology above the manifold dimension.  Per-root factors are series in the
 single root w of a one-root ring; `symmetrise` multiplies them over their
-root families, times exp of an additive exponent E, as one exp(E + sum e c_n
-s_n), with c_n the coefficients of a factor's log in w^2, one integer
-`LogParts` table (`_log_parts`, uncached, or a closed form; `bundles` caches
-each table on the factor's name, never on a ring value), and s_n the family's
-power sums of squared roots written in its p_i.  All coefficients are exact
-rationals: internally a polynomial is stored as a common positive denominator
-plus integer numerators keyed by bit-packed exponent vectors, bucketed by total
-degree, so that multiplication is pure integer work.
+root families as one exp(sum e c_n s_n), with c_n the coefficients of a
+factor's log in w^2, one integer `LogParts` table (`_log_parts`, uncached, or
+a closed form; `bundles` caches each table on the factor's name, never on a
+ring value), and s_n the family's power sums of squared roots written in its
+p_i.  All coefficients are exact rationals: internally a polynomial is stored
+as a common positive denominator plus integer numerators keyed by bit-packed
+exponent vectors, bucketed by total degree, so that multiplication is pure
+integer work.
 
 Formal power series in q^(1/2) (`QSeries`) hold their coefficients in a
 dense array indexed by half-steps: integer numerators over one common
@@ -876,15 +876,14 @@ def _log_parts(f: GradedPoly | QSeries) -> LogParts:
 
 
 def _over_families(terms: Sequence[tuple[LogParts, Sequence[GradedPoly], int]],
-                   width: int, exponent: QSeries | None = None) -> list[GradedPoly]:
-    """out[h] = exponent[h] + sum over (parts, sums, e) of e * sum_(n >= 1) c_n[h] s_n.
+                   width: int) -> list[GradedPoly]:
+    """out[h] = sum over (parts, sums, e) of e * sum_(n >= 1) c_n[h] s_n.
 
     c_n[h] = parts.nums[n][h] / parts.den.  Each `LogParts` is `width` wide, or
     one wide for a term constant in q, with row 0, free of the root, zero.  The
     terms over one family (the same `sums` object) merge into one integer
-    weight per (n, h); each weight times its s_n, and each coefficient of the
-    optional `width`-wide exponent, add into one bucket dict per h over one
-    denominator, normalised once.
+    weight per (n, h); each weight times its s_n adds into one bucket dict per
+    h over one denominator, normalised once.
     """
     spec = terms[0][1][0].spec
     families: dict[int, tuple[Sequence[GradedPoly], list]] = {}
@@ -898,14 +897,9 @@ def _over_families(terms: Sequence[tuple[LogParts, Sequence[GradedPoly], int]],
             raise UsageError("polynomials from different rings")
         if e:
             families.setdefault(id(sums), (sums, []))[1].append((parts, e))
-    if exponent is not None and 2 * exponent.order + 1 != width:
-        raise UsageError("q-series truncation orders differ")
-    added = () if exponent is None else exponent.to_ring(spec)._coeffs
     den = math.lcm(*(parts.den for _, rows in families.values() for parts, _ in rows))
-    top = math.lcm(den * math.lcm(*(s._den for sums, _ in families.values() for s in sums)),
-                   *(c._den for c in added))
-    out = [{deg: {key: x * (top // c._den) for key, x in b.items()} for deg, b in c._buckets.items()}
-           for c in added] or [{} for _ in range(width)]
+    top = den * math.lcm(*(s._den for sums, _ in families.values() for s in sums))
+    out = [{} for _ in range(width)]
     for sums, rows in families.values():
         weights = [[0] * width for _ in sums]
         for parts, e in rows:
@@ -926,21 +920,20 @@ def _over_families(terms: Sequence[tuple[LogParts, Sequence[GradedPoly], int]],
 
 
 def symmetrise(rows: Sequence[tuple[LogParts, Sequence[GradedPoly], int]],
-               order: int | None = None, exponent: QSeries | None = None):
-    """exp(exponent) times the product over rows (parts, sums, e) of the
-    product over the family's roots of f(root)^e, as one exp.
+               order: int) -> QSeries:
+    """The product over rows (parts, sums, e) of the product over the family's
+    roots of f(root)^e, as one exp.
 
     Each f is an even per-root factor with f(0) = 1, given by the `LogParts`
     table of its log = sum_n c_n w^(2n) (`_log_parts`, or a closed form):
     parts.nums[n][h] / parts.den is the q^(h/2) coefficient of c_n.  The
-    product is exp(exponent + sum e c_n s_n), with s_n the family's power sums
-    (`sums`): a q-series truncated at `order`, whose parts are 2 order + 1 wide
-    or one wide for an f constant in q, or a polynomial when order is None.
+    product is exp(sum e c_n s_n), with s_n the family's power sums (`sums`),
+    a q-series truncated at `order`: each table is 2 order + 1 wide, or one
+    wide for an f constant in q.  A q-independent form is the q^0 coefficient
+    of `symmetrise(rows, 0)`.
     """
-    width = 1 if order is None else 2 * order + 1
-    logs = _over_families(rows, width, exponent)
-    result = QSeries._of_coeffs(logs, order or 0, logs[0].spec).exp()
-    return result.coeffs[0] if order is None else result
+    logs = _over_families(rows, 2 * order + 1)
+    return QSeries._of_coeffs(logs, order, logs[0].spec).exp()
 
 
 # ---------------------------------------------------------------------------

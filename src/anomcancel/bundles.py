@@ -16,8 +16,8 @@ agreement is the central correctness property of the package.
 
 Every form lives in the Pontryagin ring of `GeometrySpec.ring()`: each route
 gives the log of each per-root factor once, and one `symmetrise` turns a
-form's rows of them, with the E2 exponent c * E2 * z where the form has one,
-into one exp over the Chern roots of TM, of V and of the Euler roots.
+form's rows of them, the lead's E2 prefactor as rows of exp(c * E2 * w^2) over
+z's roots, into one exp over the Chern roots of TM, of V and of the Euler roots.
 """
 
 from __future__ import annotations
@@ -221,7 +221,7 @@ def _root_log(factor: str | ThetaKind, cap: int, order: int = 0) -> LogParts:
 
 def genus_form(spec: GeometrySpec) -> GradedPoly:
     """A-hat genus of the tangent roots: the product of (w/2)/sinh(w/2)."""
-    return symmetrise([(_root_log("ahat", 4 * spec.k), spec.power_sums("TM"), 1)])
+    return symmetrise([(_root_log("ahat", 4 * spec.k), spec.power_sums("TM"), 1)], 0).coeffs[0]
 
 
 def ch_spinor_pow(spec: GeometrySpec, e: int) -> GradedPoly:
@@ -231,7 +231,7 @@ def ch_spinor_pow(spec: GeometrySpec, e: int) -> GradedPoly:
     the truncated ring.
     """
     # the factor 2^e of every root, gathered into one constant
-    cosh = symmetrise([(_root_log("cosh", 4 * spec.k), spec.power_sums("V"), e)])
+    cosh = symmetrise([(_root_log("cosh", 4 * spec.k), spec.power_sums("V"), e)], 0).coeffs[0]
     return cosh * Fraction(2) ** (e * spec.l)
 
 
@@ -251,7 +251,7 @@ def _genus_exp(ring: RingSpec, family: Family, which: int, e: int) -> GradedPoly
     """The lead or weight form before its factor 2^(e l), cached on the inputs
     it reads: specs that differ only in an l past k, or in the twist the form
     does not read, share one build."""
-    return symmetrise(_genus_rows(ring, family, which, e))
+    return symmetrise(_genus_rows(ring, family, which, e), 0).coeffs[0]
 
 
 def lead_weight(spec: GeometrySpec, which: int) -> GradedPoly:
@@ -282,6 +282,13 @@ def twist_bundle(spec: GeometrySpec) -> GradedPoly:
     return out + ch_tilde_roots(spec, "u") * 3 if spec.has_xi else out
 
 
+def _z_terms(spec: GeometrySpec) -> tuple[tuple[str, int], ...]:
+    """z = `p1_combo` as the sum of e s_1(roots) over these (roots, e)."""
+    if spec.family is Family.TWO_LINE:
+        return ("u", 1), ("u'", -1)
+    return ("TM", 1), ("V", -(spec.a + 2 * spec.b))
+
+
 def p1_combo(spec: GeometrySpec) -> GradedPoly:
     """The degree-4 class multiplying the E2 correction.
 
@@ -289,9 +296,8 @@ def p1_combo(spec: GeometrySpec) -> GradedPoly:
     p1(xi) - p1(xi'), i.e. u^2 - u'^2 since the first Pontryagin class of a
     rank-two oriented bundle is the square of its Euler class.
     """
-    if spec.family is Family.TWO_LINE:
-        return spec.power_sums("u")[0] - spec.power_sums("u'")[0]
-    return spec.power_sums("TM")[0] - spec.power_sums("V")[0] * (spec.a + 2 * spec.b)
+    return sum_of_products(spec.ring(), [(spec.power_sums(roots)[0], e)
+                                         for roots, e in _z_terms(spec)])
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +354,13 @@ def _block_rows(ring: RingSpec, family: Family, which: int, a: int, b: int,
 # E2 prefactors
 
 
-def _e2_exponent(spec: GeometrySpec, order: int) -> QSeries:
-    """c * E2(tau) * z, the log of the prefactor exp(c * E2 * z)."""
+def _e2_rows(spec: GeometrySpec, order: int) -> list:
+    """The prefactor exp(c * E2 * z) as rows of the per-root exp(c * E2 * w^2)
+    over `_z_terms`: its log table's one nonzero row, n = 1, is c * E2."""
     c = FAMILY_FORMS[spec.family].e2_coefficient
-    return modular_form(ModularFormId.E2, order).scale(c) * p1_combo(spec)
+    e2 = [c.numerator * int(x) for x in modular_form(ModularFormId.E2, order).coeffs]
+    table = LogParts(c.denominator, [[0] * len(e2), e2] + [[0] * len(e2)] * (spec.k - 1))
+    return [(table, spec.power_sums(roots), e) for roots, e in _z_terms(spec)]
 
 
 def e2_expm1_over_z(spec: GeometrySpec, order: int) -> QSeries:
@@ -412,14 +421,14 @@ def _q_form_bundle(form: QFormId, spec: GeometrySpec, order: int, degree: int | 
     if form is QFormId.LEAD:
         ring, family, a = spec.ring(), spec.family, spec.a
         rows = _genus_rows(ring, family, 1, a) + _block_rows(ring, family, 1, a, spec.b, order)
-        lead = symmetrise(rows, order, _e2_exponent(spec, order)).scale(Fraction(2) ** (a * spec.l))
+        lead = symmetrise(rows + _e2_rows(spec, order), order).scale(Fraction(2) ** (a * spec.l))
         return lead if degree is None else lead.degree_slice(degree)
     bundle, weight = ch_theta_bundle(2, spec, order), lead_weight(spec, 2)
     if form is QFormId.MAIN:
         return bundle * weight if degree is None else bundle.mul_window(weight, degree, degree)
     # a last product read at `degree` reads main in the degrees up to it only
     main = bundle * weight if degree is None else bundle.mul_window(weight, 0, degree)
-    # (exp(c E2 z) - 1) / z, not exp of the E2 exponent the THETA route reads
+    # (exp(c E2 z) - 1) / z, not the E2 rows the THETA route exponentiates
     factor = e2_expm1_over_z(spec, order)
     if form is QFormId.JOINT:
         # main + z * correction as one product, so no full-size correction is held
@@ -434,5 +443,5 @@ def _q_form_theta(form: QFormId, spec: GeometrySpec, order: int) -> QSeries:
     for roots, kinds in groups:
         for kind, e in kinds:
             rows.append((_root_log(kind, cap, order), spec.power_sums(roots), spec.twist(e)))
-    res = symmetrise(rows, order, _e2_exponent(spec, order))
+    res = symmetrise(rows + _e2_rows(spec, order), order)
     return res.scale(Fraction(2) ** (spec.twist(two) * spec.l))

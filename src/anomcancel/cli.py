@@ -45,10 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run verification cases")
     v.add_argument("--case", help="case identifier, e.g. THM31 or COR32")
-    v.add_argument("--k", type=int, help="manifold dimension is 4k (default 1)")
-    v.add_argument("--l", type=int, help="auxiliary bundle rank is 2l (default 1)")
-    v.add_argument("--a", type=int, help="first twist integer (default 1)")
-    v.add_argument("--b", type=int, help="second twist integer (default 0)")
     v.add_argument("--family", choices=_FAMILIES,
                    help="bundle family (defaults to the case's natural family)")
     v.add_argument("--q-order", type=int, dest="q_order",
@@ -63,16 +59,16 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("expand", help="print q-expansions of named objects")
     e.add_argument("--object", required=True,
                    choices=sorted(_MODULAR_OBJECTS) + ["theta-bundle", "br", "betar"])
-    e.add_argument("--k", type=int, help="manifold dimension is 4k (default 1)")
-    e.add_argument("--l", type=int, help="auxiliary bundle rank is 2l (default 1)")
-    e.add_argument("--a", type=int, help="first twist integer (default 1)")
-    e.add_argument("--b", type=int, help="second twist integer (default 0)")
     e.add_argument("--family", choices=_FAMILIES, help="bundle family (default ab)")
     e.add_argument("--which", type=int, choices=[1, 2],
                    help="which twisted bundle (theta-bundle object only; default 2)")
     e.add_argument("--q-order", type=int, dest="q_order", default=3)
     e.add_argument("--format", choices=["text", "json"], default="text")
     for p in (v, e):
+        p.add_argument("--k", type=int, help="manifold dimension is 4k (default 1)")
+        p.add_argument("--l", type=int, help="auxiliary bundle rank is 2l (default 1)")
+        p.add_argument("--a", type=int, help="first twist integer (default 1)")
+        p.add_argument("--b", type=int, help="second twist integer (default 0)")
         p.add_argument("--debug", action="store_true",
                        help="print the traceback of an internal error (exit 3)")
     return parser
@@ -138,18 +134,26 @@ def format_report_text(report: Report) -> str:
 # verify command
 
 
-def _case_spec(case: CaseId, given: dict, where: str) -> GeometrySpec | None:
-    """The geometry of one case from the keys a user gave, defaults filled in.
+def _request(entry: dict, where: str, tolerance: float | None) -> CaseRequest:
+    """The one builder of a case request, from a suite entry or from the --case
+    flags gathered into the same keys, defaults filled in.
 
-    GeometrySpec rejects invalid combinations (e.g. twists other than (1, 0)
-    for the two-line family) before any case executes.
+    GeometrySpec and CaseRequest reject invalid combinations (e.g. twists other
+    than (1, 0) for the two-line family) before any case executes.
     """
+    try:
+        case = CaseId(entry.get("case"))
+    except ValueError:
+        raise UsageError(f"{where}: unknown case {entry.get('case')!r}; choose from "
+                         + ", ".join(c.value for c in CaseId))
+    given = {key: entry[key] for key in _GEOMETRY_KEYS if key in entry}
     families = CASES[case].families
-    if not families:
-        if given:
-            raise UsageError(f"{where}: {case.value} takes no geometry")
-        return None
-    return _geometry(given, families[0])
+    if given and not families:
+        raise UsageError(f"{where}: {case.value} takes no geometry")
+    # the suite-wide tolerance is the numeric case's; no other case reads one
+    return CaseRequest(case, _geometry(given, families[0]) if families else None,
+                       entry.get("qOrder"), perturb=entry.get("perturb", False),
+                       tolerance=tolerance if case is CaseId.NUMERIC_MODULARITY else None)
 
 
 def _geometry(given: dict, family: Family) -> GeometrySpec:
@@ -165,16 +169,6 @@ def _geometry(given: dict, family: Family) -> GeometrySpec:
 def _given_geometry(args: argparse.Namespace) -> dict:
     """The geometry flags a user gave on the command line."""
     return {key: getattr(args, key) for key in _GEOMETRY_KEYS if getattr(args, key) is not None}
-
-
-def _request_from_args(args: argparse.Namespace) -> CaseRequest:
-    try:
-        case = CaseId(args.case)
-    except ValueError:
-        raise UsageError(f"unknown case {args.case!r}; choose from "
-                         + ", ".join(c.value for c in CaseId))
-    return CaseRequest(case, _case_spec(case, _given_geometry(args), "command line"),
-                       args.q_order, tolerance=args.tolerance)
 
 
 def _check_object(obj, types: dict, where: str) -> None:
@@ -205,18 +199,8 @@ def _requests_from_suite_file(path: str) -> tuple[list[CaseRequest], str | None]
         check_tolerance(config["tolerance"], "suite config")
     requests = []
     for n, entry in enumerate(config["cases"]):
-        where = f"suite entry {n}"
-        _check_object(entry, _ENTRY_KEYS, where)
-        try:
-            case = CaseId(entry["case"])
-        except (KeyError, ValueError):
-            raise UsageError(f"suite entry with unknown case: {entry!r}")
-        given = {key: entry[key] for key in _GEOMETRY_KEYS if key in entry}
-        spec = _case_spec(case, given, where)
-        # the suite-wide tolerance is the numeric case's; no other case reads one
-        tolerance = config.get("tolerance") if case is CaseId.NUMERIC_MODULARITY else None
-        requests.append(CaseRequest(case, spec, entry.get("qOrder"),
-                                    perturb=entry.get("perturb", False), tolerance=tolerance))
+        _check_object(entry, _ENTRY_KEYS, f"suite entry {n}")
+        requests.append(_request(entry, f"suite entry {n}", config.get("tolerance")))
     return requests, config.get("format")
 
 
@@ -243,7 +227,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     elif args.all:
         requests = default_grid()
     elif args.case:
-        requests = [_request_from_args(args)]
+        entry = {"case": args.case, "qOrder": args.q_order, **_given_geometry(args)}
+        requests = [_request(entry, "command line", args.tolerance)]
     else:
         raise UsageError("choose one of --case, --all or --suite")
 

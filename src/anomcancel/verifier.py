@@ -405,7 +405,7 @@ def _case_hlz(req: CaseRequest) -> Outcome:
     w_half = GradedPoly.generator(one_root_ring(cap), "w") * Fraction(1, 2)
     per_root = (apply_series(taylor_exp(nterms), w_half)
                 + apply_series(taylor_exp(nterms), -w_half)) * Fraction(1, 2)
-    spinor = symmetrise([(_log_parts(per_root), spec.power_sums("V"), 1)]) * _two_pow(l)
+    spinor = symmetrise([(_log_parts(per_root), spec.power_sums("V"), 1)], 0).coeffs[0] * _two_pow(l)
     ahat_spinor = ahat * spinor
     lhs_special = ahat_spinor.degree_part(cap)
     for r, br in enumerate(data["b"]):

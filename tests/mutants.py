@@ -89,10 +89,14 @@ CATALOGUE = (
     Mutant("cor32-constant", "src/anomcancel/verifier.py",
            "const = _two_pow(a * l - 3)", "const = _two_pow(a * l - 2)",
            ("tests/test_verifier.py",)),
+    # the terms of z = p1_combo, which the lead forms' E2 rows run over
+    Mutant("e2-row-v-twist", "src/anomcancel/bundles.py",
+           '("V", -(spec.a + 2 * spec.b))', '("V", -(spec.a + spec.b))',
+           ("tests/test_bundles.py",)),
+    Mutant("e2-row-last-pair-dropped", "src/anomcancel/bundles.py",
+           'return ("u", 1), ("u\'", -1)', 'return (("u", 1),)',
+           ("tests/test_bundles.py",)),
     # the integer log assembly of `symmetrise`
-    Mutant("assembly-exponent-not-folded", "src/anomcancel/algebra.py",
-           "added = () if exponent is None else exponent.to_ring(spec)._coeffs", "added = ()",
-           ("tests/test_algebra.py",)),
     Mutant("assembly-row-weight-denominator", "src/anomcancel/algebra.py",
            "m = e * (den // parts.den)", "m = e",
            ("tests/test_algebra.py",)),
@@ -116,6 +120,14 @@ CATALOGUE = (
     Mutant("fused-decompose-basis-sign", "src/anomcancel/decomp.py",
            "[(h[r], -basis[r][m]) for r in range(m)]", "[(h[r], basis[r][m]) for r in range(m)]",
            ("tests/test_decomp.py",)),
+    # the one builder of a case request, from flags or a suite entry
+    Mutant("request-tolerance-to-every-case", "src/anomcancel/cli.py",
+           "tolerance=tolerance if case is CaseId.NUMERIC_MODULARITY else None",
+           "tolerance=tolerance",
+           ("tests/test_cli.py",)),
+    Mutant("request-geometry-refusal-dropped", "src/anomcancel/cli.py",
+           "if given and not families:", "if False:",
+           ("tests/test_cli.py",)),
     # the q-order bound, refused before any arithmetic
     Mutant("q-order-bound-dropped", "src/anomcancel/verifier.py",
            "if q is not None and q > MAX_Q_ORDER:", "if False:",
@@ -155,7 +167,7 @@ CATALOGUE = (
     # the two routes sharing code: each computes the same value, so only the
     # route-independence tests tell them from the program.  THETA's tangent row
     # as A-hat over the inverse exterior block at t = -q^n; BUNDLE's joint form
-    # as exp of the E2 exponent the THETA route reads
+    # as the exp of the E2 rows the THETA route reads
     Mutant("theta-rows-read-exterior-log", "src/anomcancel/bundles.py",
            'rows = [(_root_log(ThetaKind.THETA, cap, order), spec.power_sums("TM"), 1)]',
            'rows = [(_root_log("ahat", cap), spec.power_sums("TM"), 1),\n'
@@ -163,7 +175,7 @@ CATALOGUE = (
            ("tests/test_bundles.py::TestRouteIndependence",)),
     Mutant("bundle-joint-via-e2-exponent", "src/anomcancel/bundles.py",
            "factor = factor * p1_combo(spec) + QSeries.one(order, spec.ring())",
-           "factor = _e2_exponent(spec, order).exp()",
+           "factor = symmetrise(_e2_rows(spec, order), order)",
            ("tests/test_bundles.py::TestRouteMutations",)),
 )
 

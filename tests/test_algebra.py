@@ -586,9 +586,8 @@ class TestAccumulateSites:
 
 class TestIntegerAssembly:
     """`_over_families` merges each family's rows into integer weights and adds
-    them, with the exponent's coefficients, into one bucket dict per
-    half-index.  It must equal the per-term Fraction reference followed by the
-    series add, and `symmetrise` that followed by `exp`."""
+    them into one bucket dict per half-index.  It must equal the per-term
+    Fraction reference, and `symmetrise` that followed by `exp`."""
 
     P = RingSpec(gens=(("u", 2), ("p1", 4), ("p2", 8)), cap=8)
 
@@ -618,26 +617,14 @@ class TestIntegerAssembly:
         rng.shuffle(terms)
         return terms
 
-    def exponents(self, rng, order):
-        """None, a rational exponent and a ring exponent, each nilpotent at q^0."""
-        width = 2 * order + 1
-        rational = QSeries([0] + [random_fraction(rng) for _ in range(width - 1)], order)
-        ring = QSeries([random_nilpotent(rng, self.P)]
-                       + [random_poly(rng, self.P) for _ in range(width - 1)], order, self.P)
-        return None, rational, ring
-
     @pytest.mark.parametrize("order", [0, 1, 3])
     def test_equals_reference_then_add_then_exp(self, rng, order):
         width = 2 * order + 1
         for _ in range(6):
             terms = self.random_terms(rng, width)
             logs = QSeries(reference_over_families(terms, width), order, self.P)
-            for exponent in self.exponents(rng, order):
-                want = logs if exponent is None else logs + exponent
-                assert _over_families(terms, width, exponent) == list(want.coeffs)
-                assert symmetrise(terms, order, exponent) == want.exp()
-                if order == 0:
-                    assert symmetrise(terms, None, exponent) == want.exp().coeffs[0]
+            assert _over_families(terms, width) == list(logs.coeffs)
+            assert symmetrise(terms, order) == logs.exp()
 
     def test_equal_tables_compare_equal(self):
         # a table is held over the least denominator, however it was given
@@ -666,16 +653,10 @@ class TestIntegerAssembly:
         other = power_sums(gens(RingSpec(gens=(("p1", 4), ("p2", 8)), cap=8)), 2)
         with pytest.raises(UsageError):     # power sums of two rings
             _over_families([(parts, sums, 1), (parts, other, 1)], 3)
-        with pytest.raises(UsageError):     # an exponent of another order
-            symmetrise([(parts, sums, 1)], 1, QSeries([], 2, self.P))
-        with pytest.raises(UsageError):     # an exponent over another ring
-            symmetrise([(parts, sums, 1)], 1, QSeries([], 1, SPEC))
-        with pytest.raises(UsageError):     # an exponent with a constant at q^0
-            symmetrise([(parts, sums, 1)], 1, QSeries([1], 1))
 
 
 class TestSymmetriseRows:
-    """Polynomial rows, q-series rows and an exponent go through one exp."""
+    """Polynomial rows and q-series rows go through one exp."""
 
     P = RingSpec(gens=(("p1", 4), ("p2", 8)), cap=8)
 
@@ -687,17 +668,8 @@ class TestSymmetriseRows:
 
     def test_one_exp_is_the_product_of_the_parts(self):
         poly_row, series_row = self.rows()
-        p1, p2 = gens(self.P)
-        exponent = QSeries([p1 * F(1, 24), p2, p1 * p1 * 3], 1, self.P)
-        got = symmetrise([poly_row, series_row], 1, exponent)
-        want = symmetrise([poly_row]) * symmetrise([series_row], 1) * exponent.exp()
-        assert got == want
-
-    def test_order_none_is_a_polynomial_and_order_zero_a_series(self):
-        poly_row, _ = self.rows()
-        poly = symmetrise([poly_row])
-        assert isinstance(poly, GradedPoly)
-        assert symmetrise([poly_row], 0) == QSeries.from_poly(poly, 0)
+        got = symmetrise([poly_row, series_row], 1)
+        assert got == symmetrise([poly_row], 0).coeffs[0] * symmetrise([series_row], 1)
 
     def test_a_rational_series_is_refused_after_an_equal_ring_series(self):
         # a ring series of constants equals the rational series of them and
@@ -711,12 +683,10 @@ class TestSymmetriseRows:
     def test_orders_must_agree(self):
         poly_row, series_row = self.rows()
         with pytest.raises(UsageError):
-            symmetrise([poly_row, series_row], 1, QSeries([], 2, self.P))
-        with pytest.raises(UsageError):
             symmetrise([series_row, (_log_parts(QSeries.one(2, one_root_ring(8))),
                                      series_row[1], 1)], 1)
         with pytest.raises(UsageError):
-            symmetrise([poly_row, series_row])      # a q-series row needs an order
+            symmetrise([poly_row, series_row], 0)   # a q-series row needs its order
 
 
 class TestPontryagin:

@@ -37,10 +37,10 @@ from anomcancel.bundles import (
     p1_combo,
     q_form,
 )
-from anomcancel.bundles import _e2_exponent, _exterior_log
+from anomcancel.bundles import _e2_rows, _exterior_log
 from anomcancel.errors import UsageError
 from anomcancel.theta import ThetaKind, theta_ratio
-from anomcancel.verifier import CaseId, verify_case
+from anomcancel.verifier import CaseId, default_grid, verify_case
 
 from conftest import (
     exterior_block,
@@ -249,6 +249,15 @@ class TestP1Combo:
         up = GradedPoly.generator(ring, "u'")
         assert p1_combo(spec) == u * u - up * up
 
+    def test_equals_the_two_branch_formula_on_the_grid(self):
+        # z's terms are written once, in `_z_terms`; each family's formula on every grid geometry
+        for spec in {req.spec for req in default_grid() if req.spec is not None}:
+            if spec.family is Family.TWO_LINE:
+                want = spec.power_sums("u")[0] - spec.power_sums("u'")[0]
+            else:
+                want = spec.power_sums("TM")[0] - spec.power_sums("V")[0] * (spec.a + 2 * spec.b)
+            assert p1_combo(spec) == want, spec
+
 
 class TestQForms:
     def test_q0_coefficient_of_q1(self):
@@ -327,11 +336,12 @@ class TestQForms:
         assert len({n for row in names for n in row}) == 4 * len(Family)
 
     def test_e2_factor_times_inverse(self):
-        spec = GeometrySpec(k=1, l=1, a=1, b=0, family=Family.AB)
-        fwd = _e2_exponent(spec, 3).exp()
-        # exp(c E2 z) * exp(-c E2 z) = 1; realize the inverse via series inv
-        assert fwd * fwd.inv() == QSeries.one(3, spec.ring())
-        assert fwd == e2_expm1_over_z(spec, 3) * p1_combo(spec) + QSeries.one(3, spec.ring())
+        # the lead forms' E2 rows against the BUNDLE joint form's independent factor
+        for spec in [GeometrySpec(k=k, l=1, a=1, b=0, family=f) for k in (1, 2) for f in Family]:
+            fwd = symmetrise(_e2_rows(spec, 3), 3)
+            # exp(c E2 z) * exp(-c E2 z) = 1; realize the inverse via series inv
+            assert fwd * fwd.inv() == QSeries.one(3, spec.ring())
+            assert fwd == e2_expm1_over_z(spec, 3) * p1_combo(spec) + QSeries.one(3, spec.ring())
 
     def test_static_expm1_over_reproduces_exponential(self):
         spec = GeometrySpec(k=2, l=1, a=2, b=0, family=Family.AB)
@@ -343,7 +353,7 @@ class TestQForms:
     def test_xi_family_cosh_weighting(self):
         spec = GeometrySpec(k=1, l=1, a=1, b=0, family=Family.AB_XI)
         q2 = q_form(QFormId.MAIN, Route.BUNDLE, spec, 2)
-        cosh_u = symmetrise([(_log_parts(cosh_half_root(4)), spec.power_sums("u"), 1)])
+        cosh_u = symmetrise([(_log_parts(cosh_half_root(4)), spec.power_sums("u"), 1)], 0).coeffs[0]
         expect = (genus_form(spec) * cosh_u
                   * ch_spinor_pow(spec, 0)) * ch_theta_bundle(2, spec, 2)
         assert q2 == expect
@@ -398,9 +408,9 @@ class TestRouteIndependence:
 class TestRouteMutations:
     """One changed exponent in either route's recipe makes DOUBLE_ROUTE report
     MISMATCH on the form it builds: the routes share `symmetrise`, and their
-    lead forms share the E2 exponent, so only their recipes keep those apart.
+    lead forms share the E2 rows, so only their recipes keep those apart.
     The joint form's E2 factor is `e2_expm1_over_z` on the BUNDLE route and
-    the exp of that exponent on the THETA route."""
+    the exp of those rows on the THETA route."""
 
     SPECS = [GeometrySpec(k=1, l=2, a=2, b=1, family=Family.AB),
              GeometrySpec(k=1, l=2, a=1, b=0, family=Family.TWO_LINE)]
@@ -515,7 +525,8 @@ class TestFormCaches:
             ring = spec.ring()
             for which, e in ((1, spec.a), (2, spec.b)):
                 rows = bundles._genus_rows(ring, spec.family, which, e)
-                assert lead_weight(spec, which) == symmetrise(rows) * F(2) ** (e * spec.l), spec
+                want = symmetrise(rows, 0).coeffs[0] * F(2) ** (e * spec.l)
+                assert lead_weight(spec, which) == want, spec
                 for order in (0, 2):
                     rows = bundles._block_rows(ring, spec.family, which, spec.a, spec.b, order)
                     assert ch_theta_bundle(which, spec, order) == symmetrise(rows, order), spec
@@ -530,7 +541,7 @@ class TestFormCaches:
         for family in Family:
             for which in (1, 2):
                 rows = bundles._genus_rows(ring, family, which, 1)
-                assert bundles._genus_exp(ring, family, which, 1) == symmetrise(rows), family
+                assert bundles._genus_exp(ring, family, which, 1) == symmetrise(rows, 0).coeffs[0]
                 rows = bundles._block_rows(ring, family, which, 1, 0, 1)
                 assert bundles._bundle_exp(ring, family, which, 1, 0, 1) == symmetrise(rows, 1)
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from anomcancel import bundles, cli, verifier
 from anomcancel.cli import _MODULAR_OBJECTS, main
 from anomcancel.errors import SymmetryError
+from anomcancel.verifier import CaseId
 
 
 def run_cli(capsys, *argv):
@@ -182,6 +184,70 @@ class TestVerifyCommand:
         assert code == 2
         assert "needs family ab-xi" in err
         assert run_cli(capsys, "verify", "--case", "THM34", "--family", "ab-xi")[0] == 0
+
+
+def canonical(out: str) -> list:
+    """JSON reports without their `millis`, as sorted-key text."""
+    reports = json.loads(out)
+    for report in reports:
+        del report["millis"]
+    return [json.dumps(report, sort_keys=True) for report in reports]
+
+
+class TestOneRequestBuilder:
+    """The --case flags and a one-entry suite reach one builder of a case
+    request: the same reports, exit codes and refusals."""
+
+    # one request per case, each away from some default it could ignore
+    ENTRIES = {
+        CaseId.THM31: {"k": 1, "l": 2, "a": 2, "b": 1},
+        CaseId.COR32: {"l": 2, "a": 0, "b": 1},
+        CaseId.COR33: {"k": 2, "a": -1},
+        CaseId.THM34: {"family": "ab-xi", "b": 1},
+        CaseId.THM41: {"l": 2},
+        CaseId.COR42: {"l": 2},
+        CaseId.COR43: {"k": 2},
+        CaseId.EQ318_TRANSFER: {"a": 2, "qOrder": 4},
+        CaseId.DOUBLE_ROUTE: {"family": "two-line", "l": 2, "qOrder": 4},
+        CaseId.BR_BETAR_CLOSED_FORMS: {"family": "ab-xi", "k": 2},
+        CaseId.HLZ_SPECIAL: {"k": 2, "l": 2},
+        CaseId.NUMERIC_MODULARITY: {},
+        CaseId.JACOBI_QSERIES: {"qOrder": 6},
+    }
+
+    @staticmethod
+    def both(capsys, tmp_path, entry):
+        """(code, out, err) of the entry as --case flags, then as a one-entry suite."""
+        argv = ["verify", "--format", "json"]
+        for key, value in entry.items():
+            argv += ["--q-order" if key == "qOrder" else f"--{key}", str(value)]
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps({"cases": [entry], "format": "json"}))
+        return run_cli(capsys, *argv), run_cli(capsys, "verify", "--suite", str(path))
+
+    @pytest.mark.parametrize("case", list(CaseId), ids=lambda case: case.value)
+    def test_flags_and_suite_give_one_report(self, capsys, tmp_path, case):
+        (code, out, _), (suite_code, suite_out, _) = self.both(
+            capsys, tmp_path, {"case": case.value, **self.ENTRIES[case]})
+        assert code == suite_code == 0
+        assert canonical(out) == canonical(suite_out)
+
+    @pytest.mark.parametrize("entry", [
+        pytest.param({"case": "THM99"}, id="unknown case"),
+        pytest.param({"case": "JACOBI_QSERIES", "k": 2}, id="geometry on JACOBI_QSERIES"),
+        pytest.param({"case": "COR33", "k": 1}, id="COR33 at k = 1"),
+        pytest.param({"case": "HLZ_SPECIAL", "a": 2}, id="HLZ_SPECIAL at a = 2"),
+        pytest.param({"case": "THM34", "family": "ab"}, id="THM34 on ab"),
+        pytest.param({"case": "JACOBI_QSERIES", "qOrder": 2001}, id="q-order 2001"),
+    ])
+    def test_flags_and_suite_refuse_alike(self, capsys, tmp_path, entry):
+        messages = []
+        for code, out, err in self.both(capsys, tmp_path, entry):
+            assert code == 2 and out == ""
+            messages.append(re.sub(r"^error: (command line: |suite entry 0: )?", "", err))
+        assert messages[0] == messages[1]
+        if entry["case"] == "THM99":
+            assert messages[0].startswith("unknown case 'THM99'; choose from THM31, COR32")
 
 
 class TestTolerance:

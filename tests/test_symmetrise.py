@@ -59,9 +59,11 @@ def row(f, sums, e):
     return _log_parts(f), sums, e
 
 
-def order_of(f):
-    """The q-order a symmetrised f comes back at: None for a polynomial f."""
-    return f.order if isinstance(f, QSeries) else None
+def symmetrised(f, sums, e):
+    """f^e symmetrised over the roots of `sums`: a polynomial for a polynomial f."""
+    if isinstance(f, QSeries):
+        return symmetrise([row(f, sums, e)], f.order)
+    return symmetrise([row(f, sums, e)], 0).coeffs[0]
 
 
 SIZES = [(k, l) for k in (1, 2, 3) for l in (1, 2)]
@@ -73,7 +75,7 @@ def test_symmetriser_equals_root_product(k, l):
     for name, f in per_root_factors(4 * k, ORDER):
         for label, e in (("TM", 1), ("V", -2), ("u", 3)):
             want = in_pontryagin(root_product(spec, [(f, label, e)]), spec)
-            got = symmetrise([row(f, spec.power_sums(label), e)], order_of(f))
+            got = symmetrised(f, spec.power_sums(label), e)
             assert got == want, (name, label, e)
 
 
@@ -153,17 +155,17 @@ def test_symmetriser_rejects_bad_per_root_series():
     spec = GeometrySpec(k=2, l=1)
     w = GradedPoly.generator(one_root_ring(8), "w")
     with pytest.raises(SymmetryError):
-        symmetrise([row(exp_root(8, +1), spec.power_sums("TM"), 1)])   # odd in w
+        symmetrise([row(exp_root(8, +1), spec.power_sums("TM"), 1)], 0)   # odd in w
     with pytest.raises(UsageError):
-        symmetrise([row(cosh_half_root(4), spec.power_sums("TM"), 1)])  # another cap
+        symmetrise([row(cosh_half_root(4), spec.power_sums("TM"), 1)], 0)  # another cap
     with pytest.raises(UsageError):
         spec.power_sums("u")                                        # no xi in family ab
     with pytest.raises(UsageError):
-        symmetrise([row(cosh_half_root(8) * 2, spec.power_sums("V"), 1)])     # f(0) = 2
+        symmetrise([row(cosh_half_root(8) * 2, spec.power_sums("V"), 1)], 0)  # f(0) = 2
     one_plus_q = QSeries.binomial(GradedPoly.one(one_root_ring(8)), 2, 2)
     with pytest.raises(UsageError):
         symmetrise([row(one_plus_q, spec.power_sums("V"), 1)], 2)  # f(0) = 1 + q
-    assert symmetrise([row(w * w + 1, spec.power_sums("V"), 0)]) == GradedPoly.one(spec.ring())
+    assert symmetrised(w * w + 1, spec.power_sums("V"), 0) == GradedPoly.one(spec.ring())
 
 
 def test_series_log_and_exp_are_inverse():
