@@ -10,14 +10,25 @@ Chern characters of the three twisted tensor-product families:
 The lead and the joint characteristic q-series (`q_form`) are each produced
 through two independent routes: BUNDLE reads the log of each per-root factor
 of the symmetric/exterior-power generating functions off its closed form in
-Adams operations, THETA multiplies out Jacobi's products for the per-root
-theta quotients, with the matching power-of-two normalization.  Their exact
-agreement is the central correctness property of the package.
+Adams operations, and of the A-hat and cosh factors off theirs in Bernoulli
+numbers; THETA multiplies out Jacobi's products for the per-root theta
+quotients, with the literal A-hat and cosh series and the matching
+power-of-two normalization.  Their exact agreement is the central correctness
+property of the package.
 
 Every form lives in the Pontryagin ring of `GeometrySpec.ring()`: each route
 gives the log of each per-root factor once, and one `symmetrise` turns a
 form's rows of them, the lead's E2 prefactor as rows of exp(c * E2 * w^2) over
 z's roots, into one exp over the Chern roots of TM, of V and of the Euler roots.
+DOUBLE_ROUTE cannot see a fault in what the routes still share, so each
+shared piece is shared for a reason and checked on its own: `power_sums`
+(Newton), the one translation of root sums into Pontryagin classes, against
+a reference; `symmetrise`, `QSeries.exp` and `_mul_into`, the one exp and the
+one ring product, by unit tests and the assembly and window mutants;
+`modular_form(E2)`, the series the paper names, an input not a construction,
+against sigma_1; `GeometrySpec.ring()`, since forms compare only in one ring;
+z through `_z_terms`, the paper's p1 combination, an input of the joint form,
+against its two-branch formula and by the E2-row mutants.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from . import algebra, theta
+from . import theta
 from .algebra import (
     GradedPoly,
     LogParts,
@@ -207,12 +218,21 @@ def _power_sums(ring: RingSpec, label: str) -> tuple[GradedPoly, ...]:
 def _root_log(factor: str | ThetaKind, cap: int, order: int = 0) -> LogParts:
     """The log table of a per-root factor, cached on its name and small arguments:
     "ahat" ((w/2)/sinh(w/2)) and "cosh" (cosh(w/2)) on the cap, a theta quotient
-    on (kind, cap, order).  Builders are called through their modules, so a
-    patched or traced one is seen; BUNDLE blocks keep `_exterior_log`'s cache."""
+    on (kind, cap, order), built through `theta` so a patched or traced builder
+    is seen.  BUNDLE blocks keep `_exterior_log`'s cache."""
     if isinstance(factor, ThetaKind):
         return _log_parts(theta.theta_ratio(factor, cap, order))
-    build = {"ahat": algebra.half_over_sinh_half_root, "cosh": algebra.cosh_half_root}[factor]
-    return _log_parts(build(cap))
+    # BUNDLE's tables, off closed forms, not the series THETA multiplies in:
+    # log((w/2)/sinh(w/2)) = -sum_(n>=1) B_2n w^(2n) / (2n (2n)!) and
+    # log cosh(w/2) = sum_(n>=1) (4^n - 1) B_2n w^(2n) / (2n (2n)!)
+    scale = {"ahat": lambda n: -1, "cosh": lambda n: 4 ** n - 1}[factor]
+    bern = [Fraction(1)]   # B_m from sum_(j<=m) C(m+1, j) B_j = 0
+    for m in range(1, 2 * (cap // 4) + 1):
+        bern.append(-sum(math.comb(m + 1, j) * bern[j] for j in range(m)) / (m + 1))
+    coeffs = [scale(n) * bern[2 * n] / (2 * n * math.factorial(2 * n))
+              for n in range(1, cap // 4 + 1)]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return LogParts(den, [[0]] + [[c.numerator * (den // c.denominator)] for c in coeffs])
 
 
 # ---------------------------------------------------------------------------

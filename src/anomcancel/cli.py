@@ -8,6 +8,7 @@ when the reader of standard output closes it early.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -139,7 +140,8 @@ def _request(entry: dict, where: str, tolerance: float | None) -> CaseRequest:
     flags gathered into the same keys, defaults filled in.
 
     GeometrySpec and CaseRequest reject invalid combinations (e.g. twists other
-    than (1, 0) for the two-line family) before any case executes.
+    than (1, 0) for the two-line family) before any case executes; every
+    refusal starts with `where`, the suite entry or the command line.
     """
     try:
         case = CaseId(entry.get("case"))
@@ -150,10 +152,13 @@ def _request(entry: dict, where: str, tolerance: float | None) -> CaseRequest:
     families = CASES[case].families
     if given and not families:
         raise UsageError(f"{where}: {case.value} takes no geometry")
-    # the suite-wide tolerance is the numeric case's; no other case reads one
-    return CaseRequest(case, _geometry(given, families[0]) if families else None,
-                       entry.get("qOrder"), perturb=entry.get("perturb", False),
-                       tolerance=tolerance if case is CaseId.NUMERIC_MODULARITY else None)
+    try:
+        # the suite-wide tolerance is the numeric case's; no other case reads one
+        return CaseRequest(case, _geometry(given, families[0]) if families else None,
+                           entry.get("qOrder"), perturb=entry.get("perturb", False),
+                           tolerance=tolerance if case is CaseId.NUMERIC_MODULARITY else None)
+    except UsageError as exc:
+        raise UsageError(f"{where}: {exc}") from None
 
 
 def _geometry(given: dict, family: Family) -> GeometrySpec:
@@ -292,6 +297,18 @@ def cmd_expand(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # the heap so far (site, the stdlib, this package) outlives the run: frozen, no
+    # collection walks it again; a caller that froze nothing gets it back unfrozen
+    thaw = gc.get_freeze_count() == 0
+    gc.freeze()
+    try:
+        return _main(argv)
+    finally:
+        if thaw:
+            gc.unfreeze()
+
+
+def _main(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -85,6 +85,16 @@ CATALOGUE = (
     Mutant("theta-constant-eta-factor-dropped", "src/anomcancel/theta.py",
            "((-1, 2 * j), (sign * x, h), (sign * x_inv, h))", "((sign * x, h), (sign * x_inv, h))",
            ("tests/test_theta.py::TestThetaConstantsOracle",)),
+    # the literal A-hat and cosh series THETA multiplies in (BUNDLE reads their
+    # logs off closed forms): only DOUBLE_ROUTE compares the two
+    Mutant("taylor-sinh-half-w2-doubled", "src/anomcancel/algebra.py",
+           "Fraction((n + 1) % 2, 2 ** n * math.factorial(n + 1))",
+           "Fraction((n + 1) % 2 * (2 if n == 2 else 1), 2 ** n * math.factorial(n + 1))",
+           ("tests/test_verifier.py::TestSingleCases::test_double_route",)),
+    Mutant("taylor-cosh-half-w2-doubled", "src/anomcancel/algebra.py",
+           "Fraction((n + 1) % 2, 2 ** n * math.factorial(n))",
+           "Fraction((n + 1) % 2 * (2 if n == 2 else 1), 2 ** n * math.factorial(n))",
+           ("tests/test_verifier.py::TestSingleCases::test_double_route",)),
     # COR32's constant 2^(a l - 3)
     Mutant("cor32-constant", "src/anomcancel/verifier.py",
            "const = _two_pow(a * l - 3)", "const = _two_pow(a * l - 2)",
@@ -128,6 +138,10 @@ CATALOGUE = (
     Mutant("request-geometry-refusal-dropped", "src/anomcancel/cli.py",
            "if given and not families:", "if False:",
            ("tests/test_cli.py",)),
+    # the import-time heap, frozen for the length of a command-line run
+    Mutant("cli-heap-not-frozen", "src/anomcancel/cli.py",
+           "    gc.freeze()\n", "",
+           ("tests/test_cli.py::TestFrozenHeap",)),
     # the q-order bound, refused before any arithmetic
     Mutant("q-order-bound-dropped", "src/anomcancel/verifier.py",
            "if q is not None and q > MAX_Q_ORDER:", "if False:",

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 import anomcancel
-from anomcancel import bundles, theta
+from anomcancel import algebra, bundles, theta
 from anomcancel.algebra import (
     GradedPoly,
     LogParts,
@@ -382,6 +382,14 @@ class TestRouteIndependence:
         monkeypatch.setattr(bundles, "_exterior_log", self.refuse)
         assert not q_form(form, Route.THETA, spec, 2).is_zero()
 
+    @pytest.mark.parametrize("form, spec", CASES)
+    def test_bundle_route_uses_no_literal_genus_series(self, form, spec, cold_caches,
+                                                        monkeypatch):
+        # BUNDLE reads A-hat and cosh off closed forms; THETA multiplies in these series
+        monkeypatch.setattr(algebra, "half_over_sinh_half_root", self.refuse)
+        monkeypatch.setattr(algebra, "cosh_half_root", self.refuse)
+        assert not q_form(form, Route.BUNDLE, spec, 2).is_zero()
+
     @staticmethod
     def tables_cached(keys):
         """Whether the per-root table cache holds exactly `keys`: as many
@@ -583,7 +591,8 @@ class TestPerRootTables:
             assert table == _log_parts(theta_ratio(*key)), key
 
     def test_genus_tables_by_factor_and_cap(self, cold_caches):
-        for cap in (4, 8, 12):
+        # the closed forms against the series they sum, at every cap of k = 1..16
+        for cap in range(4, 65, 4):
             assert bundles._root_log("ahat", cap) == _log_parts(half_over_sinh_half_root(cap))
             assert bundles._root_log("cosh", cap) == _log_parts(cosh_half_root(cap))
         assert bundles._root_log("ahat", 8) != bundles._root_log("cosh", 8)

@@ -1,8 +1,8 @@
 """Command-line interface: flags, exit codes, JSON round-trip."""
 
+import gc
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -241,13 +241,64 @@ class TestOneRequestBuilder:
         pytest.param({"case": "JACOBI_QSERIES", "qOrder": 2001}, id="q-order 2001"),
     ])
     def test_flags_and_suite_refuse_alike(self, capsys, tmp_path, entry):
-        messages = []
-        for code, out, err in self.both(capsys, tmp_path, entry):
-            assert code == 2 and out == ""
-            messages.append(re.sub(r"^error: (command line: |suite entry 0: )?", "", err))
-        assert messages[0] == messages[1]
+        (code, out, err), (suite_code, suite_out, suite_err) = self.both(capsys, tmp_path, entry)
+        assert code == suite_code == 2 and out == suite_out == ""
+        assert err.startswith("error: command line: ")
+        assert suite_err == err.replace("command line", "suite entry 0", 1)
         if entry["case"] == "THM99":
-            assert messages[0].startswith("unknown case 'THM99'; choose from THM31, COR32")
+            assert err.startswith("error: command line: unknown case 'THM99'; "
+                                  "choose from THM31, COR32")
+
+
+class TestFrozenHeap:
+    """`main` freezes the heap it starts with for the length of a run, and
+    gives an in-process caller its collector state back on every way out."""
+
+    def test_frozen_while_a_case_runs(self, capsys, monkeypatch):
+        counts, inner = [], verifier.verify_case
+
+        def spy(*args, **kwargs):
+            counts.append(gc.get_freeze_count())
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(verifier, "verify_case", spy)
+        assert gc.get_freeze_count() == 0
+        assert run_cli(capsys, "verify", "--case", "COR32")[0] == 0
+        assert len(counts) == 1 and counts[0] > 0
+
+    @staticmethod
+    def broken(*args, **kwargs):
+        raise RuntimeError("a handler failed")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["verify", "--case", "COR32"], 0),
+        (["verify", "--suite", "control.json"], 1),
+        (["verify", "--case", "COR33", "--k", "1"], 2),
+        (["verify", "--case", "THM31"], 3),
+    ])
+    def test_unfrozen_on_every_exit(self, capsys, monkeypatch, tmp_path, argv, code):
+        monkeypatch.chdir(tmp_path)
+        Path("control.json").write_text(json.dumps(
+            {"cases": [{"case": "JACOBI_QSERIES", "qOrder": 6, "perturb": True}]}))
+        if code == 3:
+            monkeypatch.setattr(verifier, "verify_case", self.broken)
+        before = gc.get_freeze_count()
+        assert run_cli(capsys, *argv)[0] == code
+        assert gc.get_freeze_count() == before == 0
+
+    def test_unfrozen_when_the_parser_exits(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--no-such-flag"])
+        capsys.readouterr()
+        assert gc.get_freeze_count() == 0
+
+    def test_a_callers_freeze_stays(self, capsys):
+        gc.freeze()
+        try:
+            before = gc.get_freeze_count()
+            assert run_cli(capsys, "verify", "--case", "COR32")[0] == 0
+            assert gc.get_freeze_count() >= before > 0
+        finally:
+            gc.unfreeze()
 
 
 class TestTolerance:

@@ -58,8 +58,10 @@ class TestSingleCases:
     def test_cor33_instance(self):
         assert verify_case(CaseId.COR33, AB(2, 3, -1, 2)).passed
 
-    def test_transfer_and_double_route(self):
+    def test_transfer(self):
         assert verify_case(CaseId.EQ318_TRANSFER, AB(2, 1, -1, 2)).passed
+
+    def test_double_route(self):
         assert verify_case(CaseId.DOUBLE_ROUTE, AB(1, 2, 2, 1), 4).passed
         assert verify_case(CaseId.DOUBLE_ROUTE, TWO(1, 1), 4).passed
 
