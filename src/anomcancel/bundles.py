@@ -16,10 +16,13 @@ quotients, with the literal A-hat and cosh series and the matching
 power-of-two normalization.  Their exact agreement is the central correctness
 property of the package.
 
-Every form lives in the Pontryagin ring of `GeometrySpec.ring()`: each route
-gives the log of each per-root factor once, and one `symmetrise` turns a
-form's rows of them, the lead's E2 prefactor as rows of exp(c * E2 * w^2) over
-z's roots, into one exp over the Chern roots of TM, of V and of the Euler roots.
+Every form lives in the Pontryagin ring of `GeometrySpec.ring()`, whose k is at
+most 31 so that a root's powers pack: `_root_log`, the one cache of per-root log
+tables, holds each factor's log once, and one `symmetrise` turns a form's rows
+of them, the lead's E2 prefactor as rows of exp(c * E2 * w^2) over z's roots,
+into one exp over the Chern roots of TM, of V and of the Euler roots.  BUNDLE
+writes every row as (roots, factor, exponent); `_form_exp` caches a form on the
+ring, its rows at the spec's twists and the order, so equal rows build once.
 DOUBLE_ROUTE cannot see a fault in what the routes still share, so each
 shared piece is shared for a reason and checked on its own: `power_sums`
 (Newton), the one translation of root sums into Pontryagin classes, against
@@ -45,8 +48,8 @@ from .algebra import (
     LogParts,
     QSeries,
     RingSpec,
+    _MASK,
     _log_parts,
-    one_root_ring,
     power_sums,
     sum_of_products,
     symmetrise,
@@ -80,13 +83,13 @@ class Route(Enum):
     THETA = "theta"
 
 
-# A recipe names Chern roots "V" (those of the rank-2l bundle), "u" (xi) or
-# "u'" (xi'), and an exponent as an int or a twist integer "a" / "b".  A
-# BUNDLE block (roots, grid, sign, exponent) is the factor `_exterior_log` logs,
-# raised to the exponent and multiplied over the roots; an Euler-cosh factor
-# (roots, exponent) is cosh(u/2)^exponent over the roots.  A THETA form (groups,
-# two) multiplies, for each (roots, ((kind, exponent), ...)) group and each of
-# its roots, theta_ratio(kind)^exponent, and scales the product by 2^(two * l).
+# A recipe names Chern roots "TM", "V" (those of the rank-2l bundle), "u" (xi) or
+# "u'" (xi'), and an exponent as an int or a twist integer "a" / "b".  A BUNDLE
+# row (roots, factor, exponent) is a `_root_log` factor, "ahat", "cosh" or an
+# exterior block (grid, sign), raised to the exponent and multiplied over the
+# roots.  A THETA form (groups, two) multiplies, for each (roots, ((kind,
+# exponent), ...)) group and each of its roots, theta_ratio(kind)^exponent,
+# and scales the product by 2^(two * l).
 _T1, _T2, _T3 = ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3
 
 
@@ -102,39 +105,44 @@ class FamilyForms:
     names: tuple[str, str, str, str]  # report labels of LEAD, MAIN, b_r and beta_r
     euler_roots: tuple[str, ...]   # of the rank-two bundles xi, xi'
     e2_coefficient: Fraction       # c in exp(c * E2 * z)
-    euler_cosh: tuple        # Euler-cosh factors of the lead and of the weight
-    blocks: tuple            # BUNDLE: blocks of bundles 1 and 2, in multiplication order
+    euler_cosh: tuple        # BUNDLE: Euler-cosh rows of the lead and of the weight
+    blocks: tuple            # BUNDLE: exterior-block rows of bundles 1 and 2, in order
     theta: tuple | None      # THETA: forms of LEAD and JOINT; None: no formula
     printed_readings: bool   # the paper prints r = 1 closed forms: twist_bundle at b = 0
 
+
+# the BUNDLE rows every family shares: A-hat over TM with the spinor cosh over
+# V at the lead's (a) or the weight's (b) twist, and the tangent row,
+# prod_n ch S_(q^n)(TM~), the exterior block at t = -q^n inverted
+_GENUS_ROWS = ((("TM", "ahat", 1), ("V", "cosh", "a")), (("TM", "ahat", 1), ("V", "cosh", "b")))
+_TANGENT_ROW = ("TM", ("int", -1), -1)
+_IP, _HP, _HM = ("int", +1), ("half", +1), ("half", -1)   # t = q^n, q^(n-1/2), -q^(n-1/2)
 
 FAMILY_FORMS = {
     Family.AB: FamilyForms(
         ("Q1", "Q2", "br", "betar"),
         euler_roots=(), e2_coefficient=Fraction(1, 24), euler_cosh=((), ()),
-        blocks=((("V", "int", +1, "a"), ("V", "half", +1, "b"), ("V", "half", -1, "b")),
-                (("V", "int", +1, "b"), ("V", "half", +1, "b"), ("V", "half", -1, "a"))),
+        blocks=((("V", _IP, "a"), ("V", _HP, "b"), ("V", _HM, "b")),
+                (("V", _IP, "b"), ("V", _HP, "b"), ("V", _HM, "a"))),
         theta=(((("V", ((_T1, "a"), (_T2, "b"), (_T3, "b"))),), "a"),
                ((("V", ((_T2, "a"), (_T1, "b"), (_T3, "b"))),), "b")),
         printed_readings=True),
     Family.AB_XI: FamilyForms(
         ("Q1_XI", "Q2_XI", "br_tilde", "betar_tilde"),
         euler_roots=("u",), e2_coefficient=Fraction(1, 24),
-        euler_cosh=((("u", -2),), (("u", 1),)),
-        blocks=((("V", "int", +1, "a"), ("u", "int", +1, -2), ("V", "half", +1, "b"),
-                 ("u", "half", +1, 1), ("V", "half", -1, "b"), ("u", "half", -1, 1)),
-                (("V", "int", +1, "b"), ("u", "int", +1, 1), ("V", "half", +1, "b"),
-                 ("u", "half", +1, 1), ("V", "half", -1, "a"), ("u", "half", -1, -2))),
+        euler_cosh=((("u", "cosh", -2),), (("u", "cosh", 1),)),
+        blocks=((("V", _IP, "a"), ("u", _IP, -2), ("V", _HP, "b"),
+                 ("u", _HP, 1), ("V", _HM, "b"), ("u", _HM, 1)),
+                (("V", _IP, "b"), ("u", _IP, 1), ("V", _HP, "b"),
+                 ("u", _HP, 1), ("V", _HM, "a"), ("u", _HM, -2))),
         theta=None,
         printed_readings=False),
     Family.TWO_LINE: FamilyForms(
         ("P1", "P2", "br_bar", "betar_bar"),
         euler_roots=("u", "u'"), e2_coefficient=Fraction(1, 12),
-        euler_cosh=((("u", -2),), (("u'", 1),)),
-        blocks=((("V", "int", +1, 1), ("u", "int", +1, -2),
-                 ("u'", "half", +1, 1), ("u'", "half", -1, 1)),
-                (("u'", "int", +1, 1), ("u'", "half", +1, 1),
-                 ("V", "half", -1, 1), ("u", "half", -1, -2))),
+        euler_cosh=((("u", "cosh", -2),), (("u'", "cosh", 1),)),
+        blocks=((("V", _IP, 1), ("u", _IP, -2), ("u'", _HP, 1), ("u'", _HM, 1)),
+                (("u'", _IP, 1), ("u'", _HP, 1), ("V", _HM, 1), ("u", _HM, -2))),
         theta=(((("V", ((_T1, 1),)), ("u", ((_T1, -2),)), ("u'", ((_T3, 1), (_T2, 1)))), 1),
                ((("V", ((_T2, 1),)), ("u", ((_T2, -2),)), ("u'", ((_T3, 1), (_T1, 1)))), 0)),
         printed_readings=True),
@@ -160,9 +168,12 @@ class GeometrySpec:
                 raise UsageError(f"{name} must be an integer, not {value!r}")
         if self.k < 1 or self.l < 1:
             raise UsageError("k and l must be positive integers")
+        if 2 * self.k > _MASK:   # a degree-2 root's powers up to w^(2k) pack in one field
+            raise UsageError(f"k must be at most {_MASK // 2}, not {self.k}: "
+                             "the degree cap 4k is too large for packed exponents")
         if self.family is Family.TWO_LINE and (self.a, self.b) != (1, 0):
             raise UsageError("the two-line-bundle family fixes (a, b) = (1, 0)")
-        # coefficients grow like 2^(|twist| * l): a fixed bound, like k <= 31, keeps
+        # coefficients grow like 2^(|twist| * l): a fixed bound, like the one on k, keeps
         # their arithmetic and their decimal text bounded
         span = max(abs(self.a), abs(self.b)) * self.l
         if span > 4096:
@@ -195,7 +206,6 @@ class GeometrySpec:
 
 @lru_cache(maxsize=None)
 def _ring_for(k: int, v_classes: int, euler_roots: tuple[str, ...]) -> RingSpec:
-    one_root_ring(4 * k)   # refuses, before any arithmetic, a k too large to pack
     # p_i with 4i above the cap 4k, or past a family's root count, is zero
     gens = [(name, 2) for name in euler_roots]
     gens += [(f"p{i}(TM)", 4 * i) for i in range(1, k + 1)]
@@ -215,13 +225,15 @@ def _power_sums(ring: RingSpec, label: str) -> tuple[GradedPoly, ...]:
 
 
 @lru_cache(maxsize=None)
-def _root_log(factor: str | ThetaKind, cap: int, order: int = 0) -> LogParts:
-    """The log table of a per-root factor, cached on its name and small arguments:
-    "ahat" ((w/2)/sinh(w/2)) and "cosh" (cosh(w/2)) on the cap, a theta quotient
-    on (kind, cap, order), built through `theta` so a patched or traced builder
-    is seen.  BUNDLE blocks keep `_exterior_log`'s cache."""
+def _root_log(factor: str | tuple[str, int] | ThetaKind, cap: int, order: int) -> LogParts:
+    """The one cache of per-root log tables, keyed on the factor and its small
+    arguments: "ahat" ((w/2)/sinh(w/2)) and "cosh" (cosh(w/2)) at order 0, an
+    exterior block (grid, sign) and a theta quotient at any order; the last two
+    built through `_exterior_log` and `theta.theta_ratio`, so a patch is seen."""
     if isinstance(factor, ThetaKind):
         return _log_parts(theta.theta_ratio(factor, cap, order))
+    if isinstance(factor, tuple):
+        return _exterior_log(cap, *factor, order)
     # BUNDLE's tables, off closed forms, not the series THETA multiplies in:
     # log((w/2)/sinh(w/2)) = -sum_(n>=1) B_2n w^(2n) / (2n (2n)!) and
     # log cosh(w/2) = sum_(n>=1) (4^n - 1) B_2n w^(2n) / (2n (2n)!)
@@ -235,13 +247,47 @@ def _root_log(factor: str | ThetaKind, cap: int, order: int = 0) -> LogParts:
     return LogParts(den, [[0]] + [[c.numerator * (den // c.denominator)] for c in coeffs])
 
 
+def _exterior_log(cap: int, grid: str, sign: int, order: int) -> LogParts:
+    """`_log_parts` of one root's factor of the product over the exponent grid
+    of ch Lambda_t of a reduced bundle, prod_t (1 + t e^w)(1 + t e^-w) / (1 + t)^2,
+    read off the sum of Adams operations sum_t sum_(m>=1) (-1)^(m+1) t^m / m *
+    (e^(mw) + e^(-mw) - 2), where e^(mw) + e^(-mw) - 2 = sum_n 2 m^(2n) w^(2n) / (2n)!;
+    grid 'int' walks t = sign * q^j (j >= 1), grid 'half' walks t = sign * q^(j - 1/2)."""
+    width, top = 2 * order + 1, math.factorial(2 * (cap // 4))
+    nums = [[0] * width for _ in range(cap // 4 + 1)]   # row n of the table times top
+    for h in range(2 if grid == "int" else 1, width, 2):
+        for m in range(1, (width - 1) // h + 1):
+            c = 2 * (-1) ** (m + 1) * sign ** m
+            for n in range(1, cap // 4 + 1):
+                nums[n][m * h] += c * m ** (2 * n - 1) * (top // math.factorial(2 * n))
+    return LogParts(top, nums)
+
+
 # ---------------------------------------------------------------------------
-# q-independent characteristic forms
+# BUNDLE forms: one exp over rows at a spec's twists
+
+
+def _resolve(spec: GeometrySpec, rows: tuple) -> tuple:
+    """BUNDLE rows at spec's twists: each exponent "a" or "b" becomes its integer."""
+    return tuple((r, f, spec.a if e == "a" else spec.b if e == "b" else e) for r, f, e in rows)
+
+
+def _symmetrise_rows(ring: RingSpec, rows: tuple, order: int) -> list:
+    """`symmetrise` input of resolved rows: `_root_log` tables over their roots' power sums."""
+    return [(_root_log(factor, ring.cap, order if isinstance(factor, tuple) else 0),
+             _power_sums(ring, roots), e) for roots, factor, e in rows]
+
+
+@lru_cache(maxsize=None)
+def _form_exp(ring: RingSpec, rows: tuple, order: int) -> QSeries:
+    """The product of resolved rows, cached on exactly what it reads: specs that differ
+    only in an l past k, or in twists that resolve to the same rows, share one build."""
+    return symmetrise(_symmetrise_rows(ring, rows, order), order)
 
 
 def genus_form(spec: GeometrySpec) -> GradedPoly:
     """A-hat genus of the tangent roots: the product of (w/2)/sinh(w/2)."""
-    return symmetrise([(_root_log("ahat", 4 * spec.k), spec.power_sums("TM"), 1)], 0).coeffs[0]
+    return _form_exp(spec.ring(), (("TM", "ahat", 1),), 0).coeffs[0]
 
 
 def ch_spinor_pow(spec: GeometrySpec, e: int) -> GradedPoly:
@@ -251,37 +297,29 @@ def ch_spinor_pow(spec: GeometrySpec, e: int) -> GradedPoly:
     the truncated ring.
     """
     # the factor 2^e of every root, gathered into one constant
-    cosh = symmetrise([(_root_log("cosh", 4 * spec.k), spec.power_sums("V"), e)], 0).coeffs[0]
+    cosh = _form_exp(spec.ring(), (("V", "cosh", e),), 0).coeffs[0]
     return cosh * Fraction(2) ** (e * spec.l)
-
-
-def _genus_rows(ring: RingSpec, family: Family, which: int, e: int) -> list:
-    """Rows of the lead (which = 1) or weight (2) form of `family` with spinor
-    power e = a or b: A-hat over TM, cosh(v/2)^e over V, the Euler-cosh factors."""
-    cosh = _root_log("cosh", ring.cap)
-    rows = [(_root_log("ahat", ring.cap), _power_sums(ring, "TM"), 1),
-            (cosh, _power_sums(ring, "V"), e)]
-    rows += [(cosh, _power_sums(ring, roots), x)
-             for roots, x in FAMILY_FORMS[family].euler_cosh[which - 1]]
-    return rows
-
-
-@lru_cache(maxsize=None)
-def _genus_exp(ring: RingSpec, family: Family, which: int, e: int) -> GradedPoly:
-    """The lead or weight form before its factor 2^(e l), cached on the inputs
-    it reads: specs that differ only in an l past k, or in the twist the form
-    does not read, share one build."""
-    return symmetrise(_genus_rows(ring, family, which, e), 0).coeffs[0]
 
 
 def lead_weight(spec: GeometrySpec, which: int) -> GradedPoly:
     """Genus-times-spinor form multiplying the family's first (lead, which = 1)
     or second (weight, 2) twisted bundle: A-hat times the a-th or b-th spinor
-    power, times the family's Euler-cosh factors (`FamilyForms.euler_cosh`)."""
+    power, times the family's Euler-cosh rows (`FamilyForms.euler_cosh`)."""
     if which not in (1, 2):
         raise UsageError("which must be 1 or 2")
+    rows = _resolve(spec, _GENUS_ROWS[which - 1] + FAMILY_FORMS[spec.family].euler_cosh[which - 1])
     e = spec.a if which == 1 else spec.b
-    return _genus_exp(spec.ring(), spec.family, which, e) * Fraction(2) ** (e * spec.l)
+    return _form_exp(spec.ring(), rows, 0).coeffs[0] * Fraction(2) ** (e * spec.l)
+
+
+def ch_theta_bundle(which: int, spec: GeometrySpec, order: int) -> QSeries:
+    """Chern character of the first or second twisted tensor-product bundle."""
+    if which not in (1, 2):
+        raise UsageError("which must be 1 or 2")
+    if order < 0:
+        raise UsageError("truncation order must be >= 0")
+    rows = (_TANGENT_ROW,) + FAMILY_FORMS[spec.family].blocks[which - 1]
+    return _form_exp(spec.ring(), _resolve(spec, rows), order)
 
 
 def ch_tilde_roots(spec: GeometrySpec, label: str) -> GradedPoly:
@@ -318,56 +356,6 @@ def p1_combo(spec: GeometrySpec) -> GradedPoly:
     """
     return sum_of_products(spec.ring(), [(spec.power_sums(roots)[0], e)
                                          for roots, e in _z_terms(spec)])
-
-
-# ---------------------------------------------------------------------------
-# Generating-function blocks (BUNDLE route), per root as closed-form logs
-
-
-@lru_cache(maxsize=None)
-def _exterior_log(cap: int, grid: str, sign: int, order: int) -> LogParts:
-    """`_log_parts` of one root's factor of the product over the exponent grid
-    of ch Lambda_t of a reduced bundle, prod_t (1 + t e^w)(1 + t e^-w) / (1 + t)^2,
-    read off the sum of Adams operations sum_t sum_(m>=1) (-1)^(m+1) t^m / m *
-    (e^(mw) + e^(-mw) - 2), where e^(mw) + e^(-mw) - 2 = sum_n 2 m^(2n) w^(2n) / (2n)!;
-    grid 'int' walks t = sign * q^j (j >= 1), grid 'half' walks t = sign * q^(j - 1/2)."""
-    width, top = 2 * order + 1, math.factorial(2 * (cap // 4))
-    nums = [[0] * width for _ in range(cap // 4 + 1)]   # row n of the table times top
-    for h in range(2 if grid == "int" else 1, width, 2):
-        for m in range(1, (width - 1) // h + 1):
-            c = 2 * (-1) ** (m + 1) * sign ** m
-            for n in range(1, cap // 4 + 1):
-                nums[n][m * h] += c * m ** (2 * n - 1) * (top // math.factorial(2 * n))
-    return LogParts(top, nums)
-
-
-def ch_theta_bundle(which: int, spec: GeometrySpec, order: int) -> QSeries:
-    """Chern character of the first or second twisted tensor-product bundle."""
-    if which not in (1, 2):
-        raise UsageError("which must be 1 or 2")
-    if order < 0:
-        raise UsageError("truncation order must be >= 0")
-    return _bundle_exp(spec.ring(), spec.family, which, spec.a, spec.b, order)
-
-
-@lru_cache(maxsize=None)
-def _bundle_exp(ring: RingSpec, family: Family, which: int, a: int, b: int,
-                order: int) -> QSeries:
-    """`ch_theta_bundle`, cached on the inputs it reads: the ring, not k and l."""
-    return symmetrise(_block_rows(ring, family, which, a, b, order), order)
-
-
-def _block_rows(ring: RingSpec, family: Family, which: int, a: int, b: int,
-                order: int) -> list:
-    """The per-root log rows of the first or second twisted bundle's character
-    at twists (a, b); the tangent row, prod_n ch S_(q^n)(TM~), inverts the
-    exterior block at t = -q^n."""
-    twists = {"a": a, "b": b}
-    rows = [(_exterior_log(ring.cap, "int", -1, order), _power_sums(ring, "TM"), -1)]
-    for roots, grid, sign, e in FAMILY_FORMS[family].blocks[which - 1]:
-        rows.append((_exterior_log(ring.cap, grid, sign, order), _power_sums(ring, roots),
-                     twists.get(e, e)))
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +427,10 @@ def q_form(form: QFormId, route: Route, spec: GeometrySpec, order: int,
 @lru_cache(maxsize=None)
 def _q_form_bundle(form: QFormId, spec: GeometrySpec, order: int, degree: int | None) -> QSeries:
     if form is QFormId.LEAD:
-        ring, family, a = spec.ring(), spec.family, spec.a
-        rows = _genus_rows(ring, family, 1, a) + _block_rows(ring, family, 1, a, spec.b, order)
-        lead = symmetrise(rows + _e2_rows(spec, order), order).scale(Fraction(2) ** (a * spec.l))
+        row = FAMILY_FORMS[spec.family]
+        rows = _resolve(spec, _GENUS_ROWS[0] + row.euler_cosh[0] + (_TANGENT_ROW,) + row.blocks[0])
+        lead = symmetrise(_symmetrise_rows(spec.ring(), rows, order) + _e2_rows(spec, order), order)
+        lead = lead.scale(Fraction(2) ** (spec.a * spec.l))
         return lead if degree is None else lead.degree_slice(degree)
     bundle, weight = ch_theta_bundle(2, spec, order), lead_weight(spec, 2)
     if form is QFormId.MAIN:

@@ -610,7 +610,7 @@ def root_ch_theta_bundle(which: int, spec, order: int) -> QSeries:
     """ch_theta_bundle in the root ring."""
     cap = 4 * spec.k
     factors = [(symmetric_block(cap, order), "TM", 1)]
-    for label, grid, sign, e in FAMILY_FORMS[spec.family].blocks[which - 1]:
+    for label, (grid, sign), e in FAMILY_FORMS[spec.family].blocks[which - 1]:
         factors.append((exterior_block(cap, grid, sign, order), label, spec.twist(e)))
     return root_product(spec, factors)
 

@@ -165,27 +165,31 @@ CATALOGUE = (
            "g = math.gcd(self.den, *(x for row in self.nums for x in row))", "g = 1",
            ("tests/test_algebra.py", "tests/test_symmetrise.py")),
     # the cache keys: the per-root tables on the factor and its small arguments,
-    # the genus and bundle forms on every input they read
+    # the BUNDLE forms on every input they read: the ring, the rows and the order
     Mutant("root-table-key-without-order", "src/anomcancel/bundles.py",
            "@lru_cache(maxsize=None)\ndef _root_log(", _key_without(2, "_root_log"),
            ("tests/test_bundles.py",)),
     Mutant("root-table-key-without-kind", "src/anomcancel/bundles.py",
            "@lru_cache(maxsize=None)\ndef _root_log(", _key_without(0, "_root_log"),
            ("tests/test_bundles.py",)),
-    Mutant("bundle-exp-key-without-order", "src/anomcancel/bundles.py",
-           "@lru_cache(maxsize=None)\ndef _bundle_exp(", _key_without(5, "_bundle_exp"),
+    Mutant("form-exp-key-without-order", "src/anomcancel/bundles.py",
+           "@lru_cache(maxsize=None)\ndef _form_exp(", _key_without(2, "_form_exp"),
            ("tests/test_bundles.py",)),
-    Mutant("genus-exp-key-without-e", "src/anomcancel/bundles.py",
-           "@lru_cache(maxsize=None)\ndef _genus_exp(", _key_without(3, "_genus_exp"),
+    Mutant("form-exp-key-without-ring", "src/anomcancel/bundles.py",
+           "@lru_cache(maxsize=None)\ndef _form_exp(", _key_without(0, "_form_exp"),
            ("tests/test_bundles.py",)),
+    # the packing bound on k, refused when the geometry is built
+    Mutant("geometry-k-bound-off-by-one", "src/anomcancel/bundles.py",
+           "if 2 * self.k > _MASK:", "if 2 * self.k > _MASK + 1:",
+           ("tests/test_bundles.py", "tests/test_cli.py")),
     # the two routes sharing code: each computes the same value, so only the
     # route-independence tests tell them from the program.  THETA's tangent row
     # as A-hat over the inverse exterior block at t = -q^n; BUNDLE's joint form
     # as the exp of the E2 rows the THETA route reads
     Mutant("theta-rows-read-exterior-log", "src/anomcancel/bundles.py",
            'rows = [(_root_log(ThetaKind.THETA, cap, order), spec.power_sums("TM"), 1)]',
-           'rows = [(_root_log("ahat", cap), spec.power_sums("TM"), 1),\n'
-           '            (_exterior_log(cap, "int", -1, order), spec.power_sums("TM"), -1)]',
+           'rows = [(_root_log("ahat", cap, 0), spec.power_sums("TM"), 1),\n'
+           '            (_root_log(("int", -1), cap, order), spec.power_sums("TM"), -1)]',
            ("tests/test_bundles.py::TestRouteIndependence",)),
     Mutant("bundle-joint-via-e2-exponent", "src/anomcancel/bundles.py",
            "factor = factor * p1_combo(spec) + QSeries.one(order, spec.ring())",

@@ -76,10 +76,11 @@ class TestGeometrySpec:
     @pytest.mark.parametrize("family", list(Family), ids=lambda family: family.value)
     def test_ring_refuses_a_k_the_one_root_ring_cannot_pack(self, family):
         # the AB ring alone, of degree-4 generators, would pack k = 32; its
-        # per-root factors, of degree 2, cannot
+        # per-root factors, of degree 2, cannot, so the spec refuses it when built
         assert GeometrySpec(k=31, l=3, family=family).ring().cap == 124
-        with pytest.raises(UsageError, match="degree cap too large for packed exponents"):
-            GeometrySpec(k=32, l=3, family=family).ring()
+        with pytest.raises(UsageError, match="k must be at most 31, not 32: "
+                                             "the degree cap 4k is too large for packed exponents"):
+            GeometrySpec(k=32, l=3, family=family)
 
     # coefficients grow like 2^(|twist| * l); each family takes max(|a|, |b|) * l
     # up to 4096 and refuses one more
@@ -409,8 +410,13 @@ class TestRouteIndependence:
 
     @pytest.mark.parametrize("form, spec", CASES)
     def test_bundle_route_caches_genus_tables_only(self, form, spec, cold_caches):
+        # the genus tables at order 0, and the tangent row's and the bundle's
+        # exterior blocks at the order; no key is a theta quotient's
         q_form(form, Route.BUNDLE, spec, 2)
-        assert self.tables_cached([("ahat", 4 * spec.k), ("cosh", 4 * spec.k)])
+        blocks = FAMILY_FORMS[spec.family].blocks[0 if form is QFormId.LEAD else 1]
+        factors = {("int", -1)} | {factor for _, factor, _ in blocks}
+        assert self.tables_cached([("ahat", 4 * spec.k, 0), ("cosh", 4 * spec.k, 0)]
+                                  + [(factor, 4 * spec.k, 2) for factor in factors])
 
 
 class TestRouteMutations:
@@ -438,9 +444,9 @@ class TestRouteMutations:
     @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.family.value)
     def test_bundle_block_exponent(self, spec, which, cold_caches, monkeypatch):
         row = FAMILY_FORMS[spec.family]
-        (roots, grid, sign, e), *rest = row.blocks[which]
+        (roots, factor, e), *rest = row.blocks[which]
         blocks = list(row.blocks)
-        blocks[which] = ((roots, grid, sign, spec.twist(e) + 1), *rest)
+        blocks[which] = ((roots, factor, spec.twist(e) + 1), *rest)
         monkeypatch.setitem(FAMILY_FORMS, spec.family, replace(row, blocks=tuple(blocks)))
         assert self.verdicts(spec) == self.expect(row, which)
 
@@ -512,9 +518,23 @@ SHARED_RING_SPECS = [GeometrySpec(k=k, l=l, a=a, b=b, family=family)
 
 
 class TestFormCaches:
-    """The genus, bundle and E2 forms are cached on the ring and the twists
-    they read, not on the spec: specs that share those share one build, and
-    every cached form equals an uncached build from its rows."""
+    """The genus, bundle and E2 forms are cached on the ring and what they
+    read, the rows at the spec's twists, not on the spec: specs that share
+    those share one build, and every cached form equals an uncached build
+    from its rows."""
+
+    @staticmethod
+    def rows(spec, which, bundle):
+        """The resolved rows of spec's lead or weight form (bundle=False) or of
+        its first or second bundle's character (bundle=True)."""
+        row = FAMILY_FORMS[spec.family]
+        if bundle:
+            return bundles._resolve(spec, (bundles._TANGENT_ROW,) + row.blocks[which - 1])
+        return bundles._resolve(spec, bundles._GENUS_ROWS[which - 1] + row.euler_cosh[which - 1])
+
+    @staticmethod
+    def uncached(ring, rows, order):
+        return symmetrise(bundles._symmetrise_rows(ring, rows, order), order)
 
     @pytest.mark.parametrize("family", list(Family), ids=lambda family: family.value)
     def test_specs_past_k_share_one_ring(self, family):
@@ -532,26 +552,29 @@ class TestFormCaches:
         for spec in SHARED_RING_SPECS:
             ring = spec.ring()
             for which, e in ((1, spec.a), (2, spec.b)):
-                rows = bundles._genus_rows(ring, spec.family, which, e)
-                want = symmetrise(rows, 0).coeffs[0] * F(2) ** (e * spec.l)
+                rows = self.rows(spec, which, bundle=False)
+                want = self.uncached(ring, rows, 0).coeffs[0] * F(2) ** (e * spec.l)
                 assert lead_weight(spec, which) == want, spec
                 for order in (0, 2):
-                    rows = bundles._block_rows(ring, spec.family, which, spec.a, spec.b, order)
-                    assert ch_theta_bundle(which, spec, order) == symmetrise(rows, order), spec
+                    rows = self.rows(spec, which, bundle=True)
+                    assert ch_theta_bundle(which, spec, order) == self.uncached(
+                        ring, rows, order), spec
             for order in (0, 2):
                 assert e2_expm1_over_z(spec, order) == reference_e2_expm1_over_z(spec, order), spec
 
     def test_the_key_names_the_family(self, cold_caches):
         # a spec's ring names its family's Euler roots, but the key holds the
-        # family itself: over the two-line ring every family's recipe reads
-        # roots it has, and the lead and bundle recipes differ between families
+        # family's rows: over the two-line ring every family's recipe reads
+        # roots it has, each family's rows build their own form, and rows two
+        # families share (the ab-xi and two-line leads) build one
         ring = GeometrySpec(k=2, l=2, family=Family.TWO_LINE).ring()
-        for family in Family:
-            for which in (1, 2):
-                rows = bundles._genus_rows(ring, family, which, 1)
-                assert bundles._genus_exp(ring, family, which, 1) == symmetrise(rows, 0).coeffs[0]
-                rows = bundles._block_rows(ring, family, which, 1, 0, 1)
-                assert bundles._bundle_exp(ring, family, which, 1, 0, 1) == symmetrise(rows, 1)
+        keys = {(self.rows(GeometrySpec(k=2, l=2, family=family), which, bundle), order)
+                for family in Family for which in (1, 2)
+                for bundle, order in ((False, 0), (True, 1))}
+        assert len(keys) == 11
+        for rows, order in keys:
+            assert bundles._form_exp(ring, rows, order) == self.uncached(ring, rows, order)
+        assert bundles._form_exp.cache_info().currsize == len(keys)
 
     def test_the_e2_key_holds_the_coefficient(self, cold_caches):
         # AB and AB_XI share c = 1/24, so no spec sets c apart from z; the
@@ -563,19 +586,32 @@ class TestFormCaches:
 
     def test_weight_symmetrised_once_per_twist(self, cold_caches, monkeypatch):
         # THM31 at k = 1 over l = 1..3 and b = 0..2 reads three rings that are
-        # one ring, so it builds the lead once and the weight once per b
-        genus_rows = bundles._genus_rows
+        # one ring, so `_form_exp` misses once per form: the weight and the
+        # second bundle's character once per b, and the lead at a = 1 is the
+        # weight's rows at b = 1
+        symmetrise_rows = bundles._symmetrise_rows
         built = []
 
-        def counted(ring, family, which, e):
-            built.append((which, e))
-            return genus_rows(ring, family, which, e)
+        def counted(ring, rows, order):
+            built.append(rows)
+            return symmetrise_rows(ring, rows, order)
 
-        monkeypatch.setattr(bundles, "_genus_rows", counted)
-        for l in (1, 2, 3):
-            for b in (0, 1, 2):
-                assert verify_case(CaseId.THM31, GeometrySpec(k=1, l=l, a=1, b=b)).passed
-        assert sorted(built) == [(1, 1), (2, 0), (2, 1), (2, 2)]
+        monkeypatch.setattr(bundles, "_symmetrise_rows", counted)
+        specs = [GeometrySpec(k=1, l=l, a=1, b=b) for l in (1, 2, 3) for b in (0, 1, 2)]
+        for spec in specs:
+            assert verify_case(CaseId.THM31, spec).passed
+        want = {self.rows(spec, which, bundle) for spec in specs
+                for which, bundle in ((1, False), (2, False), (2, True))}
+        assert len(built) == len(want) == 6 and set(built) == want
+        assert bundles._form_exp.cache_info().misses == len(built)
+
+    def test_twists_resolving_to_equal_rows_share_one_build(self, cold_caches):
+        # the AB lead at a = 2 and the AB weight at b = 2 are one form on one ring
+        lead, weight = GeometrySpec(k=2, l=2, a=2, b=0), GeometrySpec(k=2, l=2, a=0, b=2)
+        assert lead.ring() is weight.ring()
+        assert lead_weight(lead, 1) == lead_weight(weight, 2)
+        info = bundles._form_exp.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
 class TestPerRootTables:
@@ -593,9 +629,17 @@ class TestPerRootTables:
     def test_genus_tables_by_factor_and_cap(self, cold_caches):
         # the closed forms against the series they sum, at every cap of k = 1..16
         for cap in range(4, 65, 4):
-            assert bundles._root_log("ahat", cap) == _log_parts(half_over_sinh_half_root(cap))
-            assert bundles._root_log("cosh", cap) == _log_parts(cosh_half_root(cap))
-        assert bundles._root_log("ahat", 8) != bundles._root_log("cosh", 8)
+            assert bundles._root_log("ahat", cap, 0) == _log_parts(half_over_sinh_half_root(cap))
+            assert bundles._root_log("cosh", cap, 0) == _log_parts(cosh_half_root(cap))
+        assert bundles._root_log("ahat", 8, 0) != bundles._root_log("cosh", 8, 0)
+
+    def test_block_tables_by_grid_sign_cap_and_order(self, cold_caches):
+        # the cache serves `_exterior_log`'s table for every block the recipes name
+        for grid, sign in (("int", +1), ("int", -1), ("half", +1), ("half", -1)):
+            for cap in range(4, 17, 4):
+                for order in range(4):
+                    assert bundles._root_log((grid, sign), cap, order) == _exterior_log(
+                        cap, grid, sign, order), (grid, sign, cap, order)
 
     def test_every_module_level_cache_by_name(self):
         # a new cache, or one gone, changes this list by name
@@ -609,9 +653,7 @@ class TestPerRootTables:
             "anomcancel.bundles._ring_for",
             "anomcancel.bundles._power_sums",
             "anomcancel.bundles._root_log",
-            "anomcancel.bundles._genus_exp",
-            "anomcancel.bundles._exterior_log",
-            "anomcancel.bundles._bundle_exp",
+            "anomcancel.bundles._form_exp",
             "anomcancel.bundles._e2_expm1",
             "anomcancel.bundles._q_form_bundle",
             "anomcancel.decomp.basis_series",

@@ -76,7 +76,7 @@ class TestVerifyCommand:
         assert "choose one of" in err
 
     # every per-root factor lives on one_root_ring(4k), whose degree-2 root
-    # packs at most 63 powers: k = 32 is refused before any arithmetic
+    # packs at most 63 powers: GeometrySpec refuses k = 32 when it is built
     @pytest.mark.parametrize("argv", [
         ("verify", "--case", "THM31", "--family", "ab"),
         ("verify", "--case", "THM34", "--family", "ab-xi"),
@@ -87,7 +87,17 @@ class TestVerifyCommand:
     def test_packing_limit_is_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv, "--k", "32", "--l", "3")
         assert code == 2 and out == ""
-        assert "degree cap too large for packed exponents" in err
+        where = "command line: " if argv[0] == "verify" else ""
+        assert (f"error: {where}k must be at most 31, not 32: "
+                "the degree cap 4k is too large for packed exponents") in err
+
+    def test_packing_limit_refused_before_the_first_case(self, capsys, tmp_path):
+        # every suite entry is checked before any case runs, so COR32 prints no report
+        suite = tmp_path / "past-k.json"
+        suite.write_text(json.dumps({"cases": [{"case": "COR32"}, {"case": "THM31", "k": 32}]}))
+        code, out, err = run_cli(capsys, "verify", "--suite", str(suite))
+        assert code == 2 and out == ""
+        assert "error: suite entry 1: k must be at most 31, not 32" in err
 
     # max(|a|, |b|) * l > 4096 is refused before any arithmetic; at 4096 the cases pass
     @pytest.mark.parametrize("case", ["THM31", "THM34", "EQ318_TRANSFER", "DOUBLE_ROUTE"])

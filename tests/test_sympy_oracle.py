@@ -250,7 +250,7 @@ def _block_rows(roots, which):
     spec, order = roots.spec, roots.order
     tangent = [(SYMMETRIC, 1, h) for h in _grid("int", order)]
     rows = [(roots.per_root(sp.Integer(1), tangent, 1), "TM")]
-    for label, grid, sign, e in FAMILY_FORMS[spec.family].blocks[which - 1]:
+    for label, (grid, sign), e in FAMILY_FORMS[spec.family].blocks[which - 1]:
         factors = [(EXTERIOR, sign, h) for h in _grid(grid, order)]
         rows.append((roots.per_root(sp.Integer(1), factors, spec.twist(e)), label))
     return rows

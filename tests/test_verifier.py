@@ -236,7 +236,12 @@ class TestValidation:
     @pytest.mark.parametrize("k", range(1, 65))
     def test_q_order_guard_matches_half_index_bound(self, k):
         # rejected exactly when q < (k//2)/2 + 2, i.e. below coefficient_order(k) + 2;
-        # COR32 refuses k != 1 only after the guard, so every k is cheap to probe
+        # COR32 refuses k != 1 only after the guard, so every k is cheap to probe.
+        # Past the packing bound, k >= 32, the geometry itself is refused first
+        if k >= 32:
+            with pytest.raises(UsageError, match=f"k must be at most 31, not {k}"):
+                AB(k, 1, 1, 0)
+            return
         for q in range(41):
             try:
                 verify_case(CaseId.COR32, AB(k, 1, 1, 0), q_order=q)
