@@ -26,18 +26,18 @@ with no generators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import InvertError, SymmetryError, UsageError
+from .records import record
 
 _SHIFT = 6          # bits per generator exponent in a packed monomial key
 _MASK = (1 << _SHIFT) - 1
 
 
-@dataclass(frozen=True)
+@record
 class RingSpec:
     """Ambient truncated ring: ordered generators with even degrees, degree cap."""
 
@@ -837,7 +837,7 @@ def power_sums(elementary: Sequence[GradedPoly], n_max: int) -> tuple[GradedPoly
     return tuple(sums)
 
 
-@dataclass(frozen=True)
+@record
 class LogParts:
     """A per-root log's even parts as one integer table: nums[n][h] / den is the
     coefficient of w^(2n) q^(h/2).  gcd(den, nums) = 1 with den > 0, so equal

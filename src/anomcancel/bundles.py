@@ -22,22 +22,25 @@ tables, holds each factor's log once, and one `symmetrise` turns a form's rows
 of them, the lead's E2 prefactor as rows of exp(c * E2 * w^2) over z's roots,
 into one exp over the Chern roots of TM, of V and of the Euler roots.  BUNDLE
 writes every row as (roots, factor, exponent); `_form_exp` caches a form on the
-ring, its rows at the spec's twists and the order, so equal rows build once.
+ring, its rows at the spec's twists and the order, so equal rows build once, and
+each spec resolves and hashes its rows once (`GeometrySpec._bundle_rows`).
 DOUBLE_ROUTE cannot see a fault in what the routes still share, so each
 shared piece is shared for a reason and checked on its own: `power_sums`
 (Newton), the one translation of root sums into Pontryagin classes, against
 a reference; `symmetrise`, `QSeries.exp` and `_mul_into`, the one exp and the
 one ring product, by unit tests and the assembly and window mutants;
 `modular_form(E2)`, the series the paper names, an input not a construction,
-against sigma_1; `GeometrySpec.ring()`, since forms compare only in one ring;
-z through `_z_terms`, the paper's p1 combination, an input of the joint form,
-against its two-branch formula and by the E2-row mutants.
+against sigma_1; `_e2_table`, the lead forms' per-root log of exp(c * E2 * w^2),
+against the BUNDLE joint form's own `e2_expm1_over_z`; `GeometrySpec.ring()`,
+since forms compare only in one ring.  z, the paper's p1 combination, is
+written once per route: BUNDLE's `_z_terms` (also `p1_combo`) and THETA's
+`FamilyForms.theta_z`, each against its two-branch formula, so DOUBLE_ROUTE
+sees a fault in either.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -55,6 +58,7 @@ from .algebra import (
     symmetrise,
 )
 from .errors import UsageError
+from .records import record
 from .theta import ModularFormId, ThetaKind, modular_form
 
 
@@ -89,11 +93,13 @@ class Route(Enum):
 # exterior block (grid, sign), raised to the exponent and multiplied over the
 # roots.  A THETA form (groups, two) multiplies, for each (roots, ((kind,
 # exponent), ...)) group and each of its roots, theta_ratio(kind)^exponent,
-# and scales the product by 2^(two * l).
+# and scales the product by 2^(two * l); its z, the p1 combination its lead
+# forms' E2 rows run over, is the sum of scale * exponent * s_1(roots) over the
+# (roots, scale, exponent) terms of `theta_z`.
 _T1, _T2, _T3 = ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3
 
 
-@dataclass(frozen=True)
+@record
 class FamilyForms:
     """Everything that sets one family apart: the labels of its forms and
     decomposition coefficients, its Euler roots and both routes' recipes.
@@ -108,6 +114,7 @@ class FamilyForms:
     euler_cosh: tuple        # BUNDLE: Euler-cosh rows of the lead and of the weight
     blocks: tuple            # BUNDLE: exterior-block rows of bundles 1 and 2, in order
     theta: tuple | None      # THETA: forms of LEAD and JOINT; None: no formula
+    theta_z: tuple | None    # THETA: z as (roots, scale, exponent) terms; None: no formula
     printed_readings: bool   # the paper prints r = 1 closed forms: twist_bundle at b = 0
 
 
@@ -126,6 +133,7 @@ FAMILY_FORMS = {
                 (("V", _IP, "b"), ("V", _HP, "b"), ("V", _HM, "a"))),
         theta=(((("V", ((_T1, "a"), (_T2, "b"), (_T3, "b"))),), "a"),
                ((("V", ((_T2, "a"), (_T1, "b"), (_T3, "b"))),), "b")),
+        theta_z=(("TM", 1, 1), ("V", -1, "a"), ("V", -2, "b")),
         printed_readings=True),
     Family.AB_XI: FamilyForms(
         ("Q1_XI", "Q2_XI", "br_tilde", "betar_tilde"),
@@ -135,7 +143,7 @@ FAMILY_FORMS = {
                  ("u", _HP, 1), ("V", _HM, "b"), ("u", _HM, 1)),
                 (("V", _IP, "b"), ("u", _IP, 1), ("V", _HP, "b"),
                  ("u", _HP, 1), ("V", _HM, "a"), ("u", _HM, -2))),
-        theta=None,
+        theta=None, theta_z=None,
         printed_readings=False),
     Family.TWO_LINE: FamilyForms(
         ("P1", "P2", "br_bar", "betar_bar"),
@@ -145,11 +153,12 @@ FAMILY_FORMS = {
                 (("u'", _IP, 1), ("u'", _HP, 1), ("V", _HM, 1), ("u", _HM, -2))),
         theta=(((("V", ((_T1, 1),)), ("u", ((_T1, -2),)), ("u'", ((_T3, 1), (_T2, 1)))), 1),
                ((("V", ((_T2, 1),)), ("u", ((_T2, -2),)), ("u'", ((_T3, 1), (_T1, 1)))), 0)),
+        theta_z=(("u", 1, 1), ("u'", -1, 1)),
         printed_readings=True),
 }
 
 
-@dataclass(frozen=True)
+@record
 class GeometrySpec:
     """Discrete problem instance: dimension 4k, rank-2l bundle, twist integers."""
 
@@ -202,6 +211,22 @@ class GeometrySpec:
     def twist(self, e: int | str) -> int:
         """A recipe exponent: an int, or the twist integer "a" or "b"."""
         return getattr(self, e) if isinstance(e, str) else e
+
+    def _bundle_rows(self, form: int) -> tuple:
+        """BUNDLE rows at this spec's twists: the lead's (0) or weight's (1) genus form,
+        or the first (2) or second (3) bundle's character.  Resolved and hashed once
+        per family row read, so a cached form read resolves nothing."""
+        row = FAMILY_FORMS[self.family]
+        try:
+            read_from, rows = self._bundle_rows_memo
+        except AttributeError:
+            read_from = None
+        if read_from is not row:
+            rows = tuple(_Rows(_resolve(self, recipe)) for recipe in (
+                _GENUS_ROWS[0] + row.euler_cosh[0], _GENUS_ROWS[1] + row.euler_cosh[1],
+                (_TANGENT_ROW,) + row.blocks[0], (_TANGENT_ROW,) + row.blocks[1]))
+            object.__setattr__(self, "_bundle_rows_memo", (row, rows))
+        return rows[form]
 
 
 @lru_cache(maxsize=None)
@@ -272,6 +297,18 @@ def _resolve(spec: GeometrySpec, rows: tuple) -> tuple:
     return tuple((r, f, spec.a if e == "a" else spec.b if e == "b" else e) for r, f, e in rows)
 
 
+class _Rows(tuple):
+    """Resolved rows that keep their hash (a tuple does not), for the `_form_exp` key."""
+
+    def __new__(cls, rows: tuple) -> "_Rows":
+        self = super().__new__(cls, rows)
+        self.hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self) -> int:
+        return self.hash
+
+
 def _symmetrise_rows(ring: RingSpec, rows: tuple, order: int) -> list:
     """`symmetrise` input of resolved rows: `_root_log` tables over their roots' power sums."""
     return [(_root_log(factor, ring.cap, order if isinstance(factor, tuple) else 0),
@@ -307,9 +344,8 @@ def lead_weight(spec: GeometrySpec, which: int) -> GradedPoly:
     power, times the family's Euler-cosh rows (`FamilyForms.euler_cosh`)."""
     if which not in (1, 2):
         raise UsageError("which must be 1 or 2")
-    rows = _resolve(spec, _GENUS_ROWS[which - 1] + FAMILY_FORMS[spec.family].euler_cosh[which - 1])
-    e = spec.a if which == 1 else spec.b
-    return _form_exp(spec.ring(), rows, 0).coeffs[0] * Fraction(2) ** (e * spec.l)
+    form = _form_exp(spec.ring(), spec._bundle_rows(which - 1), 0).coeffs[0]
+    return form * Fraction(2) ** ((spec.a if which == 1 else spec.b) * spec.l)
 
 
 def ch_theta_bundle(which: int, spec: GeometrySpec, order: int) -> QSeries:
@@ -318,8 +354,7 @@ def ch_theta_bundle(which: int, spec: GeometrySpec, order: int) -> QSeries:
         raise UsageError("which must be 1 or 2")
     if order < 0:
         raise UsageError("truncation order must be >= 0")
-    rows = (_TANGENT_ROW,) + FAMILY_FORMS[spec.family].blocks[which - 1]
-    return _form_exp(spec.ring(), _resolve(spec, rows), order)
+    return _form_exp(spec.ring(), spec._bundle_rows(which + 1), order)
 
 
 def ch_tilde_roots(spec: GeometrySpec, label: str) -> GradedPoly:
@@ -362,12 +397,16 @@ def p1_combo(spec: GeometrySpec) -> GradedPoly:
 # E2 prefactors
 
 
-def _e2_rows(spec: GeometrySpec, order: int) -> list:
-    """The prefactor exp(c * E2 * z) as rows of the per-root exp(c * E2 * w^2)
-    over `_z_terms`: its log table's one nonzero row, n = 1, is c * E2."""
+def _e2_table(spec: GeometrySpec, order: int) -> LogParts:
+    """The log table of the per-root exp(c * E2 * w^2): its one nonzero row, n = 1, is c * E2."""
     c = FAMILY_FORMS[spec.family].e2_coefficient
     e2 = [c.numerator * int(x) for x in modular_form(ModularFormId.E2, order).coeffs]
-    table = LogParts(c.denominator, [[0] * len(e2), e2] + [[0] * len(e2)] * (spec.k - 1))
+    return LogParts(c.denominator, [[0] * len(e2), e2] + [[0] * len(e2)] * (spec.k - 1))
+
+
+def _e2_rows(spec: GeometrySpec, order: int) -> list:
+    """The BUNDLE lead's prefactor exp(c * E2 * z) as rows of `_e2_table` over `_z_terms`."""
+    table = _e2_table(spec, order)
     return [(table, spec.power_sums(roots), e) for roots, e in _z_terms(spec)]
 
 
@@ -427,8 +466,7 @@ def q_form(form: QFormId, route: Route, spec: GeometrySpec, order: int,
 @lru_cache(maxsize=None)
 def _q_form_bundle(form: QFormId, spec: GeometrySpec, order: int, degree: int | None) -> QSeries:
     if form is QFormId.LEAD:
-        row = FAMILY_FORMS[spec.family]
-        rows = _resolve(spec, _GENUS_ROWS[0] + row.euler_cosh[0] + (_TANGENT_ROW,) + row.blocks[0])
+        rows = spec._bundle_rows(0) + spec._bundle_rows(2)
         lead = symmetrise(_symmetrise_rows(spec.ring(), rows, order) + _e2_rows(spec, order), order)
         lead = lead.scale(Fraction(2) ** (spec.a * spec.l))
         return lead if degree is None else lead.degree_slice(degree)
@@ -446,11 +484,13 @@ def _q_form_bundle(form: QFormId, spec: GeometrySpec, order: int, degree: int | 
 
 
 def _q_form_theta(form: QFormId, spec: GeometrySpec, order: int) -> QSeries:
-    cap = 4 * spec.k
+    cap, row = 4 * spec.k, FAMILY_FORMS[spec.family]
     rows = [(_root_log(ThetaKind.THETA, cap, order), spec.power_sums("TM"), 1)]
-    groups, two = FAMILY_FORMS[spec.family].theta[0 if form is QFormId.LEAD else 1]
+    groups, two = row.theta[0 if form is QFormId.LEAD else 1]
     for roots, kinds in groups:
         for kind, e in kinds:
             rows.append((_root_log(kind, cap, order), spec.power_sums(roots), spec.twist(e)))
-    res = symmetrise(rows + _e2_rows(spec, order), order)
+    table = _e2_table(spec, order)   # over THETA's own z, not `_z_terms`
+    rows += [(table, spec.power_sums(roots), s * spec.twist(e)) for roots, s, e in row.theta_z]
+    res = symmetrise(rows, order)
     return res.scale(Fraction(2) ** (spec.twist(two) * spec.l))

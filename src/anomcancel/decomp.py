@@ -16,7 +16,6 @@ compares the r = 0, 1 values against their closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -34,6 +33,7 @@ from .bundles import (
     twist_bundle,
 )
 from .errors import UsageError
+from .records import record, replace
 from .theta import ModularFormId, modular_form
 
 
@@ -108,7 +108,7 @@ def decompose(series: QSeries, k: int) -> tuple:
 # b_r / beta_r extraction and closed-form comparison
 
 
-@dataclass(frozen=True)
+@record
 class ClosedFormCheck:
     """One computed coefficient against its candidate closed forms.
 

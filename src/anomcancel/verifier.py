@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from numbers import Real
@@ -54,6 +53,7 @@ from .decomp import (
     extract_br_betar,
 )
 from .errors import UsageError
+from .records import record, replace
 from .theta import jacobi_identity_check, transformation_residuals
 
 
@@ -82,7 +82,7 @@ QUASIMODULAR_TOL = 1e-8
 MAX_Q_ORDER = 2000
 
 
-@dataclass(frozen=True)
+@record
 class Report:
     """Structured outcome of one verification case."""
 
@@ -101,7 +101,7 @@ class Report:
         return self.verdict == "pass"
 
 
-@dataclass(frozen=True)
+@record
 class CaseRequest:
     """One case to run; building it checks everything its `CASES` row demands."""
 
@@ -456,7 +456,7 @@ def _case_jacobi(req: CaseRequest) -> Outcome:
 # Dispatch
 
 
-@dataclass(frozen=True)
+@record
 class CaseRow:
     """How verify_case runs one case and what the case accepts."""
 

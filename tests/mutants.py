@@ -99,13 +99,14 @@ CATALOGUE = (
     Mutant("cor32-constant", "src/anomcancel/verifier.py",
            "const = _two_pow(a * l - 3)", "const = _two_pow(a * l - 2)",
            ("tests/test_verifier.py",)),
-    # the terms of z = p1_combo, which the lead forms' E2 rows run over
+    # the terms of BUNDLE's z = p1_combo, which its lead forms' E2 rows run over;
+    # THETA writes its own z, so DOUBLE_ROUTE alone sees them
     Mutant("e2-row-v-twist", "src/anomcancel/bundles.py",
            '("V", -(spec.a + 2 * spec.b))', '("V", -(spec.a + spec.b))',
-           ("tests/test_bundles.py",)),
+           ("tests/test_verifier.py::TestSingleCases::test_double_route",)),
     Mutant("e2-row-last-pair-dropped", "src/anomcancel/bundles.py",
            'return ("u", 1), ("u\'", -1)', 'return (("u", 1),)',
-           ("tests/test_bundles.py",)),
+           ("tests/test_verifier.py::TestSingleCases::test_double_route",)),
     # the integer log assembly of `symmetrise`
     Mutant("assembly-row-weight-denominator", "src/anomcancel/algebra.py",
            "m = e * (den // parts.den)", "m = e",
@@ -146,6 +147,26 @@ CATALOGUE = (
     Mutant("q-order-bound-dropped", "src/anomcancel/verifier.py",
            "if q is not None and q > MAX_Q_ORDER:", "if False:",
            ("tests/test_verifier.py", "tests/test_cli.py")),
+    # the frozen value records: hash, equality, replace and assignment
+    Mutant("record-hash-drops-last-field", "src/anomcancel/records.py",
+           '_set(self, "_record_hash", hash(fields(self)))',
+           '_set(self, "_record_hash", hash(fields(self)[:-1]))',
+           ("tests/test_records.py",)),
+    Mutant("record-eq-any-class", "src/anomcancel/records.py",
+           "        if other.__class__ is not self.__class__:\n            return NotImplemented\n",
+           "", ("tests/test_records.py",)),
+    Mutant("record-replace-skips-post-init", "src/anomcancel/records.py",
+           "    return type(obj)(**{**{name: getattr(obj, name) for name in obj.__record_fields__}, "
+           "**changes})",
+           "    new = object.__new__(type(obj))\n"
+           "    for name in obj.__record_fields__:\n"
+           "        _set(new, name, changes.get(name, getattr(obj, name)))\n"
+           "    return new",
+           ("tests/test_records.py",)),
+    Mutant("record-setattr-assigns", "src/anomcancel/records.py",
+           'raise AttributeError(f"cannot assign to or delete field {name!r}")',
+           "_set(self, name, *value) if value else object.__delattr__(self, name)",
+           ("tests/test_records.py",)),
     # canonical form and the equality contract
     Mutant("degree-part-not-normalised", "src/anomcancel/algebra.py",
            "return GradedPoly._make(self.spec, self._den, {deg: dict(b)})",

@@ -3,7 +3,6 @@
 import importlib
 import pkgutil
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -19,6 +18,7 @@ from anomcancel.algebra import (
     cosh_half_root,
     half_over_sinh_half_root,
     one_root_ring,
+    sum_of_products,
     symmetrise,
     taylor_exp,
 )
@@ -39,6 +39,7 @@ from anomcancel.bundles import (
 )
 from anomcancel.bundles import _e2_rows, _exterior_log
 from anomcancel.errors import UsageError
+from anomcancel.records import replace
 from anomcancel.theta import ThetaKind, theta_ratio
 from anomcancel.verifier import CaseId, default_grid, verify_case
 
@@ -250,14 +251,27 @@ class TestP1Combo:
         up = GradedPoly.generator(ring, "u'")
         assert p1_combo(spec) == u * u - up * up
 
+    @staticmethod
+    def two_branch(spec):
+        if spec.family is Family.TWO_LINE:
+            return spec.power_sums("u")[0] - spec.power_sums("u'")[0]
+        return spec.power_sums("TM")[0] - spec.power_sums("V")[0] * (spec.a + 2 * spec.b)
+
     def test_equals_the_two_branch_formula_on_the_grid(self):
-        # z's terms are written once, in `_z_terms`; each family's formula on every grid geometry
+        # BUNDLE's z terms are written once, in `_z_terms`; each family's formula on every
+        # grid geometry
         for spec in {req.spec for req in default_grid() if req.spec is not None}:
-            if spec.family is Family.TWO_LINE:
-                want = spec.power_sums("u")[0] - spec.power_sums("u'")[0]
-            else:
-                want = spec.power_sums("TM")[0] - spec.power_sums("V")[0] * (spec.a + 2 * spec.b)
-            assert p1_combo(spec) == want, spec
+            assert p1_combo(spec) == self.two_branch(spec), spec
+
+    def test_theta_route_z_equals_the_two_branch_formula_on_the_grid(self):
+        # THETA writes its own z, `FamilyForms.theta_z`, as scale * exponent * s_1(roots) terms
+        for spec in {req.spec for req in default_grid() if req.spec is not None}:
+            terms = FAMILY_FORMS[spec.family].theta_z
+            assert (terms is None) == (FAMILY_FORMS[spec.family].theta is None)
+            if terms is not None:
+                z = sum_of_products(spec.ring(), [(spec.power_sums(roots)[0], scale * spec.twist(e))
+                                                  for roots, scale, e in terms])
+                assert z == self.two_branch(spec), spec
 
 
 class TestQForms:
@@ -422,7 +436,8 @@ class TestRouteIndependence:
 class TestRouteMutations:
     """One changed exponent in either route's recipe makes DOUBLE_ROUTE report
     MISMATCH on the form it builds: the routes share `symmetrise`, and their
-    lead forms share the E2 rows, so only their recipes keep those apart.
+    lead forms share the per-root c * E2 table, so only their recipes keep
+    those apart.
     The joint form's E2 factor is `e2_expm1_over_z` on the BUNDLE route and
     the exp of those rows on the THETA route."""
 
