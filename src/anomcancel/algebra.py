@@ -257,6 +257,7 @@ class GradedPoly:
                           {d: {k: -n for k, n in b.items()} for d, b in self._buckets.items()})
 
     def __add__(self, other) -> "GradedPoly":
+        # a short loop, as scalar * is: through sum_of_products both made the grid slower
         if isinstance(other, (int, Fraction)):
             other = GradedPoly.constant(self.spec, other)
         elif not isinstance(other, GradedPoly):
@@ -1002,7 +1003,8 @@ def _image(src: RingSpec, images: Mapping[str, GradedPoly], powers) -> GradedPol
 
 
 def pontryagin_all(p: GradedPoly, families: Sequence[tuple[str, Sequence[str]]]) -> PontryaginPoly:
-    """Convert every listed root family at once."""
+    """Convert every listed root family at once.  Only tests and users call this:
+    the engine computes in the Pontryagin ring directly."""
     return _convert_families(p, tuple((f, tuple(r)) for f, r in families))
 
 

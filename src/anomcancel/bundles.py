@@ -95,7 +95,8 @@ class Route(Enum):
 # exponent), ...)) group and each of its roots, theta_ratio(kind)^exponent,
 # and scales the product by 2^(two * l); its z, the p1 combination its lead
 # forms' E2 rows run over, is the sum of scale * exponent * s_1(roots) over the
-# (roots, scale, exponent) terms of `theta_z`.
+# (roots, scale, exponent) terms of `theta_z`.  `twist_bundle` is the sum of
+# scale * exponent * ch_tilde_roots(roots) over the terms of `twist`.
 _T1, _T2, _T3 = ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3
 
 
@@ -115,6 +116,7 @@ class FamilyForms:
     blocks: tuple            # BUNDLE: exterior-block rows of bundles 1 and 2, in order
     theta: tuple | None      # THETA: forms of LEAD and JOINT; None: no formula
     theta_z: tuple | None    # THETA: z as (roots, scale, exponent) terms; None: no formula
+    twist: tuple             # the r = 1 bundle `twist_bundle` as (roots, scale, exponent) terms
     printed_readings: bool   # the paper prints r = 1 closed forms: twist_bundle at b = 0
 
 
@@ -134,6 +136,7 @@ FAMILY_FORMS = {
         theta=(((("V", ((_T1, "a"), (_T2, "b"), (_T3, "b"))),), "a"),
                ((("V", ((_T2, "a"), (_T1, "b"), (_T3, "b"))),), "b")),
         theta_z=(("TM", 1, 1), ("V", -1, "a"), ("V", -2, "b")),
+        twist=(("V", 1, "b"), ("V", -1, "a")),
         printed_readings=True),
     Family.AB_XI: FamilyForms(
         ("Q1_XI", "Q2_XI", "br_tilde", "betar_tilde"),
@@ -144,6 +147,7 @@ FAMILY_FORMS = {
                 (("V", _IP, "b"), ("u", _IP, 1), ("V", _HP, "b"),
                  ("u", _HP, 1), ("V", _HM, "a"), ("u", _HM, -2))),
         theta=None, theta_z=None,
+        twist=(("V", 1, "b"), ("V", -1, "a"), ("u", 3, 1)),
         printed_readings=False),
     Family.TWO_LINE: FamilyForms(
         ("P1", "P2", "br_bar", "betar_bar"),
@@ -154,6 +158,7 @@ FAMILY_FORMS = {
         theta=(((("V", ((_T1, 1),)), ("u", ((_T1, -2),)), ("u'", ((_T3, 1), (_T2, 1)))), 1),
                ((("V", ((_T2, 1),)), ("u", ((_T2, -2),)), ("u'", ((_T3, 1), (_T1, 1)))), 0)),
         theta_z=(("u", 1, 1), ("u'", -1, 1)),
+        twist=(("u", 2, 1), ("u'", 1, 1), ("V", -1, 1)),
         printed_readings=True),
 }
 
@@ -187,14 +192,6 @@ class GeometrySpec:
         span = max(abs(self.a), abs(self.b)) * self.l
         if span > 4096:
             raise UsageError(f"max(|a|, |b|) * l must be at most 4096, not {span}")
-
-    @property
-    def has_xi(self) -> bool:
-        return "u" in FAMILY_FORMS[self.family].euler_roots
-
-    @property
-    def has_xi_prime(self) -> bool:
-        return "u'" in FAMILY_FORMS[self.family].euler_roots
 
     def ring(self) -> RingSpec:
         """Euler roots u, u' (degree 2), then p_1..p_k(TM), then p_1..p_min(l,k)(V);
@@ -366,13 +363,10 @@ def ch_tilde_roots(spec: GeometrySpec, label: str) -> GradedPoly:
 
 
 def twist_bundle(spec: GeometrySpec) -> GradedPoly:
-    """ch of the bundle in the r = 1 coefficients: (b-a) V~, plus 3 xi~ in the
-    xi family; 2 xi~ + xi'~ - V~ in the two-line family."""
-    chv = ch_tilde_roots(spec, "V")
-    if spec.has_xi_prime:
-        return ch_tilde_roots(spec, "u") * 2 + ch_tilde_roots(spec, "u'") - chv
-    out = chv * (spec.b - spec.a)
-    return out + ch_tilde_roots(spec, "u") * 3 if spec.has_xi else out
+    """ch of the bundle in the r = 1 coefficients, `FamilyForms.twist`: (b-a) V~,
+    plus 3 xi~ in the xi family; 2 xi~ + xi'~ - V~ in the two-line family."""
+    return sum_of_products(spec.ring(), [(ch_tilde_roots(spec, roots), s * spec.twist(e))
+                                         for roots, s, e in FAMILY_FORMS[spec.family].twist])
 
 
 def _z_terms(spec: GeometrySpec) -> tuple[tuple[str, int], ...]:
@@ -465,7 +459,7 @@ def q_form(form: QFormId, route: Route, spec: GeometrySpec, order: int,
 
 @lru_cache(maxsize=None)
 def _q_form_bundle(form: QFormId, spec: GeometrySpec, order: int, degree: int | None) -> QSeries:
-    if form is QFormId.LEAD:
+    if form is QFormId.LEAD:   # not `_form_exp`: its one exp takes the per-spec E2 rows too
         rows = spec._bundle_rows(0) + spec._bundle_rows(2)
         lead = symmetrise(_symmetrise_rows(spec.ring(), rows, order) + _e2_rows(spec, order), order)
         lead = lead.scale(Fraction(2) ** (spec.a * spec.l))

@@ -176,7 +176,8 @@ def jacobi_identity_check(order: int, perturb: bool = False) -> QSeries:
     Both sides are divided by the common 2 pi q^(1/8); the result must be the
     zero series at every truncation order.  `perturb` is a negative control:
     it squares the left-hand product instead of cubing it, which must leave a
-    nonzero residual.
+    nonzero residual.  The left side stays on the general series product and
+    `powi`, so it checks the right side's shift-add kernel by a second algorithm.
     """
     lhs = QSeries.one(order)
     for j in range(1, order + 1):

@@ -11,6 +11,7 @@ against stated tolerances.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from enum import Enum
@@ -458,27 +459,38 @@ def _case_jacobi(req: CaseRequest) -> Outcome:
 
 @record
 class CaseRow:
-    """How verify_case runs one case and what the case accepts."""
+    """How verify_case runs one case, what the case accepts and where `verify --all` runs it."""
 
     handler: Callable[[CaseRequest], Outcome]
     families: tuple[Family, ...]          # accepted, the first by default; (): no geometry
     pins: tuple[tuple[str, int], ...] = ()  # geometry values the case fixes
     default_q_order: int | None = None    # None: k + 2; 0: reads no q-series, takes none
+    # where `default_grid` runs it: blocks (family, l values, twist pairs, q-order) at
+    # k = 1 and 2 unless pinned; no twist pairs run GeometrySpec's default (a, b) = (1, 0)
+    grid: tuple = ()
 
+
+_AB_TWISTS = tuple((a, b) for a in (-1, 0, 1, 2) for b in (0, 1, 2))
+_AB_GRID = ((Family.AB, (1, 2, 3), _AB_TWISTS, None),)
+_TWO_LINE_GRID = ((Family.TWO_LINE, (1, 2), (), None),)
 
 CASES: dict[CaseId, CaseRow] = {
-    CaseId.THM31: CaseRow(_case_theorem, (Family.AB,)),
-    CaseId.COR32: CaseRow(_case_cor32, (Family.AB,), (("k", 1),)),
-    CaseId.COR33: CaseRow(_case_cor33, (Family.AB,), (("k", 2),)),
-    CaseId.THM34: CaseRow(_case_theorem, (Family.AB_XI,)),
-    CaseId.THM41: CaseRow(_case_theorem, (Family.TWO_LINE,)),
-    CaseId.COR42: CaseRow(_case_cor42, (Family.TWO_LINE,), (("k", 1),)),
-    CaseId.COR43: CaseRow(_case_cor43, (Family.TWO_LINE,), (("k", 2),)),
-    CaseId.EQ318_TRANSFER: CaseRow(_case_transfer, (Family.AB,)),
+    CaseId.THM31: CaseRow(_case_theorem, (Family.AB,), grid=_AB_GRID),
+    CaseId.COR32: CaseRow(_case_cor32, (Family.AB,), (("k", 1),), grid=_AB_GRID),
+    CaseId.COR33: CaseRow(_case_cor33, (Family.AB,), (("k", 2),), grid=_AB_GRID),
+    CaseId.THM34: CaseRow(_case_theorem, (Family.AB_XI,),
+                          grid=((Family.AB_XI, (1, 2), _AB_TWISTS, None),)),
+    CaseId.THM41: CaseRow(_case_theorem, (Family.TWO_LINE,), grid=_TWO_LINE_GRID),
+    CaseId.COR42: CaseRow(_case_cor42, (Family.TWO_LINE,), (("k", 1),), grid=_TWO_LINE_GRID),
+    CaseId.COR43: CaseRow(_case_cor43, (Family.TWO_LINE,), (("k", 2),), grid=_TWO_LINE_GRID),
+    CaseId.EQ318_TRANSFER: CaseRow(_case_transfer, (Family.AB,), grid=_AB_GRID),
     CaseId.DOUBLE_ROUTE: CaseRow(_case_double_route, tuple(
-        family for family, row in FAMILY_FORMS.items() if row.theta is not None)),
-    CaseId.BR_BETAR_CLOSED_FORMS: CaseRow(_case_closed_forms, tuple(Family)),
-    CaseId.HLZ_SPECIAL: CaseRow(_case_hlz, (Family.AB,), (("a", 1), ("b", 0))),
+        family for family, row in FAMILY_FORMS.items() if row.theta is not None),
+        grid=((Family.AB, (1, 2), _AB_TWISTS, 4), (Family.TWO_LINE, (1, 2), (), 4))),
+    CaseId.BR_BETAR_CLOSED_FORMS: CaseRow(_case_closed_forms, tuple(Family),
+                                          grid=((Family.AB, (1, 2), ((1, 0), (2, 1)), None),)),
+    CaseId.HLZ_SPECIAL: CaseRow(_case_hlz, (Family.AB,), (("a", 1), ("b", 0)),
+                                grid=((Family.AB, (1, 2), (), None),)),
     CaseId.NUMERIC_MODULARITY: CaseRow(_case_numeric, (), default_q_order=0),
     CaseId.JACOBI_QSERIES: CaseRow(_case_jacobi, (), default_q_order=20),
 }
@@ -499,43 +511,18 @@ def verify_case(case: CaseId, spec: GeometrySpec | None = None,
 
 
 def default_grid() -> list[CaseRequest]:
-    """The standard verification grid over k, l and the twist integers."""
+    """The standard verification grid: each `CASES` row's blocks; a case without a geometry once."""
     requests: list[CaseRequest] = []
-    ab_pairs = [(a, b) for a in (-1, 0, 1, 2) for b in (0, 1, 2)]
-    for k in (1, 2):
-        for l in (1, 2, 3):
-            for a, b in ab_pairs:
-                spec = GeometrySpec(k=k, l=l, a=a, b=b, family=Family.AB)
-                requests.append(CaseRequest(CaseId.THM31, spec))
-                requests.append(CaseRequest(CaseId.EQ318_TRANSFER, spec))
-                if k == 1:
-                    requests.append(CaseRequest(CaseId.COR32, spec))
-                else:
-                    requests.append(CaseRequest(CaseId.COR33, spec))
-    for k in (1, 2):
-        for l in (1, 2):
-            for a, b in ab_pairs:
-                spec = GeometrySpec(k=k, l=l, a=a, b=b, family=Family.AB_XI)
-                requests.append(CaseRequest(CaseId.THM34, spec))
-            for a, b in ab_pairs:
-                spec = GeometrySpec(k=k, l=l, a=a, b=b, family=Family.AB)
-                requests.append(CaseRequest(CaseId.DOUBLE_ROUTE, spec, q_order=4))
-            two = GeometrySpec(k=k, l=l, a=1, b=0, family=Family.TWO_LINE)
-            requests.append(CaseRequest(CaseId.THM41, two))
-            requests.append(CaseRequest(CaseId.DOUBLE_ROUTE, two, q_order=4))
-            requests.append(CaseRequest(CaseId.COR42 if k == 1 else CaseId.COR43, two))
-    for k in (1, 2):
-        for l in (1, 2):
-            requests.append(CaseRequest(
-                CaseId.BR_BETAR_CLOSED_FORMS,
-                GeometrySpec(k=k, l=l, a=1, b=0, family=Family.AB)))
-            requests.append(CaseRequest(
-                CaseId.BR_BETAR_CLOSED_FORMS,
-                GeometrySpec(k=k, l=l, a=2, b=1, family=Family.AB)))
-            requests.append(CaseRequest(
-                CaseId.HLZ_SPECIAL, GeometrySpec(k=k, l=l, a=1, b=0, family=Family.AB)))
-    requests.append(CaseRequest(CaseId.NUMERIC_MODULARITY))
-    requests.append(CaseRequest(CaseId.JACOBI_QSERIES, q_order=20))
+    specs: dict[GeometrySpec, GeometrySpec] = {}   # equal geometries share one object and its memo
+    for case, row in CASES.items():
+        if not row.families:
+            requests.append(CaseRequest(case))
+        pins = dict(row.pins)
+        for family, ls, twists, q_order in row.grid:
+            for k in (pins["k"],) if "k" in pins else (1, 2):
+                for l, twist in itertools.product(ls, twists or ((),)):
+                    spec = GeometrySpec(k, l, *twist, family=family)
+                    requests.append(CaseRequest(case, specs.setdefault(spec, spec), q_order))
     return requests
 
 

@@ -6,7 +6,8 @@ Usage (from the repository root):
     python3 tests/mutants.py NAME ...     # the named mutants only
 
 Each entry changes one exact snippet of one source file.  The runner copies
-`src/`, `tests/` and `pyproject.toml` to a temporary directory and requires
+`src/`, `tests/`, `pyproject.toml` and `README.md` (a test reads its grid
+table) to a temporary directory and requires
 the unmutated copy to pass the union of the entries' test subsets.  Then, one
 mutant at a time, it replaces the snippet in the copy, requires `pytest -x`
 over the entry's subset (all of tier-1 when it has none) to fail, and puts
@@ -203,6 +204,18 @@ CATALOGUE = (
     Mutant("geometry-k-bound-off-by-one", "src/anomcancel/bundles.py",
            "if 2 * self.k > _MASK:", "if 2 * self.k > _MASK + 1:",
            ("tests/test_bundles.py", "tests/test_cli.py")),
+    # the grid read off CASES: a block's twist pairs and its row's k pin; every
+    # request is still built through CaseRequest, which refuses a k against its pin
+    Mutant("grid-twist-pair-dropped", "src/anomcancel/verifier.py",
+           "((1, 0), (2, 1))", "((1, 0),)",
+           ("tests/test_verifier.py::TestSuite",)),
+    Mutant("grid-k-pin-ignored", "src/anomcancel/verifier.py",
+           'for k in (pins["k"],) if "k" in pins else (1, 2):', "for k in (1, 2):",
+           ("tests/test_verifier.py::TestSuite::test_default_grid_shape",)),
+    # the r = 1 bundle of the closed forms, as FamilyForms.twist terms
+    Mutant("twist-ab-xi-xi-term", "src/anomcancel/bundles.py",
+           '("u", 3, 1)', '("u", 2, 1)',
+           ("tests/test_decomp.py::TestClosedForms",)),
     # the two routes sharing code: each computes the same value, so only the
     # route-independence tests tell them from the program.  THETA's tangent row
     # as A-hat over the inverse exterior block at t = -q^n; BUNDLE's joint form
@@ -223,7 +236,8 @@ def _copy_tree(dest: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", "*.pyc", "*.egg-info")
     for name in ("src", "tests"):
         shutil.copytree(ROOT / name, dest / name, ignore=ignore)
-    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy2(ROOT / name, dest / name)
 
 
 def _pytest(tree: Path, tests: tuple[str, ...]) -> int:

@@ -66,7 +66,7 @@ class TestGeometrySpec:
         with pytest.raises(UsageError):
             GeometrySpec(k=1, l=1, a=2, b=0, family=Family.TWO_LINE)
         spec = GeometrySpec(k=1, l=1, a=1, b=0, family=Family.TWO_LINE)
-        assert spec.has_xi and spec.has_xi_prime
+        assert FAMILY_FORMS[spec.family].euler_roots == ("u", "u'")
 
     def test_ring_layout(self):
         spec = GeometrySpec(k=2, l=3, a=0, b=0, family=Family.AB_XI)

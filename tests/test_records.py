@@ -25,10 +25,10 @@ RECORDS = [
     (LogParts(2, ((0,), (1,))), "LogParts(den=2, nums=((0,), (1,)))", None),
     (FamilyForms(("Q1", "Q2", "br", "betar"), euler_roots=(), e2_coefficient=F(1, 24),
                  euler_cosh=((), ()), blocks=((), ()), theta=None, theta_z=None,
-                 printed_readings=True),
+                 twist=(("V", 1, "b"), ("V", -1, "a")), printed_readings=True),
      "FamilyForms(names=('Q1', 'Q2', 'br', 'betar'), euler_roots=(), "
      "e2_coefficient=Fraction(1, 24), euler_cosh=((), ()), blocks=((), ()), theta=None, "
-     "theta_z=None, printed_readings=True)", None),
+     "theta_z=None, twist=(('V', 1, 'b'), ('V', -1, 'a')), printed_readings=True)", None),
     (GeometrySpec(k=1, l=1, a=1, b=0, family=Family.AB),
      "GeometrySpec(k=1, l=1, a=1, b=0, family=<Family.AB: 'ab'>)", {"k": 0}),
     (ClosedFormCheck("h0", ONE, (("printed", ONE),), "printed"),
@@ -41,7 +41,8 @@ RECORDS = [
      "CaseRequest(case=<CaseId.JACOBI_QSERIES: 'JACOBI_QSERIES'>, spec=None, q_order=6, "
      "perturb=False, tolerance=None)", {"q_order": -1}),
     (CaseRow(len, ()),
-     "CaseRow(handler=<built-in function len>, families=(), pins=(), default_q_order=None)", None),
+     "CaseRow(handler=<built-in function len>, families=(), pins=(), default_q_order=None, "
+     "grid=())", None),
 ]
 
 

@@ -1,6 +1,9 @@
 """Verification cases: positive runs, negative controls, invariants."""
 
+import hashlib
+from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -354,10 +357,51 @@ class TestSuite:
 
     def test_default_grid_shape(self):
         grid = default_grid()
-        cases = {req.case for req in grid}
-        assert cases == set(CaseId)
-        thm31 = [r for r in grid if r.case is CaseId.THM31]
-        assert len(thm31) == 2 * 3 * 12
+        counts = Counter(req.case.value for req in grid)
+        assert counts == {
+            "THM31": 72, "EQ318_TRANSFER": 72, "COR32": 36, "COR33": 36, "THM34": 48,
+            "DOUBLE_ROUTE": 52, "THM41": 4, "COR42": 2, "COR43": 2,
+            "BR_BETAR_CLOSED_FORMS": 8, "HLZ_SPECIAL": 4, "NUMERIC_MODULARITY": 1,
+            "JACOBI_QSERIES": 1}
+
+        def key(req):
+            spec = req.spec and (req.spec.family.value, req.spec.k, req.spec.l, req.spec.a, req.spec.b)
+            return repr((req.case.value, spec, req.order, req.perturb, req.tolerance))
+
+        # the grid as written out case by case, loop by loop, before it was read off CASES
+        text = "\n".join(sorted(map(key, grid)))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "00b101767ac302b78a9816c6e0a02756c9123a1f76cfa9c8661d25b1eca0fd35")
+
+    def test_readme_grid_table_is_the_case_table(self):
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        assert grid_table() in text
+
+
+def grid_table() -> str:
+    """The README's table of `default_grid`, one line per `CaseRow` grid block."""
+    lines = ["| case | family | k | l | (a, b) | q-order | requests |",
+             "| --- | --- | --- | --- | --- | --- | --- |"]
+    for case, row in CASES.items():
+        if not row.families:
+            q = row.default_q_order or "none"
+            lines.append(f"| `{case.value}` | — | — | — | — | {q} | 1 |")
+        pins = dict(row.pins)
+        for family, ls, twists, q_order in row.grid:
+            ks = (pins["k"],) if "k" in pins else (1, 2)
+            if not twists:
+                spec = GeometrySpec(1, 1, family=family)
+                twists = ((spec.a, spec.b),)
+            a_s, b_s = sorted({a for a, _ in twists}), sorted({b for _, b in twists})
+            if len(twists) > 2:
+                assert sorted(twists) == [(a, b) for a in a_s for b in b_s]
+                pairs = f"a ∈ {{{', '.join(map(str, a_s))}}} × b ∈ {{{', '.join(map(str, b_s))}}}"
+            else:
+                pairs = ", ".join(f"({a}, {b})" for a, b in twists)
+            lines.append(f"| `{case.value}` | {family.value} | {', '.join(map(str, ks))} "
+                         f"| {', '.join(map(str, ls))} | {pairs} | {q_order or 'k + 2'} "
+                         f"| {len(ks) * len(ls) * len(twists)} |")
+    return "\n".join(lines)
 
 
 def test_every_export_resolves():
