@@ -465,8 +465,8 @@ class CaseRow:
     families: tuple[Family, ...]          # accepted, the first by default; (): no geometry
     pins: tuple[tuple[str, int], ...] = ()  # geometry values the case fixes
     default_q_order: int | None = None    # None: k + 2; 0: reads no q-series, takes none
-    # where `default_grid` runs it: blocks (family, l values, twist pairs, q-order) at
-    # k = 1 and 2 unless pinned; no twist pairs run GeometrySpec's default (a, b) = (1, 0)
+    # where `default_grid` runs it: blocks (family, l values, twist pairs, q-order) at k = 1
+    # and 2, with the row's pins filled in (so no twist pairs: the pinned or default (a, b))
     grid: tuple = ()
 
 
@@ -518,11 +518,12 @@ def default_grid() -> list[CaseRequest]:
         if not row.families:
             requests.append(CaseRequest(case))
         pins = dict(row.pins)
+        ks = (pins["k"],) if "k" in pins else (1, 2)
         for family, ls, twists, q_order in row.grid:
-            for k in (pins["k"],) if "k" in pins else (1, 2):
-                for l, twist in itertools.product(ls, twists or ((),)):
-                    spec = GeometrySpec(k, l, *twist, family=family)
-                    requests.append(CaseRequest(case, specs.setdefault(spec, spec), q_order))
+            for k, l, twist in itertools.product(ks, ls, twists or ((),)):
+                spec = GeometrySpec(**{**pins, "k": k, "l": l, **dict(zip("ab", twist))},
+                                    family=family)
+                requests.append(CaseRequest(case, specs.setdefault(spec, spec), q_order))
     return requests
 
 

@@ -36,11 +36,15 @@ WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 # steps that only install what this machine already has
 SKIPPED_STEPS = ("Install the test dependencies",)
 PIP_INSTALL = re.compile(r"^\s*(python3? -m )?pip3? install\b")
+# the step keys this runner knows; it refuses any other
+STEP_KEYS = ("name", "uses", "run", "with")
 
 
 def read_steps(text: str) -> list[dict[str, str]]:
     """The job's steps, each a dict of its `name`, `uses` and `run` (a block
-    scalar dedented, with its last newline); `with:` mappings are dropped."""
+    scalar dedented, with its last newline); `with:` mappings are dropped.
+    Any other step key (`env:`, `if:`, `shell:`, ...) is refused with a
+    ValueError, since this runner would not honour it."""
     lines = text.splitlines()
     start = next(i for i, line in enumerate(lines) if line.strip() == "steps:") + 1
     item = len(lines[start]) - len(lines[start].lstrip())   # the indent of "- "
@@ -59,7 +63,11 @@ def read_steps(text: str) -> list[dict[str, str]]:
             line = " " * (item + 2) + line.lstrip()[2:]
         key, _, value = line.strip().partition(":")
         value = value.strip()
-        if key not in ("name", "uses", "run") or len(line) - len(line.lstrip()) != item + 2:
+        if len(line) - len(line.lstrip()) != item + 2:
+            continue
+        if key not in STEP_KEYS:
+            raise ValueError(f"step key {key!r} is not run by this runner")
+        if key == "with":
             continue
         if value in ("|", "|-"):
             block = []

@@ -6,8 +6,8 @@ Usage (from the repository root):
     python3 tests/mutants.py NAME ...     # the named mutants only
 
 Each entry changes one exact snippet of one source file.  The runner copies
-`src/`, `tests/`, `pyproject.toml` and `README.md` (a test reads its grid
-table) to a temporary directory and requires
+`src/`, `tests/`, `pyproject.toml`, `README.md` (a test reads its grid table)
+and the CI workflow (a test reads its steps) to a temporary directory and requires
 the unmutated copy to pass the union of the entries' test subsets.  Then, one
 mutant at a time, it replaces the snippet in the copy, requires `pytest -x`
 over the entry's subset (all of tier-1 when it has none) to fail, and puts
@@ -210,7 +210,7 @@ CATALOGUE = (
            "((1, 0), (2, 1))", "((1, 0),)",
            ("tests/test_verifier.py::TestSuite",)),
     Mutant("grid-k-pin-ignored", "src/anomcancel/verifier.py",
-           'for k in (pins["k"],) if "k" in pins else (1, 2):', "for k in (1, 2):",
+           'ks = (pins["k"],) if "k" in pins else (1, 2)', "ks = (1, 2)",
            ("tests/test_verifier.py::TestSuite::test_default_grid_shape",)),
     # the r = 1 bundle of the closed forms, as FamilyForms.twist terms
     Mutant("twist-ab-xi-xi-term", "src/anomcancel/bundles.py",
@@ -236,7 +236,8 @@ def _copy_tree(dest: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", "*.pyc", "*.egg-info")
     for name in ("src", "tests"):
         shutil.copytree(ROOT / name, dest / name, ignore=ignore)
-    for name in ("pyproject.toml", "README.md"):
+    for name in ("pyproject.toml", "README.md", ".github/workflows/tests.yml"):
+        (dest / name).parent.mkdir(parents=True, exist_ok=True)
         shutil.copy2(ROOT / name, dest / name)
 
 

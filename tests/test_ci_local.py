@@ -35,8 +35,17 @@ def test_pip_lines_are_the_only_lines_dropped():
     assert kept == ["anomcancel verify --all"]
 
 
+@pytest.mark.parametrize("key", ["env", "if", "working-directory", "shell",
+                                 "continue-on-error", "timeout-minutes"])
+def test_a_step_key_it_would_not_honour_is_refused(key):
+    step = "      - name: Tier-1 tests\n"
+    assert step in TEXT
+    with pytest.raises(ValueError, match=repr(key)):
+        ci_local.read_steps(TEXT.replace(step, f"{step}        {key}: x\n", 1))
+
+
 def test_reader_agrees_with_yaml():
     yaml = pytest.importorskip("yaml")
     steps = yaml.safe_load(TEXT)["jobs"]["tier1"]["steps"]
-    assert STEPS == [{k: v for k, v in step.items() if k in ("name", "uses", "run")}
-                     for step in steps]
+    assert all(set(step) <= set(ci_local.STEP_KEYS) for step in steps)
+    assert STEPS == [{k: v for k, v in step.items() if k != "with"} for step in steps]

@@ -363,6 +363,7 @@ class TestSuite:
             "DOUBLE_ROUTE": 52, "THM41": 4, "COR42": 2, "COR43": 2,
             "BR_BETAR_CLOSED_FORMS": 8, "HLZ_SPECIAL": 4, "NUMERIC_MODULARITY": 1,
             "JACOBI_QSERIES": 1}
+        assert set(counts) == {case.value for case in CaseId}   # every case runs somewhere
 
         def key(req):
             spec = req.spec and (req.spec.family.value, req.spec.k, req.spec.l, req.spec.a, req.spec.b)
@@ -389,8 +390,8 @@ def grid_table() -> str:
         pins = dict(row.pins)
         for family, ls, twists, q_order in row.grid:
             ks = (pins["k"],) if "k" in pins else (1, 2)
-            if not twists:
-                spec = GeometrySpec(1, 1, family=family)
+            if not twists:   # the row's pinned (a, b), else the default, as default_grid reads it
+                spec = GeometrySpec(**{**pins, "k": 1, "l": 1}, family=family)
                 twists = ((spec.a, spec.b),)
             a_s, b_s = sorted({a for a, _ in twists}), sorted({b for _, b in twists})
             if len(twists) > 2:
