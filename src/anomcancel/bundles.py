@@ -21,9 +21,9 @@ most 31 so that a root's powers pack: `_root_log`, the one cache of per-root log
 tables, holds each factor's log once, and one `symmetrise` turns a form's rows
 of them, the lead's E2 prefactor as rows of exp(c * E2 * w^2) over z's roots,
 into one exp over the Chern roots of TM, of V and of the Euler roots.  BUNDLE
-writes every row as (roots, factor, exponent); `_form_exp` caches a form on the
-ring, its rows at the spec's twists and the order, so equal rows build once, and
-each spec resolves and hashes its rows once (`GeometrySpec._bundle_rows`).
+writes every row as (roots, factor, exponent); `_bundle_rows` resolves a family
+row's rows once per twist pair (a, b), and `_form_exp` caches a form on the ring,
+those rows and the order, so equal rows build once.
 DOUBLE_ROUTE cannot see a fault in what the routes still share, so each
 shared piece is shared for a reason and checked on its own: `power_sums`
 (Newton), the one translation of root sums into Pontryagin classes, against
@@ -207,23 +207,12 @@ class GeometrySpec:
 
     def twist(self, e: int | str) -> int:
         """A recipe exponent: an int, or the twist integer "a" or "b"."""
-        return getattr(self, e) if isinstance(e, str) else e
+        return _twist(e, self.a, self.b)
 
-    def _bundle_rows(self, form: int) -> tuple:
-        """BUNDLE rows at this spec's twists: the lead's (0) or weight's (1) genus form,
-        or the first (2) or second (3) bundle's character.  Resolved and hashed once
-        per family row read, so a cached form read resolves nothing."""
-        row = FAMILY_FORMS[self.family]
-        try:
-            read_from, rows = self._bundle_rows_memo
-        except AttributeError:
-            read_from = None
-        if read_from is not row:
-            rows = tuple(_Rows(_resolve(self, recipe)) for recipe in (
-                _GENUS_ROWS[0] + row.euler_cosh[0], _GENUS_ROWS[1] + row.euler_cosh[1],
-                (_TANGENT_ROW,) + row.blocks[0], (_TANGENT_ROW,) + row.blocks[1]))
-            object.__setattr__(self, "_bundle_rows_memo", (row, rows))
-        return rows[form]
+
+def _twist(e: int | str, a: int, b: int) -> int:
+    """The one rule for a recipe exponent: "a" or "b" is that twist integer, an int itself."""
+    return a if e == "a" else b if e == "b" else e
 
 
 @lru_cache(maxsize=None)
@@ -289,21 +278,15 @@ def _exterior_log(cap: int, grid: str, sign: int, order: int) -> LogParts:
 # BUNDLE forms: one exp over rows at a spec's twists
 
 
-def _resolve(spec: GeometrySpec, rows: tuple) -> tuple:
-    """BUNDLE rows at spec's twists: each exponent "a" or "b" becomes its integer."""
-    return tuple((r, f, spec.a if e == "a" else spec.b if e == "b" else e) for r, f, e in rows)
-
-
-class _Rows(tuple):
-    """Resolved rows that keep their hash (a tuple does not), for the `_form_exp` key."""
-
-    def __new__(cls, rows: tuple) -> "_Rows":
-        self = super().__new__(cls, rows)
-        self.hash = tuple.__hash__(self)
-        return self
-
-    def __hash__(self) -> int:
-        return self.hash
+@lru_cache(maxsize=None)
+def _bundle_rows(row: FamilyForms, a: int, b: int) -> tuple:
+    """A family row's BUNDLE rows at twists (a, b): the lead's (0) and weight's (1)
+    genus forms, then the first (2) and second (3) bundles' characters.  Keyed on
+    the row itself, so a row patched into `FAMILY_FORMS` is resolved afresh."""
+    recipes = (_GENUS_ROWS[0] + row.euler_cosh[0], _GENUS_ROWS[1] + row.euler_cosh[1],
+               (_TANGENT_ROW,) + row.blocks[0], (_TANGENT_ROW,) + row.blocks[1])
+    return tuple(tuple((roots, factor, _twist(e, a, b)) for roots, factor, e in recipe)
+                 for recipe in recipes)
 
 
 def _symmetrise_rows(ring: RingSpec, rows: tuple, order: int) -> list:
@@ -314,8 +297,9 @@ def _symmetrise_rows(ring: RingSpec, rows: tuple, order: int) -> list:
 
 @lru_cache(maxsize=None)
 def _form_exp(ring: RingSpec, rows: tuple, order: int) -> QSeries:
-    """The product of resolved rows, cached on exactly what it reads: specs that differ
-    only in an l past k, or in twists that resolve to the same rows, share one build."""
+    """The product of rows resolved by `_bundle_rows`, cached on exactly what it reads,
+    the ring, the rows and the order: specs that differ only in an l past k, or in
+    twists that resolve to the same rows, share one build."""
     return symmetrise(_symmetrise_rows(ring, rows, order), order)
 
 
@@ -341,7 +325,8 @@ def lead_weight(spec: GeometrySpec, which: int) -> GradedPoly:
     power, times the family's Euler-cosh rows (`FamilyForms.euler_cosh`)."""
     if which not in (1, 2):
         raise UsageError("which must be 1 or 2")
-    form = _form_exp(spec.ring(), spec._bundle_rows(which - 1), 0).coeffs[0]
+    rows = _bundle_rows(FAMILY_FORMS[spec.family], spec.a, spec.b)[which - 1]
+    form = _form_exp(spec.ring(), rows, 0).coeffs[0]
     return form * Fraction(2) ** ((spec.a if which == 1 else spec.b) * spec.l)
 
 
@@ -351,7 +336,8 @@ def ch_theta_bundle(which: int, spec: GeometrySpec, order: int) -> QSeries:
         raise UsageError("which must be 1 or 2")
     if order < 0:
         raise UsageError("truncation order must be >= 0")
-    return _form_exp(spec.ring(), spec._bundle_rows(which + 1), order)
+    rows = _bundle_rows(FAMILY_FORMS[spec.family], spec.a, spec.b)[which + 1]
+    return _form_exp(spec.ring(), rows, order)
 
 
 def ch_tilde_roots(spec: GeometrySpec, label: str) -> GradedPoly:
@@ -460,7 +446,8 @@ def q_form(form: QFormId, route: Route, spec: GeometrySpec, order: int,
 @lru_cache(maxsize=None)
 def _q_form_bundle(form: QFormId, spec: GeometrySpec, order: int, degree: int | None) -> QSeries:
     if form is QFormId.LEAD:   # not `_form_exp`: its one exp takes the per-spec E2 rows too
-        rows = spec._bundle_rows(0) + spec._bundle_rows(2)
+        rows = _bundle_rows(FAMILY_FORMS[spec.family], spec.a, spec.b)
+        rows = rows[0] + rows[2]
         lead = symmetrise(_symmetrise_rows(spec.ring(), rows, order) + _e2_rows(spec, order), order)
         lead = lead.scale(Fraction(2) ** (spec.a * spec.l))
         return lead if degree is None else lead.degree_slice(degree)

@@ -513,7 +513,6 @@ def verify_case(case: CaseId, spec: GeometrySpec | None = None,
 def default_grid() -> list[CaseRequest]:
     """The standard verification grid: each `CASES` row's blocks; a case without a geometry once."""
     requests: list[CaseRequest] = []
-    specs: dict[GeometrySpec, GeometrySpec] = {}   # equal geometries share one object and its memo
     for case, row in CASES.items():
         if not row.families:
             requests.append(CaseRequest(case))
@@ -523,7 +522,7 @@ def default_grid() -> list[CaseRequest]:
             for k, l, twist in itertools.product(ks, ls, twists or ((),)):
                 spec = GeometrySpec(**{**pins, "k": k, "l": l, **dict(zip("ab", twist))},
                                     family=family)
-                requests.append(CaseRequest(case, specs.setdefault(spec, spec), q_order))
+                requests.append(CaseRequest(case, spec, q_order))
     return requests
 
 

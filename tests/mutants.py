@@ -200,6 +200,15 @@ CATALOGUE = (
     Mutant("form-exp-key-without-ring", "src/anomcancel/bundles.py",
            "@lru_cache(maxsize=None)\ndef _form_exp(", _key_without(0, "_form_exp"),
            ("tests/test_bundles.py",)),
+    Mutant("bundle-rows-key-without-row", "src/anomcancel/bundles.py",
+           "@lru_cache(maxsize=None)\ndef _bundle_rows(", _key_without(0, "_bundle_rows"),
+           ("tests/test_bundles.py",)),
+    Mutant("bundle-rows-key-without-a", "src/anomcancel/bundles.py",
+           "@lru_cache(maxsize=None)\ndef _bundle_rows(", _key_without(1, "_bundle_rows"),
+           ("tests/test_bundles.py",)),
+    Mutant("bundle-rows-key-without-b", "src/anomcancel/bundles.py",
+           "@lru_cache(maxsize=None)\ndef _bundle_rows(", _key_without(2, "_bundle_rows"),
+           ("tests/test_bundles.py",)),
     # the packing bound on k, refused when the geometry is built
     Mutant("geometry-k-bound-off-by-one", "src/anomcancel/bundles.py",
            "if 2 * self.k > _MASK:", "if 2 * self.k > _MASK + 1:",

@@ -541,11 +541,13 @@ class TestFormCaches:
     @staticmethod
     def rows(spec, which, bundle):
         """The resolved rows of spec's lead or weight form (bundle=False) or of
-        its first or second bundle's character (bundle=True)."""
+        its first or second bundle's character (bundle=True), each "a" and "b"
+        read off the spec here, not by the engine's `_bundle_rows`."""
         row = FAMILY_FORMS[spec.family]
-        if bundle:
-            return bundles._resolve(spec, (bundles._TANGENT_ROW,) + row.blocks[which - 1])
-        return bundles._resolve(spec, bundles._GENUS_ROWS[which - 1] + row.euler_cosh[which - 1])
+        recipe = ((bundles._TANGENT_ROW,) + row.blocks[which - 1] if bundle
+                  else bundles._GENUS_ROWS[which - 1] + row.euler_cosh[which - 1])
+        twists = {"a": spec.a, "b": spec.b}
+        return tuple((roots, factor, twists.get(e, e)) for roots, factor, e in recipe)
 
     @staticmethod
     def uncached(ring, rows, order):
@@ -620,6 +622,34 @@ class TestFormCaches:
         assert len(built) == len(want) == 6 and set(built) == want
         assert bundles._form_exp.cache_info().misses == len(built)
 
+    def test_rows_resolved_once_per_family_row_and_twists(self, cold_caches, monkeypatch):
+        # k and l do not reach the rows, and the key is the twists as given, so
+        # the AB lead at a = 2 and weight at b = 2, one `_form_exp` build, are two
+        # resolutions; a row patched in with equal fields is the same key, and one
+        # with other fields is resolved afresh
+        specs = [GeometrySpec(k=k, l=l, a=a, b=b, family=family)
+                 for family in (Family.AB, Family.AB_XI) for k in (1, 2) for l in (1, 3)
+                 for a, b in ((1, 0), (2, 0), (0, 2), (2, 1))] + [
+                GeometrySpec(k=k, l=l, family=Family.TWO_LINE) for k in (1, 2) for l in (1, 3)]
+        for spec in specs:
+            for which in (1, 2):
+                lead_weight(spec, which)
+                ch_theta_bundle(which, spec, 1)
+        info = bundles._bundle_rows.cache_info()
+        assert info.misses == info.currsize == 2 * 4 + 1
+        assert info.hits == 4 * len(specs) - info.misses
+        spec = GeometrySpec(k=2, l=2, a=2, b=1)
+        row = FAMILY_FORMS[spec.family]
+        monkeypatch.setitem(FAMILY_FORMS, spec.family, replace(row))
+        ch_theta_bundle(1, spec, 1)
+        assert bundles._bundle_rows.cache_info().misses == info.misses
+        (roots, factor, e), *rest = row.blocks[0]
+        patched = replace(row, blocks=(((roots, factor, 3), *rest), row.blocks[1]))
+        monkeypatch.setitem(FAMILY_FORMS, spec.family, patched)
+        ch_theta_bundle(1, spec, 1)
+        assert bundles._bundle_rows.cache_info().misses == info.misses + 1
+        assert bundles._bundle_rows(patched, 2, 1)[2][1] == (roots, factor, 3)
+
     def test_twists_resolving_to_equal_rows_share_one_build(self, cold_caches):
         # the AB lead at a = 2 and the AB weight at b = 2 are one form on one ring
         lead, weight = GeometrySpec(k=2, l=2, a=2, b=0), GeometrySpec(k=2, l=2, a=0, b=2)
@@ -668,6 +698,7 @@ class TestPerRootTables:
             "anomcancel.bundles._ring_for",
             "anomcancel.bundles._power_sums",
             "anomcancel.bundles._root_log",
+            "anomcancel.bundles._bundle_rows",
             "anomcancel.bundles._form_exp",
             "anomcancel.bundles._e2_expm1",
             "anomcancel.bundles._q_form_bundle",

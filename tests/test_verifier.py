@@ -355,6 +355,18 @@ class TestSuite:
         assert not all(r.passed for r in reports)
         assert sum(not r.passed for r in reports) == 1
 
+    def test_a_run_keeps_no_state_on_its_geometries(self, cold_caches):
+        # a spec is a plain value: a run may keep its hash, nothing else
+        plain = set(GeometrySpec.__record_fields__) | {"_record_hash"}
+        grid = default_grid()
+        assert all(r.passed for r in run_suite(grid))
+        runs = [(CaseId.EQ318_TRANSFER, AB(2, 2, 2, 1)), (CaseId.THM34, XI(2, 2, 2, 1)),
+                (CaseId.DOUBLE_ROUTE, TWO(2, 2))]
+        for case, spec in runs:
+            assert verify_case(case, spec).passed
+        for spec in [spec for _, spec in runs] + [req.spec for req in grid if req.spec is not None]:
+            assert set(GeometrySpec.__record_fields__) <= set(vars(spec)) <= plain, vars(spec)
+
     def test_default_grid_shape(self):
         grid = default_grid()
         counts = Counter(req.case.value for req in grid)
