@@ -17,21 +17,22 @@ power-of-two normalization.  Their exact agreement is the central correctness
 property of the package.
 
 Every form lives in the Pontryagin ring of `GeometrySpec.ring()`, whose k is at
-most 31 so that a root's powers pack: `_root_log`, the one cache of per-root log
-tables, holds each factor's log once, and one `symmetrise` turns a form's rows
-of them, the lead's E2 prefactor as rows of exp(c * E2 * w^2) over z's roots,
-into one exp over the Chern roots of TM, of V and of the Euler roots.  BUNDLE
-writes every row as (roots, factor, exponent); `_bundle_rows` resolves a family
-row's rows once per twist pair (a, b), and `_form_exp` caches a form on the ring,
-those rows and the order, so equal rows build once.
+most 31 so that a root's powers pack.  Both routes write a form as rows (roots,
+factor, exponent), its E2 prefactor exp(c * E2 * z) as rows of ("E2", c) over
+z's roots: `_root_log`, the one cache of per-root log tables, holds each
+factor's log once, and one `symmetrise` turns a form's rows into one exp over
+the Chern roots of TM, of V and of the Euler roots.  BUNDLE resolves a family
+row's rows once per twist pair (a, b) (`_bundle_rows`) and caches a form on the
+ring, those rows and the order (`_form_exp`); THETA maps its rows to tables
+itself, so a fault in BUNDLE's map (`_symmetrise_rows`) is a MISMATCH.
 DOUBLE_ROUTE cannot see a fault in what the routes still share, so each
 shared piece is shared for a reason and checked on its own: `power_sums`
 (Newton), the one translation of root sums into Pontryagin classes, against
 a reference; `symmetrise`, `QSeries.exp` and `_mul_into`, the one exp and the
 one ring product, by unit tests and the assembly and window mutants;
 `modular_form(E2)`, the series the paper names, an input not a construction,
-against sigma_1; `_e2_table`, the lead forms' per-root log of exp(c * E2 * w^2),
-against the BUNDLE joint form's own `e2_expm1_over_z`; `GeometrySpec.ring()`,
+against sigma_1; the ("E2", c) table, the one `_root_log` entry both routes
+read, against the BUNDLE joint form's own `e2_expm1_over_z`; `GeometrySpec.ring()`,
 since forms compare only in one ring.  z, the paper's p1 combination, is
 written once per route: BUNDLE's `_z_terms` (also `p1_combo`) and THETA's
 `FamilyForms.theta_z`, each against its two-branch formula, so DOUBLE_ROUTE
@@ -87,16 +88,16 @@ class Route(Enum):
     THETA = "theta"
 
 
-# A recipe names Chern roots "TM", "V" (those of the rank-2l bundle), "u" (xi) or
-# "u'" (xi'), and an exponent as an int or a twist integer "a" / "b".  A BUNDLE
-# row (roots, factor, exponent) is a `_root_log` factor, "ahat", "cosh" or an
-# exterior block (grid, sign), raised to the exponent and multiplied over the
-# roots.  A THETA form (groups, two) multiplies, for each (roots, ((kind,
-# exponent), ...)) group and each of its roots, theta_ratio(kind)^exponent,
-# and scales the product by 2^(two * l); its z, the p1 combination its lead
-# forms' E2 rows run over, is the sum of scale * exponent * s_1(roots) over the
-# (roots, scale, exponent) terms of `theta_z`.  `twist_bundle` is the sum of
-# scale * exponent * ch_tilde_roots(roots) over the terms of `twist`.
+# Both routes write a form as rows (roots, factor, exponent): a `_root_log`
+# factor raised to the exponent and multiplied over the Chern roots "TM", "V"
+# (those of the rank-2l bundle), "u" (xi) or "u'" (xi'), with the exponent an int
+# or a twist integer "a" / "b".  BUNDLE's factors are "ahat", "cosh" and exterior
+# blocks (grid, sign); THETA's are theta quotients (`ThetaKind`), and a THETA
+# form (rows, two) scales its product by 2^(two * l).  Both routes append the E2
+# prefactor's rows, ("E2", c) over z's roots; THETA's z is the sum of scale *
+# exponent * s_1(roots) over the (roots, scale, exponent) terms of `theta_z`.
+# `twist_bundle` is the sum of scale * exponent * ch_tilde_roots(roots) over the
+# terms of `twist`.
 _T1, _T2, _T3 = ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3
 
 
@@ -125,6 +126,7 @@ class FamilyForms:
 # prod_n ch S_(q^n)(TM~), the exterior block at t = -q^n inverted
 _GENUS_ROWS = ((("TM", "ahat", 1), ("V", "cosh", "a")), (("TM", "ahat", 1), ("V", "cosh", "b")))
 _TANGENT_ROW = ("TM", ("int", -1), -1)
+_THETA_TANGENT_ROW = ("TM", ThetaKind.THETA, 1)   # THETA's: A-hat and that row as one quotient
 _IP, _HP, _HM = ("int", +1), ("half", +1), ("half", -1)   # t = q^n, q^(n-1/2), -q^(n-1/2)
 
 FAMILY_FORMS = {
@@ -133,8 +135,8 @@ FAMILY_FORMS = {
         euler_roots=(), e2_coefficient=Fraction(1, 24), euler_cosh=((), ()),
         blocks=((("V", _IP, "a"), ("V", _HP, "b"), ("V", _HM, "b")),
                 (("V", _IP, "b"), ("V", _HP, "b"), ("V", _HM, "a"))),
-        theta=(((("V", ((_T1, "a"), (_T2, "b"), (_T3, "b"))),), "a"),
-               ((("V", ((_T2, "a"), (_T1, "b"), (_T3, "b"))),), "b")),
+        theta=(((("V", _T1, "a"), ("V", _T2, "b"), ("V", _T3, "b")), "a"),
+               ((("V", _T2, "a"), ("V", _T1, "b"), ("V", _T3, "b")), "b")),
         theta_z=(("TM", 1, 1), ("V", -1, "a"), ("V", -2, "b")),
         twist=(("V", 1, "b"), ("V", -1, "a")),
         printed_readings=True),
@@ -155,8 +157,8 @@ FAMILY_FORMS = {
         euler_cosh=((("u", "cosh", -2),), (("u'", "cosh", 1),)),
         blocks=((("V", _IP, 1), ("u", _IP, -2), ("u'", _HP, 1), ("u'", _HM, 1)),
                 (("u'", _IP, 1), ("u'", _HP, 1), ("V", _HM, 1), ("u", _HM, -2))),
-        theta=(((("V", ((_T1, 1),)), ("u", ((_T1, -2),)), ("u'", ((_T3, 1), (_T2, 1)))), 1),
-               ((("V", ((_T2, 1),)), ("u", ((_T2, -2),)), ("u'", ((_T3, 1), (_T1, 1)))), 0)),
+        theta=(((("V", _T1, 1), ("u", _T1, -2), ("u'", _T3, 1), ("u'", _T2, 1)), 1),
+               ((("V", _T2, 1), ("u", _T2, -2), ("u'", _T3, 1), ("u'", _T1, 1)), 0)),
         theta_z=(("u", 1, 1), ("u'", -1, 1)),
         twist=(("u", 2, 1), ("u'", 1, 1), ("V", -1, 1)),
         printed_readings=True),
@@ -236,15 +238,20 @@ def _power_sums(ring: RingSpec, label: str) -> tuple[GradedPoly, ...]:
 
 
 @lru_cache(maxsize=None)
-def _root_log(factor: str | tuple[str, int] | ThetaKind, cap: int, order: int) -> LogParts:
+def _root_log(factor: str | tuple | ThetaKind, cap: int, order: int) -> LogParts:
     """The one cache of per-root log tables, keyed on the factor and its small
-    arguments: "ahat" ((w/2)/sinh(w/2)) and "cosh" (cosh(w/2)) at order 0, an
-    exterior block (grid, sign) and a theta quotient at any order; the last two
-    built through `_exterior_log` and `theta.theta_ratio`, so a patch is seen."""
+    arguments: "ahat" ((w/2)/sinh(w/2)) and "cosh" (cosh(w/2)) at order 0; at any
+    order an exterior block (grid, sign), a theta quotient, both built through
+    `_exterior_log` and `theta.theta_ratio` so that a patch is seen, and ("E2", c),
+    exp(c * E2 * w^2), whose one nonzero row, n = 1, is c * E2."""
     if isinstance(factor, ThetaKind):
         return _log_parts(theta.theta_ratio(factor, cap, order))
     if isinstance(factor, tuple):
-        return _exterior_log(cap, *factor, order)
+        name, arg = factor
+        if name != "E2":
+            return _exterior_log(cap, name, arg, order)
+        e2 = [arg.numerator * int(x) for x in modular_form(ModularFormId.E2, order).coeffs]
+        return LogParts(arg.denominator, [[0] * len(e2), e2] + [[0] * len(e2)] * (cap // 4 - 1))
     # BUNDLE's tables, off closed forms, not the series THETA multiplies in:
     # log((w/2)/sinh(w/2)) = -sum_(n>=1) B_2n w^(2n) / (2n (2n)!) and
     # log cosh(w/2) = sum_(n>=1) (4^n - 1) B_2n w^(2n) / (2n (2n)!)
@@ -290,16 +297,17 @@ def _bundle_rows(row: FamilyForms, a: int, b: int) -> tuple:
 
 
 def _symmetrise_rows(ring: RingSpec, rows: tuple, order: int) -> list:
-    """`symmetrise` input of resolved rows: `_root_log` tables over their roots' power sums."""
-    return [(_root_log(factor, ring.cap, order if isinstance(factor, tuple) else 0),
+    """`symmetrise` input of resolved BUNDLE rows: `_root_log` tables over their roots'
+    power sums, at order 0 for "ahat" and "cosh" and the q-order for every other factor."""
+    return [(_root_log(factor, ring.cap, 0 if factor in ("ahat", "cosh") else order),
              _power_sums(ring, roots), e) for roots, factor, e in rows]
 
 
 @lru_cache(maxsize=None)
 def _form_exp(ring: RingSpec, rows: tuple, order: int) -> QSeries:
-    """The product of rows resolved by `_bundle_rows`, cached on exactly what it reads,
-    the ring, the rows and the order: specs that differ only in an l past k, or in
-    twists that resolve to the same rows, share one build."""
+    """The product of resolved BUNDLE rows, cached on exactly what it reads, the ring,
+    the rows and the order: specs that differ only in an l past k, or in twists that
+    resolve to the same rows, share one build."""
     return symmetrise(_symmetrise_rows(ring, rows, order), order)
 
 
@@ -377,19 +385,6 @@ def p1_combo(spec: GeometrySpec) -> GradedPoly:
 # E2 prefactors
 
 
-def _e2_table(spec: GeometrySpec, order: int) -> LogParts:
-    """The log table of the per-root exp(c * E2 * w^2): its one nonzero row, n = 1, is c * E2."""
-    c = FAMILY_FORMS[spec.family].e2_coefficient
-    e2 = [c.numerator * int(x) for x in modular_form(ModularFormId.E2, order).coeffs]
-    return LogParts(c.denominator, [[0] * len(e2), e2] + [[0] * len(e2)] * (spec.k - 1))
-
-
-def _e2_rows(spec: GeometrySpec, order: int) -> list:
-    """The BUNDLE lead's prefactor exp(c * E2 * z) as rows of `_e2_table` over `_z_terms`."""
-    table = _e2_table(spec, order)
-    return [(table, spec.power_sums(roots), e) for roots, e in _z_terms(spec)]
-
-
 def e2_expm1_over_z(spec: GeometrySpec, order: int) -> QSeries:
     """(exp(c * E2 * z) - 1) / z, a well-defined series in the nilpotent z.
 
@@ -445,10 +440,11 @@ def q_form(form: QFormId, route: Route, spec: GeometrySpec, order: int,
 
 @lru_cache(maxsize=None)
 def _q_form_bundle(form: QFormId, spec: GeometrySpec, order: int, degree: int | None) -> QSeries:
-    if form is QFormId.LEAD:   # not `_form_exp`: its one exp takes the per-spec E2 rows too
-        rows = _bundle_rows(FAMILY_FORMS[spec.family], spec.a, spec.b)
-        rows = rows[0] + rows[2]
-        lead = symmetrise(_symmetrise_rows(spec.ring(), rows, order) + _e2_rows(spec, order), order)
+    if form is QFormId.LEAD:   # the genus and block rows, then the E2 rows over `_z_terms`
+        row = FAMILY_FORMS[spec.family]
+        genus, _, bundle, _ = _bundle_rows(row, spec.a, spec.b)
+        e2 = tuple((roots, ("E2", row.e2_coefficient), e) for roots, e in _z_terms(spec))
+        lead = _form_exp(spec.ring(), genus + bundle + e2, order)
         lead = lead.scale(Fraction(2) ** (spec.a * spec.l))
         return lead if degree is None else lead.degree_slice(degree)
     bundle, weight = ch_theta_bundle(2, spec, order), lead_weight(spec, 2)
@@ -456,7 +452,7 @@ def _q_form_bundle(form: QFormId, spec: GeometrySpec, order: int, degree: int | 
         return bundle * weight if degree is None else bundle.mul_window(weight, degree, degree)
     # a last product read at `degree` reads main in the degrees up to it only
     main = bundle * weight if degree is None else bundle.mul_window(weight, 0, degree)
-    # (exp(c E2 z) - 1) / z, not the E2 rows the THETA route exponentiates
+    # (exp(c E2 z) - 1) / z, not the E2 rows the lead forms exponentiate
     factor = e2_expm1_over_z(spec, order)
     if form is QFormId.JOINT:
         # main + z * correction as one product, so no full-size correction is held
@@ -465,13 +461,12 @@ def _q_form_bundle(form: QFormId, spec: GeometrySpec, order: int, degree: int | 
 
 
 def _q_form_theta(form: QFormId, spec: GeometrySpec, order: int) -> QSeries:
-    cap, row = 4 * spec.k, FAMILY_FORMS[spec.family]
-    rows = [(_root_log(ThetaKind.THETA, cap, order), spec.power_sums("TM"), 1)]
-    groups, two = row.theta[0 if form is QFormId.LEAD else 1]
-    for roots, kinds in groups:
-        for kind, e in kinds:
-            rows.append((_root_log(kind, cap, order), spec.power_sums(roots), spec.twist(e)))
-    table = _e2_table(spec, order)   # over THETA's own z, not `_z_terms`
-    rows += [(table, spec.power_sums(roots), s * spec.twist(e)) for roots, s, e in row.theta_z]
-    res = symmetrise(rows, order)
+    row = FAMILY_FORMS[spec.family]
+    recipe, two = row.theta[0 if form is QFormId.LEAD else 1]
+    rows = [(roots, factor, spec.twist(e)) for roots, factor, e in (_THETA_TANGENT_ROW,) + recipe]
+    # the E2 rows over THETA's own z, not `_z_terms`; then THETA's own map of rows to
+    # tables, each at the q-order, not `_symmetrise_rows`: a fault in BUNDLE's is a MISMATCH
+    rows += [(roots, ("E2", row.e2_coefficient), s * spec.twist(e)) for roots, s, e in row.theta_z]
+    res = symmetrise([(_root_log(factor, 4 * spec.k, order), spec.power_sums(roots), e)
+                      for roots, factor, e in rows], order)
     return res.scale(Fraction(2) ** (spec.twist(two) * spec.l))

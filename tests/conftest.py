@@ -630,10 +630,10 @@ def root_q_form(form, route, spec, order: int) -> QSeries:
     check_form_route(form, route, spec)
     cap = 4 * spec.k
     if route is Route.THETA:
-        groups, two = FAMILY_FORMS[spec.family].theta[0 if form is QFormId.LEAD else 1]
+        recipe, two = FAMILY_FORMS[spec.family].theta[0 if form is QFormId.LEAD else 1]
         factors = [(theta_ratio(ThetaKind.THETA, cap, order), "TM", 1)]
         factors += [(theta_ratio(kind, cap, order), label, spec.twist(e))
-                    for label, kinds in groups for kind, e in kinds]
+                    for label, kind, e in recipe]
         product = _root_e2_series(spec, order, 0) * root_product(spec, factors)
         return product.scale(Fraction(2) ** (spec.twist(two) * spec.l))
     ahat = root_product(spec, [(half_over_sinh_half_root(cap), "TM", 1)])

@@ -227,17 +227,36 @@ CATALOGUE = (
            ("tests/test_decomp.py::TestClosedForms",)),
     # the two routes sharing code: each computes the same value, so only the
     # route-independence tests tell them from the program.  THETA's tangent row
-    # as A-hat over the inverse exterior block at t = -q^n; BUNDLE's joint form
-    # as the exp of the E2 rows the THETA route reads
+    # as A-hat over the inverse exterior block at t = -q^n; THETA's rows mapped to
+    # tables by BUNDLE's `_symmetrise_rows`; BUNDLE's joint form as the exp of the
+    # E2 rows its lead form reads
     Mutant("theta-rows-read-exterior-log", "src/anomcancel/bundles.py",
-           'rows = [(_root_log(ThetaKind.THETA, cap, order), spec.power_sums("TM"), 1)]',
-           'rows = [(_root_log("ahat", cap, 0), spec.power_sums("TM"), 1),\n'
-           '            (_root_log(("int", -1), cap, order), spec.power_sums("TM"), -1)]',
+           "(_THETA_TANGENT_ROW,) + recipe",
+           '(("TM", "ahat", 1), ("TM", ("int", -1), -1)) + recipe',
+           ("tests/test_bundles.py::TestRouteIndependence",)),
+    Mutant("theta-rows-via-bundle-map", "src/anomcancel/bundles.py",
+           "res = symmetrise([(_root_log(factor, 4 * spec.k, order), spec.power_sums(roots), e)\n"
+           "                      for roots, factor, e in rows], order)",
+           "res = symmetrise(_symmetrise_rows(spec.ring(), tuple(rows), order), order)",
            ("tests/test_bundles.py::TestRouteIndependence",)),
     Mutant("bundle-joint-via-e2-exponent", "src/anomcancel/bundles.py",
            "factor = factor * p1_combo(spec) + QSeries.one(order, spec.ring())",
-           "factor = symmetrise(_e2_rows(spec, order), order)",
+           'factor = _form_exp(spec.ring(), tuple((roots, ("E2", FAMILY_FORMS[spec.family]'
+           '.e2_coefficient), e) for roots, e in _z_terms(spec)), order)',
            ("tests/test_bundles.py::TestRouteMutations",)),
+    # THETA's recipe: one two-line row exponent, and its tangent row (DOUBLE_ROUTE sees both)
+    Mutant("theta-two-line-row-exponent-flipped", "src/anomcancel/bundles.py",
+           '("u", _T1, -2)', '("u", _T1, 2)',
+           ("tests/test_bundles.py::TestRouteMutations",)),
+    Mutant("theta-tangent-row-dropped", "src/anomcancel/bundles.py",
+           "(_THETA_TANGENT_ROW,) + recipe", "recipe",
+           ("tests/test_bundles.py::TestRouteMutations",)),
+    # the E2 table both routes read, so DOUBLE_ROUTE cannot see it: its one row at
+    # n = 2 instead of n = 1 (cut off at k = 1), against `e2_expm1_over_z`
+    Mutant("e2-table-row-at-n-2", "src/anomcancel/bundles.py",
+           "[[0] * len(e2), e2] + [[0] * len(e2)] * (cap // 4 - 1)",
+           "([[0] * len(e2)] * 2 + [e2] + [[0] * len(e2)] * cap)[:cap // 4 + 1]",
+           ("tests/test_bundles.py::TestQForms::test_e2_factor_times_inverse",)),
 )
 
 

@@ -37,7 +37,7 @@ from anomcancel.bundles import (
     p1_combo,
     q_form,
 )
-from anomcancel.bundles import _e2_rows, _exterior_log
+from anomcancel.bundles import _exterior_log
 from anomcancel.errors import UsageError
 from anomcancel.records import replace
 from anomcancel.theta import ThetaKind, theta_ratio
@@ -351,9 +351,12 @@ class TestQForms:
         assert len({n for row in names for n in row}) == 4 * len(Family)
 
     def test_e2_factor_times_inverse(self):
-        # the lead forms' E2 rows against the BUNDLE joint form's independent factor
+        # the lead forms' E2 rows, ("E2", c) over z's roots, against the BUNDLE
+        # joint form's independent factor
         for spec in [GeometrySpec(k=k, l=1, a=1, b=0, family=f) for k in (1, 2) for f in Family]:
-            fwd = symmetrise(_e2_rows(spec, 3), 3)
+            e2 = ("E2", FAMILY_FORMS[spec.family].e2_coefficient)
+            rows = tuple((roots, e2, e) for roots, e in bundles._z_terms(spec))
+            fwd = bundles._form_exp(spec.ring(), rows, 3)
             # exp(c E2 z) * exp(-c E2 z) = 1; realize the inverse via series inv
             assert fwd * fwd.inv() == QSeries.one(3, spec.ring())
             assert fwd == e2_expm1_over_z(spec, 3) * p1_combo(spec) + QSeries.one(3, spec.ring())
@@ -372,6 +375,53 @@ class TestQForms:
         expect = (genus_form(spec) * cosh_u
                   * ch_spinor_pow(spec, 0)) * ch_theta_bundle(2, spec, 2)
         assert q2 == expect
+
+
+def shape_faults(row):
+    """The rows and terms of a `FAMILY_FORMS` row that name a root label its family
+    lacks, a factor its route does not read (THETA only a `ThetaKind`, BUNDLE never
+    one), or an exponent that is not an int, "a" or "b"."""
+    def exponent(e):
+        return e in ("a", "b") or (isinstance(e, int) and not isinstance(e, bool))
+
+    labels = {"TM", "V", *row.euler_roots}
+    blocks = {(grid, sign) for grid in ("int", "half") for sign in (1, -1)}
+    bundle = [*bundles._GENUS_ROWS[0], *bundles._GENUS_ROWS[1], bundles._TANGENT_ROW,
+              *row.euler_cosh[0], *row.euler_cosh[1], *row.blocks[0], *row.blocks[1]]
+    theta = [bundles._THETA_TANGENT_ROW] + [r for recipe, _ in row.theta or () for r in recipe]
+    terms = [*(row.theta_z or ()), *row.twist]   # (roots, scale, exponent)
+    allowed = [(bundle, lambda f: f in ("ahat", "cosh") or f in blocks),
+               (theta, lambda f: isinstance(f, ThetaKind)),
+               (terms, lambda s: isinstance(s, int) and not isinstance(s, bool))]
+    faults = [r for rows, ok in allowed for r in rows
+              if r[0] not in labels or not ok(r[1]) or not exponent(r[2])]
+    return faults + [two for _, two in row.theta or () if not exponent(two)]
+
+
+class TestFamilyFormsShape:
+    """Every row of `FAMILY_FORMS` names a root of its family, a factor of its route
+    and an int or twist exponent; a misspelt label would otherwise fail deep inside
+    `algebra.power_sums`."""
+
+    @pytest.mark.parametrize("family", list(Family), ids=lambda family: family.value)
+    def test_every_row_has_the_shape_its_route_reads(self, family):
+        assert shape_faults(FAMILY_FORMS[family]) == []
+
+    def test_each_kind_of_fault_is_found(self):
+        two = FAMILY_FORMS[Family.TWO_LINE]
+        (roots, factor, e), *rest = two.blocks[0]
+        recipe, power = two.theta[0]
+        bad = [("W", factor, e), (roots, ThetaKind.THETA1, e), (roots, factor, "c"),
+               (roots, factor, True), (roots, ("int", 2), e)]
+        for fault in bad:
+            row = replace(two, blocks=((fault, *rest), two.blocks[1]))
+            assert shape_faults(row) == [fault], fault
+        row = replace(two, theta=((((roots, "cosh", 1), *recipe), power), two.theta[1]))
+        assert shape_faults(row) == [(roots, "cosh", 1)]
+        for term in (("W", 1, 1), (roots, "a", 1), (roots, 1, "W")):
+            assert shape_faults(replace(two, twist=(term,))) == [term], term
+        row = replace(two, theta=(two.theta[0], (two.theta[1][0], "c")))
+        assert shape_faults(row) == ["c"]
 
 
 class TestRouteIndependence:
@@ -398,6 +448,14 @@ class TestRouteIndependence:
         assert not q_form(form, Route.THETA, spec, 2).is_zero()
 
     @pytest.mark.parametrize("form, spec", CASES)
+    def test_theta_route_maps_its_own_rows(self, form, spec, cold_caches, monkeypatch):
+        # THETA maps its rows to tables itself: were it to share BUNDLE's map, a
+        # fault in that map's q-order rule would reach both routes alike
+        for name in ("_symmetrise_rows", "_form_exp", "_bundle_rows"):
+            monkeypatch.setattr(bundles, name, self.refuse)
+        assert not q_form(form, Route.THETA, spec, 2).is_zero()
+
+    @pytest.mark.parametrize("form, spec", CASES)
     def test_bundle_route_uses_no_literal_genus_series(self, form, spec, cold_caches,
                                                         monkeypatch):
         # BUNDLE reads A-hat and cosh off closed forms; THETA multiplies in these series
@@ -417,18 +475,24 @@ class TestRouteIndependence:
 
     @pytest.mark.parametrize("form, spec", CASES)
     def test_theta_route_caches_theta_quotient_tables_only(self, form, spec, cold_caches):
+        # the theta quotients and the E2 table, the one entry the routes share
         q_form(form, Route.THETA, spec, 2)
-        groups, _ = FAMILY_FORMS[spec.family].theta[0 if form is QFormId.LEAD else 1]
-        kinds = {ThetaKind.THETA} | {kind for _, pairs in groups for kind, _ in pairs}
-        assert self.tables_cached([(kind, 4 * spec.k, 2) for kind in kinds])
+        recipe, _ = FAMILY_FORMS[spec.family].theta[0 if form is QFormId.LEAD else 1]
+        kinds = {ThetaKind.THETA} | {kind for _, kind, _ in recipe}
+        e2 = ("E2", FAMILY_FORMS[spec.family].e2_coefficient)
+        assert self.tables_cached([(kind, 4 * spec.k, 2) for kind in kinds] + [(e2, 4 * spec.k, 2)])
 
     @pytest.mark.parametrize("form, spec", CASES)
     def test_bundle_route_caches_genus_tables_only(self, form, spec, cold_caches):
         # the genus tables at order 0, and the tangent row's and the bundle's
-        # exterior blocks at the order; no key is a theta quotient's
+        # exterior blocks at the order, with the lead's E2 table, the one entry
+        # the routes share (the joint form's E2 factor is `e2_expm1_over_z`); no
+        # key is a theta quotient's
         q_form(form, Route.BUNDLE, spec, 2)
         blocks = FAMILY_FORMS[spec.family].blocks[0 if form is QFormId.LEAD else 1]
         factors = {("int", -1)} | {factor for _, factor, _ in blocks}
+        if form is QFormId.LEAD:
+            factors.add(("E2", FAMILY_FORMS[spec.family].e2_coefficient))
         assert self.tables_cached([("ahat", 4 * spec.k, 0), ("cosh", 4 * spec.k, 0)]
                                   + [(factor, 4 * spec.k, 2) for factor in factors])
 
@@ -469,10 +533,10 @@ class TestRouteMutations:
     @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.family.value)
     def test_theta_recipe_exponent(self, spec, which, cold_caches, monkeypatch):
         row = FAMILY_FORMS[spec.family]
-        groups, two = row.theta[which]
-        (roots, ((kind, e), *kinds)), *rest = groups
+        recipe, two = row.theta[which]
+        (roots, kind, e), *rest = recipe
         theta = list(row.theta)
-        theta[which] = (((roots, ((kind, spec.twist(e) + 1), *kinds)), *rest), two)
+        theta[which] = (((roots, kind, spec.twist(e) + 1), *rest), two)
         monkeypatch.setitem(FAMILY_FORMS, spec.family, replace(row, theta=tuple(theta)))
         assert self.verdicts(spec) == self.expect(row, which)
 

@@ -258,13 +258,12 @@ def _block_rows(roots, which):
 
 def _theta_rows(roots, form):
     spec = roots.spec
-    groups, two = FAMILY_FORMS[spec.family].theta[0 if form is QFormId.LEAD else 1]
+    recipe, two = FAMILY_FORMS[spec.family].theta[0 if form is QFormId.LEAD else 1]
     rows = []
-    for label, kinds in (("TM", ((ThetaKind.THETA, 1),)),) + groups:
-        for kind, e in kinds:
-            prefactor, f, c, steps = THETA_ORACLE[kind]
-            factors = [(f, c, h) for h in steps if h <= 2 * roots.order]
-            rows.append((roots.per_root(prefactor, factors, spec.twist(e)), label))
+    for label, kind, e in (("TM", ThetaKind.THETA, 1),) + recipe:
+        prefactor, f, c, steps = THETA_ORACLE[kind]
+        factors = [(f, c, h) for h in steps if h <= 2 * roots.order]
+        rows.append((roots.per_root(prefactor, factors, spec.twist(e)), label))
     return rows, sp.QQ(2) ** (spec.twist(two) * spec.l)
 
 
