@@ -220,109 +220,97 @@ def _theorem_sides(spec: GeometrySpec,
     return lhs, rhs, data
 
 
+def _reduced(spec: GeometrySpec, diff: GradedPoly) -> tuple[GradedPoly, tuple[str, ...]]:
+    """`diff` reduced modulo the two-line relation p1(TM) = p1(V), with the note that says so."""
+    if spec.family is Family.TWO_LINE:
+        return ideal_reduce(diff, "p1(TM)", "p1(V)"), ("difference reduced modulo p1(TM) - p1(V)",)
+    return diff, ()
+
+
 def _case_theorem(req: CaseRequest) -> Outcome:
     spec = req.spec
     lhs, rhs, data = _theorem_sides(spec, req.perturb)
-    diff = lhs - rhs
-    notes = []
-    if spec.family is Family.TWO_LINE:
-        diff = ideal_reduce(diff, "p1(TM)", "p1(V)")
-        notes.append("difference reduced modulo p1(TM) - p1(V)")
-    ok = diff.is_zero
+    diff, notes = _reduced(spec, lhs - rhs)
     quantities = [(f"ch(b_{r})", str(br)) for r, br in enumerate(data["b"])]
     quantities += [(f"beta_{r}", str(betar)) for r, betar in enumerate(data["beta"])]
     quantities.append(("correction_form", str(data["correction"])))
-    return ok, _poly_residual(diff), tuple(quantities), tuple(notes)
+    return diff.is_zero, _poly_residual(diff), tuple(quantities), notes
 
 
 # ---------------------------------------------------------------------------
 # Corollaries (dimension 4 and dimension 8 specializations)
 
 
+def _dimension4(spec: GeometrySpec, lead: GradedPoly, weight: GradedPoly,
+                const: Fraction) -> tuple[GradedPoly, tuple[str, ...]]:
+    """k = 1: lead + 2^((a-b)l+1) weight = -const z in degree 4; `_reduced` of the difference."""
+    lhs = lead.degree_part(4) + weight.degree_part(4) * _two_pow((spec.a - spec.b) * spec.l + 1)
+    return _reduced(spec, lhs - p1_combo(spec) * (-const))
+
+
+def _dimension8(spec: GeometrySpec, lead: GradedPoly, weight: GradedPoly, w: GradedPoly,
+                c0: Fraction, c1: Fraction, note: str) -> tuple[GradedPoly, tuple[str, ...]]:
+    """k = 2: lead - c0 weight - c1 weight w = z pref (c0 weight + c1 weight w - lead) in degree 8,
+    pref = (e^(c z) - 1) / z; the reduced difference, and `_reduced`'s note joined to `note`."""
+    pref = e2_expm1_over_z(spec, 0).coeffs[0]
+    lhs = lead.degree_part(8) - weight.degree_part(8) * c0 - weight.mul_part(w, 8) * c1
+    # pref * bracket in degree 4 reads the bracket in degrees 0 and 4; weight * w is 0 in degree 0
+    bracket = weight * c0 + weight.mul_part(w, 4) * c1 - lead
+    diff, notes = _reduced(spec, lhs - p1_combo(spec) * pref.mul_part(bracket, 4))
+    return diff, ("; ".join(notes + (note,)),)
+
+
 def _case_cor32(req: CaseRequest) -> Outcome:
     spec = req.spec
-    a, b, l = spec.a, spec.b, spec.l
-    # specialization coherence: the k = 1 theorem data must imply exactly this
-    # statement (sign of the r = 0 bundle coefficient, constant correction form)
+    a, l = spec.a, spec.l
+    # coherence: the k = 1 theorem data imply exactly this statement (b_0 = -1, constant correction)
     _, _, data = _theorem_sides(spec)
-    da, db = data["lead"], data["weight"]
-    z = p1_combo(spec)
     const = _two_pow(a * l - 3)
     if req.perturb:
         const = const * 2
-    lhs = da.degree_part(4) + db.degree_part(4) * _two_pow((a - b) * l + 1)
-    rhs = z * (-const)
-    diff = lhs - rhs
-    ring = spec.ring()
-    coherent = (data["b"][0] == GradedPoly.constant(ring, -1)
-                and data["correction"] == GradedPoly.constant(ring, -_two_pow(a * l - 3)))
+    diff, notes = _dimension4(spec, data["lead"], data["weight"], const)
+    coherent = data["b"][0] == -1 and data["correction"] == -_two_pow(a * l - 3)
     quantities = (("constant", f"-2^({a}*{l}-3) = {-const}"),
-                  ("p1_combo", str(z)),
+                  ("p1_combo", str(p1_combo(spec))),
                   ("coherent_with_main_theorem", "yes" if coherent else "no"))
-    return diff.is_zero and coherent, _poly_residual(diff), quantities, ()
+    return diff.is_zero and coherent, _poly_residual(diff), quantities, notes
 
 
 def _case_cor33(req: CaseRequest) -> Outcome:
     spec = req.spec
     a, b, l = spec.a, spec.b, spec.l
-    da, db = lead_weight(spec, 1), lead_weight(spec, 2)
-    chv = ch_tilde_roots(spec, "V")
-    z = p1_combo(spec)
-    pref = e2_expm1_over_z(spec, 0).coeffs[0]
     c0 = _two_pow((a - b) * l)
     c1 = _two_pow((a - b) * l - 4) * (b - a)
     if req.perturb:
         c0 = c0 * 2
-    lhs = da.degree_part(8) - db.degree_part(8) * c0 - db.mul_part(chv, 8) * c1
-    # pref * bracket in degree 4 reads the bracket in degrees 0 and 4, and db * chv is 0 in degree 0
-    bracket = db * c0 + db.mul_part(chv, 4) * c1 - da
-    rhs = z * pref.mul_part(bracket, 4)
-    diff = lhs - rhs
-    notes = ("identity checked with the coefficient 2^((a-b)l-4)(b-a) on the ch(V~) "
-             "term on both sides; the b = 0, (a-b)l = 4 instance reproduces the "
-             "plain -a coefficient",)
+    diff, notes = _dimension8(
+        spec, lead_weight(spec, 1), lead_weight(spec, 2), ch_tilde_roots(spec, "V"), c0, c1,
+        "identity checked with the coefficient 2^((a-b)l-4)(b-a) on the ch(V~) term on both "
+        "sides; the b = 0, (a-b)l = 4 instance reproduces the plain -a coefficient")
     quantities = (("coeff_r0", str(c0)), ("coeff_r1_chV", str(c1)))
     return diff.is_zero, _poly_residual(diff), quantities, notes
 
 
 def _case_cor42(req: CaseRequest) -> Outcome:
     spec = req.spec
-    l = spec.l
-    lead, weight = lead_weight(spec, 1), lead_weight(spec, 2)
-    z = p1_combo(spec)
-    const = _two_pow(l - 2)
+    const = _two_pow(spec.l - 2)
     if req.perturb:
         const = const * 2
-    lhs = lead.degree_part(4) + weight.degree_part(4) * _two_pow(l + 1)
-    rhs = z * (-const)
-    diff = ideal_reduce(lhs - rhs, "p1(TM)", "p1(V)")
-    quantities = (("constant", f"-2^({l}-2) = {-const}"),
-                  ("p1_combo", str(z)))
-    notes = ("difference reduced modulo p1(TM) - p1(V)",)
+    diff, notes = _dimension4(spec, lead_weight(spec, 1), lead_weight(spec, 2), const)
+    quantities = (("constant", f"-2^({spec.l}-2) = {-const}"), ("p1_combo", str(p1_combo(spec))))
     return diff.is_zero, _poly_residual(diff), quantities, notes
 
 
 def _case_cor43(req: CaseRequest) -> Outcome:
     spec = req.spec
-    l = spec.l
-    lead, weight = lead_weight(spec, 1), lead_weight(spec, 2)
-    chw = twist_bundle(spec)
-    z = p1_combo(spec)
-    pref = e2_expm1_over_z(spec, 0).coeffs[0]
-    c1 = _two_pow(l - 4)
+    c1 = _two_pow(spec.l - 4)
     if req.perturb:
         c1 = c1 * 2
-    lhs = (lead.degree_part(8) - weight.degree_part(8) * _two_pow(l)
-           - weight.mul_part(chw, 8) * c1)
-    # as in COR33, weight * chw is read in degrees 4 and 8 only
-    bracket = weight * _two_pow(l) + weight.mul_part(chw, 4) * c1 - lead
-    rhs = z * pref.mul_part(bracket, 4)
-    diff = ideal_reduce(lhs - rhs, "p1(TM)", "p1(V)")
-    notes = ("difference reduced modulo p1(TM) - p1(V); the Euler-square of xi' is "
-             "used for its first Pontryagin class; the bracket carries the "
-             "ch(2xi~+xi'~-V~) term with coefficient +2^(l-4)",)
-    quantities = (("coeff_chW", str(c1)),)
-    return diff.is_zero, _poly_residual(diff), quantities, notes
+    diff, notes = _dimension8(
+        spec, lead_weight(spec, 1), lead_weight(spec, 2), twist_bundle(spec), _two_pow(spec.l), c1,
+        "the Euler-square of xi' is used for its first Pontryagin class; the bracket "
+        "carries the ch(2xi~+xi'~-V~) term with coefficient +2^(l-4)")
+    return diff.is_zero, _poly_residual(diff), (("coeff_chW", str(c1)),), notes
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,21 @@ CATALOGUE = (
     Mutant("cor32-constant", "src/anomcancel/verifier.py",
            "const = _two_pow(a * l - 3)", "const = _two_pow(a * l - 2)",
            ("tests/test_verifier.py",)),
+    # the one dimension-4 and one dimension-8 corollary identity (COR32/COR42 and
+    # COR33/COR43), and the one reduction modulo the two-line relation p1(TM) = p1(V)
+    Mutant("dimension4-weight-power", "src/anomcancel/verifier.py",
+           "_two_pow((spec.a - spec.b) * spec.l + 1)", "_two_pow((spec.a - spec.b) * spec.l + 2)",
+           ("tests/test_verifier.py",)),
+    Mutant("dimension8-bracket-without-lead", "src/anomcancel/verifier.py",
+           "bracket = weight * c0 + weight.mul_part(w, 4) * c1 - lead",
+           "bracket = weight * c0 + weight.mul_part(w, 4) * c1",
+           ("tests/test_verifier.py",)),
+    Mutant("dimension8-lhs-twist-at-degree-4", "src/anomcancel/verifier.py",
+           "weight.mul_part(w, 8) * c1", "weight.mul_part(w, 4) * c1",
+           ("tests/test_verifier.py",)),
+    Mutant("two-line-relation-not-reduced", "src/anomcancel/verifier.py",
+           'return ideal_reduce(diff, "p1(TM)", "p1(V)"), ', "return diff, ",
+           ("tests/test_verifier.py",)),
     # the terms of BUNDLE's z = p1_combo, which its lead forms' E2 rows run over;
     # THETA writes its own z, so DOUBLE_ROUTE alone sees them
     Mutant("e2-row-v-twist", "src/anomcancel/bundles.py",

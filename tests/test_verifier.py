@@ -29,6 +29,7 @@ from conftest import _clear_caches, reference_theorem_sides, scale_gens
 AB = lambda k, l, a, b: GeometrySpec(k=k, l=l, a=a, b=b, family=Family.AB)
 XI = lambda k, l, a, b: GeometrySpec(k=k, l=l, a=a, b=b, family=Family.AB_XI)
 TWO = lambda k, l: GeometrySpec(k=k, l=l, a=1, b=0, family=Family.TWO_LINE)
+REDUCED = "difference reduced modulo p1(TM) - p1(V)"
 
 
 class TestSingleCases:
@@ -52,14 +53,28 @@ class TestSingleCases:
     def test_thm34_instance(self):
         assert verify_case(CaseId.THM34, XI(2, 2, 2, 1)).passed
 
-    def test_thm41_and_corollaries(self):
-        assert verify_case(CaseId.THM41, TWO(1, 1)).passed
-        assert verify_case(CaseId.THM41, TWO(2, 2)).passed
-        assert verify_case(CaseId.COR42, TWO(1, 2)).passed
-        assert verify_case(CaseId.COR43, TWO(2, 1)).passed
-
-    def test_cor33_instance(self):
-        assert verify_case(CaseId.COR33, AB(2, 3, -1, 2)).passed
+    @pytest.mark.parametrize("case, spec, quantities, notes", [
+        (CaseId.COR32, AB(1, 2, 2, 1), {"constant": "-2^(2*2-3) = -2", "p1_combo": None,
+                                        "coherent_with_main_theorem": "yes"}, ()),
+        (CaseId.COR33, AB(2, 3, -1, 2), {"coeff_r0": "1/512", "coeff_r1_chV": "3/8192"},
+         ("identity checked with the coefficient 2^((a-b)l-4)(b-a) on the ch(V~) term on both "
+          "sides; the b = 0, (a-b)l = 4 instance reproduces the plain -a coefficient",)),
+        (CaseId.COR42, TWO(1, 2), {"constant": "-2^(2-2) = -1", "p1_combo": None}, (REDUCED,)),
+        (CaseId.COR43, TWO(2, 1), {"coeff_chW": "1/8"},
+         (REDUCED + "; the Euler-square of xi' is used for its first Pontryagin class; the "
+          "bracket carries the ch(2xi~+xi'~-V~) term with coefficient +2^(l-4)",)),
+        (CaseId.THM41, TWO(1, 1), dict.fromkeys(("ch(b_0)", "beta_0", "correction_form")),
+         (REDUCED,)),
+        (CaseId.THM41, TWO(2, 2), dict.fromkeys(
+            ("ch(b_0)", "ch(b_1)", "beta_0", "beta_1", "correction_form")), (REDUCED,)),
+    ], ids=["COR32", "COR33", "COR42", "COR43", "THM41", "THM41-k2"])
+    def test_thm41_and_corollaries(self, case, spec, quantities, notes):
+        # the reports' fixed text: every label in order, each printed constant
+        # (None: a polynomial, not pinned) and every note
+        report = verify_case(case, spec)
+        assert report.passed and report.notes == notes
+        assert [(name, text if quantities.get(name) else None)
+                for name, text in report.quantities] == list(quantities.items())
 
     def test_transfer(self):
         assert verify_case(CaseId.EQ318_TRANSFER, AB(2, 1, -1, 2)).passed
