@@ -8,7 +8,6 @@ and Eisenstein transformation laws are additionally checked numerically.
 
 from .algebra import (
     GradedPoly,
-    PontryaginPoly,
     QSeries,
     RingSpec,
     apply_series,
@@ -55,8 +54,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BrBetarKind", "CaseId", "CaseRequest", "DomainError",
     "Family", "GeometrySpec", "GradedPoly", "Group",
-    "InvertError", "ModularFormId", "PontryaginPoly", "QFormId", "QSeries",
-    "Report", "RingSpec", "Route", "SymmetryError", "ThetaKind",
+    "InvertError", "ModularFormId", "QFormId", "QSeries", "Report",
+    "RingSpec", "Route", "SymmetryError", "ThetaKind",
     "UsageError", "apply_series", "basis_combination", "basis_series",
     "ch_spinor_pow", "ch_theta_bundle", "closed_form_checks", "decompose",
     "default_grid", "extract_br_betar", "genus_form", "ideal_reduce",

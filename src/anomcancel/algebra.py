@@ -941,43 +941,8 @@ def symmetrise(rows: Sequence[tuple[LogParts, Sequence[GradedPoly], int]],
 # Symmetric-function conversion to Pontryagin presentation
 
 
-class PontryaginPoly:
-    """A graded polynomial rewritten over Pontryagin generators p_i(family).
-
-    Wraps a GradedPoly over a symbol ring in which each converted root family
-    contributes generators p1(F)..pm(F) of degrees 4,8,..; unconverted
-    generators (e.g. rank-two Euler roots) pass through unchanged.
-    """
-
-    def __init__(self, poly: GradedPoly, source_spec: RingSpec,
-                 families: tuple[tuple[str, tuple[str, ...]], ...]):
-        self.poly = poly
-        self.source_spec = source_spec
-        self.families = families
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PontryaginPoly):
-            return NotImplemented
-        return self.poly == other.poly and self.families == other.families
-
-    def __str__(self) -> str:
-        return str(self.poly)
-
-    def __repr__(self) -> str:
-        return f"PontryaginPoly({self.poly})"
-
-    def expand(self) -> GradedPoly:
-        """Substitute every p_i(F) by the elementary symmetric function of squared roots."""
-        src = self.source_spec
-        images = _images(src, self.families)
-        result = GradedPoly.zero(src)
-        for exps, coeff in self.poly.iter_terms():
-            result = result + _image(src, images, zip(self.poly.spec.names, exps)) * coeff
-        return result
-
-
 def _images(src: RingSpec,
-            families: tuple[tuple[str, tuple[str, ...]], ...]) -> dict[str, GradedPoly]:
+            families: Sequence[tuple[str, Sequence[str]]]) -> dict[str, GradedPoly]:
     """Each generator of `src` as itself, and each p_i(F) as e_i of F's squared
     roots x, built root by root through e_i <- e_i + x e_(i-1)."""
     images = {name: GradedPoly.generator(src, name) for name in src.names}
@@ -996,21 +961,26 @@ def _image(src: RingSpec, images: Mapping[str, GradedPoly], powers) -> GradedPol
     out = GradedPoly.one(src)
     for name, e in powers:
         if e:
-            if name not in images:
-                raise UsageError(f"cannot expand symbol {name!r}")
             out = out * images[name] ** e
     return out
 
 
-def pontryagin_all(p: GradedPoly, families: Sequence[tuple[str, Sequence[str]]]) -> PontryaginPoly:
-    """Convert every listed root family at once.  Only tests and users call this:
-    the engine computes in the Pontryagin ring directly."""
-    return _convert_families(p, tuple((f, tuple(r)) for f, r in families))
+def _expand(poly: GradedPoly, src: RingSpec,
+            families: Sequence[tuple[str, Sequence[str]]]) -> GradedPoly:
+    """`pontryagin_all`'s inverse: every p_i(F) of `poly` substituted by the
+    elementary symmetric function e_i of F's squared roots in `src`."""
+    images = _images(src, families)
+    result = GradedPoly.zero(src)
+    for exps, coeff in poly.iter_terms():
+        result = result + _image(src, images, zip(poly.spec.names, exps)) * coeff
+    return result
 
 
-def _convert_families(p: GradedPoly,
-                      families: tuple[tuple[str, tuple[str, ...]], ...]) -> PontryaginPoly:
-    """Leading-term elimination (Macdonald, Symmetric Functions, I.2).
+def pontryagin_all(p: GradedPoly, families: Sequence[tuple[str, Sequence[str]]]) -> GradedPoly:
+    """Rewrite p over its passthrough generators, then p_1(F), p_2(F), .. of
+    each listed root family F, by leading-term elimination (Macdonald,
+    Symmetric Functions, I.2).  Only tests and users call this: the engine
+    computes in the Pontryagin ring directly.
 
     In the lex order ranking the family roots first, as listed, then the
     passthrough generators, the leading monomial of what is left has, in each
@@ -1046,8 +1016,8 @@ def _convert_families(p: GradedPoly,
         out_terms[tuple(powers.get(name, 0) for name in target.names)] = c
         left = left - _image(src, images, powers.items()) * c
 
-    result = PontryaginPoly(GradedPoly.from_terms(target, out_terms), src, families)
-    if result.expand() != p:
+    result = GradedPoly.from_terms(target, out_terms)
+    if _expand(result, src, families) != p:
         raise SymmetryError("back-substitution mismatch; input not symmetric in the family")
     return result
 

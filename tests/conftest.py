@@ -501,9 +501,9 @@ def in_pontryagin(x, spec):
     """A root-ring element, or series, rewritten in spec.ring() by pontryagin_all."""
     families = (("TM", roots_of(spec, "TM")), ("V", roots_of(spec, "V")))
     if isinstance(x, QSeries):
-        return QSeries([pontryagin_all(c, families).poly for c in x.coeffs],
+        return QSeries([pontryagin_all(c, families) for c in x.coeffs],
                        x.order, spec.ring())
-    return pontryagin_all(x, families).poly
+    return pontryagin_all(x, families)
 
 
 def _root_z(spec) -> GradedPoly:

@@ -64,6 +64,8 @@ def _key_without(position: int, name: str) -> str:
 def {name}("""
 
 
+_CONVERTER = ("tests/test_algebra.py::TestPontryagin", "tests/test_algebra.py::TestElimination")
+
 CATALOGUE = (
     # the BUNDLE route's closed-form exterior log (caught by THETA's literal products)
     Mutant("exterior-log-sign-power", "src/anomcancel/bundles.py",
@@ -272,6 +274,40 @@ CATALOGUE = (
            "[[0] * len(e2), e2] + [[0] * len(e2)] * (cap // 4 - 1)",
            "([[0] * len(e2)] * 2 + [e2] + [[0] * len(e2)] * cap)[:cap // 4 + 1]",
            ("tests/test_bundles.py::TestQForms::test_e2_factor_times_inverse",)),
+    # the converter of the tests' root-ring oracle.  Mutants that stop the
+    # subtracted image cancelling the leading monomial (the partition
+    # exponents, the odd-exponent test, the passthrough powers, e_(i-1) in the
+    # e_i recurrence) make the elimination loop run forever, so none is
+    # listed.  Switching the back-substitution check off survives and is
+    # equivalent: the loop ends only when `left` is zero, and each step keeps
+    # left = p - sum c * image.
+    Mutant("converter-least-monomial", "src/anomcancel/algebra.py",
+           "exps, c = max(left.iter_terms(),", "exps, c = min(left.iter_terms(),",
+           _CONVERTER),
+    Mutant("converter-coefficient-doubled", "src/anomcancel/algebra.py",
+           "for name in target.names)] = c", "for name in target.names)] = 2 * c",
+           _CONVERTER),
+    Mutant("converter-images-forward-recurrence", "src/anomcancel/algebra.py",
+           "for i in range(n, 0, -1):", "for i in range(1, n + 1):",
+           _CONVERTER),
+    Mutant("expand-names-reversed", "src/anomcancel/algebra.py",
+           "zip(poly.spec.names, exps)", "zip(reversed(poly.spec.names), exps)",
+           _CONVERTER),
+    Mutant("converter-target-families-first", "src/anomcancel/algebra.py",
+           """gens=tuple(src.gens[i] for i in passthrough)
+        + tuple((f"p{i}({fam})", 4 * i) for fam, roots in families
+                for i in range(1, len(roots) + 1) if 4 * i <= src.cap),""",
+           """gens=tuple((f"p{i}({fam})", 4 * i) for fam, roots in families
+                  for i in range(1, len(roots) + 1) if 4 * i <= src.cap)
+        + tuple(src.gens[i] for i in passthrough),""",
+           _CONVERTER),
+    # the fixed report text of a case outside THM41 and the corollaries
+    Mutant("double-route-joint-label", "src/anomcancel/verifier.py",
+           '(f"{main}_joint", QFormId.JOINT)', "(main, QFormId.JOINT)",
+           ("tests/test_verifier.py::TestSingleCases::test_thm41_and_corollaries",)),
+    Mutant("eq318-note-word", "src/anomcancel/verifier.py",
+           "weight-transfer series equality", "weight-transfer series identity",
+           ("tests/test_verifier.py::TestSingleCases::test_thm41_and_corollaries",)),
 )
 
 

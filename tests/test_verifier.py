@@ -67,10 +67,41 @@ class TestSingleCases:
          (REDUCED,)),
         (CaseId.THM41, TWO(2, 2), dict.fromkeys(
             ("ch(b_0)", "ch(b_1)", "beta_0", "beta_1", "correction_form")), (REDUCED,)),
-    ], ids=["COR32", "COR33", "COR42", "COR43", "THM41", "THM41-k2"])
+        (CaseId.THM31, AB(2, 2, 2, 1), dict.fromkeys(
+            ("ch(b_0)", "ch(b_1)", "beta_0", "beta_1", "correction_form")), ()),
+        (CaseId.THM34, XI(2, 2, 2, 1), dict.fromkeys(
+            ("ch(b_0)", "ch(b_1)", "beta_0", "beta_1", "correction_form")), ()),
+        (CaseId.EQ318_TRANSFER, AB(2, 1, -1, 2), dict.fromkeys(("h_0", "h_1")),
+         ("decomposition residual zero and weight-transfer series equality",)),
+        (CaseId.DOUBLE_ROUTE, AB(1, 2, 2, 1), {"Q1": "equal", "Q2_joint": "equal"}, ()),
+        (CaseId.DOUBLE_ROUTE, TWO(1, 1), {"P1": "equal", "P2_joint": "equal"}, ()),
+        (CaseId.BR_BETAR_CLOSED_FORMS, AB(2, 1, 2, 1), {
+            "br.h0": None, "br.h0.readings": "printed",
+            "br.h1": None, "br.h1.readings": "generalized",
+            "betar.beta0": None, "betar.beta0.readings": "printed",
+            "betar.beta1": None, "betar.beta1.readings": "generalized"},
+         tuple(f"{name}: printed closed form holds only at b = 0; computed value carries "
+               "(b-a) ch(V~) with the (-1)^k prefactor distributed"
+               for name in ("br.h1", "betar.beta1"))),
+        (CaseId.HLZ_SPECIAL, AB(2, 2, 1, 0),
+         {"sides_match_general_formula": "yes", "identity_residual_zero": "yes"}, ()),
+        # the residuals' names, not their floats
+        (CaseId.NUMERIC_MODULARITY, None, dict.fromkeys((
+            "theta_T", "theta_S", "theta1_T", "theta1_S", "theta2_T", "theta2_S",
+            "theta3_T", "theta3_S", "thetaprime_T", "thetaprime0_S", "jacobi_identity",
+            "e2_S", "delta2_S", "eps2_S", "delta1_w2_T", "delta1_w2_ST2ST", "eps1_w4_T",
+            "eps1_w4_ST2ST", "delta2_w2_STS", "delta2_w2_T2STS", "eps2_w4_STS",
+            "eps2_w4_T2STS")),
+         ("sample point tau = (0.25+1.1j), v = (0.13+0.07j); weight checks use the "
+          "trivial character, confirmed numerically",)),
+        (CaseId.JACOBI_QSERIES, None, {"q_order": "20"}, ()),
+    ], ids=["COR32", "COR33", "COR42", "COR43", "THM41", "THM41-k2", "THM31", "THM34",
+            "EQ318_TRANSFER", "DOUBLE_ROUTE", "DOUBLE_ROUTE-two-line",
+            "BR_BETAR_CLOSED_FORMS", "HLZ_SPECIAL", "NUMERIC_MODULARITY", "JACOBI_QSERIES"])
     def test_thm41_and_corollaries(self, case, spec, quantities, notes):
-        # the reports' fixed text: every label in order, each printed constant
-        # (None: a polynomial, not pinned) and every note
+        # the reports' fixed text, each at its default q-order: every label in
+        # order, each printed constant or word (None: a polynomial or a float,
+        # not pinned) and every note
         report = verify_case(case, spec)
         assert report.passed and report.notes == notes
         assert [(name, text if quantities.get(name) else None)
